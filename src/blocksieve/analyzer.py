@@ -10,6 +10,14 @@ of those projectors are the isotypic dimensions.  Aggregating isotypic
 dimensions by component size yields the block system, which is then run
 through the rule engine.
 
+analyze runs each stage once, handing its result to the later stages:
+
+    a = dual_algebra(c)
+    j = radical(a)
+    chain = coradical_filtration(a, j)
+    comps = simple_components(c, a, j, chain.bases[0])
+    table = q_table(c, comps, chain)
+
 Block dimensions are basis invariants: they are ranks of canonically defined
 projectors on canonically defined quotients, so a change of basis of the
 input coalgebra never changes them.
@@ -73,18 +81,16 @@ class FiltrationChain:
         return len(self.bases)
 
 
-def coradical_filtration(c: Coalgebra) -> FiltrationChain:
-    """C_n = annihilator of J^{n+1} in the dual algebra; strictly increasing."""
-    a = dual_algebra(c)
-    j_basis = radical(a)
+def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChain:
+    """C_n = annihilator of J^{n+1} in the dual algebra a; strictly increasing."""
     bases: list[tuple[tuple[int, ...], ...]] = []
     power = linalg.echelon(j_basis)[0] if j_basis else []
     while True:
-        level = linalg.nullspace(power, ncols=c.dim) if power else [
-            [1 if t == i else 0 for t in range(c.dim)] for i in range(c.dim)
+        level = linalg.nullspace(power, ncols=a.dim) if power else [
+            [1 if t == i else 0 for t in range(a.dim)] for i in range(a.dim)
         ]
         bases.append(tuple(tuple(v) for v in level))
-        if len(level) == c.dim:
+        if len(level) == a.dim:
             break
         if len(bases) > 1 and len(level) <= len(bases[-2]):
             raise AssertionError("coradical filtration failed to grow strictly")
@@ -123,7 +129,6 @@ def _quotient(a: Algebra, j_basis: list[list[int]]):
     """Semisimple quotient A/J on the non-pivot coordinates of J's echelon form."""
     ech, pivots = linalg.echelon(j_basis) if j_basis else ([], [])
     keep = [i for i in range(a.dim) if i not in pivots]
-    pos = {i: t for t, i in enumerate(keep)}
 
     def project(v) -> list[Fraction]:
         red = linalg.reduce_against(v, ech, pivots)
@@ -144,7 +149,7 @@ def _quotient(a: Algebra, j_basis: list[list[int]]):
             row.append(tuple(project(a.multiply(x, y))))
         mult_rows.append(tuple(row))
     quotient = Algebra(q, tuple(mult_rows), tuple(project(list(a.unit))))
-    return quotient, project, lift
+    return quotient, lift
 
 
 def _center(a: Algebra) -> list[list[Fraction]]:
@@ -236,22 +241,19 @@ def _component_subspace(c: Coalgebra, e: list[Fraction], c0_basis) -> list[list[
     return linalg.echelon(images)[0]
 
 
-def simple_components(c: Coalgebra) -> list[SimpleComponent]:
+def simple_components(
+    c: Coalgebra, a: Algebra, j_basis: list[list[int]], c0_basis
+) -> list[SimpleComponent]:
     """Simple subcoalgebra classes of the coradical, canonically ordered.
 
-    Requires the dual's semisimple quotient to split over Q into full matrix
-    components; otherwise NonSplitCoradicalError is raised.  Grouplike
-    components are labelled by their basis vector when the grouplike element
-    is one, else g0, g1, ...; larger components get s0, s1, ...
+    a is the dual algebra of c, j_basis its radical and c0_basis the
+    coradical C_0 (the filtration's first level).  Requires the dual's
+    semisimple quotient to split over Q into full matrix components;
+    otherwise NonSplitCoradicalError is raised.  Grouplike components are
+    labelled by their basis vector when the grouplike element is one, else
+    g0, g1, ...; larger components get s0, s1, ...
     """
-    a = dual_algebra(c)
-    j_basis = radical(a)
-    quotient, _project, lift = _quotient(a, j_basis)
-    c0_basis = (
-        linalg.nullspace(linalg.echelon(j_basis)[0], ncols=c.dim)
-        if j_basis
-        else [[1 if t == i else 0 for t in range(c.dim)] for i in range(c.dim)]
-    )
+    quotient, lift = _quotient(a, j_basis)
     raw = []
     for e_bar in _primitive_idempotents(quotient):
         e = lift(e_bar)
@@ -303,16 +305,16 @@ def simple_components(c: Coalgebra) -> list[SimpleComponent]:
     return comps
 
 
-def q_table(c: Coalgebra) -> dict[tuple[int, str, str], int]:
-    """Isotypic dimensions of the filtration quotients.
+def q_table(
+    c: Coalgebra, comps: list[SimpleComponent], chain: FiltrationChain
+) -> dict[tuple[int, str, str], int]:
+    """Isotypic dimensions of the filtration quotients of c.
 
     (n, tau, mu) -> dimension of the part of C_n/C_{n-1} whose left coaction
     lands in component tau and right coaction in component mu; computed as the
     rank of the composed hit-action projectors modulo C_{n-1}.  Zero entries
     are omitted.
     """
-    comps = simple_components(c)
-    chain = coradical_filtration(c)
     table: dict[tuple[int, str, str], int] = {}
     left_mats = {s.label: _left_hit(c, list(s.idempotent)) for s in comps}
     right_mats = {s.label: _right_hit(c, list(s.idempotent)) for s in comps}
@@ -427,7 +429,7 @@ def _escalation_violations(
 
 
 def analyze(c: Coalgebra, flags) -> AnalysisResult:
-    """Full pipeline: validate, decompose, aggregate, and rule-check.
+    """Full pipeline: validate, decompose once per stage, aggregate, rule-check.
 
     Raises CoalgebraInvalidError for axiom failures and NonSplitCoradicalError
     when the coradical does not split over Q.
@@ -435,9 +437,11 @@ def analyze(c: Coalgebra, flags) -> AnalysisResult:
     failures = validate(c)
     if failures:
         raise CoalgebraInvalidError("; ".join(failures))
-    comps = simple_components(c)
-    chain = coradical_filtration(c)
-    table = q_table(c)
+    a = dual_algebra(c)
+    j_basis = radical(a)
+    chain = coradical_filtration(a, j_basis)
+    comps = simple_components(c, a, j_basis, chain.bases[0])
+    table = q_table(c, comps, chain)
     dims = {s.label: s.d for s in comps}
     blocks: dict[BlockIndex, int] = {}
     for s in comps:

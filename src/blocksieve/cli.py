@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .blocks import (
@@ -127,12 +126,6 @@ def _cmd_solve(config: CliConfig, out) -> int:
     return 0 if cert.feasible else 1
 
 
-def _scan_worker(args):
-    t, r, flags, node_cap = args
-    cert = solve(FeasibilityProblem(t * r, r, flags), node_cap=node_cap)
-    return t, cert
-
-
 def _closing_summary(cert) -> str:
     if cert.feasible:
         return "witness found"
@@ -141,14 +134,8 @@ def _closing_summary(cert) -> str:
 
 
 def _cmd_scan(config: CliConfig, out) -> int:
-    r, t_max = config.group_order, config.t_max
-    if config.jobs > 1:
-        tasks = [(t, r, config.flags, config.node_cap) for t in range(1, t_max + 1)]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_scan_worker, tasks))
-        rows = [(t, cert.verdict, cert) for (t, cert) in results]
-    else:
-        rows = scan(r, t_max, config.flags, node_cap=config.node_cap)
+    r = config.group_order
+    rows = scan(r, config.t_max, config.flags, node_cap=config.node_cap, jobs=config.jobs)
     if config.fmt == "json":
         payload = [
             {"t": t, "N": t * r, "verdict": verdict, "summary": _closing_summary(cert)}
@@ -165,21 +152,12 @@ def _cmd_scan(config: CliConfig, out) -> int:
     return 0
 
 
-def _orders_worker(args):
-    r, N, flags, node_cap = args
-    cert = solve(FeasibilityProblem(N, r, flags), node_cap=node_cap)
-    return r, cert.feasible
-
-
 def _cmd_orders(config: CliConfig, out) -> int:
     N = config.dim
     divisors = [r for r in range(2, N) if N % r == 0]
-    if config.jobs > 1:
-        tasks = [(r, N, config.flags, config.node_cap) for r in divisors]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            feasible = {r for (r, ok) in pool.map(_orders_worker, tasks) if ok}
-    else:
-        feasible = admissible_group_orders(N, config.flags, node_cap=config.node_cap)
+    feasible = admissible_group_orders(
+        N, config.flags, node_cap=config.node_cap, jobs=config.jobs
+    )
     if config.fmt == "json":
         out.write(
             json.dumps(

@@ -144,12 +144,6 @@ class Algebra:
                         out[k] += xi * yj * row[k]
         return out
 
-    def left_mult_matrix(self, x) -> list[list[Fraction]]:
-        """Matrix of y -> x*y in the defining basis (columns indexed by y)."""
-        cols = [self.multiply(x, [Fraction(1 if t == j else 0) for t in range(self.dim)])
-                for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     def is_associative(self) -> bool:
         n = self.dim
         for i in range(n):

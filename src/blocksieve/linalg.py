@@ -7,9 +7,8 @@ ever rounding.  Pivot selection always takes the lowest row index with a
 nonzero entry in the current column, so all outputs are deterministic.
 
 Also holds the small univariate-polynomial toolkit the analyzer needs:
-minimal polynomials by Krylov iteration, and rational-root extraction via
-Hensel lifting so that fully split polynomials never require factoring their
-(potentially huge) constant terms.
+rational-root extraction via Hensel lifting, so that fully split polynomials
+never require factoring their (potentially huge) constant terms.
 """
 
 from __future__ import annotations
@@ -233,38 +232,6 @@ def poly_int(p) -> list[int]:
     if out and out[-1] < 0:
         out = [-c for c in out]
     return out
-
-
-def minimal_polynomial(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Monic minimal polynomial of a square rational matrix, by Krylov iteration.
-
-    For each basis vector, the least linear dependence among v, Mv, M^2 v, ...
-    gives the annihilator of v; the minimal polynomial is the lcm of these.
-    """
-    k = len(mat)
-    if k == 0:
-        return [Fraction(1)]
-    result = [Fraction(1)]
-
-    def apply(v):
-        return [sum(mat[i][j] * v[j] for j in range(k)) for i in range(k)]
-
-    for start in range(k):
-        v = [Fraction(1 if i == start else 0) for i in range(k)]
-        krylov = [v]
-        while True:
-            v = apply(v)
-            coeffs = solve_coords(krylov, v)
-            if coeffs is not None:
-                ann = [-c for c in coeffs] + [Fraction(1)]
-                break
-            krylov.append(v)
-        quot, rem = poly_divmod(poly_mul(result, ann), poly_gcd(result, ann))
-        assert not rem
-        result = [c / quot[-1] for c in quot]
-        if len(result) == k + 1:
-            break
-    return result
 
 
 # -- rational roots by Hensel lifting ----------------------------------------

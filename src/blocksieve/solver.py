@@ -24,6 +24,7 @@ top-level case split.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -508,35 +509,51 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     return Certificate(FEASIBLE, witness=witness, stats=stats)
 
 
+def _solve_all(
+    problems: list[FeasibilityProblem], node_cap: int | None, jobs: int
+) -> list[Certificate]:
+    """Certificates in problem order; jobs > 1 spreads them over processes."""
+    run = functools.partial(solve, node_cap=node_cap)
+    if jobs > 1:
+        # imported here so that importing blocksieve stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned, not forked: the caller's process may hold threads
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            return list(pool.map(run, problems))
+    return [run(p) for p in problems]
+
+
 def scan(
-    r: int, t_max: int, flags: ModeFlags, *, node_cap: int | None = None
+    r: int, t_max: int, flags: ModeFlags, *, node_cap: int | None = None, jobs: int = 1
 ) -> list[tuple[int, str, Certificate]]:
-    """Feasibility of N = t*r for t = 1..t_max; entries are (t, verdict, certificate)."""
+    """Feasibility of N = t*r for t = 1..t_max; entries are (t, verdict, certificate).
+
+    jobs > 1 solves the points in that many worker processes; the result does
+    not depend on it.
+    """
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    out = []
-    for t in range(1, t_max + 1):
-        cert = solve(FeasibilityProblem(t * r, r, flags), node_cap=node_cap)
-        out.append((t, cert.verdict, cert))
-    return out
+    problems = [FeasibilityProblem(t * r, r, flags) for t in range(1, t_max + 1)]
+    certs = _solve_all(problems, node_cap, jobs)
+    return [(t, cert.verdict, cert) for t, cert in enumerate(certs, start=1)]
 
 
 def admissible_group_orders(
-    N: int, flags: ModeFlags, *, node_cap: int | None = None
+    N: int, flags: ModeFlags, *, node_cap: int | None = None, jobs: int = 1
 ) -> set[int]:
     """Group orders 1 < r < N dividing N for which a rule-satisfying system exists.
 
     The trivial group order r = 1 is excluded from the survey: the block-level
     rules alone never refute it (a padded minimal form over the trivial group
     realizes every admissible total above the r = 1 lower bound), so listing
-    it would carry no information about N.
+    it would carry no information about N.  jobs is as in scan.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    out = set()
-    for r in range(2, N):
-        if N % r == 0:
-            cert = solve(FeasibilityProblem(N, r, flags), node_cap=node_cap)
-            if cert.feasible:
-                out.add(r)
-    return out
+    divisors = [r for r in range(2, N) if N % r == 0]
+    problems = [FeasibilityProblem(N, r, flags) for r in divisors]
+    certs = _solve_all(problems, node_cap, jobs)
+    return {r for r, cert in zip(divisors, certs) if cert.feasible}

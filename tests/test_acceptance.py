@@ -9,7 +9,7 @@ import functools
 import random
 import time
 
-from blocksieve.analyzer import analyze, coradical_filtration
+from blocksieve.analyzer import analyze
 from blocksieve.blocks import (
     NON_COSEMISIMPLE,
     NSP,
@@ -179,9 +179,8 @@ def test_criterion_9_analyzer_corpus():
     assert time.time() - start < 5
 
     start = time.time()
-    chain = coradical_filtration(sweedler_tensor_square())
-    assert chain.dims == (4, 12, 16)
     res = analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
+    assert res.filtration.dims == (4, 12, 16)
     assert total_dim(res.block_system) == 16
     assert time.time() - start < 5
 

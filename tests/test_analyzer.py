@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import blocksieve.analyzer
 from blocksieve.analyzer import (
     CoalgebraInvalidError,
     NonSplitCoradicalError,
     analyze,
-    coradical_filtration,
     filtration_is_compatible,
-    q_table,
     radical,
-    simple_components,
 )
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_dim
 from blocksieve.coalgebra import Algebra, Coalgebra, change_basis, dual_algebra
@@ -70,49 +68,49 @@ class TestRadical:
         for d in (2, 3):
             a = dual_algebra(matrix_coalgebra(d))
             assert radical(a) == []
-            comps = simple_components(matrix_coalgebra(d))
+            comps = analyze(matrix_coalgebra(d), PLAIN).components
             assert [(s.label, s.d) for s in comps] == [("s0", d)]
 
 
 class TestFiltration:
     def test_grouplike_chain(self):
-        assert coradical_filtration(grouplike_coalgebra(3)).dims == (3,)
+        assert analyze(grouplike_coalgebra(3), PLAIN).filtration.dims == (3,)
 
     def test_sweedler_chain(self):
-        assert coradical_filtration(sweedler_coalgebra()).dims == (2, 4)
+        assert analyze(sweedler_coalgebra(), PLAIN).filtration.dims == (2, 4)
 
     def test_tensor_square_chain(self):
-        assert coradical_filtration(sweedler_tensor_square()).dims == (4, 12, 16)
+        assert analyze(sweedler_tensor_square(), PLAIN).filtration.dims == (4, 12, 16)
 
     def test_compatibility_with_comultiplication(self):
         for build in (sweedler_coalgebra, s3_dual_coalgebra, grouplike_coalgebra):
             c = build() if build is not grouplike_coalgebra else build(3)
-            assert filtration_is_compatible(c, coradical_filtration(c))
+            assert filtration_is_compatible(c, analyze(c, PLAIN).filtration)
 
     def test_tensor_square_compatibility(self):
         c = sweedler_tensor_square()
-        assert filtration_is_compatible(c, coradical_filtration(c))
+        assert filtration_is_compatible(c, analyze(c, PLAIN).filtration)
 
 
 class TestSimpleComponents:
     def test_three_grouplikes(self):
-        comps = simple_components(grouplike_coalgebra(3))
+        comps = analyze(grouplike_coalgebra(3), PLAIN).components
         assert [(s.label, s.d) for s in comps] == [("g0", 1), ("g1", 1), ("g2", 1)]
         assert all(s.is_grouplike for s in comps)
 
     def test_s3_dual_wedderburn(self):
-        comps = simple_components(s3_dual_coalgebra())
+        comps = analyze(s3_dual_coalgebra(), PLAIN).components
         assert sorted(s.d for s in comps) == [1, 1, 2]
         assert sum(1 for s in comps if s.is_grouplike) == 2
 
     def test_group_algebra_as_coalgebra_is_pointed(self):
         # pointedness is a property of the coalgebra, not of how the dual
         # algebra would split as a group algebra
-        comps = simple_components(grouplike_coalgebra(3))
+        comps = analyze(grouplike_coalgebra(3), PLAIN).components
         assert sum(1 for s in comps if s.is_grouplike) == 3
 
     def test_sweedler_grouplikes_named_by_basis(self):
-        comps = simple_components(sweedler_coalgebra())
+        comps = analyze(sweedler_coalgebra(), PLAIN).components
         assert [s.label for s in comps] == ["1", "g"]
 
     def test_non_split_rejected(self):
@@ -124,21 +122,21 @@ class TestSimpleComponents:
         c = Coalgebra(2, ("c0", "c1"), delta, (F(1), F(0)))
         assert c and not radical(dual_algebra(c))
         with pytest.raises(NonSplitCoradicalError, match="extend scalars"):
-            simple_components(c)
+            analyze(c, PLAIN)
 
 
 class TestQTable:
     def test_sweedler(self):
-        assert q_table(sweedler_coalgebra()) == {(1, "g", "1"): 1, (1, "1", "g"): 1}
+        assert analyze(sweedler_coalgebra(), PLAIN).q_table == {(1, "g", "1"): 1, (1, "1", "g"): 1}
 
     def test_cosemisimple_is_empty(self):
-        assert q_table(s3_dual_coalgebra()) == {}
+        assert analyze(s3_dual_coalgebra(), PLAIN).q_table == {}
 
     def test_level_sums_match_filtration_jumps(self):
         for build in (sweedler_coalgebra, sweedler_tensor_square):
             c = build()
-            chain = coradical_filtration(c)
-            table = q_table(c)
+            res = analyze(c, PLAIN)
+            chain, table = res.filtration, res.q_table
             for n in range(1, len(chain)):
                 jump = chain.dims[n] - chain.dims[n - 1]
                 assert sum(v for (lev, _t, _m), v in table.items() if lev == n) == jump
@@ -224,6 +222,25 @@ class TestAnalyze:
             (t, m): v for (n, t, m), v in res.q_table.items() if dims[t] == 2
         }
         assert sorted(big_pairs.values()) == [4, 4]
+
+
+class TestComputeOnce:
+    def test_analyze_builds_dual_and_radical_once(self, monkeypatch):
+        calls = {"dual_algebra": 0, "radical": 0}
+
+        def counting(name):
+            original = getattr(blocksieve.analyzer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(blocksieve.analyzer, name, counting(name))
+        analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
+        assert calls == {"dual_algebra": 1, "radical": 1}
 
 
 def label_free_q_table(res):

@@ -88,6 +88,10 @@ class TestScan:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    def test_parallel_rejects_nonpositive_t_max(self, capsys):
+        assert main(["scan", "--group-order", "3", "--t-max", "0", "--jobs", "2"]) == 2
+        assert "t_max must be positive" in capsys.readouterr().err
+
     def test_markdown(self, capsys):
         assert main(["scan", "--group-order", "2", "--t-max", "3",
                      "--no-skew-primitives", "--format", "markdown"]) == 0
@@ -107,6 +111,16 @@ class TestOrders:
         payload = json.loads(capsys.readouterr().out)
         assert payload["admissible_group_orders"] == []
         assert payload["surveyed"] == [2, 3, 5, 6, 10, 15]
+
+    def test_jobs_byte_identical(self, capsys):
+        assert main(["orders", "--dim", "42", "--no-skew-primitives"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["orders", "--dim", "42", "--no-skew-primitives", "--jobs", "3"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_parallel_rejects_nonpositive_dim(self, capsys):
+        assert main(["orders", "--dim", "0", "--jobs", "2"]) == 2
+        assert "N must be positive" in capsys.readouterr().err
 
 
 class TestCheck:

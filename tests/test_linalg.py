@@ -62,21 +62,6 @@ class TestMembership:
         assert linalg.solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 4]) is None
 
 
-class TestMinimalPolynomial:
-    def test_diagonal(self):
-        mat = [
-            [Fraction(1), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(2)],
-        ]
-        # (t-1)(t-2)
-        assert linalg.minimal_polynomial(mat) == [Fraction(2), Fraction(-3), Fraction(1)]
-
-    def test_nilpotent(self):
-        mat = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-        assert linalg.minimal_polynomial(mat) == [Fraction(0), Fraction(0), Fraction(1)]
-
-
 class TestRationalRoots:
     @pytest.mark.parametrize(
         "poly,roots,split",
