@@ -84,7 +84,7 @@ class FiltrationChain:
 def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChain:
     """C_n = annihilator of J^{n+1} in the dual algebra a; strictly increasing."""
     bases: list[tuple[tuple[int, ...], ...]] = []
-    power = linalg.echelon(j_basis)[0] if j_basis else []
+    power = j_basis
     while True:
         level = linalg.nullspace(power, ncols=a.dim) if power else [
             [1 if t == i else 0 for t in range(a.dim)] for i in range(a.dim)

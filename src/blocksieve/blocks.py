@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -84,7 +83,7 @@ class BlockSystem:
     The group order is stored separately from the (0,1,1) entry so that rule
     checks can detect inconsistency between the two instead of silently
     normalizing.  A stored (0,1,1) entry is therefore allowed to disagree with
-    group_order; absent (0,1,1) is read as r (see effective_dim).
+    group_order; absent (0,1,1) is read as r (see total_dim).
 
     group_order 0 is permitted so the analyzer can represent coalgebras with
     no grouplikes at all; such systems fail the rule check, as they must.
@@ -108,20 +107,9 @@ class BlockSystem:
             normalized[idx] = dim
         object.__setattr__(self, "blocks", normalized)
 
-    def effective_dim(self, idx: BlockIndex | tuple[int, int, int]) -> int:
-        """Stored dimension at idx, with absent (0,1,1) counting as group_order."""
-        if not isinstance(idx, BlockIndex):
-            idx = BlockIndex(*idx)
-        if idx == CORADICAL_POINTED:
-            return self.blocks.get(idx, self.group_order)
-        return self.blocks.get(idx, 0)
-
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Stored entries as (level, d1, d2, dim), canonically sorted."""
         return tuple(sorted((i.level, i.d1, i.d2, v) for i, v in self.blocks.items()))
-
-    def levels(self) -> Iterator[int]:
-        return iter(sorted({i.level for i in self.blocks}))
 
     def max_level(self) -> int:
         return max((i.level for i in self.blocks), default=0)

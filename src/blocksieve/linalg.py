@@ -122,10 +122,10 @@ def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
     for f in free:
         x = [Fraction(0)] * n
         x[f] = Fraction(1)
-        # back-substitute pivots in reverse order
-        for r, col in reversed(list(zip(ech, pivots))):
-            s = sum((Fraction(r[j]) * x[j] for j in range(col + 1, n)), Fraction(0))
-            x[col] = -s / Fraction(r[col])
+        # echelon rows are zero at every other pivot column, so each pivot
+        # coordinate is read off its own row
+        for r, col in zip(ech, pivots):
+            x[col] = Fraction(-r[f], r[col])
         den = 1
         for q in x:
             den = den * q.denominator // math.gcd(den, q.denominator)
@@ -153,11 +153,7 @@ def solve_coords(basis_rows, v) -> list[Fraction] | None:
     for r, col in zip(ech, pivots):
         if col == k:
             return None  # inconsistent
-    for r, col in reversed(list(zip(ech, pivots))):
-        s = Fraction(r[k])
-        for j in range(col + 1, k):
-            s -= r[j] * coeffs[j]
-        coeffs[col] = s / Fraction(r[col])
+        coeffs[col] = Fraction(r[k], r[col])  # r is zero at the other pivots
     return coeffs
 
 
@@ -168,15 +164,6 @@ def poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):

@@ -78,6 +78,81 @@ def _fmt(idx) -> str:
     return f"B({n},{a},{b})"
 
 
+# -- support predicates --------------------------------------------------------
+#
+# The existential rules depend only on which cells are occupied.  levels maps
+# a level n to its occupied (d1, d2) cells; check passes its block table and
+# the solver its partial support, so each rule is stated here once.
+
+
+def chain_gaps(levels, n: int, d1: int, d2: int):
+    """R4: each split i (1 <= i < n) with no b such that (i,d1,b) and (n-i,b,d2) are occupied."""
+    for i in range(1, n):
+        first_leg = levels.get(i, ())
+        second_leg = levels.get(n - i, ())
+        if not any(a == d1 and (b, d2) in second_leg for (a, b) in first_leg):
+            yield i
+
+
+def stranded(levels):
+    """R5: each off-diagonal cell (n, d1, d2), n >= 1, with row d1 empty at every higher level."""
+    top_of_row: dict[int, int] = {}
+    for n, cells in levels.items():
+        for (a, _b) in cells:
+            top_of_row[a] = max(top_of_row.get(a, n), n)
+    for n, cells in levels.items():
+        if n >= 1:
+            for (d1, d2) in cells:
+                if d1 != d2 and top_of_row[d1] == n:
+                    yield n, d1, d2
+
+
+def backed(levels, cell: tuple[int, int]) -> bool:
+    """R11: both dimensions of cell (d1, d2) have their coradical blocks (0, d, d)."""
+    level0 = levels.get(0, ())
+    d1, d2 = cell
+    return (d1, d1) in level0 and (d2, d2) in level0
+
+
+def has_nsp_core(levels) -> bool:
+    """R7: some d > 1 with (1,d,1), (1,1,d) and some (k,d,d), k > 1, occupied.
+
+    Driven by the occupied level-1 cells, so the cost does not grow with d.
+    """
+    lvl1 = levels.get(1, ())
+    return any(
+        b == 1 < a and (1, a) in lvl1
+        and any((a, a) in cells for k, cells in levels.items() if k > 1)
+        for (a, b) in lvl1
+    )
+
+
+def nsp_forcing_ok(levels, l: int | None, m: int) -> bool:
+    """R8 for least and greatest positive pointed levels l and m.
+
+    Holds when l < m fails, or when l > 1 and some level l' > l occupies an
+    edge cell (l',d1,1) with (l'-1,d1,d3) occupied and an edge cell (l',1,d2)
+    with (l'-1,d4,d2) occupied, all of d1..d4 > 1.
+    """
+    if l is None or l >= m:
+        return True
+    if l == 1:
+        return False
+    for lp, row in levels.items():
+        if lp <= l:
+            continue
+        below = levels.get(lp - 1, ())
+        left = any(
+            b == 1 < a and any(x == a and y > 1 for (x, y) in below) for (a, b) in row
+        )
+        right = any(
+            a == 1 < b and any(y == b and x > 1 for (x, y) in below) for (a, b) in row
+        )
+        if left and right:
+            return True
+    return False
+
+
 def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     """Evaluate every activated rule; an empty list means all of them pass.
 
@@ -157,34 +232,24 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     # R4: chain condition through every intermediate level.
     for idx in sorted(eff):
         n, d1, d2 = idx
-        if n <= 1:
-            continue
-        for i in range(1, n):
-            first_leg = by_level.get(i, {})
-            second_leg = by_level.get(n - i, {})
-            if not any(a == d1 and (b, d2) in second_leg for (a, b) in first_leg):
-                violate(
-                    "R4", [idx],
-                    f"dim {_fmt(idx)}={eff[idx]} has no chain witness at split {i}+{n - i}",
-                    missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero",
-                )
+        for i in chain_gaps(by_level, n, d1, d2):
+            violate(
+                "R4", [idx],
+                f"dim {_fmt(idx)}={eff[idx]} has no chain witness at split {i}+{n - i}",
+                missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero",
+            )
 
     # R5: off-diagonal blocks escalate to a strictly higher level in the same row.
-    for idx in sorted(eff):
-        n, d1, d2 = idx
-        if n >= 1 and d1 != d2:
-            if not any(
-                lev > n and any(a == d1 for (a, _b) in cells)
-                for lev, cells in by_level.items()
-            ):
-                violate(
-                    "R5", [idx],
-                    f"dim {_fmt(idx)}={eff[idx]} with {d1}!={d2} escalates nowhere",
-                    missing=f"no d3 and n2>{n} with B(n2,{d1},d3) nonzero",
-                )
+    for n, d1, d2 in sorted(stranded(by_level)):
+        idx = BlockIndex(n, d1, d2)
+        violate(
+            "R5", [idx],
+            f"dim {_fmt(idx)}={eff[idx]} with {d1}!={d2} escalates nowhere",
+            missing=f"no d3 and n2>{n} with B(n2,{d1},d3) nonzero",
+        )
 
     # R6: the top pointed block has dimension exactly r.
-    _l, m = pointed_levels(s)
+    l, m = pointed_levels(s)
     if r >= 1:
         top = eff.get(BlockIndex(m, 1, 1), 0)
         if top != r:
@@ -194,9 +259,9 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                 f"top pointed block must satisfy dim B({m},1,1) = |G(H)| = {r}, got {top}",
             )
 
-    # R7 (nsp only): no skew-primitive level-1 pointed block, and the six
-    # necessary blocks exist for a common d > 1.
     if nsp:
+        # R7: no skew-primitive level-1 pointed block, and the six necessary
+        # blocks exist for a common d > 1.
         lvl1 = by_level.get(1, {})
         if (1, 1) in lvl1:
             violate(
@@ -204,58 +269,30 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                 [BlockIndex(1, 1, 1)],
                 f"B(1,1,1) must be absent without nontrivial skew-primitives, got dim {lvl1[(1, 1)]}",
             )
-        ds = [
-            d for d in range(2, _max_d(eff) + 1)
-            if (d, 1) in lvl1 and (1, d) in lvl1
-            and any((d, d) in by_level.get(k, {}) for k in by_level if k > 1)
-        ]
-        if not ds:
+        if not has_nsp_core(by_level):
             violate(
                 "R7", [],
                 "no d>1 with B(1,d,1), B(1,1,d), and B(k,d,d) (k>1) all nonzero",
                 missing="necessary blocks B(1,d,1), B(1,1,d), B(k,d,d) with k>1",
             )
-        if not any((1, 1) in by_level.get(k, {}) for k in by_level if k > 1):
+        if m <= 1:
             violate(
                 "R7", [],
                 "no pointed block B(m,1,1) with m>1",
                 missing="a pointed block above level 1",
             )
 
-    # R8 (nsp only): an intermediate pointed level forces edge blocks higher up.
-    if nsp:
-        l, m = pointed_levels(s)
-        if l is not None and l < m:
-            ok = False
-            if l > 1:
-                for lp in sorted(by_level):
-                    if lp <= l:
-                        continue
-                    row = by_level.get(lp, {})
-                    below = by_level.get(lp - 1, {})
-                    d1s = [a for (a, b) in row if b == 1 and a > 1]
-                    d2s = [b for (a, b) in row if a == 1 and b > 1]
-                    if not d1s or not d2s:
-                        continue
-                    left_backed = any(
-                        any(a == d1 and b > 1 for (a, b) in below) for d1 in d1s
-                    )
-                    right_backed = any(
-                        any(b == d2 and a > 1 for (a, b) in below) for d2 in d2s
-                    )
-                    if left_backed and right_backed:
-                        ok = True
-                        break
-            if not ok:
-                violate(
-                    "R8",
-                    [BlockIndex(l, 1, 1), BlockIndex(m, 1, 1)],
-                    f"pointed levels l={l} < m={m} force more structure; none found",
-                    missing=(
-                        f"l'>l>1 and d1,d2,d3,d4>1 with B(l',d1,1), B(l',1,d2), "
-                        f"B(l'-1,d1,d3), B(l'-1,d4,d2) nonzero"
-                    ),
-                )
+        # R8: an intermediate pointed level forces edge blocks higher up.
+        if not nsp_forcing_ok(by_level, l, m):
+            violate(
+                "R8",
+                [BlockIndex(l, 1, 1), BlockIndex(m, 1, 1)],
+                f"pointed levels l={l} < m={m} force more structure; none found",
+                missing=(
+                    f"l'>l>1 and d1,d2,d3,d4>1 with B(l',d1,1), B(l',1,d2), "
+                    f"B(l'-1,d1,d3), B(l'-1,d4,d2) nonzero"
+                ),
+            )
 
     # R9: no gaps below the top occupied level.
     for n in range(1, n_max + 1):
@@ -265,7 +302,7 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     # R11: every d used above level 0 is backed by a coradical block.
     used = sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)})
     for d in used:
-        if (d, d) not in by_level.get(0, {}):
+        if not backed(by_level, (d, d)):
             witnesses = sorted(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
             violate(
                 "R11",
@@ -287,6 +324,3 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
 
     return [v for rid in RULE_ORDER for v in out[rid]]
 
-
-def _max_d(eff: dict[BlockIndex, int]) -> int:
-    return max((max(i.d1, i.d2) for i in eff), default=1)

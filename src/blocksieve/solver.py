@@ -5,9 +5,9 @@ block system within finite grid bounds satisfies every activated rule and sums
 to N.  The search runs in two phases:
 
   phase 1 enumerates support patterns (which blocks are nonzero) level by
-  level in canonical order, propagating the existential obligations of the
-  chain, escalation, and skew-primitive rules and pruning by a running
-  minimum-cost bound;
+  level in canonical order, pruning by the support predicates that
+  rules.check also uses (chain, escalation, coradical backing and the
+  skew-primitive rules) and by a running minimum-cost bound;
 
   phase 2 assigns dimensions to a surviving support: every entry is a
   positive multiple of its forced divisor, off-diagonal mirror pairs share a
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
+from sys import _getframe, getrecursionlimit
 
 from .blocks import (
     FEASIBLE,
@@ -37,23 +37,20 @@ from .blocks import (
     ModeFlags,
     total_dim,
 )
-from .rules import check
+from .rules import backed, chain_gaps, check, has_nsp_core, nsp_forcing_ok, stranded
 
 LEVEL_CAP = 200
 DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
+_STACK_SLACK = 20  # solve, run, and the checks below the deepest search frame
 
 
 class BoundsError(ValueError):
-    """Raised when default bounds would exceed the configured level cap."""
+    """Raised when bounds exceed the level cap or the interpreter's recursion limit."""
 
 
 class SearchCapExceeded(RuntimeError):
     """Raised when the search would pass the node cap; never a silent truncation."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def basic_block_dim(r: int, d1: int, d2: int) -> int:
@@ -70,7 +67,7 @@ def basic_block_dim(r: int, d1: int, d2: int) -> int:
         return 2 * d2 * r
     if d2 == 1:
         return 2 * d1 * r
-    return _lcm(d1 * d2, r)
+    return math.lcm(d1 * d2, r)
 
 
 def lower_bound(r: int) -> tuple[int, frozenset[int]]:
@@ -88,7 +85,7 @@ def lower_bound(r: int) -> tuple[int, frozenset[int]]:
     while True:
         if best is not None and (2 * d + 2) * r + 2 * d * d > best:
             break
-        value = (2 * d + 2) * r + 2 * _lcm(d * d, r)
+        value = (2 * d + 2) * r + 2 * math.lcm(d * d, r)
         if best is None or value < best:
             best, argmin = value, {d}
         elif value == best:
@@ -109,7 +106,7 @@ def minimal_form(r: int, d: int) -> BlockSystem:
         raise ValueError("r must be positive")
     if d < 2:
         raise ValueError("d must be at least 2")
-    big = _lcm(d * d, r)
+    big = math.lcm(d * d, r)
     return BlockSystem(
         r,
         {
@@ -155,7 +152,7 @@ class GridBounds:
         while True:
             if d * d > n:
                 break
-            if _lcm(d * d, r) <= n - r:
+            if math.lcm(d * d, r) <= n - r:
                 max_d = d
             d += 1
         return cls(max_level, max_d)
@@ -210,9 +207,9 @@ def _level_groups(level: int, max_d: int, r: int) -> list[_Group]:
     for d in range(2, max_d + 1):
         groups.append(_Group(level, (1, d), ((1, d), (d, 1)), d * r, 2))
     for d1 in range(2, max_d + 1):
-        groups.append(_Group(level, (d1, d1), ((d1, d1),), _lcm(d1 * d1, r), 1))
+        groups.append(_Group(level, (d1, d1), ((d1, d1),), math.lcm(d1 * d1, r), 1))
         for d2 in range(d1 + 1, max_d + 1):
-            groups.append(_Group(level, (d1, d2), ((d1, d2), (d2, d1)), _lcm(d1 * d2, r), 2))
+            groups.append(_Group(level, (d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r), 2))
     groups.sort(key=lambda g: g.first)
     return groups
 
@@ -230,12 +227,14 @@ class _Search:
         self.closed: dict[str, int] = {}
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
-        self.diag0 = [d for d in range(2, bounds.max_d + 1) if _lcm(d * d, r) <= N - r]
+        self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
         self.groups = _level_groups(1, bounds.max_d, r) if bounds.max_level >= 1 else []
-        # support[level] = dict (d1, d2) -> group; rows[level] = set of occupied d1
-        self.support: list[dict[tuple[int, int], _Group]] = [
-            {} for _ in range(bounds.max_level + 1)
-        ]
+        # support[level] maps each occupied (d1, d2) cell to its group; level 0
+        # always holds the grouplike cell (1, 1).  This is the table shape the
+        # support predicates of rules.py read.
+        self.support: dict[int, dict[tuple[int, int], _Group]] = {
+            n: {} for n in range(bounds.max_level + 1)
+        }
         self._case: str | None = None
         self._case_first_close: str | None = None
         self._case_nodes_start = 0
@@ -261,92 +260,77 @@ class _Search:
     def run(self):
         self._level0_dfs(0, [], self.r)
 
-    def _level0_dfs(self, i: int, chosen: list[int], min_cost: int):
-        self._tick()
-        if i == len(self.diag0):
-            self._case = "{(0,1,1)}" if not chosen else (
-                "{(0,1,1)" + "".join(f", (0,{d},{d})" for d in chosen) + "}"
-            )
-            self._case_first_close = None
-            self._case_found = False
-            self._case_nodes_start = self.nodes
-            lvl0 = {(d, d): _Group(0, (d, d), ((d, d),), _lcm(d * d, self.r), 1) for d in chosen}
-            self.support[0] = lvl0
-            self._descend(1, min_cost)
-            if not self._case_found and len(self.trace) <= _TRACE_CAP:
-                reason = self._case_first_close or "exhausted"
-                used = self.nodes - self._case_nodes_start
-                if len(self.trace) == _TRACE_CAP:
-                    self.trace.append("... further cases elided")
-                else:
-                    self.trace.append(
-                        f"coradical support {self._case}: closed by {reason} ({used} nodes)"
-                    )
-            return
-        d = self.diag0[i]
-        self._level0_dfs(i + 1, chosen, min_cost)
-        cost = _lcm(d * d, self.r)
-        if min_cost + cost <= self.N:
-            chosen.append(d)
-            self._level0_dfs(i + 1, chosen, min_cost + cost)
-            chosen.pop()
+    # Both searches below visit the exclude-everything branch first and then
+    # the includes from the last group down, the order an exclude-first
+    # recursion takes, but nest one frame per included group only.
 
-    def _descend(self, level: int, min_cost: int):
-        """Choose the support of one positive level, then stop or go deeper."""
+    def _level0_dfs(self, i: int, chosen: list[int], min_cost: int):
+        for _ in range(i, len(self.diag0) + 1):
+            self._tick()
+        self._case = "{(0,1,1)}" if not chosen else (
+            "{(0,1,1)" + "".join(f", (0,{d},{d})" for d in chosen) + "}"
+        )
+        self._case_first_close = None
+        self._case_found = False
+        self._case_nodes_start = self.nodes
+        self.support[0] = {
+            (d, d): _Group(0, (d, d), ((d, d),), math.lcm(d * d, self.r), 1) for d in [1, *chosen]
+        }
+        self._subset_dfs(1, 0, min_cost)
+        if not self._case_found and len(self.trace) <= _TRACE_CAP:
+            reason = self._case_first_close or "exhausted"
+            used = self.nodes - self._case_nodes_start
+            if len(self.trace) == _TRACE_CAP:
+                self.trace.append("... further cases elided")
+            else:
+                self.trace.append(
+                    f"coradical support {self._case}: closed by {reason} ({used} nodes)"
+                )
+        for j in range(len(self.diag0) - 1, i - 1, -1):
+            d = self.diag0[j]
+            cost = math.lcm(d * d, self.r)
+            if min_cost + cost <= self.N:
+                chosen.append(d)
+                self._level0_dfs(j + 1, chosen, min_cost + cost)
+                chosen.pop()
+
+    def _subset_dfs(self, level: int, gi: int, min_cost: int):
+        """Choose the support of a positive level from groups[gi:], then stop or go deeper."""
         if level > self.bounds.max_level:
             # The grid ends here; the support below is a complete candidate.
             self._stop(level - 1, min_cost)
             return
-        self._subset_dfs(level, 0, min_cost)
-
-    def _subset_dfs(self, level: int, gi: int, min_cost: int):
-        self._tick()
-        if gi == len(self.groups):
-            if not self.support[level]:
-                self._stop(level - 1, min_cost)
-            else:
-                self._descend(level + 1, min_cost)
-            return
-        g = self.groups[gi]
-        # exclude branch first: small supports come first
-        self._subset_dfs(level, gi + 1, min_cost)
-        # include branch, with constraint checks against the fixed lower levels
-        if min_cost + g.min_cost > self.N:
-            self._close("budget")
-            return
-        if self.nsp and level == 1 and g.first == (1, 1):
-            self._close("R7")
-            return
-        for (d1, d2) in g.members:
-            for d in (d1, d2):
-                if d > 1 and (d, d) not in self.support[0]:
-                    self._close("R11")
-                    return
-        if level >= 2 and not self._chain_ok(level, g.first):
-            self._close("R4")
-            return
-        placed = _Group(level, g.first, g.members, g.divisor, g.weight)
-        for cell in g.members:
-            self.support[level][cell] = placed
-        self._subset_dfs(level, gi + 1, min_cost + g.min_cost)
-        for cell in g.members:
-            del self.support[level][cell]
-
-    def _chain_ok(self, n: int, cell: tuple[int, int]) -> bool:
-        """Chain rule for a cell about to be placed at level n >= 2.
-
-        Witnesses live strictly below level n, which is already fixed.  The
-        mirror cell's condition is the same conjunction with i and n-i
-        swapped, so checking one representative suffices on symmetric
-        supports.
-        """
-        d1, d2 = cell
-        for i in range(1, n):
-            first_leg = self.support[i]
-            second_leg = self.support[n - i]
-            if not any(a == d1 and (b, d2) in second_leg for (a, b) in first_leg):
-                return False
-        return True
+        for _ in range(gi, len(self.groups) + 1):
+            self._tick()
+        if not self.support[level]:
+            self._stop(level - 1, min_cost)
+        else:
+            self._subset_dfs(level + 1, 0, min_cost)
+        # include branches, with constraint checks against the fixed lower levels
+        for j in range(len(self.groups) - 1, gi - 1, -1):
+            g = self.groups[j]
+            if min_cost + g.min_cost > self.N:
+                self._close("budget")
+                continue
+            if self.nsp and level == 1 and g.first == (1, 1):
+                self._close("R7")
+                continue
+            # The mirror cell uses the same two dimensions.
+            if not backed(self.support, g.first):
+                self._close("R11")
+                continue
+            # Witnesses lie strictly below this level, which is already fixed.
+            # The mirror cell's condition is the same with i and n-i swapped,
+            # so one representative suffices on symmetric supports.
+            if any(chain_gaps(self.support, level, *g.first)):
+                self._close("R4")
+                continue
+            placed = _Group(level, g.first, g.members, g.divisor, g.weight)
+            for cell in g.members:
+                self.support[level][cell] = placed
+            self._subset_dfs(level, j + 1, min_cost + g.min_cost)
+            for cell in g.members:
+                del self.support[level][cell]
 
     # -- stop checks + phase 2 ---------------------------------------------
 
@@ -358,45 +342,19 @@ class _Search:
         if min_cost > self.N:
             self._close("budget")
             return
-        # R5: every off-diagonal cell escalates within the chosen support.
-        for level in range(1, n_max + 1):
-            for (d1, d2) in self.support[level]:
-                if d1 != d2:
-                    if not any(
-                        any(a == d1 for (a, _b) in self.support[higher])
-                        for higher in range(level + 1, n_max + 1)
-                    ):
-                        self._close("R5")
-                        return
+        if any(stranded(self.support)):
+            self._close("R5")
+            return
         pointed = [n for n in range(1, n_max + 1) if (1, 1) in self.support[n]]
         if self.nsp:
-            # R7: the six necessary blocks.
-            lvl1 = self.support[1] if n_max >= 1 else {}
-            ok_d = any(
-                (d, 1) in lvl1
-                and any((d, d) in self.support[k] for k in range(2, n_max + 1))
-                for d in range(2, self.bounds.max_d + 1)
-            )
-            if not ok_d:
+            # R7: the six necessary blocks; B(1,1,1) was closed at placement.
+            top = pointed[-1] if pointed else 0
+            if top <= 1 or not has_nsp_core(self.support):
                 self._close("R7")
                 return
-            if not any(n > 1 for n in pointed):
-                self._close("R7")
+            if not nsp_forcing_ok(self.support, pointed[0], top):
+                self._close("R8")
                 return
-            # R8 on a symmetric support reduces to: some edge row d1 > 1 at a
-            # level l' > l is backed by (l'-1, d1, d3) with d3 > 1.
-            if pointed:
-                l, m = min(pointed), max(pointed)
-                if l < m:
-                    ok = l > 1 and any(
-                        (d1, 1) in self.support[lp]
-                        and any(a == d1 and b > 1 for (a, b) in self.support[lp - 1])
-                        for lp in range(l + 1, n_max + 1)
-                        for d1 in range(2, self.bounds.max_d + 1)
-                    )
-                    if not ok:
-                        self._close("R8")
-                        return
         self.supports += 1
         entries = self._assign(n_max, pointed)
         if entries is None:
@@ -415,8 +373,8 @@ class _Search:
         weight * k * divisor for some k >= 1.
         """
         top_pointed = max(pointed) if pointed else 0
-        fixed: list[tuple[int, int, int, int]] = [(0, 1, 1, self.r)]
-        budget = self.N - self.r
+        fixed: list[tuple[int, int, int, int]] = []
+        budget = self.N
         free: list[_Group] = []
         for level in range(0, n_max + 1):
             seen: set[tuple[int, int]] = set()
@@ -424,7 +382,7 @@ class _Search:
                 if g.first in seen:
                     continue
                 seen.add(g.first)
-                if level == top_pointed and cell == (1, 1) and level >= 1:
+                if cell == (1, 1) and level in (0, top_pointed):
                     fixed.append((level, 1, 1, self.r))
                     budget -= self.r
                 else:
@@ -471,6 +429,8 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     Returns a Feasible certificate with the lexicographically least witness,
     or an Infeasible certificate after exhausting the bounded search space.
     If the group order does not divide the dimension the answer is immediate.
+    Raises BoundsError when the grid could nest the search deeper than the
+    recursion limit allows below the caller's stack.
     """
     N, r = p.target_dim, p.group_order
     nsp, ncss, auto_applied = _resolve_flags(p)
@@ -488,10 +448,19 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     bounds = p.bounds if p.bounds is not None else GridBounds.defaults(N, r)
     cap = node_cap if node_cap is not None else DEFAULT_NODE_CAP
     search = _Search(N, r, nsp, ncss, bounds, cap)
-    # The support DFS recurses once per group per level; make room for it.
-    needed = (bounds.max_level + 3) * (len(search.groups) + 6) + 200
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+    # Phase 1 nests one frame per placed block and one per positive level.
+    # Every block costs at least r, and the grid holds at most
+    # len(diag0) + max_level * len(groups) of them; default bounds
+    # (max_level <= LEVEL_CAP) fit under the default limit.
+    blocks = min(N // r, len(search.diag0) + bounds.max_level * len(search.groups))
+    depth = _stack_depth() + blocks + min(bounds.max_level, blocks) + _STACK_SLACK
+    if depth > getrecursionlimit():
+        raise BoundsError(
+            f"bounds max_level={bounds.max_level}, max_d={bounds.max_d} at N/r={N // r} "
+            f"allow {blocks} placed blocks and a search depth of up to {depth} frames, "
+            f"above the interpreter's recursion limit of {getrecursionlimit()}; "
+            "use a smaller max_level or max_d"
+        )
     search.run()
     stats = {
         "nodes": search.nodes,
@@ -507,6 +476,14 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     if total_dim(witness) != N or check(witness, eff_flags):
         raise AssertionError("internal error: witness failed verification")
     return Certificate(FEASIBLE, witness=witness, stats=stats)
+
+
+def _stack_depth() -> int:
+    """Frames on the caller's stack, counted against the recursion limit."""
+    frame, n = _getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
 
 
 def _solve_all(

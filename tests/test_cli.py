@@ -57,6 +57,12 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_bounds_beyond_recursion_limit_exit_two(self, capsys):
+        code = main(["solve", "--dim", "3000", "--group-order", "1",
+                     "--max-level", "2000", "--max-d", "1"])
+        assert code == 2
+        assert "recursion limit" in capsys.readouterr().err
+
     def test_bad_node_cap_env(self, capsys):
         code = run_cli(
             ["solve", "--dim", "42", "--group-order", "3"],

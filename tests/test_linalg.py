@@ -88,9 +88,14 @@ class TestRationalRoots:
         assert roots == [Fraction(-1, big), Fraction(big)]
 
     def test_product_of_many_linear_factors(self):
+        def times_linear(p, a):
+            """p(t) * (t - a), coefficients ascending."""
+            shifted = [Fraction(0)] + p
+            return [c - a * x for c, x in zip(shifted, p + [Fraction(0)])]
+
         poly = [Fraction(1)]
         for a in [2, -7, 13, Fraction(5, 3)]:
-            poly = linalg.poly_mul(poly, [Fraction(-a), Fraction(1)])
+            poly = times_linear(poly, a)
         roots, split = linalg.rational_roots(linalg.poly_int(poly))
         assert split
         assert roots == sorted([Fraction(-7), Fraction(5, 3), Fraction(2), Fraction(13)])

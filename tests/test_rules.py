@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 from blocksieve.blocks import (
     NON_COSEMISIMPLE,
@@ -120,6 +121,13 @@ class TestIndividualRules:
         bad[BlockIndex(2, 1, 2)] = 4
         s = BlockSystem(2, bad)
         assert "R8" in rules_of(check(s, NSP))
+
+    def test_r7_cost_follows_occupied_cells(self):
+        s = BlockSystem(1, {(0, 10**8, 10**8): 10**16})
+        start = time.perf_counter()
+        violations = check(s, NSP)
+        assert time.perf_counter() - start < 1.0
+        assert "R7" in rules_of(violations)
 
     def test_r9_level_contiguity(self):
         s = BlockSystem(1, {(0, 1, 1): 1, (2, 1, 1): 1})

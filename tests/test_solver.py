@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 
@@ -149,6 +151,37 @@ class TestSolve:
         with pytest.raises(SearchCapExceeded):
             solve(FeasibilityProblem(42, 3, NSP), node_cap=5)
 
+    def test_recursion_limit_untouched(self):
+        limit = sys.getrecursionlimit()
+        assert solve(FeasibilityProblem(280, 7, NSP)).feasible
+        assert sys.getrecursionlimit() == limit
+
+    def test_shallow_grid_with_large_quotient_is_searched(self):
+        # N/r = 1000 exceeds the default limit, but a grid of 2 levels and
+        # d <= 2 places at most 7 blocks, so the search is shallow.
+        cert = solve(FeasibilityProblem(1000, 1, bounds=GridBounds(2, 2)))
+        assert cert.feasible
+        assert total_dim(cert.witness) == 1000
+
+    def test_depth_guard_refuses_before_the_limit_is_hit(self):
+        # A chain of 99 levels of B(n,1,1) nests about 200 search frames.
+        p = FeasibilityProblem(200, 2, NON_COSEMISIMPLE, bounds=GridBounds(99, 1))
+        frame, here = sys._getframe(), 0
+        while frame is not None:
+            frame, here = frame.f_back, here + 1
+        limit = sys.getrecursionlimit()
+        outcomes = set()
+        try:
+            for extra in range(180, 240, 4):
+                sys.setrecursionlimit(here + extra)
+                try:
+                    outcomes.add(solve(p).verdict)
+                except BoundsError:
+                    outcomes.add("refused")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert outcomes == {"refused", "feasible"}
+
     def test_auto_nsp_applied_when_coprime(self):
         cert = solve(FeasibilityProblem(42, 3, ModeFlags(auto_nsp=True)))
         assert cert.stats["regime"]["no_skew_primitives"]
@@ -207,6 +240,42 @@ class TestSolveProperties:
         })
         levels = {i.level for i in cert.witness.blocks if (i.d1, i.d2) == (1, 1) and i.level >= 1}
         assert levels == {2, 4}
+
+    def test_padded_rule_passing_systems_bound_the_witness(self):
+        # Pruning soundness past the oracle grid (N <= 60): each padded
+        # minimal form or two-pointed-level tower passes the rules, so the
+        # solver must find a witness and, returning the least one, a witness
+        # no greater than it.
+        rng = random.Random(3)
+        cases = 0
+        while cases < 30:
+            r, d = rng.choice([(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+            diag, edge = lcm(d * d, r), d * r
+            blocks = {(n, a, b): v for (n, a, b, v) in minimal_form(r, d).entries()}
+            if rng.random() < 0.5:
+                # a second edge pair and a new top pointed block two levels up
+                blocks.update({(3, 1, d): edge, (3, d, 1): edge, (4, 1, 1): r, (4, d, d): diag})
+                blocks[(2, 1, 1)] += r * rng.randint(0, 2)
+                blocks[(4, d, d)] += diag * rng.randint(0, 1)
+            e = rng.choice([x for x in (2, 3, 4) if x != d])
+            if rng.random() < 0.5:
+                blocks[(0, e, e)] = lcm(e * e, r)
+            for idx in [(0, d, d), (2, d, d)]:
+                blocks[idx] += diag * rng.randint(0, 1)
+            if rng.random() < 0.3:
+                blocks[(1, d, d)] = diag
+            pad = rng.randint(0, 1) * edge
+            blocks[(1, d, 1)] += pad
+            blocks[(1, 1, d)] += pad
+            s = BlockSystem(r, blocks)
+            n = total_dim(s)
+            if not 60 < n <= 110:
+                continue
+            cases += 1
+            assert check(s, NSP) == [], s
+            cert = solve(FeasibilityProblem(n, r, NSP))
+            assert cert.feasible, s
+            assert cert.witness.entries() <= s.entries(), s
 
 
 class TestScan:
