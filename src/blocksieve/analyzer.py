@@ -21,6 +21,13 @@ analyze runs each stage once, handing its result to the later stages:
 Block dimensions are basis invariants: they are ranks of canonically defined
 projectors on canonically defined quotients, so a change of basis of the
 input coalgebra never changes them.
+
+The kernels touch only nonzero structure constants: the dual algebra is
+delta read backwards, the trace form is one pass over pairs of delta
+entries, and the hit actions are sparse maps applied in integer arithmetic.
+Tables handed to the trace form and hit maps are scaled to integers by one
+positive factor, which changes no kernel, rank or echelon form, so every
+result is exactly the one the rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -51,19 +58,26 @@ def radical(a: Algebra) -> list[list[int]]:
 
     In characteristic 0 the radical of a finite-dimensional algebra equals
     the radical of the bilinear form (x, y) -> trace(L_x L_y), one exact
-    kernel computation.
+    kernel computation.  With c(i, j, k) the coefficient of e_i in e_j * e_k,
+    trace(L_x L_y) = sum over u, v of c(u, x, v) * c(v, y, u), so the form is
+    one pass over pairs of nonzero constants, taken as integers scaled by
+    one positive factor.
     """
     n = a.dim
-    gram = [[ZERO] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            s = ZERO
-            for u in range(n):
-                row = a.mult[y][u]
-                for v in range(n):
-                    if row[v]:
-                        s += row[v] * a.mult[x][v][u]
-            gram[x][y] = s
+    entries, values = [], []
+    for j, row in enumerate(a.mult):
+        for k, terms in row.items():
+            for i, cst in terms:
+                entries.append((i, j, k))
+                values.append(cst)
+    _den, consts = linalg.integral(values)
+    by_out_right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (i, j, k), cst in zip(entries, consts):
+        by_out_right.setdefault((i, k), []).append((j, cst))
+    gram = [[0] * n for _ in range(n)]
+    for (u, x, v), cx in zip(entries, consts):
+        for y, cy in by_out_right.get((v, u), ()):
+            gram[x][y] += cx * cy
     return linalg.nullspace(gram, ncols=n)
 
 
@@ -94,10 +108,7 @@ def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChai
             break
         if len(bases) > 1 and len(level) <= len(bases[-2]):
             raise AssertionError("coradical filtration failed to grow strictly")
-        power = linalg.echelon(
-            [a.multiply([Fraction(t) for t in x], [Fraction(t) for t in y])
-             for x in power for y in j_basis]
-        )[0]
+        power = linalg.echelon([a.multiply(x, y) for x in power for y in j_basis])[0]
     return FiltrationChain(tuple(bases))
 
 
@@ -140,27 +151,33 @@ def _quotient(a: Algebra, j_basis: list[list[int]]):
             out[i] = Fraction(w[t])
         return out
 
-    q = len(keep)
-    mult_rows = []
-    basis_vecs = [lift([ONE if t == s else ZERO for t in range(q)]) for s in range(q)]
-    for x in basis_vecs:
-        row = []
-        for y in basis_vecs:
-            row.append(tuple(project(a.multiply(x, y))))
-        mult_rows.append(tuple(row))
-    quotient = Algebra(q, tuple(mult_rows), tuple(project(list(a.unit))))
+    pos = {i: t for t, i in enumerate(keep)}
+    mult = []
+    for s in keep:
+        row = {}
+        for t, terms in a.mult[s].items():
+            if t in pos:
+                product = [ZERO] * a.dim
+                for i, x in terms:
+                    product[i] = x
+                image = tuple((u, x) for u, x in enumerate(project(product)) if x)
+                if image:
+                    row[pos[t]] = image
+        mult.append(row)
+    quotient = Algebra(len(keep), tuple(mult), tuple(project(list(a.unit))))
     return quotient, lift
 
 
-def _center(a: Algebra) -> list[list[Fraction]]:
-    n = a.dim
-    rows = []
-    for t in range(n):
-        for coord in range(n):
-            rows.append(
-                [a.mult[s][t][coord] - a.mult[t][s][coord] for s in range(n)]
-            )
-    return [[Fraction(x) for x in v] for v in linalg.nullspace(rows, ncols=n)]
+def _center(a: Algebra) -> list[list[int]]:
+    """Basis of {z : z * e_t = e_t * z for every t}, from the nonzero constants."""
+    # row (t, i) holds coordinate i of z * e_t - e_t * z as a function of z
+    rows: dict[tuple[int, int], list] = {}
+    for s, row in enumerate(a.mult):
+        for t, terms in row.items():
+            for i, x in terms:
+                rows.setdefault((t, i), [0] * a.dim)[s] += x
+                rows.setdefault((s, i), [0] * a.dim)[t] -= x
+    return linalg.nullspace(list(rows.values()), ncols=a.dim)
 
 
 def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
@@ -169,10 +186,16 @@ def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
     Refines {1} by the spectrum of each central basis element: the minimal
     polynomial of z on each current summand must split into distinct rational
     linear factors (else the input is not split over Q), and the Lagrange
-    interpolants of z at its eigenvalues are the finer idempotents.
+    interpolants of z at its eigenvalues are the finer idempotents.  Once
+    there are as many idempotents as the center has dimensions, the center
+    is split and each of them is primitive, so the later basis elements
+    would only return them unchanged.
     """
+    center = _center(a)
     idempotents = [list(a.unit)]
-    for z in _center(a):
+    for z in center:
+        if len(idempotents) == len(center):
+            break
         refined: list[list[Fraction]] = []
         for e in idempotents:
             w = a.multiply(e, z)
@@ -208,37 +231,42 @@ def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
     return idempotents
 
 
-def _left_hit(c: Coalgebra, f: list[Fraction]) -> list[list[Fraction]]:
-    """Matrix of v -> f applied to the left tensorand of Delta v."""
-    n = c.dim
-    m = [[ZERO] * n for _ in range(n)]
-    for (i, j, k, coeff) in c.delta:
-        if f[j]:
-            m[k][i] += coeff * f[j]
-    return m
+def _hit_maps(c: Coalgebra, f) -> tuple[list, list]:
+    """The left and right hit actions of the functional f on c.
+
+    v -> f applied to the left, respectively right, tensorand of Delta v.
+    Row i of a map lists the nonzero coordinates of the image of e_i as
+    (index, value) pairs, all scaled by one positive integer (the lcm of the
+    denominators of f times that of delta), so the maps are exact up to that
+    factor and need only integer arithmetic.
+    """
+    _df, fs = linalg.integral(f)
+    _dd, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
+    left: list[dict[int, int]] = [{} for _ in range(c.dim)]
+    right: list[dict[int, int]] = [{} for _ in range(c.dim)]
+    for (i, j, k, _x), x in zip(c.delta, xs):
+        if fs[j]:
+            left[i][k] = left[i].get(k, 0) + x * fs[j]
+        if fs[k]:
+            right[i][j] = right[i].get(j, 0) + x * fs[k]
+    return tuple(
+        [tuple((t, y) for t, y in row.items() if y) for row in m] for m in (left, right)
+    )
 
 
-def _right_hit(c: Coalgebra, f: list[Fraction]) -> list[list[Fraction]]:
-    """Matrix of v -> f applied to the right tensorand of Delta v."""
-    n = c.dim
-    m = [[ZERO] * n for _ in range(n)]
-    for (i, j, k, coeff) in c.delta:
-        if f[k]:
-            m[j][i] += coeff * f[k]
-    return m
-
-
-def _mat_apply(m, v):
-    n = len(m)
-    return [sum(m[i][j] * v[j] for j in range(n) if v[j]) for i in range(n)]
+def _mat_apply(m, v) -> list[int]:
+    """Apply a map in _hit_maps' sparse form to an integer vector."""
+    out = [0] * len(m)
+    for i, vi in enumerate(v):
+        if vi:
+            for t, y in m[i]:
+                out[t] += y * vi
+    return out
 
 
 def _component_subspace(c: Coalgebra, e: list[Fraction], c0_basis) -> list[list[int]]:
-    lh, rh = _left_hit(c, e), _right_hit(c, e)
-    images = [
-        _mat_apply(lh, _mat_apply(rh, [Fraction(t) for t in v])) for v in c0_basis
-    ]
-    return linalg.echelon(images)[0]
+    lh, rh = _hit_maps(c, e)
+    return linalg.echelon([_mat_apply(lh, _mat_apply(rh, v)) for v in c0_basis])[0]
 
 
 def simple_components(
@@ -316,20 +344,21 @@ def q_table(
     are omitted.
     """
     table: dict[tuple[int, str, str], int] = {}
-    left_mats = {s.label: _left_hit(c, list(s.idempotent)) for s in comps}
-    right_mats = {s.label: _right_hit(c, list(s.idempotent)) for s in comps}
+    hits = {s.label: _hit_maps(c, s.idempotent) for s in comps}
     for n in range(1, len(chain)):
         below = [list(v) for v in chain.bases[n - 1]]
         ech_below, piv_below = linalg.echelon(below)
-        level = [[Fraction(t) for t in v] for v in chain.bases[n]]
+        right = {mu.label: [_mat_apply(hits[mu.label][1], v) for v in chain.bases[n]]
+                 for mu in comps}
         jump = len(chain.bases[n]) - len(chain.bases[n - 1])
         seen = 0
         for tau in comps:
-            lm = left_mats[tau.label]
+            lm = hits[tau.label][0]
             for mu in comps:
-                rm = right_mats[mu.label]
-                images = [_mat_apply(lm, _mat_apply(rm, v)) for v in level]
-                q = linalg.rank(list(ech_below) + images) - len(ech_below)
+                q = linalg.rank([
+                    linalg.residue(_mat_apply(lm, w), ech_below, piv_below)
+                    for w in right[mu.label]
+                ])
                 if q:
                     table[(n, tau.label, mu.label)] = q
                     seen += q

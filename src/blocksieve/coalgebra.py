@@ -6,6 +6,11 @@ coefficients are rationals.  The dual of a coalgebra is an associative
 algebra on the dual basis, with multiplication constants obtained by
 transposing the comultiplication constants; that duality is how the analyzer
 reaches the coradical.
+
+Both tables stay sparse: the dual algebra keeps exactly the nonzero entries
+of delta, and the coassociativity check runs over delta scaled to integers
+by the lcm of its denominators.  Scaling by one positive integer changes no
+verdict, so exactness is unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import integral
 
 
 class CoalgebraParseError(ValueError):
@@ -87,35 +94,40 @@ def validate(c: Coalgebra) -> list[str]:
 
     Returns [] when both axioms hold; otherwise one message per broken axiom
     naming the first basis index where it fails.  Failures are data, not
-    errors.
+    errors.  Both laws are checked on delta scaled to integers by the lcm D
+    of its denominators: each side of coassociativity scales by D^2 and each
+    side of the counit law by D, so the verdicts are those of the rationals.
     """
-    tables = [c.delta_of(i) for i in range(c.dim)]
+    n = c.dim
+    den, scaled = integral([x for (_i, _j, _k, x) in c.delta])
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (i, j, k, _x), x in zip(c.delta, scaled):
+        rows[i].append((j, k, x))
     failures: list[str] = []
 
-    for i in range(c.dim):
+    for i in range(n):
         # (Delta (x) id) Delta vs (id (x) Delta) Delta on e_i
-        lhs: dict[tuple[int, int, int], Fraction] = {}
-        rhs: dict[tuple[int, int, int], Fraction] = {}
-        for (j, k), cjk in tables[i].items():
-            for (a, b), cab in tables[j].items():
+        lhs: dict[tuple[int, int, int], int] = {}
+        rhs: dict[tuple[int, int, int], int] = {}
+        for j, k, x in rows[i]:
+            for a, b, y in rows[j]:
                 key = (a, b, k)
-                lhs[key] = lhs.get(key, Fraction(0)) + cjk * cab
-            for (u, v), cuv in tables[k].items():
+                lhs[key] = lhs.get(key, 0) + x * y
+            for u, v, y in rows[k]:
                 key = (j, u, v)
-                rhs[key] = rhs.get(key, Fraction(0)) + cjk * cuv
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(t, 0) != rhs.get(t, 0) for t in keys):
+                rhs[key] = rhs.get(key, 0) + x * y
+        if any(lhs.get(t, 0) != rhs.get(t, 0) for t in lhs.keys() | rhs.keys()):
             failures.append(
                 f"coassociativity fails at basis index {i} ({c.basis[i]})"
             )
             break
-    for i in range(c.dim):
-        left = [Fraction(0)] * c.dim
-        right = [Fraction(0)] * c.dim
-        for (j, k), cjk in tables[i].items():
-            left[k] += cjk * c.counit[j]
-            right[j] += cjk * c.counit[k]
-        want = [Fraction(1) if t == i else Fraction(0) for t in range(c.dim)]
+    for i in range(n):
+        left: list = [0] * n
+        right: list = [0] * n
+        for j, k, x in rows[i]:
+            left[k] += x * c.counit[j]
+            right[j] += x * c.counit[k]
+        want = [den if t == i else 0 for t in range(n)]
         if left != want or right != want:
             failures.append(f"counit law fails at basis index {i} ({c.basis[i]})")
             break
@@ -124,24 +136,32 @@ def validate(c: Coalgebra) -> list[str]:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Associative algebra by multiplication constants: mult[i][j] is e_i * e_j."""
+    """Associative algebra by sparse multiplication constants.
+
+    mult[j] maps k to the nonzero terms of e_j * e_k as (i, c) pairs, meaning
+    e_j * e_k = sum of c * e_i; a k with e_j * e_k = 0 is absent.  Constants
+    are ints or Fractions.
+    """
 
     dim: int
-    mult: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    mult: tuple[dict[int, tuple[tuple[int, Fraction | int], ...]], ...]
     unit: tuple[Fraction, ...]
 
-    def multiply(self, x, y) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
+    def multiply(self, x, y) -> list:
+        """x * y on coordinate vectors, touching only the constants of x's support.
+
+        Integer inputs and integer constants give an integer result.
+        """
+        out: list = [0] * self.dim
+        for j, xj in enumerate(x):
+            if not xj:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                row = self.mult[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += xi * yj * row[k]
+            for k, terms in self.mult[j].items():
+                yk = y[k]
+                if yk:
+                    s = xj * yk
+                    for i, cst in terms:
+                        out[i] += s * cst
         return out
 
     def is_associative(self) -> bool:
@@ -163,16 +183,17 @@ def dual_algebra(c: Coalgebra) -> Algebra:
     """Convolution algebra on the dual basis: (f*h)(x) = (f (x) h)(Delta x).
 
     The multiplication constants are the comultiplication constants read
-    backwards, and the counit becomes the unit.  Coassociativity of the input
-    transposes to associativity of the output.
+    backwards, e_j * e_k = sum over delta entries (i, j, k, c) of c * e_i, so
+    the algebra holds exactly len(c.delta) constants; integral ones are
+    stored as ints.  The counit becomes the unit.  Coassociativity of the
+    input transposes to associativity of the output.
     """
-    n = c.dim
-    mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k, coeff) in c.delta:
-        mult[j][k][i] += coeff
+    rows: list[dict[int, list]] = [{} for _ in range(c.dim)]
+    for (i, j, k, x) in c.delta:
+        rows[j].setdefault(k, []).append((i, x.numerator if x.denominator == 1 else x))
     return Algebra(
-        n,
-        tuple(tuple(tuple(row) for row in block) for block in mult),
+        c.dim,
+        tuple({k: tuple(terms) for k, terms in row.items()} for row in rows),
         tuple(c.counit),
     )
 

@@ -17,13 +17,21 @@ import math
 from fractions import Fraction
 
 
+def integral(values) -> tuple[int, list[int]]:
+    """(D, D * values) for the least positive integer D making every value integral.
+
+    values is a sequence of ints and Fractions.  Scaling a row or a table by
+    one positive D changes no span, rank or sign, so exact kernels can run on
+    the integers instead.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    if den == 1:
+        return 1, [x.numerator for x in values]
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _scale_integral(row) -> list[int]:
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    out = [int(x * den) if isinstance(x, Fraction) else x * den for x in row]
-    return _reduce_content(out)
+    return _reduce_content(integral(row)[1])
 
 
 def _reduce_content(row: list[int]) -> list[int]:
@@ -50,8 +58,7 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
     pivots are eliminated too, so the result is a canonical basis of the row
     space.
     """
-    work = [_scale_integral(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
+    work = [_scale_integral(list(r)) for r in rows if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -70,8 +77,9 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
         for r in work:
             if r[col] != 0:
                 r = _reduce_content([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
-            if any(r):
-                rest.append(r)
+                if not any(r):
+                    continue
+            rest.append(r)
         work = rest
         # eliminate this column from the rows already in echelon position
         for k, r in enumerate(out):
@@ -98,6 +106,22 @@ def reduce_against(v, ech: list[list[int]], pivots: list[int]) -> list[Fraction]
             c = out[col] / r[col]
             out = [a - c * b for a, b in zip(out, r)]
     return out
+
+
+def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
+    """reduce_against for an integer v, fraction-free.
+
+    Each step is v -> (p/g) * v - (v_p/g) * row with p the row's positive
+    pivot entry and g = gcd(p, v_p), so the result is a positive multiple of
+    reduce_against(v, ech, pivots): the same zero pattern and span.
+    """
+    for r, col in zip(ech, pivots):
+        x = v[col]
+        if x:
+            g = math.gcd(r[col], x)
+            a, b = r[col] // g, x // g
+            v = [a * s - b * t for s, t in zip(v, r)]
+    return v
 
 
 def in_span(v, ech: list[list[int]], pivots: list[int]) -> bool:

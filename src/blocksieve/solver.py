@@ -40,13 +40,19 @@ from .blocks import (
 from .rules import backed, chain_gaps, check, has_nsp_core, nsp_forcing_ok, stranded
 
 LEVEL_CAP = 200
+# Most branching units per positive level.  A grid with max_d = d has
+# d * (d + 1) / 2 of them, all built before the first node and ticked at
+# every level, so max_d >= 100 is refused up front instead of spending
+# memory quadratic in max_d; the grids of the tests, demos and benchmark
+# stay below max_d = 20.
+GROUP_CAP = 5_000
 DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
 _STACK_SLACK = 20  # solve, run, and the checks below the deepest search frame
 
 
 class BoundsError(ValueError):
-    """Raised when bounds exceed the level cap or the interpreter's recursion limit."""
+    """Raised when bounds exceed the level cap, the group cap or the recursion limit."""
 
 
 class SearchCapExceeded(RuntimeError):
@@ -429,7 +435,8 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     Returns a Feasible certificate with the lexicographically least witness,
     or an Infeasible certificate after exhausting the bounded search space.
     If the group order does not divide the dimension the answer is immediate.
-    Raises BoundsError when the grid could nest the search deeper than the
+    Raises BoundsError when a level of the grid holds more than GROUP_CAP
+    branching units, or when the grid could nest the search deeper than the
     recursion limit allows below the caller's stack.
     """
     N, r = p.target_dim, p.group_order
@@ -446,6 +453,13 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
             refutation_summary=(f"R1 forces r | N: {r} does not divide {N}",),
         )
     bounds = p.bounds if p.bounds is not None else GridBounds.defaults(N, r)
+    groups = bounds.max_d * (bounds.max_d + 1) // 2 if bounds.max_level >= 1 else 0
+    if groups > GROUP_CAP:
+        raise BoundsError(
+            f"bounds max_d={bounds.max_d} give {groups} branching units per level, "
+            f"above the group cap of {GROUP_CAP}; "
+            f"use max_d <= {(math.isqrt(8 * GROUP_CAP + 1) - 1) // 2}"
+        )
     cap = node_cap if node_cap is not None else DEFAULT_NODE_CAP
     search = _Search(N, r, nsp, ncss, bounds, cap)
     # Phase 1 nests one frame per placed block and one per positive level.

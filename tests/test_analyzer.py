@@ -27,10 +27,10 @@ F = Fraction
 
 
 def truncated_polynomial_algebra() -> Algebra:
-    """k[t]/(t^2) on basis 1, t."""
+    """k[t]/(t^2) on basis 1, t: 1*1 = 1, 1*t = t*1 = t, t*t = 0."""
     mult = (
-        ((F(1), F(0)), (F(0), F(1))),
-        ((F(0), F(1)), (F(0), F(0))),
+        {0: ((0, F(1)),), 1: ((1, F(1)),)},
+        {0: ((1, F(1)),)},
     )
     return Algebra(2, mult, (F(1), F(0)))
 
@@ -70,6 +70,43 @@ class TestRadical:
             assert radical(a) == []
             comps = analyze(matrix_coalgebra(d), PLAIN).components
             assert [(s.label, s.d) for s in comps] == [("s0", d)]
+
+
+def _dense_hit(c, f, left):
+    """Reference hit map in Fractions: column i is the image of e_i."""
+    m = [[Fraction(0)] * c.dim for _ in range(c.dim)]
+    for (i, j, k, x) in c.delta:
+        used, out = (j, k) if left else (k, j)
+        m[out][i] += x * f[used]
+    return m
+
+
+class TestHitMaps:
+    def test_equal_dense_reference_up_to_one_positive_scalar(self):
+        rng = random.Random(17)
+        cases = [sweedler_coalgebra(), s3_dual_coalgebra(), matrix_coalgebra(2),
+                 change_basis(sweedler_tensor_square(),
+                              random_change_of_basis(rng, 16))]
+        for c in cases:
+            functionals = [list(s.idempotent) for s in analyze(c, PLAIN).components]
+            functionals.append([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                for _ in range(c.dim)])
+            for f in functionals:
+                maps = blocksieve.analyzer._hit_maps(c, f)
+                for left, sparse in zip((True, False), maps):
+                    ref = _dense_hit(c, f, left)
+                    got = [[Fraction(0)] * c.dim for _ in range(c.dim)]
+                    for i, image in enumerate(sparse):
+                        for t, y in image:
+                            assert isinstance(y, int) and y != 0
+                            got[t][i] = Fraction(y)
+                    pairs = [(g, r) for gr, rr in zip(got, ref) for g, r in zip(gr, rr)]
+                    scale = next((g / r for g, r in pairs if r), None)
+                    if scale is None:
+                        assert not any(g for g, _r in pairs)
+                        continue
+                    assert scale > 0
+                    assert all(g == scale * r for g, r in pairs)
 
 
 class TestFiltration:

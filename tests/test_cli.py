@@ -63,6 +63,12 @@ class TestSolve:
         assert code == 2
         assert "recursion limit" in capsys.readouterr().err
 
+    def test_max_d_beyond_group_cap_exit_two(self, capsys):
+        code = main(["solve", "--dim", "40", "--group-order", "4",
+                     "--max-level", "2", "--max-d", "600"])
+        assert code == 2
+        assert "group cap" in capsys.readouterr().err
+
     def test_bad_node_cap_env(self, capsys):
         code = run_cli(
             ["solve", "--dim", "42", "--group-order", "3"],

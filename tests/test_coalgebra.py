@@ -52,8 +52,35 @@ class TestValidate:
             (2, 0, 2, Fraction(2)),
         )
         c = Coalgebra(3, ("1", "g", "x"), delta, (Fraction(1), Fraction(1), Fraction(0)))
-        failures = validate(c)
-        assert failures and any("coassociativity" in f or "counit" in f for f in failures)
+        assert validate(c) == [
+            "coassociativity fails at basis index 2 (x)",
+            "counit law fails at basis index 2 (x)",
+        ]
+
+    def test_rational_constants_checked_exactly(self):
+        # Sweedler's coalgebra in a basis with denominators 2 and 3, one
+        # coefficient then shifted by 1/7: the integer-scaled check must name
+        # the same first failures as the rational one
+        P = [[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0],
+             [0, 0, 1, Fraction(-2, 3)], [0, 0, 0, 1]]
+        c = change_basis(sweedler_coalgebra(), P)
+        assert validate(c) == []
+        delta = list(c.delta)
+        i, j, k, x = delta[3]
+        delta[3] = (i, j, k, x + Fraction(1, 7))
+        broken = Coalgebra(c.dim, c.basis, tuple(delta), c.counit)
+        assert validate(broken) == [
+            "coassociativity fails at basis index 0 (f0)",
+            "counit law fails at basis index 0 (f0)",
+        ]
+
+
+def _dense(a, terms) -> list[Fraction]:
+    """A product's (i, c) terms as a dense coordinate vector."""
+    out = [Fraction(0)] * a.dim
+    for i, x in terms:
+        out[i] += x
+    return out
 
 
 class TestDualAlgebra:
@@ -62,7 +89,7 @@ class TestDualAlgebra:
         for i in range(3):
             for j in range(3):
                 expected = [Fraction(1) if (i == j == k) else Fraction(0) for k in range(3)]
-                assert list(a.mult[i][j]) == expected
+                assert _dense(a, a.mult[i].get(j, ())) == expected
         assert a.is_associative()
 
     def test_matrix_coalgebra_dual_is_matrix_algebra(self):
@@ -75,11 +102,11 @@ class TestDualAlgebra:
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
-                        product = a.mult[idx(i, j)][idx(k, l)]
+                        product = a.mult[idx(i, j)].get(idx(k, l), ())
                         expected = [Fraction(0)] * 4
                         if j == k:
                             expected[idx(i, l)] = Fraction(1)
-                        assert list(product) == expected
+                        assert _dense(a, product) == expected
 
     def test_associativity_follows_from_coassociativity(self):
         rng = random.Random(8)
@@ -89,6 +116,28 @@ class TestDualAlgebra:
             assert dual_algebra(c).is_associative()
             c2 = change_basis(c, random_change_of_basis(rng, c.dim))
             assert dual_algebra(c2).is_associative()
+
+    def test_constants_are_delta_read_backwards(self):
+        rng = random.Random(13)
+        coalgebras = [build() for build in CORPUS_BUILDERS.values()]
+        coalgebras.append(
+            change_basis(sweedler_coalgebra(), random_change_of_basis(rng, 4))
+        )
+        for c in coalgebras:
+            a = dual_algebra(c)
+            stored = [x for row in a.mult for terms in row.values() for _i, x in terms]
+            assert len(stored) == len(c.delta)
+            assert all(x != 0 for x in stored)
+            expected = {}
+            for (i, j, k, x) in c.delta:
+                expected.setdefault((j, k), [Fraction(0)] * c.dim)[i] += x
+            for j in range(c.dim):
+                for k in range(c.dim):
+                    e_j = [Fraction(int(t == j)) for t in range(c.dim)]
+                    e_k = [Fraction(int(t == k)) for t in range(c.dim)]
+                    assert a.multiply(e_j, e_k) == expected.get(
+                        (j, k), [Fraction(0)] * c.dim
+                    )
 
     def test_unit_is_counit(self):
         c = sweedler_coalgebra()

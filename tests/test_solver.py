@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -105,6 +106,23 @@ class TestGridBounds:
     def test_level_cap_guard(self):
         with pytest.raises(BoundsError):
             GridBounds.defaults(10_000, 1)
+
+    def test_group_cap_refuses_wide_grid_before_building_it(self):
+        # max_d = 600 means 180,300 branching units per level; building them
+        # took about a second and 95 MB before the first node.
+        start = time.perf_counter()
+        with pytest.raises(BoundsError, match="group cap"):
+            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 600)), node_cap=10)
+        assert time.perf_counter() - start < 0.2
+
+    def test_group_cap_boundary(self):
+        # 99 * 100 / 2 = 4950 units fit under GROUP_CAP, 100 * 101 / 2 do not
+        with pytest.raises(SearchCapExceeded):
+            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 99)), node_cap=10)
+        with pytest.raises(BoundsError, match="max_d <= 99"):
+            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 100)), node_cap=10)
+        # a single level builds no units, so any max_d is searched
+        assert solve(FeasibilityProblem(40, 4, bounds=GridBounds(0, 600))).feasible
 
 
 class TestSolve:
