@@ -52,7 +52,9 @@ from .coalgebra import (
 from .analyzer import (
     AnalysisResult,
     CoalgebraInvalidError,
+    CoalgebraTooLargeError,
     FiltrationChain,
+    MAX_ANALYZE_DIM,
     NonSplitCoradicalError,
     SimpleComponent,
     analyze,
@@ -76,7 +78,8 @@ __all__ = [
     "OracleCapError", "oracle_enumerate", "oracle_solve",
     "Algebra", "Coalgebra", "CoalgebraParseError", "change_basis", "dual_algebra",
     "parse_coalgebra", "serialize_coalgebra", "tensor_product", "validate",
-    "AnalysisResult", "CoalgebraInvalidError", "FiltrationChain",
+    "AnalysisResult", "CoalgebraInvalidError", "CoalgebraTooLargeError",
+    "FiltrationChain", "MAX_ANALYZE_DIM",
     "NonSplitCoradicalError", "SimpleComponent", "analyze",
     "coradical_filtration", "q_table", "radical", "simple_components",
 ]

@@ -22,7 +22,12 @@ from .blocks import (
     total_dim,
 )
 from .coalgebra import CoalgebraParseError, parse_coalgebra
-from .analyzer import CoalgebraInvalidError, NonSplitCoradicalError, analyze
+from .analyzer import (
+    CoalgebraInvalidError,
+    CoalgebraTooLargeError,
+    NonSplitCoradicalError,
+    analyze,
+)
 from .rules import check, explain
 from .solver import (
     BoundsError,
@@ -354,6 +359,7 @@ def run(config: CliConfig, out=None) -> int:
         BlockSystemParseError,
         CoalgebraParseError,
         CoalgebraInvalidError,
+        CoalgebraTooLargeError,
         NonSplitCoradicalError,
         BoundsError,
         SearchCapExceeded,

@@ -98,22 +98,14 @@ def rank(rows) -> int:
     return len(echelon(rows)[0])
 
 
-def reduce_against(v, ech: list[list[int]], pivots: list[int]) -> list[Fraction]:
-    """Residual of v after eliminating every pivot coordinate; exact rationals."""
-    out = [Fraction(x) for x in v]
-    for r, col in zip(ech, pivots):
-        if out[col] != 0:
-            c = out[col] / r[col]
-            out = [a - c * b for a, b in zip(out, r)]
-    return out
-
-
 def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
-    """reduce_against for an integer v, fraction-free.
+    """Residual of an integer v after eliminating every pivot coordinate.
 
-    Each step is v -> (p/g) * v - (v_p/g) * row with p the row's positive
-    pivot entry and g = gcd(p, v_p), so the result is a positive multiple of
-    reduce_against(v, ech, pivots): the same zero pattern and span.
+    ech is an echelon form whose rows are zero at the pivots before their
+    own.  Each step is v -> (p/g) * v - (v_p/g) * row with p the row's
+    positive pivot entry and g = gcd(p, v_p), so the result is a positive
+    multiple of the rational residual: the same zero pattern and span,
+    without a fraction.
     """
     for r, col in zip(ech, pivots):
         x = v[col]
@@ -125,7 +117,7 @@ def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
 
 
 def in_span(v, ech: list[list[int]], pivots: list[int]) -> bool:
-    return not any(reduce_against(v, ech, pivots))
+    return not any(residue(integral(v)[1], ech, pivots))
 
 
 def nullspace(rows, ncols: int | None = None) -> list[list[int]]:

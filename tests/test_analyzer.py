@@ -4,15 +4,29 @@ from fractions import Fraction
 import pytest
 
 import blocksieve.analyzer
+from blocksieve import linalg
 from blocksieve.analyzer import (
+    MAX_ANALYZE_DIM,
     CoalgebraInvalidError,
+    CoalgebraTooLargeError,
     NonSplitCoradicalError,
+    _center,
+    _primitive_idempotents,
+    _quotient,
+    _regular_traces,
     analyze,
     filtration_is_compatible,
     radical,
 )
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_dim
-from blocksieve.coalgebra import Algebra, Coalgebra, change_basis, dual_algebra
+from blocksieve.coalgebra import (
+    Algebra,
+    Coalgebra,
+    change_basis,
+    dual_algebra,
+    parse_coalgebra,
+    tensor_product,
+)
 from blocksieve.corpus import (
     grouplike_coalgebra,
     matrix_coalgebra,
@@ -161,6 +175,73 @@ class TestSimpleComponents:
         with pytest.raises(NonSplitCoradicalError, match="extend scalars"):
             analyze(c, PLAIN)
 
+    def test_non_split_after_a_rational_split(self):
+        # a grouplike plus the coalgebra above: the dual is Q x Q[t]/(t^2+t+1),
+        # so the first central element splits off the grouplike rationally and
+        # the irrational spectrum only shows on the second summand
+        delta = (
+            (0, 0, 0, F(1)),
+            (1, 1, 1, F(1)), (1, 2, 2, F(-1)),
+            (2, 1, 2, F(1)), (2, 2, 1, F(1)), (2, 2, 2, F(-1)),
+        )
+        c = Coalgebra(3, ("g", "c0", "c1"), delta, (F(1), F(1), F(0)))
+        assert not radical(dual_algebra(c))
+        with pytest.raises(NonSplitCoradicalError, match="extend scalars.*irrational spectrum"):
+            analyze(c, PLAIN)
+
+
+def corpus_and_variants(corpus_dir, per_item=2):
+    """The six corpus coalgebras, each followed by seeded random-basis variants."""
+    rng = random.Random(29)
+    out = []
+    for path in sorted(corpus_dir.glob("*.json")):
+        c = parse_coalgebra(path.read_bytes())
+        out.append(c)
+        out.extend(change_basis(c, random_change_of_basis(rng, c.dim)) for _ in range(per_item))
+    return out
+
+
+def semisimple_quotient(c):
+    a = dual_algebra(c)
+    return _quotient(a, radical(a))[0]
+
+
+def unit_vectors(n):
+    return [[F(int(t == s)) for t in range(n)] for s in range(n)]
+
+
+class TestPrimitiveIdempotents:
+    def test_idempotent_orthogonal_central_and_complete(self, corpus_dir):
+        cases = corpus_and_variants(corpus_dir) + [
+            tensor_product(s3_dual_coalgebra(), sweedler_coalgebra()),
+            tensor_product(grouplike_coalgebra(2), s3_dual_coalgebra()),
+        ]
+        for c in cases:
+            q = semisimple_quotient(c)
+            idems = _primitive_idempotents(q)
+            zero = [0] * q.dim
+            for i, e in enumerate(idems):
+                assert q.multiply(e, e) == e
+                for f in idems[i + 1:]:
+                    assert q.multiply(e, f) == zero and q.multiply(f, e) == zero
+                for b in unit_vectors(q.dim):
+                    assert q.multiply(e, b) == q.multiply(b, e)
+            assert [sum(col) for col in zip(*idems)] == list(q.unit)
+            assert len(idems) == len(_center(q))
+
+
+class TestTraceRank:
+    def test_trace_equals_dense_rank_of_the_ideal(self, corpus_dir):
+        for c in corpus_and_variants(corpus_dir):
+            q = semisimple_quotient(c)
+            traces = _regular_traces(q)
+            ranks = []
+            for e in _primitive_idempotents(q):
+                dense = linalg.rank([q.multiply(e, b) for b in unit_vectors(q.dim)])
+                assert sum(x * t for x, t in zip(e, traces)) == dense
+                ranks.append(dense)
+            assert sorted(ranks) == sorted(s.dim for s in analyze(c, PLAIN).components)
+
 
 class TestQTable:
     def test_sweedler(self):
@@ -220,6 +301,26 @@ class TestAnalyze:
         assert res.block_system == BlockSystem(2, {(0, 1, 1): 2, (1, 1, 1): 2})
         finer = [v for v in res.rule_report if "isotypic escalation" in v.message]
         assert len(finer) == 1 and finer[0].rule == "R5"
+
+    def test_dimension_at_the_bound_passes_the_size_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(_c):
+            raise Reached
+
+        monkeypatch.setattr(blocksieve.analyzer, "dual_algebra", stop)
+        with pytest.raises(Reached):
+            analyze(grouplike_coalgebra(MAX_ANALYZE_DIM), PLAIN)
+
+    def test_dimension_above_the_bound_is_refused_up_front(self, monkeypatch):
+        def never(_c):
+            raise AssertionError("work started on a refused input")
+
+        for name in ("validate", "dual_algebra"):
+            monkeypatch.setattr(blocksieve.analyzer, name, never)
+        with pytest.raises(CoalgebraTooLargeError, match=f"limit of {MAX_ANALYZE_DIM}"):
+            analyze(grouplike_coalgebra(MAX_ANALYZE_DIM + 1), PLAIN)
 
     def test_invalid_coalgebra_raises(self):
         delta = ((0, 0, 0, F(1)), (1, 1, 0, F(1)))

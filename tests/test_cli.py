@@ -1,8 +1,11 @@
 import json
 import os
 
+from blocksieve.analyzer import MAX_ANALYZE_DIM
 from blocksieve.blocks import serialize_block_system
 from blocksieve.cli import main
+from blocksieve.coalgebra import serialize_coalgebra
+from blocksieve.corpus import grouplike_coalgebra
 from blocksieve.solver import minimal_form
 
 
@@ -193,6 +196,14 @@ class TestAnalyze:
 
     def test_usage_error(self, capsys):
         assert main(["analyze"]) == 2
+
+    def test_above_size_bound_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_bytes(serialize_coalgebra(grouplike_coalgebra(MAX_ANALYZE_DIM + 1)))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"above the analyzer's limit of {MAX_ANALYZE_DIM}" in captured.err
 
 
 class TestDeterminism:
