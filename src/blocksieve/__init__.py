@@ -10,6 +10,7 @@ filtration.
 from .blocks import (
     FEASIBLE,
     INFEASIBLE,
+    MAX_BLOCK_LEVEL,
     NON_COSEMISIMPLE,
     NSP,
     PLAIN,
@@ -69,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FEASIBLE", "INFEASIBLE", "NSP", "NON_COSEMISIMPLE", "PLAIN",
     "BlockIndex", "BlockSystem", "BlockSystemParseError", "Certificate",
-    "ModeFlags", "parse_block_system", "pointed_levels",
+    "MAX_BLOCK_LEVEL", "ModeFlags", "parse_block_system", "pointed_levels",
     "serialize_block_system", "total_dim", "transpose",
     "RULE_ANCHORS", "RULE_NAMES", "RULE_ORDER", "RuleViolation", "check", "explain",
     "BoundsError", "FeasibilityProblem", "GridBounds", "SearchCapExceeded",

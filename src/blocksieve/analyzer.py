@@ -114,9 +114,7 @@ def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChai
     bases: list[tuple[tuple[int, ...], ...]] = []
     power = j_basis
     while True:
-        level = linalg.nullspace(power, ncols=a.dim) if power else [
-            [1 if t == i else 0 for t in range(a.dim)] for i in range(a.dim)
-        ]
+        level = linalg.nullspace(power, ncols=a.dim)
         bases.append(tuple(tuple(v) for v in level))
         if len(level) == a.dim:
             break
@@ -158,7 +156,7 @@ def _quotient(a: Algebra, j_basis: list[list[int]]):
     the rest off the kept coordinates; with J = 0 the constants pass through
     unchanged.
     """
-    ech, pivots = linalg.echelon(j_basis) if j_basis else ([], [])
+    ech, pivots = linalg.echelon(j_basis)
     pivot_rows = {
         col: (r[col], [(u, x) for u, x in enumerate(r) if x and u != col])
         for r, col in zip(ech, pivots)
@@ -210,15 +208,18 @@ def _center(a: Algebra) -> list[list[int]]:
     return linalg.nullspace(list(rows.values()), ncols=a.dim)
 
 
-def _krylov(a: Algebra, e, w) -> tuple[list, list[Fraction] | None]:
+def _krylov(a: Algebra, e, w) -> tuple[list, list[int] | None]:
     """Powers e, w, w^2, ... of w in eA while they stay independent.
 
     Each new power is tested against the earlier ones with the fraction-free
     residue, the earlier powers' rows appended one at a time (each residue is
     zero at the pivots before it, so the rows stay triangular).  Returns the
-    independent powers and, when there are two or more, the coordinates of
-    the first dependent power in them: the minimal polynomial of w on eA.
-    A single power means w lies in Q*e.
+    independent powers and, when there are two or more, the minimal
+    polynomial of w on eA: D * t^m - sum of D * c_i * t^i, where
+    (D, D * c) are the coordinates of the first dependent power w^m in the
+    earlier ones.  D is their least common denominator, so the polynomial
+    is primitive with a positive leading coefficient.  A single power means
+    w lies in Q*e.
     """
     powers, ech, pivots = [], [], []
     power = e
@@ -226,15 +227,15 @@ def _krylov(a: Algebra, e, w) -> tuple[list, list[Fraction] | None]:
         row = linalg.residue(linalg.integral(power)[1], ech, pivots)
         if not any(row):
             break
-        col = next(i for i, x in enumerate(row) if x)
-        g = math.gcd(*row) if row[col] > 0 else -math.gcd(*row)
-        ech.append([x // g for x in row])
-        pivots.append(col)
+        row = linalg.primitive(row)
+        ech.append(row)
+        pivots.append(next(i for i, x in enumerate(row) if x))
         powers.append(power)
         power = a.multiply(power, w) if len(powers) > 1 else w  # e * w = w
     if len(powers) == 1:
         return powers, None
-    return powers, linalg.solve_coords(powers, power)
+    den, coords = linalg.solve_coords(powers, power)
+    return powers, [-x for x in coords] + [den]
 
 
 def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
@@ -257,11 +258,11 @@ def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
             break
         refined: list[list[Fraction]] = []
         for e in idempotents:
-            powers, coeffs = _krylov(a, e, a.multiply(e, z))
-            if coeffs is None:
+            powers, minpoly = _krylov(a, e, a.multiply(e, z))
+            if minpoly is None:
                 refined.append(e)
                 continue
-            roots, split = linalg.rational_roots(linalg.poly_int([-x for x in coeffs] + [ONE]))
+            roots, split = linalg.rational_roots(minpoly)
             if not split:
                 raise NonSplitCoradicalError(
                     "non-split coradical; extend scalars (a central element has "
@@ -548,31 +549,3 @@ def analyze(c: Coalgebra, flags) -> AnalysisResult:
     system = BlockSystem(r, blocks)
     report = list(check(system, flags)) + _escalation_violations(comps, table)
     return AnalysisResult(tuple(comps), chain, table, system, tuple(report))
-
-
-def filtration_is_compatible(c: Coalgebra, chain: FiltrationChain) -> bool:
-    """Verify Delta(C_n) lies in sum_i C_i (x) C_{n-i}, exactly."""
-    n_dim = c.dim
-    for n in range(len(chain)):
-        target_rows = []
-        for i in range(n + 1):
-            for u in chain.bases[i]:
-                for v in chain.bases[n - i]:
-                    row = [0] * (n_dim * n_dim)
-                    for s, us in enumerate(u):
-                        if us:
-                            for t, vt in enumerate(v):
-                                if vt:
-                                    row[s * n_dim + t] = us * vt
-                    target_rows.append(row)
-        ech, piv = linalg.echelon(target_rows)
-        for w in chain.bases[n]:
-            image = [ZERO] * (n_dim * n_dim)
-            for i, wi in enumerate(w):
-                if wi:
-                    for (i0, j, k, coeff) in c.delta:
-                        if i0 == i:
-                            image[j * n_dim + k] += wi * coeff
-            if not linalg.in_span(image, ech, piv):
-                return False
-    return True

@@ -155,6 +155,12 @@ def transpose(s: BlockSystem) -> BlockSystem:
 _TOP_KEYS = {"group_order", "blocks"}
 _ENTRY_KEYS = {"level", "d1", "d2", "dim"}
 
+# Deepest block level parse_block_system accepts.  The rule check costs work
+# per level up to the deepest one, so a level of 10^8 would run for hours;
+# analyze (dimension <= 256) and solve under default bounds (<= 200 levels)
+# never produce a level near this one.
+MAX_BLOCK_LEVEL = 10_000
+
 
 def _require_int(value, what: str, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -167,8 +173,8 @@ def parse_block_system(text: bytes | str) -> BlockSystem:
 
     Schema: {"group_order": r, "blocks": [{"level": n, "d1": a, "d2": b,
     "dim": v}, ...]}.  Field order is free; unknown fields, duplicate indices,
-    non-positive dimensions and level-0 off-diagonal entries are rejected with
-    a message naming the offending entry.
+    non-positive dimensions, level-0 off-diagonal entries and levels above
+    MAX_BLOCK_LEVEL are rejected with a message naming the offending entry.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -203,6 +209,11 @@ def parse_block_system(text: bytes | str) -> BlockSystem:
         a = _require_int(entry["d1"], "d1", where)
         b = _require_int(entry["d2"], "d2", where)
         v = _require_int(entry["dim"], "dim", where)
+        if n > MAX_BLOCK_LEVEL:
+            raise BlockSystemParseError(
+                f"{where} (level={n}, d1={a}, d2={b}): level above the bound "
+                f"MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}"
+            )
         if v == 0:
             raise BlockSystemParseError(
                 f"{where} (level={n}, d1={a}, d2={b}): zero blocks must be omitted"

@@ -272,16 +272,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_flags(p, modes=True, fmt=True):
+    # each command registers only the options it reads: --auto-nsp needs an
+    # (N, r) query, and csv/markdown exist only for the tabular commands
+    def add_flags(p, modes=True, auto_nsp=True, tables=False):
         if modes:
             p.add_argument("--non-cosemisimple", action="store_true",
                            help="require a block above level 0")
             p.add_argument("--no-skew-primitives", action="store_true",
                            help="activate the skew-primitive-free rules (implies --non-cosemisimple)")
+        if modes and auto_nsp:
             p.add_argument("--auto-nsp", action="store_true",
                            help="derive --no-skew-primitives from gcd(r, N/r) = 1")
-        if fmt:
-            p.add_argument("--format", choices=FORMATS, default="text", dest="fmt")
+        p.add_argument("--format", choices=FORMATS if tables else FORMATS[:2],
+                       default="text", dest="fmt")
 
     p = sub.add_parser("bound", help="minimum dimension over all block shapes for a group order")
     p.add_argument("--group-order", type=int, required=True)
@@ -298,20 +301,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-order", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    add_flags(p)
+    add_flags(p, tables=True)
 
     p = sub.add_parser("orders", help="survey group orders 1 < r < N dividing N")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    add_flags(p)
+    add_flags(p, tables=True)
 
     p = sub.add_parser("check", help="run the rule engine on a block-system JSON file")
     p.add_argument("input", help="path to block-system JSON")
-    add_flags(p)
+    add_flags(p, auto_nsp=False)
 
     p = sub.add_parser("analyze", help="full coradical analysis of a coalgebra JSON file")
     p.add_argument("input", help="path to coalgebra JSON")
-    add_flags(p)
+    add_flags(p, auto_nsp=False)
 
     return parser
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import integral
+from .linalg import echelon, integral
 
 
 class CoalgebraParseError(ValueError):
@@ -164,20 +164,6 @@ class Algebra:
                         out[i] += s * cst
         return out
 
-    def is_associative(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    ei = [Fraction(1 if t == i else 0) for t in range(n)]
-                    ej = [Fraction(1 if t == j else 0) for t in range(n)]
-                    ek = [Fraction(1 if t == k else 0) for t in range(n)]
-                    if self.multiply(self.multiply(ei, ej), ek) != self.multiply(
-                        ei, self.multiply(ej, ek)
-                    ):
-                        return False
-        return True
-
 
 def dual_algebra(c: Coalgebra) -> Algebra:
     """Convolution algebra on the dual basis: (f*h)(x) = (f (x) h)(Delta x).
@@ -229,15 +215,19 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
     """Rewrite c in the basis f_i = sum_j P[i][j] e_j; P must be invertible.
 
     Structure constants transform with one P and two inverse-P factors; the
-    counit transforms with P alone.  Labels become f0, f1, ...
+    counit transforms with P alone.  Labels become f0, f1, ...  The inverse
+    is the echelon form of [P | I]: with P invertible its pivots are the
+    first n columns, and row k is (d_k e_k | d_k * row k of P^-1) with
+    d_k > 0, so the inverse needs no fraction until the constants are summed.
     """
     n = c.dim
     P = [[Fraction(x) for x in row] for row in p_rows]
     if len(P) != n or any(len(row) != n for row in P):
         raise ValueError("change-of-basis matrix must be square of size dim")
-    inv = _invert(P)
-    if inv is None:
+    ech, pivots = echelon([row + [int(i == j) for j in range(n)] for i, row in enumerate(P)])
+    if pivots != list(range(n)):
         raise ValueError("change-of-basis matrix is singular")
+    inv = [r[n:] for r in ech]
     delta = []
     for i in range(n):
         acc: dict[tuple[int, int], Fraction] = {}
@@ -245,7 +235,7 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
             if P[i][j] == 0:
                 continue
             for (k, l), coeff in c.delta_of(j).items():
-                w = P[i][j] * coeff
+                w = P[i][j] * coeff / (ech[k][k] * ech[l][l])
                 for a in range(n):
                     if inv[k][a] == 0:
                         continue
@@ -261,24 +251,6 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
         sum(P[i][j] * c.counit[j] for j in range(n)) for i in range(n)
     )
     return Coalgebra(n, tuple(f"f{i}" for i in range(n)), tuple(delta), counit)
-
-
-def _invert(P: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(P)
-    aug = [list(P[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    col = 0
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 _TOP_KEYS = {"dim", "basis", "delta", "counit", "field"}

@@ -1,14 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one integer normal form.
 
-Row operations run fraction-free on arbitrary-precision integers: rational
-rows are scaled integral up front, elimination uses cross-multiplication, and
-every row is divided by its content (gcd), which keeps entries small without
-ever rounding.  Pivot selection always takes the lowest row index with a
-nonzero entry in the current column, so all outputs are deterministic.
-
-Also holds the small univariate-polynomial toolkit the analyzer needs:
-rational-root extraction via Hensel lifting, so that fully split polynomials
-never require factoring their (potentially huge) constant terms.
+A rational row is one positive integer scale times a primitive integer row
+(content 1, first nonzero entry positive): integral() finds the scale and
+primitive() the row, and no other module makes that decision.  Elimination,
+kernels, coordinates and inverses then run on integers only, by
+cross-multiplication.  Pivot selection takes the lowest row index with a
+nonzero entry in the current column, and each result has a unique normal
+form, so outputs are deterministic and equal to those of rational
+arithmetic.  Fraction remains only in the small polynomial toolkit below:
+rational-root extraction via Hensel lifting, so that fully split
+polynomials never require factoring their (potentially huge) constant terms.
 """
 
 from __future__ import annotations
@@ -30,11 +31,8 @@ def integral(values) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def _scale_integral(row) -> list[int]:
-    return _reduce_content(integral(row)[1])
-
-
-def _reduce_content(row: list[int]) -> list[int]:
+def primitive(row: list[int]) -> list[int]:
+    """row divided by its content, signed so that its first nonzero entry is positive."""
     g = 0
     for x in row:
         g = math.gcd(g, x)
@@ -54,11 +52,11 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form.
 
     Returns (reduced rows, pivot column indices).  Zero rows are dropped, each
-    surviving row has content 1 and positive leading entry, and entries above
+    surviving row is primitive with positive leading entry, and entries above
     pivots are eliminated too, so the result is a canonical basis of the row
-    space.
+    space.  Rows are sequences of ints and Fractions.
     """
-    work = [_scale_integral(list(r)) for r in rows if any(r)]
+    work = [primitive(integral(r)[1]) for r in rows if any(r)]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -76,7 +74,7 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
         rest = []
         for r in work:
             if r[col] != 0:
-                r = _reduce_content([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
+                r = primitive([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
                 if not any(r):
                     continue
             rest.append(r)
@@ -84,9 +82,7 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
         # eliminate this column from the rows already in echelon position
         for k, r in enumerate(out):
             if r[col] != 0:
-                out[k] = _reduce_content(
-                    [piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)]
-                )
+                out[k] = primitive([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
         out.append(piv)
         pivots.append(col)
         if not work:
@@ -116,61 +112,55 @@ def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
     return v
 
 
-def in_span(v, ech: list[list[int]], pivots: list[int]) -> bool:
-    return not any(residue(integral(v)[1], ech, pivots))
-
-
 def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
     """Primitive integer basis of {x : M x = 0}, one vector per free column.
 
-    Deterministic: free columns are processed in increasing order and each
-    basis vector is content-reduced with positive entry at its free column.
+    Free columns are processed in increasing order.  The echelon rows are
+    zero at every other pivot column, so the vector of free column f has
+    L at f and -r[f] * L / r[col] at the pivot col of each row r with
+    r[f] != 0, where L is the lcm of those rows' pivot entries; dividing by
+    the gcd leaves the unique primitive kernel vector positive at f.
+    ncols is required when rows is empty.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    n = len(rows[0])
+    rows = list(rows)
+    n = len(rows[0]) if rows else ncols
+    if n is None:
+        raise ValueError("ncols required for an empty matrix")
     ech, pivots = echelon(rows)
-    free = [j for j in range(n) if j not in pivots]
+    is_pivot = set(pivots)
     basis = []
-    for f in free:
-        x = [Fraction(0)] * n
-        x[f] = Fraction(1)
-        # echelon rows are zero at every other pivot column, so each pivot
-        # coordinate is read off its own row
-        for r, col in zip(ech, pivots):
-            x[col] = Fraction(-r[f], r[col])
-        den = 1
-        for q in x:
-            den = den * q.denominator // math.gcd(den, q.denominator)
-        ix = [int(q * den) for q in x]
-        g = 0
-        for q in ix:
-            g = math.gcd(g, q)
-        ix = [q // g for q in ix]
-        if ix[f] < 0:
-            ix = [-q for q in ix]
-        basis.append(ix)
+    for f in range(n):
+        if f in is_pivot:
+            continue
+        involved = [(r, col) for r, col in zip(ech, pivots) if r[f]]
+        lcm = math.lcm(*(r[col] for r, col in involved))
+        x = [0] * n
+        x[f] = lcm
+        for r, col in involved:
+            x[col] = -r[f] * (lcm // r[col])
+        g = math.gcd(*x)
+        basis.append([q // g for q in x])
     return basis
 
 
-def solve_coords(basis_rows, v) -> list[Fraction] | None:
-    """Coefficients expressing v in the given (independent) rows, or None."""
-    if not basis_rows:
-        return [] if not any(v) else None
-    n = len(basis_rows[0])
+def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
+    """Coordinates of v in the given independent rows, as (D, D * coords); or None.
+
+    D is the least positive integer making D * coords integral, the form
+    integral() gives; None means v is outside the rows' span.  The system
+    sum_i c_i * basis_rows[i] = v is eliminated over its transpose: each
+    echelon row is then zero away from its pivot and the last column, and
+    primitive, so c_col = r[k] / r[col] is already in lowest terms.
+    """
     k = len(basis_rows)
-    # augmented system over the transpose: sum_i c_i basis[i] = v
-    aug = [[Fraction(basis_rows[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(n)]
-    ech, pivots = echelon(aug)
-    coeffs: list[Fraction] = [Fraction(0)] * k
+    ech, pivots = echelon([[b[j] for b in basis_rows] + [x] for j, x in enumerate(v)])
+    if pivots and pivots[-1] == k:
+        return None  # inconsistent
+    den = math.lcm(*(r[col] for r, col in zip(ech, pivots)))
+    coords = [0] * k
     for r, col in zip(ech, pivots):
-        if col == k:
-            return None  # inconsistent
-        coeffs[col] = Fraction(r[k], r[col])  # r is zero at the other pivots
-    return coeffs
+        coords[col] = r[k] * (den // r[col])
+    return den, coords
 
 
 # -- polynomials over Q, coefficients ascending ------------------------------
@@ -214,27 +204,9 @@ def poly_deriv(p):
     return poly_trim([Fraction(i) * p[i] for i in range(1, len(p))])
 
 
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_int(p) -> list[int]:
-    """Clear denominators and content; primitive integer coefficients."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    out = [int(c * den) for c in p]
-    g = 0
-    for c in out:
-        g = math.gcd(g, c)
-    if g > 1:
-        out = [c // g for c in out]
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
+    """Primitive integer coefficients with a positive leading coefficient."""
+    return primitive(integral(p)[1][::-1])[::-1]
 
 
 # -- rational roots by Hensel lifting ----------------------------------------
@@ -332,9 +304,10 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
         rec = _rational_reconstruct(x, m, bound)
         if rec is None:
             continue
-        cand = Fraction(rec[0], rec[1])
-        if poly_eval([Fraction(c) for c in sqfree], cand) == 0:
-            found.append(cand)
+        num, den = rec
+        # p/q is a root iff sum of c_i * p^i * q^(deg-i) vanishes
+        if sum(c * num**i * den ** (deg - i) for i, c in enumerate(sqfree)) == 0:
+            found.append(Fraction(num, den))
     found = sorted(set(found))
     fully_split = len(found) == deg
     return sorted(zero_roots + found), fully_split

@@ -504,6 +504,8 @@ def _solve_all(
     problems: list[FeasibilityProblem], node_cap: int | None, jobs: int
 ) -> list[Certificate]:
     """Certificates in problem order; jobs > 1 spreads them over processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     run = functools.partial(solve, node_cap=node_cap)
     if jobs > 1:
         # imported here so that importing blocksieve stays cheap

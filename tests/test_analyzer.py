@@ -9,13 +9,13 @@ from blocksieve.analyzer import (
     MAX_ANALYZE_DIM,
     CoalgebraInvalidError,
     CoalgebraTooLargeError,
+    FiltrationChain,
     NonSplitCoradicalError,
     _center,
     _primitive_idempotents,
     _quotient,
     _regular_traces,
     analyze,
-    filtration_is_compatible,
     radical,
 )
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_dim
@@ -123,6 +123,25 @@ class TestHitMaps:
                     assert all(g == scale * r for g, r in pairs)
 
 
+def filtration_is_compatible(c: Coalgebra, chain) -> bool:
+    """Dense reference: Delta(C_n) lies in sum_i C_i (x) C_{n-i}, exactly."""
+    n_dim = c.dim
+    for n in range(len(chain)):
+        target_rows = []
+        for i in range(n + 1):
+            for u in chain.bases[i]:
+                for v in chain.bases[n - i]:
+                    target_rows.append([us * vt for us in u for vt in v])
+        ech, piv = linalg.echelon(target_rows)
+        for w in chain.bases[n]:
+            image = [Fraction(0)] * (n_dim * n_dim)
+            for (i, j, k, coeff) in c.delta:
+                image[j * n_dim + k] += w[i] * coeff
+            if any(linalg.residue(linalg.integral(image)[1], ech, piv)):
+                return False
+    return True
+
+
 class TestFiltration:
     def test_grouplike_chain(self):
         assert analyze(grouplike_coalgebra(3), PLAIN).filtration.dims == (3,)
@@ -141,6 +160,12 @@ class TestFiltration:
     def test_tensor_square_compatibility(self):
         c = sweedler_tensor_square()
         assert filtration_is_compatible(c, analyze(c, PLAIN).filtration)
+
+    def test_reference_rejects_a_wrong_chain(self):
+        # Delta x = x (x) 1 + g (x) x does not lie in span(x) (x) span(x)
+        c = sweedler_coalgebra()
+        full = tuple(tuple(int(t == i) for t in range(4)) for i in range(4))
+        assert not filtration_is_compatible(c, FiltrationChain((((0, 0, 1, 0),), full)))
 
 
 class TestSimpleComponents:

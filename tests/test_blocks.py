@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from blocksieve.analyzer import MAX_ANALYZE_DIM
 from blocksieve.blocks import (
+    MAX_BLOCK_LEVEL,
     BlockIndex,
     BlockSystem,
     BlockSystemParseError,
@@ -14,7 +16,7 @@ from blocksieve.blocks import (
     total_dim,
     transpose,
 )
-from blocksieve.solver import minimal_form
+from blocksieve.solver import LEVEL_CAP, minimal_form
 
 from conftest import random_system
 
@@ -175,4 +177,20 @@ class TestSerialization:
             '{"level": 0, "d1": 3, "d2": 1, "dim": 9}]}'
         )
         with pytest.raises(BlockSystemParseError, match=r"blocks\[1\].*level=0, d1=3, d2=1"):
+            parse_block_system(text)
+
+    def test_level_bound_admits_every_analyzed_or_default_solved_table(self):
+        assert MAX_BLOCK_LEVEL >= MAX_ANALYZE_DIM
+        assert MAX_BLOCK_LEVEL >= LEVEL_CAP
+
+    def test_level_at_the_bound_parses(self):
+        text = json.dumps({"group_order": 1, "blocks": [
+            {"level": MAX_BLOCK_LEVEL, "d1": 1, "d2": 1, "dim": 1}]})
+        assert parse_block_system(text).max_level() == MAX_BLOCK_LEVEL
+
+    def test_level_above_the_bound_is_refused(self):
+        text = json.dumps({"group_order": 1, "blocks": [
+            {"level": MAX_BLOCK_LEVEL + 1, "d1": 1, "d2": 1, "dim": 1}]})
+        with pytest.raises(BlockSystemParseError,
+                           match=rf"blocks\[0\].*MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}"):
             parse_block_system(text)

@@ -2,7 +2,7 @@ import json
 import os
 
 from blocksieve.analyzer import MAX_ANALYZE_DIM
-from blocksieve.blocks import serialize_block_system
+from blocksieve.blocks import MAX_BLOCK_LEVEL, serialize_block_system
 from blocksieve.cli import main
 from blocksieve.coalgebra import serialize_coalgebra
 from blocksieve.corpus import grouplike_coalgebra
@@ -78,6 +78,38 @@ class TestSolve:
             env={"BLOCKSIEVE_NODE_CAP": "many"},
         )
         assert code == 2
+
+
+class TestRejectedOptions:
+    """Options a command would ignore are not registered there: argparse exits 2."""
+
+    def test_table_formats_only_on_scan_and_orders(self, capsys, corpus_dir):
+        for args in (["bound", "--group-order", "3"],
+                     ["solve", "--dim", "42", "--group-order", "3"],
+                     ["check", str(corpus_dir / "sweedler4.json")],
+                     ["analyze", str(corpus_dir / "sweedler4.json")]):
+            for fmt in ("csv", "markdown"):
+                assert main(args + ["--format", fmt]) == 2
+                assert "invalid choice" in capsys.readouterr().err
+
+    def test_auto_nsp_only_on_solve_scan_and_orders(self, tmp_path, capsys, corpus_dir):
+        # gcd(1, 2/1) = 1 and a B(1,1,1) block: --no-skew-primitives fails it
+        path = tmp_path / "coprime.json"
+        path.write_text('{"group_order": 1, "blocks": ['
+                        '{"level": 0, "d1": 1, "d2": 1, "dim": 1},'
+                        '{"level": 1, "d1": 1, "d2": 1, "dim": 1}]}')
+        assert main(["check", str(path), "--no-skew-primitives"]) == 1
+        capsys.readouterr()
+        for args in (["check", str(path)], ["analyze", str(corpus_dir / "sweedler4.json")],
+                     ["bound", "--group-order", "3"]):
+            assert main(args + ["--auto-nsp"]) == 2
+            assert "unrecognized arguments: --auto-nsp" in capsys.readouterr().err
+
+    def test_nonpositive_jobs_exit_two(self, capsys):
+        assert main(["scan", "--group-order", "3", "--t-max", "2", "--jobs", "0"]) == 2
+        assert "jobs must be positive, got 0" in capsys.readouterr().err
+        assert main(["orders", "--dim", "12", "--jobs", "-1"]) == 2
+        assert "jobs must be positive, got -1" in capsys.readouterr().err
 
 
 class TestScan:
@@ -172,6 +204,22 @@ class TestCheck:
 
     def test_missing_file_exit_two(self):
         assert main(["check", "/nonexistent/x.json"]) == 2
+
+    def test_level_at_the_bound_is_checked(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"group_order": 1, "blocks": [
+            {"level": MAX_BLOCK_LEVEL, "d1": 1, "d2": 1, "dim": 1}]}))
+        assert main(["check", str(path)]) == 1
+        assert "block system: group order 1" in capsys.readouterr().out
+
+    def test_level_above_the_bound_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "deeper.json"
+        path.write_text(json.dumps({"group_order": 1, "blocks": [
+            {"level": MAX_BLOCK_LEVEL + 1, "d1": 1, "d2": 1, "dim": 1}]}))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}" in captured.err
 
 
 class TestAnalyze:

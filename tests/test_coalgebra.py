@@ -20,6 +20,7 @@ from blocksieve.corpus import (
     s3_dual_coalgebra,
     sweedler_coalgebra,
     sweedler_tensor_square,
+    write_corpus,
 )
 
 from conftest import random_change_of_basis
@@ -75,6 +76,15 @@ class TestValidate:
         ]
 
 
+def _is_associative(a) -> bool:
+    """Dense reference: (e_i e_j) e_k == e_i (e_j e_k) for every basis triple."""
+    basis = [[Fraction(int(t == i)) for t in range(a.dim)] for i in range(a.dim)]
+    return all(
+        a.multiply(a.multiply(x, y), z) == a.multiply(x, a.multiply(y, z))
+        for x in basis for y in basis for z in basis
+    )
+
+
 def _dense(a, terms) -> list[Fraction]:
     """A product's (i, c) terms as a dense coordinate vector."""
     out = [Fraction(0)] * a.dim
@@ -90,7 +100,7 @@ class TestDualAlgebra:
             for j in range(3):
                 expected = [Fraction(1) if (i == j == k) else Fraction(0) for k in range(3)]
                 assert _dense(a, a.mult[i].get(j, ())) == expected
-        assert a.is_associative()
+        assert _is_associative(a)
 
     def test_matrix_coalgebra_dual_is_matrix_algebra(self):
         a = dual_algebra(matrix_coalgebra(2))
@@ -113,9 +123,9 @@ class TestDualAlgebra:
         for build in (sweedler_coalgebra, s3_dual_coalgebra):
             c = build()
             assert validate(c) == []
-            assert dual_algebra(c).is_associative()
+            assert _is_associative(dual_algebra(c))
             c2 = change_basis(c, random_change_of_basis(rng, c.dim))
-            assert dual_algebra(c2).is_associative()
+            assert _is_associative(dual_algebra(c2))
 
     def test_constants_are_delta_read_backwards(self):
         rng = random.Random(13)
@@ -157,7 +167,73 @@ class TestTensorProduct:
         assert validate(c) == []
 
 
+def _ref_inverse(P):
+    """Gauss-Jordan inverse in Fractions, or None when P is singular."""
+    n = len(P)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(P)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _ref_change_basis(c, P, Q):
+    """f_i = sum_j P[i][j] e_j with Q = P^-1, so that e_k = sum_a Q[k][a] f_a."""
+    n = c.dim
+    acc = {}
+    for (j, k, l, x) in c.delta:
+        for i in range(n):
+            for a in range(n):
+                for b in range(n):
+                    w = P[i][j] * x * Q[k][a] * Q[l][b]
+                    if w:
+                        acc[(i, a, b)] = acc.get((i, a, b), 0) + w
+    delta = tuple((i, a, b, v) for (i, a, b), v in acc.items() if v)
+    counit = tuple(sum(P[i][j] * c.counit[j] for j in range(n)) for i in range(n))
+    return Coalgebra(n, tuple(f"f{i}" for i in range(n)), delta, counit)
+
+
 class TestChangeBasis:
+    def test_inverse_matches_fraction_reference(self):
+        rng = random.Random(29)
+        cases = [build() for build in CORPUS_BUILDERS.values()
+                 if build().dim <= 6] + [grouplike_coalgebra(1)]
+        for c in cases:
+            n = c.dim
+            dense = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                     for _ in range(n)]
+            for P in (random_change_of_basis(rng, n), dense):
+                Q = _ref_inverse(P)
+                if Q is None:
+                    with pytest.raises(ValueError, match="singular"):
+                        change_basis(c, P)
+                    continue
+                identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+                assert [[sum(P[i][t] * Q[t][j] for t in range(n)) for j in range(n)]
+                        for i in range(n)] == identity
+                moved = change_basis(c, P)
+                assert moved == _ref_change_basis(c, P, Q)
+                back = change_basis(moved, Q)
+                assert (back.delta, back.counit) == (c.delta, c.counit)
+
+    def test_rejects_rank_deficient_rational_matrix(self):
+        c = sweedler_coalgebra()
+        half = Fraction(1, 2)
+        P = [[1, half, 0, 0], [0, 1, 3, 0], [1, Fraction(5, 2), 6, 0], [0, 0, 0, 1]]
+        assert _ref_inverse(P) is None  # row 2 = row 0 + 2 * row 1
+        with pytest.raises(ValueError, match="singular"):
+            change_basis(c, P)
+        with pytest.raises(ValueError, match="singular"):
+            change_basis(c, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+
     def test_preserves_validity(self):
         rng = random.Random(21)
         c = sweedler_coalgebra()
@@ -187,6 +263,12 @@ class TestSerialization:
         for name, build in CORPUS_BUILDERS.items():
             data = (corpus_dir / name).read_bytes()
             assert parse_coalgebra(data) == build(), name
+
+    def test_corpus_directory_is_write_corpus_output(self, corpus_dir, tmp_path):
+        written = write_corpus(tmp_path)
+        assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(p.name for p in written)
+        for path in written:
+            assert (corpus_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(CoalgebraParseError, match="unknown"):

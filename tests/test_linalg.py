@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -53,13 +54,125 @@ class TestNullspace:
 class TestMembership:
     def test_in_span(self):
         ech, piv = linalg.echelon([[1, 0, 1], [0, 1, 1]])
-        assert linalg.in_span([3, 2, 5], ech, piv)
-        assert not linalg.in_span([0, 0, 1], ech, piv)
+        assert not any(linalg.residue([3, 2, 5], ech, piv))
+        assert any(linalg.residue([0, 0, 1], ech, piv))
 
     def test_solve_coords(self):
         coords = linalg.solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 5])
-        assert coords == [Fraction(2), Fraction(3)]
+        assert coords == (1, [2, 3])
         assert linalg.solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 4]) is None
+
+
+# -- Fraction references for the integer normal forms -------------------------
+
+
+def _ref_rref(rows, ncols):
+    """Reduced row echelon form in Fractions: (rows with pivot 1, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    out, pivots = [], []
+    for col in range(ncols):
+        src = next((r for r in work if r[col] != 0), None)
+        if src is None:
+            continue
+        work.remove(src)
+        src = [x / src[col] for x in src]
+        work = [[x - r[col] * y for x, y in zip(r, src)] for r in work]
+        out = [[x - r[col] * y for x, y in zip(r, src)] for r in out]
+        out.append(src)
+        pivots.append(col)
+    return out, pivots
+
+
+def _ref_nullspace(rows, ncols):
+    """(free columns, one rational kernel vector per free column, equal to 1 there)."""
+    rref, pivots = _ref_rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, col in zip(rref, pivots):
+            x[col] = -r[f]
+        basis.append(x)
+    return free, basis
+
+
+def _ref_coords(basis_rows, v):
+    """Rational c with sum c_i * basis_rows[i] = v, or None; rows independent."""
+    k = len(basis_rows)
+    aug = [[b[j] for b in basis_rows] + [x] for j, x in enumerate(v)]
+    rref, pivots = _ref_rref(aug, k + 1)
+    if k in pivots:
+        return None
+    coords = [Fraction(0)] * k
+    for r, col in zip(rref, pivots):
+        coords[col] = r[k]
+    return coords
+
+
+def _random_matrices(seed):
+    """Integer and rational matrices: full rank, rank-deficient, all-zero, empty."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        entry = (lambda: rng.randint(-6, 6)) if rng.random() < 0.5 else (
+            lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
+        if rng.random() < 0.5:
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+        else:  # rank at most k, as a product of an m x k and a k x n factor
+            k = rng.randint(1, max(1, min(m, n) - 1))
+            a = [[entry() for _ in range(k)] for _ in range(m)]
+            b = [[entry() for _ in range(n)] for _ in range(k)]
+            rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                    for i in range(m)]
+        out.append((rows, n))
+    out += [([[0] * 4 for _ in range(3)], 4), ([], 3), ([], 1), ([[0]], 1)]
+    return out
+
+
+class TestIntegerNormalForms:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_nullspace_is_the_primitive_form_of_the_reference(self, seed):
+        for rows, n in _random_matrices(seed):
+            got = linalg.nullspace(rows, ncols=n)
+            free, ref = _ref_nullspace(rows, n)
+            assert len(got) == len(ref)
+            for v, r, f in zip(got, ref, free):
+                assert all(isinstance(x, int) for x in v)
+                assert math.gcd(*v) == 1
+                assert v[f] > 0
+                assert all(v[g] == 0 for g in free if g != f)
+                assert [Fraction(x, v[f]) for x in v] == r
+                assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_solve_coords_is_the_least_denominator_form_of_the_reference(self, seed):
+        rng = random.Random(100 + seed)
+        for rows, n in _random_matrices(seed):
+            basis = [[Fraction(x) for x in r] for r in linalg.echelon(rows)[0]]
+            # a unitriangular change of basis, so that the rows are not in echelon form
+            basis = [[b0[j] + sum(rng.randint(-2, 2) * b[j] for b in basis[i + 1:])
+                      for j in range(n)] for i, b0 in enumerate(basis)]
+            want = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+            v = [sum(c * b[j] for c, b in zip(want, basis)) for j in range(n)]
+            outside = [x + rng.randint(-1, 1) for x in v]
+            for target in (v, outside):
+                ref = _ref_coords(basis, target)
+                got = linalg.solve_coords(basis, target)
+                if ref is None:
+                    assert got is None
+                    continue
+                den, nums = got
+                assert den == math.lcm(*(c.denominator for c in ref))
+                assert nums == [c * den for c in ref]
+            assert _ref_coords(basis, v) == want
+
+    def test_solve_coords_inconsistent_and_empty(self):
+        assert linalg.solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 1]) is None
+        assert linalg.solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 0]) == (6, [3, 2])
+        assert linalg.solve_coords([], [0, 0]) == (1, [])
+        assert linalg.solve_coords([], [0, 1]) is None
 
 
 class TestRationalRoots:

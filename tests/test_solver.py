@@ -306,6 +306,13 @@ class TestScan:
                 assert check(cert.witness, NSP) == []
                 assert total_dim(cert.witness) == 2 * t
 
+    def test_nonpositive_jobs_refused(self):
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="jobs must be positive"):
+                scan(2, 3, NSP, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be positive"):
+                admissible_group_orders(12, NSP, jobs=jobs)
+
 
 class TestAdmissibleGroupOrders:
     def test_dimension_30_empty(self):
