@@ -88,23 +88,28 @@ def _fmt(idx) -> str:
 def chain_gaps(levels, n: int, d1: int, d2: int):
     """R4: each split i (1 <= i < n) with no b such that (i,d1,b) and (n-i,b,d2) are occupied."""
     for i in range(1, n):
-        first_leg = levels.get(i, ())
         second_leg = levels.get(n - i, ())
-        if not any(a == d1 and (b, d2) in second_leg for (a, b) in first_leg):
+        for (a, b) in levels.get(i, ()):
+            if a == d1 and (b, d2) in second_leg:
+                break
+        else:
             yield i
 
 
 def stranded(levels):
-    """R5: each off-diagonal cell (n, d1, d2), n >= 1, with row d1 empty at every higher level."""
-    top_of_row: dict[int, int] = {}
-    for n, cells in levels.items():
-        for (a, _b) in cells:
-            top_of_row[a] = max(top_of_row.get(a, n), n)
-    for n, cells in levels.items():
+    """R5: each off-diagonal cell (n, d1, d2), n >= 1, with row d1 empty at every higher level.
+
+    Levels are read from the top down, so the cells of the top level come
+    first and each level is checked against the rows seen above it.
+    """
+    rows_above: set[int] = set()
+    for n in sorted(levels, reverse=True):
+        cells = levels[n]
         if n >= 1:
             for (d1, d2) in cells:
-                if d1 != d2 and top_of_row[d1] == n:
+                if d1 != d2 and d1 not in rows_above:
                     yield n, d1, d2
+        rows_above.update([a for (a, _b) in cells])
 
 
 def backed(levels, cell: tuple[int, int]) -> bool:

@@ -20,13 +20,25 @@ search space (the support space is exhausted even after a hit, so the result
 is independent of traversal scheduling).  Infeasible answers mean the entire
 bounded space was exhausted; the certificate keeps a bounded trace of the
 top-level case split.
+
+Nodes and closes are counted in bulk.  The exclude run of a level, one node
+per remaining group plus the exclude-all leaf, is one tick, which raises
+exactly when the count passes the node cap, as counting node by node would.
+An include step bisects the groups sorted by cost for those within its
+budget slack, tries only those, and closes the rest with one count.  Phase 2
+memoises its multipliers per search, keyed by the free groups' costs and the
+budget, which are all they depend on; reach bitsets are built by doubling
+runs of multiples.  None of this changes which nodes are visited, in what
+order, or why each one closes, so the stats, witnesses and refutation traces
+of a certificate are those of a node-by-node count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from sys import _getframe, getrecursionlimit
 
 from .blocks import (
@@ -192,32 +204,69 @@ def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
     return nsp, ncss, auto_applied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Group:
-    """A branching unit of the support search: a single cell or a mirror pair."""
+    """A branching unit of the support search: a single cell or a mirror pair.
 
-    level: int
+    The same unit is placed at every level; the level is where it sits in
+    the support, not a field.
+    """
+
     first: tuple[int, int]            # canonical (d1, d2) of the first index
     members: tuple[tuple[int, int], ...]
     divisor: int
     weight: int                       # how many grid entries share the value
+    cost: int = field(init=False)     # least total the unit adds: weight * divisor
 
-    @property
-    def min_cost(self) -> int:
-        return self.weight * self.divisor
+    def __post_init__(self):
+        object.__setattr__(self, "cost", self.weight * self.divisor)
 
 
-def _level_groups(level: int, max_d: int, r: int) -> list[_Group]:
+def _level_groups(max_d: int, r: int) -> list[_Group]:
     """Canonically ordered branching units at one positive level."""
-    groups = [_Group(level, (1, 1), ((1, 1),), r, 1)]
+    groups = [_Group((1, 1), ((1, 1),), r, 1)]
     for d in range(2, max_d + 1):
-        groups.append(_Group(level, (1, d), ((1, d), (d, 1)), d * r, 2))
+        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r, 2))
     for d1 in range(2, max_d + 1):
-        groups.append(_Group(level, (d1, d1), ((d1, d1),), math.lcm(d1 * d1, r), 1))
+        groups.append(_Group((d1, d1), ((d1, d1),), math.lcm(d1 * d1, r), 1))
         for d2 in range(d1 + 1, max_d + 1):
-            groups.append(_Group(level, (d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r), 2))
+            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r), 2))
     groups.sort(key=lambda g: g.first)
     return groups
+
+
+def _multipliers(costs: tuple[int, ...], budget: int) -> tuple[int, ...] | None:
+    """Lexicographically least k_1, k_2, ... >= 1 with sum k_i * costs[i] = budget, or None."""
+    mask = (1 << (budget + 1)) - 1
+    # reach[i] = bitset of totals achievable by units i.. with each k >= 1
+    reach = [0] * (len(costs) + 1)
+    reach[len(costs)] = 1
+    for i in range(len(costs) - 1, -1, -1):
+        c = costs[i]
+        most = budget // c
+        if most == 0:
+            continue
+        # reach[i + 1] shifted by c, 2c, ..., most * c, doubling the run of
+        # multiples covered at each step
+        acc, run = reach[i + 1] << c, 1
+        while 2 * run <= most:
+            acc |= acc << (run * c)
+            run *= 2
+        if run < most:
+            acc |= acc << ((most - run) * c)
+        reach[i] = acc & mask
+    if not (reach[0] >> budget) & 1:
+        return None
+    ks = []
+    rem = budget
+    for i, c in enumerate(costs):
+        # reach[i] holds rem, so some k with rem - k * c >= 0 is in reach[i + 1]
+        k = 1
+        while not (reach[i + 1] >> (rem - k * c)) & 1:
+            k += 1
+        ks.append(k)
+        rem -= k * c
+    return tuple(ks)
 
 
 class _Search:
@@ -234,54 +283,73 @@ class _Search:
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
         self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
-        self.groups = _level_groups(1, bounds.max_d, r) if bounds.max_level >= 1 else []
-        # support[level] maps each occupied (d1, d2) cell to its group; level 0
-        # always holds the grouplike cell (1, 1).  This is the table shape the
-        # support predicates of rules.py read.
-        self.support: dict[int, dict[tuple[int, int], _Group]] = {
-            n: {} for n in range(bounds.max_level + 1)
+        self.diag_groups = {
+            d: _Group((d, d), ((d, d),), math.lcm(d * d, r), 1) for d in [1, *self.diag0]
         }
-        self._case: str | None = None
+        self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
+        # Group indices by cost, so that an include step finds the groups
+        # within its slack by bisection.
+        self.by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
+        self.sorted_costs = [self.groups[j].cost for j in self.by_cost]
+        # support[level] holds the occupied (d1, d2) cells of each occupied
+        # level; level 0 always holds the grouplike cell (1, 1).  This is the
+        # table shape the support predicates of rules.py read.  placed[level]
+        # lists the groups of those cells in placement order, which is
+        # canonical (increasing first cell).
+        self.support: dict[int, set[tuple[int, int]]] = {}
+        self.placed: list[list[_Group]] = [[] for _ in range(bounds.max_level + 1)]
+        # phase 2 multipliers by (free costs, budget), for this search only
+        self.multipliers: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
         self._case_first_close: str | None = None
         self._case_nodes_start = 0
         self._case_found = False
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _tick(self):
-        self.nodes += 1
+    def _tick(self, n: int = 1):
+        """Count n nodes at once; raises exactly when the count passes the cap."""
+        self.nodes += n
         if self.nodes > self.node_cap:
             raise SearchCapExceeded(
                 f"search exceeded the node cap of {self.node_cap} nodes; "
                 "raise the cap to search this grid exhaustively"
             )
 
-    def _close(self, reason: str):
-        self.closed[reason] = self.closed.get(reason, 0) + 1
+    def _close(self, reason: str, n: int = 1):
+        self.closed[reason] = self.closed.get(reason, 0) + n
         if self._case_first_close is None:
             self._case_first_close = reason
+
+    def _place(self, level: int, g: _Group):
+        self.support.setdefault(level, set()).update(g.members)
+        self.placed[level].append(g)
+
+    def _unplace(self, level: int, g: _Group):
+        cells = self.support[level]
+        cells.difference_update(g.members)
+        if not cells:
+            del self.support[level]
+        self.placed[level].pop()
 
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
-        self._level0_dfs(0, [], self.r)
+        self._place(0, self.diag_groups[1])
+        self._level0_dfs(0, self.r)
 
     # Both searches below visit the exclude-everything branch first and then
     # the includes from the last group down, the order an exclude-first
-    # recursion takes, but nest one frame per included group only.
+    # recursion takes, but nest one frame per included group only.  The
+    # exclude run of a level is one node per remaining group plus the
+    # exclude-all leaf, counted in one tick.
 
-    def _level0_dfs(self, i: int, chosen: list[int], min_cost: int):
-        for _ in range(i, len(self.diag0) + 1):
-            self._tick()
-        self._case = "{(0,1,1)}" if not chosen else (
-            "{(0,1,1)" + "".join(f", (0,{d},{d})" for d in chosen) + "}"
-        )
+    def _level0_dfs(self, i: int, min_cost: int):
+        self._tick(len(self.diag0) + 1 - i)
+        chosen = self.placed[0][1:]
+        case = "{(0,1,1)" + "".join(f", (0,{g.first[0]},{g.first[1]})" for g in chosen) + "}"
         self._case_first_close = None
         self._case_found = False
         self._case_nodes_start = self.nodes
-        self.support[0] = {
-            (d, d): _Group(0, (d, d), ((d, d),), math.lcm(d * d, self.r), 1) for d in [1, *chosen]
-        }
         self._subset_dfs(1, 0, min_cost)
         if not self._case_found and len(self.trace) <= _TRACE_CAP:
             reason = self._case_first_close or "exhausted"
@@ -290,34 +358,39 @@ class _Search:
                 self.trace.append("... further cases elided")
             else:
                 self.trace.append(
-                    f"coradical support {self._case}: closed by {reason} ({used} nodes)"
+                    f"coradical support {case}: closed by {reason} ({used} nodes)"
                 )
         for j in range(len(self.diag0) - 1, i - 1, -1):
-            d = self.diag0[j]
-            cost = math.lcm(d * d, self.r)
-            if min_cost + cost <= self.N:
-                chosen.append(d)
-                self._level0_dfs(j + 1, chosen, min_cost + cost)
-                chosen.pop()
+            g = self.diag_groups[self.diag0[j]]
+            if min_cost + g.cost <= self.N:
+                self._place(0, g)
+                self._level0_dfs(j + 1, min_cost + g.cost)
+                self._unplace(0, g)
 
     def _subset_dfs(self, level: int, gi: int, min_cost: int):
         """Choose the support of a positive level from groups[gi:], then stop or go deeper."""
         if level > self.bounds.max_level:
             # The grid ends here; the support below is a complete candidate.
-            self._stop(level - 1, min_cost)
+            self._stop(level - 1)
             return
-        for _ in range(gi, len(self.groups) + 1):
-            self._tick()
-        if not self.support[level]:
-            self._stop(level - 1, min_cost)
+        self._tick(len(self.groups) + 1 - gi)
+        if not self.placed[level]:
+            self._stop(level - 1)
         else:
             self._subset_dfs(level + 1, 0, min_cost)
-        # include branches, with constraint checks against the fixed lower levels
-        for j in range(len(self.groups) - 1, gi - 1, -1):
+        # Include branches, with constraint checks against the fixed lower
+        # levels.  The groups over budget are closed in one count.  Every
+        # include step of a coradical case comes after the case's first stop
+        # (its exclude-all leaf), which either closed, fixing the reason the
+        # trace names, or found a witness, so the case leaves no trace line;
+        # and the counts do not depend on the order of the closes.
+        fit = bisect_right(self.sorted_costs, self.N - min_cost)
+        candidates = sorted((j for j in self.by_cost[:fit] if j >= gi), reverse=True)
+        over = len(self.groups) - gi - len(candidates)
+        if over:
+            self._close("budget", over)
+        for j in candidates:
             g = self.groups[j]
-            if min_cost + g.min_cost > self.N:
-                self._close("budget")
-                continue
             if self.nsp and level == 1 and g.first == (1, 1):
                 self._close("R7")
                 continue
@@ -331,30 +404,25 @@ class _Search:
             if any(chain_gaps(self.support, level, *g.first)):
                 self._close("R4")
                 continue
-            placed = _Group(level, g.first, g.members, g.divisor, g.weight)
-            for cell in g.members:
-                self.support[level][cell] = placed
-            self._subset_dfs(level, j + 1, min_cost + g.min_cost)
-            for cell in g.members:
-                del self.support[level][cell]
+            self._place(level, g)
+            self._subset_dfs(level, j + 1, min_cost + g.cost)
+            self._unplace(level, g)
 
     # -- stop checks + phase 2 ---------------------------------------------
 
-    def _stop(self, n_max: int, min_cost: int):
+    def _stop(self, n_max: int):
+        """Check a complete support; every include fit its slack, so its cost is within N."""
         self._tick()
         if self.ncss and n_max < 1:
             self._close("RNC")
-            return
-        if min_cost > self.N:
-            self._close("budget")
             return
         if any(stranded(self.support)):
             self._close("R5")
             return
         pointed = [n for n in range(1, n_max + 1) if (1, 1) in self.support[n]]
+        top = pointed[-1] if pointed else 0
         if self.nsp:
             # R7: the six necessary blocks; B(1,1,1) was closed at placement.
-            top = pointed[-1] if pointed else 0
             if top <= 1 or not has_nsp_core(self.support):
                 self._close("R7")
                 return
@@ -362,7 +430,7 @@ class _Search:
                 self._close("R8")
                 return
         self.supports += 1
-        entries = self._assign(n_max, pointed)
+        entries = self._assign(n_max, top)
         if entries is None:
             self._close("partition")
             return
@@ -371,61 +439,34 @@ class _Search:
             self.best = candidate
         self._case_found = True
 
-    def _assign(self, n_max: int, pointed: list[int]) -> list[tuple[int, int, int, int]] | None:
+    def _assign(self, n_max: int, top: int) -> list[tuple[int, int, int, int]] | None:
         """Phase 2: lexicographically least dimension assignment, or None.
 
-        Entries are (level, d1, d2, dim).  The grouplike block and the top
-        pointed block are pinned to exactly r; every free group contributes
-        weight * k * divisor for some k >= 1.
+        Entries are (level, d1, d2, dim).  The grouplike block and the block
+        (top, 1, 1) of the top pointed level are pinned to exactly r; every
+        free group contributes weight * k * divisor for some k >= 1, and the
+        multipliers k are least in (level, first cell) order of the groups.
         """
-        top_pointed = max(pointed) if pointed else 0
-        fixed: list[tuple[int, int, int, int]] = []
-        budget = self.N
-        free: list[_Group] = []
-        for level in range(0, n_max + 1):
-            seen: set[tuple[int, int]] = set()
-            for cell, g in sorted(self.support[level].items()):
-                if g.first in seen:
-                    continue
-                seen.add(g.first)
-                if cell == (1, 1) and level in (0, top_pointed):
-                    fixed.append((level, 1, 1, self.r))
-                    budget -= self.r
-                else:
-                    free.append(g)
+        fixed = [(0, 1, 1, self.r)] + ([(top, 1, 1, self.r)] if top else [])
+        budget = self.N - self.r * len(fixed)
         if budget < 0:
             return None
-        free.sort(key=lambda g: (g.level, g.first))
-        costs = [g.weight * g.divisor for g in free]
-        # reach[i] = bitset of totals achievable by groups i.. with each k >= 1
-        reach = [0] * (len(free) + 1)
-        reach[len(free)] = 1
-        for i in range(len(free) - 1, -1, -1):
-            acc = 0
-            shifted = reach[i + 1]
-            c = costs[i]
-            total = c
-            while total <= budget:
-                acc |= shifted << total
-                total += c
-            reach[i] = acc & ((1 << (budget + 1)) - 1)
-        if not (reach[0] >> budget) & 1:
+        # (1, 1) is the first placed group of any level that holds it.
+        free = [
+            (level, g)
+            for level in range(n_max + 1)
+            for g in self.placed[level][1 if level in (0, top) else 0:]
+        ]
+        key = (tuple(g.cost for _, g in free), budget)
+        if key not in self.multipliers:
+            self.multipliers[key] = _multipliers(*key)
+        ks = self.multipliers[key]
+        if ks is None:
             return None
-        out = list(fixed)
-        rem = budget
-        for i, g in enumerate(free):
-            k = 1
-            while True:
-                spent = k * costs[i]
-                if spent > rem:
-                    return None  # unreachable: reach said feasible
-                if (reach[i + 1] >> (rem - spent)) & 1:
-                    break
-                k += 1
+        out = fixed
+        for (level, g), k in zip(free, ks):
             value = k * g.divisor
-            for (d1, d2) in g.members:
-                out.append((g.level, d1, d2, value))
-            rem -= spent
+            out.extend((level, d1, d2, value) for (d1, d2) in g.members)
         return out
 
 
@@ -435,10 +476,13 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     Returns a Feasible certificate with the lexicographically least witness,
     or an Infeasible certificate after exhausting the bounded search space.
     If the group order does not divide the dimension the answer is immediate.
-    Raises BoundsError when a level of the grid holds more than GROUP_CAP
+    Raises ValueError for a node cap below 1, before any other answer;
+    BoundsError when a level of the grid holds more than GROUP_CAP
     branching units, or when the grid could nest the search deeper than the
     recursion limit allows below the caller's stack.
     """
+    if node_cap is not None and node_cap < 1:
+        raise ValueError(f"node_cap must be positive, got {node_cap}")
     N, r = p.target_dim, p.group_order
     nsp, ncss, auto_applied = _resolve_flags(p)
     regime = {

@@ -60,6 +60,15 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_nonpositive_node_cap_env_exit_two(self, capsys):
+        # (7, 2) is answered by R1 without a search, (8, 2) is searched
+        for cap in ("0", "-1"):
+            for dim in ("7", "8"):
+                code = run_cli(["solve", "--dim", dim, "--group-order", "2"],
+                               env={"BLOCKSIEVE_NODE_CAP": cap})
+                assert code == 2
+                assert f"node_cap must be positive, got {cap}" in capsys.readouterr().err
+
     def test_bounds_beyond_recursion_limit_exit_two(self, capsys):
         code = main(["solve", "--dim", "3000", "--group-order", "1",
                      "--max-level", "2000", "--max-d", "1"])

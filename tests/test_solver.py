@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ import pytest
 from blocksieve.blocks import (
     NON_COSEMISIMPLE,
     NSP,
+    PLAIN,
     BlockSystem,
     ModeFlags,
     total_dim,
@@ -18,6 +20,7 @@ from blocksieve.solver import (
     FeasibilityProblem,
     GridBounds,
     SearchCapExceeded,
+    _multipliers,
     admissible_group_orders,
     basic_block_dim,
     lower_bound,
@@ -169,6 +172,13 @@ class TestSolve:
         with pytest.raises(SearchCapExceeded):
             solve(FeasibilityProblem(42, 3, NSP), node_cap=5)
 
+    def test_nonpositive_node_cap_refused_before_any_answer(self):
+        # (7, 2) has an immediate R1 answer, (8, 2) needs a search
+        for cap in (0, -1):
+            for n in (7, 8):
+                with pytest.raises(ValueError, match=f"node_cap must be positive, got {cap}"):
+                    solve(FeasibilityProblem(n, 2), node_cap=cap)
+
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()
         assert solve(FeasibilityProblem(280, 7, NSP)).feasible
@@ -217,6 +227,43 @@ class TestSolve:
         cert = solve(FeasibilityProblem(4, 2, NON_COSEMISIMPLE, GridBounds(1, 1)))
         assert cert.feasible
         assert cert.stats["bounds"] == {"max_level": 1, "max_d": 1}
+
+
+class TestNodeCap:
+    # Nodes are counted a whole exclude run at a time; the cap must still
+    # admit a search of exactly cap nodes and refuse one node more.
+    @pytest.mark.parametrize(
+        "n,r,flags",
+        [
+            (14, 1, NON_COSEMISIMPLE),
+            (20, 1, PLAIN),
+            (24, 2, NSP),
+            (40, 2, NON_COSEMISIMPLE),
+            (45, 3, NSP),
+        ],
+    )
+    def test_cap_at_the_node_count_is_the_boundary(self, n, r, flags):
+        p = FeasibilityProblem(n, r, flags)
+        full = solve(p)
+        nodes = full.stats["nodes"]
+        assert nodes > 1
+        assert solve(p, node_cap=nodes).as_json_dict() == full.as_json_dict()
+        with pytest.raises(SearchCapExceeded):
+            solve(p, node_cap=nodes - 1)
+
+
+class TestMultipliers:
+    def test_lexicographically_least_multipliers_by_brute_force(self):
+        for size in range(4):
+            for costs in itertools.product(range(1, 5), repeat=size):
+                for budget in range(13):
+                    ranges = [range(1, budget // c + 1) for c in costs]
+                    expected = next(
+                        (ks for ks in itertools.product(*ranges)
+                         if sum(k * c for k, c in zip(ks, costs)) == budget),
+                        None,
+                    )
+                    assert _multipliers(costs, budget) == expected, (costs, budget)
 
 
 class TestSolveProperties:
