@@ -26,11 +26,10 @@ per remaining group plus the exclude-all leaf, is one tick, which raises
 exactly when the count passes the node cap, as counting node by node would.
 An include step bisects the groups sorted by cost for those within its
 budget slack, tries only those, and closes the rest with one count.  Phase 2
-memoises its multipliers per search, keyed by the free groups' costs and the
-budget, which are all they depend on; reach bitsets are built by doubling
-runs of multiples.  None of this changes which nodes are visited, in what
-order, or why each one closes, so the stats, witnesses and refutation traces
-of a certificate are those of a node-by-node count.
+builds its reach bitsets by doubling runs of multiples.  None of this
+changes which nodes are visited, in what order, or why each one closes, so
+the stats, witnesses and refutation traces of a certificate are those of a
+node-by-node count.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from sys import _getframe, getrecursionlimit
 
 from .blocks import (
@@ -216,21 +215,20 @@ class _Group:
     members: tuple[tuple[int, int], ...]
     divisor: int
     weight: int                       # how many grid entries share the value
-    cost: int = field(init=False)     # least total the unit adds: weight * divisor
-
-    def __post_init__(self):
-        object.__setattr__(self, "cost", self.weight * self.divisor)
+    cost: int                         # least total the unit adds: weight * divisor
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
     """Canonically ordered branching units at one positive level."""
-    groups = [_Group((1, 1), ((1, 1),), r, 1)]
+    groups = [_Group((1, 1), ((1, 1),), r, 1, r)]
     for d in range(2, max_d + 1):
-        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r, 2))
+        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r, 2, 2 * d * r))
     for d1 in range(2, max_d + 1):
-        groups.append(_Group((d1, d1), ((d1, d1),), math.lcm(d1 * d1, r), 1))
+        big = math.lcm(d1 * d1, r)
+        groups.append(_Group((d1, d1), ((d1, d1),), big, 1, big))
         for d2 in range(d1 + 1, max_d + 1):
-            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r), 2))
+            div = math.lcm(d1 * d2, r)
+            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), div, 2, 2 * div))
     groups.sort(key=lambda g: g.first)
     return groups
 
@@ -283,9 +281,10 @@ class _Search:
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
         self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
-        self.diag_groups = {
-            d: _Group((d, d), ((d, d),), math.lcm(d * d, r), 1) for d in [1, *self.diag0]
-        }
+        self.diag_groups = {}
+        for d in [1, *self.diag0]:
+            big = math.lcm(d * d, r)
+            self.diag_groups[d] = _Group((d, d), ((d, d),), big, 1, big)
         self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
         # Group indices by cost, so that an include step finds the groups
         # within its slack by bisection.
@@ -298,8 +297,6 @@ class _Search:
         # canonical (increasing first cell).
         self.support: dict[int, set[tuple[int, int]]] = {}
         self.placed: list[list[_Group]] = [[] for _ in range(bounds.max_level + 1)]
-        # phase 2 multipliers by (free costs, budget), for this search only
-        self.multipliers: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
         self._case_first_close: str | None = None
         self._case_nodes_start = 0
         self._case_found = False
@@ -457,10 +454,7 @@ class _Search:
             for level in range(n_max + 1)
             for g in self.placed[level][1 if level in (0, top) else 0:]
         ]
-        key = (tuple(g.cost for _, g in free), budget)
-        if key not in self.multipliers:
-            self.multipliers[key] = _multipliers(*key)
-        ks = self.multipliers[key]
+        ks = _multipliers(tuple(g.cost for _, g in free), budget)
         if ks is None:
             return None
         out = fixed
