@@ -15,8 +15,8 @@ analyze runs each stage once, handing its result to the later stages:
     a = dual_algebra(c)
     j = radical(a)
     chain = coradical_filtration(a, j)
-    comps = simple_components(c, a, j, chain.bases[0])
-    table = q_table(c, comps, chain)
+    comps, hits = simple_components(c, a, j, chain.bases[0])
+    table = q_table(comps, hits, chain)
 
 Block dimensions are basis invariants: they are ranks of canonically defined
 projectors on canonically defined quotients, so a change of basis of the
@@ -28,9 +28,16 @@ entries, and the hit actions are sparse maps applied in integer arithmetic.
 Tables handed to the trace form and hit maps are scaled to integers by one
 positive factor, which changes no kernel, rank or echelon form, so every
 result is exactly the one the rational arithmetic gives.  The semisimple
-quotient A/J is projected term by term, its central idempotents come from
-Krylov sequences tested fraction-free, and each component's dimension is a
-trace rather than a rank.
+quotient A/J is projected term by term and its constants scaled to
+integers once.  Its central idempotents are each one positive denominator
+times a sparse integer vector, refined by Krylov sequences tested
+fraction-free; a central element that cannot split an idempotent is
+detected on that idempotent's support alone.  Each component's dimension
+is a trace rather than a rank, its subspace is the one-sided hit of its
+idempotent on C_0, and its hit maps are built once and handed to q_table.
+Fraction appears only in the projection onto A/J, in scalars (the
+quotient's unit and each Lagrange factor) and in the stored idempotents and
+grouplikes.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .coalgebra import Algebra, Coalgebra, dual_algebra, validate
 from .rules import RuleViolation, check
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class NonSplitCoradicalError(ValueError):
@@ -148,13 +154,18 @@ class SimpleComponent:
         return self.d == 1
 
 
-def _quotient(a: Algebra, j_basis: list[list[int]]):
+def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[int]]:
     """Semisimple quotient A/J on the non-pivot coordinates of J's echelon form.
 
     The echelon rows are zero at every other pivot, so projecting a sparse
     product subtracts one row per pivot coordinate among its terms and reads
     the rest off the kept coordinates; with J = 0 the constants pass through
-    unchanged.
+    unchanged.  The projected constants are then scaled to integers by one
+    positive D, so the returned algebra has the product x o y = D * (x * y).
+    It is isomorphic to A/J through x -> D * x: its unit is u / D, its
+    idempotents are those of A/J divided by D, and its center, regular
+    traces of idempotents and ideals are those of A/J.  Returns the algebra,
+    D and the kept coordinates.
     """
     ech, pivots = linalg.echelon(j_basis)
     pivot_rows = {
@@ -176,92 +187,127 @@ def _quotient(a: Algebra, j_basis: list[list[int]]):
                     out[pos[u]] = out.get(pos[u], 0) - scale * y
         return out
 
-    def lift(w) -> list[Fraction]:
-        out = [ZERO] * a.dim
-        for t, i in enumerate(keep):
-            out[i] = Fraction(w[t])
-        return out
-
-    mult = []
+    images = []
     for s in keep:
-        row = {}
         for t, terms in a.mult[s].items():
             if t in pos:
-                image = tuple(sorted((u, x) for u, x in project(terms).items() if x))
+                image = sorted((u, x) for u, x in project(terms).items() if x)
                 if image:
-                    row[pos[t]] = image
-        mult.append(row)
+                    images.append((pos[s], pos[t], image))
+    den, consts = linalg.integral([x for _s, _t, image in images for _u, x in image])
+    mult: list[dict] = [{} for _ in keep]
+    scaled = iter(consts)
+    for s, t, image in images:
+        mult[s][t] = tuple((u, next(scaled)) for u, _x in image)
     unit = project((i, x) for i, x in enumerate(a.unit) if x)
-    quotient = Algebra(len(keep), tuple(mult), tuple(unit.get(t, ZERO) for t in range(len(keep))))
-    return quotient, lift
+    quotient = Algebra(
+        len(keep), tuple(mult), tuple(Fraction(unit.get(t, 0), den) for t in range(len(keep)))
+    )
+    return quotient, den, keep
 
 
 def _center(a: Algebra) -> list[list[int]]:
-    """Basis of {z : z * e_t = e_t * z for every t}, from the nonzero constants."""
-    # row (t, i) holds coordinate i of z * e_t - e_t * z as a function of z
-    rows: dict[tuple[int, int], list] = {}
+    """Basis of {z : z * e_t = e_t * z for every t}, from the nonzero constants.
+
+    Row (t, i) holds coordinate i of z * e_t - e_t * z as a function of z.
+    The rows are built sparse and each is kept once up to a scalar, since a
+    repeat adds nothing to the kernel: the comatrix dual M_d gives about
+    2d^3 nonzero rows, of which 3d(d-1)/2 are distinct.
+    """
+    rows: dict[tuple[int, int], dict[int, int]] = {}
     for s, row in enumerate(a.mult):
         for t, terms in row.items():
             for i, x in terms:
-                rows.setdefault((t, i), [0] * a.dim)[s] += x
-                rows.setdefault((s, i), [0] * a.dim)[t] -= x
-    return linalg.nullspace(list(rows.values()), ncols=a.dim)
+                left = rows.setdefault((t, i), {})
+                left[s] = left.get(s, 0) + x
+                right = rows.setdefault((s, i), {})
+                right[t] = right.get(t, 0) - x
+    distinct = set()
+    for row in rows.values():
+        support = sorted(k for k, x in row.items() if x)
+        if support:
+            distinct.add(tuple(zip(support, linalg.primitive([row[k] for k in support]))))
+    dense = []
+    for row in sorted(distinct):
+        v = [0] * a.dim
+        for k, x in row:
+            v[k] = x
+        dense.append(v)
+    return linalg.nullspace(dense, ncols=a.dim)
 
 
-def _krylov(a: Algebra, e, w) -> tuple[list, list[int] | None]:
-    """Powers e, w, w^2, ... of w in eA while they stay independent.
+def _krylov(a: Algebra, e: dict[int, int], z: list[int]) -> tuple[list, list[int]] | None:
+    """Powers e, e*z, e*z^2, ... in eA while they stay independent; None if there is one.
 
-    Each new power is tested against the earlier ones with the fraction-free
-    residue, the earlier powers' rows appended one at a time (each residue is
-    zero at the pivots before it, so the rows stay triangular).  Returns the
-    independent powers and, when there are two or more, the minimal
-    polynomial of w on eA: D * t^m - sum of D * c_i * t^i, where
-    (D, D * c) are the coordinates of the first dependent power w^m in the
+    e is a sparse integer vector {i: x}, den times an idempotent e', and z
+    is central, so e*z^k is den times w^k for w = e'*z: the powers of w in
+    e'A with e' as their unit, all scaled alike.  The first product is
+    formed on e's support alone and compared with e there, so a z that
+    cannot split e (w in Q*e') costs O(support) and gives None.  Otherwise
+    each power, as a dense vector, is tested against the earlier ones with
+    the fraction-free residue.  Returns the independent powers and the
+    minimal polynomial of w on e'A: D * t^m - sum of D * c_i * t^i, where
+    (D, D * c) are the coordinates of the first dependent power in the
     earlier ones.  D is their least common denominator, so the polynomial
-    is primitive with a positive leading coefficient.  A single power means
-    w lies in Q*e.
+    is primitive with a positive leading coefficient.
     """
-    powers, ech, pivots = [], [], []
-    power = e
-    while True:
-        row = linalg.residue(linalg.integral(power)[1], ech, pivots)
-        if not any(row):
-            break
-        row = linalg.primitive(row)
-        ech.append(row)
-        pivots.append(next(i for i, x in enumerate(row) if x))
+    w: dict[int, int] = {}
+    for j, x in e.items():
+        for k, terms in a.mult[j].items():
+            if z[k]:
+                s = x * z[k]
+                for i, cst in terms:
+                    w[i] = w.get(i, 0) + s * cst
+    j0, x0 = next(iter(e.items()))
+    ratio = w.get(j0, 0)  # w = (ratio / x0) * e if w is a multiple of e
+    if all(w.get(i, 0) * x0 == ratio * x for i, x in e.items()) and all(
+        i in e for i, y in w.items() if y
+    ):
+        return None
+    powers: list[list[int]] = []
+    ech: list[list[int]] = []
+    pivots: list[int] = []
+    power = [e.get(i, 0) for i in range(a.dim)]
+    while linalg.extend_echelon(ech, pivots, power):
         powers.append(power)
-        power = a.multiply(power, w) if len(powers) > 1 else w  # e * w = w
-    if len(powers) == 1:
-        return powers, None
+        power = a.multiply(power, z)
     den, coords = linalg.solve_coords(powers, power)
     return powers, [-x for x in coords] + [den]
 
 
-def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
-    """Primitive central idempotents of a split semisimple algebra.
+def _primitive_idempotents(a: Algebra) -> list[tuple[int, dict[int, int]]]:
+    """Primitive central idempotents of a split semisimple algebra, as (den, den * e).
 
-    Refines {1} by the spectrum of each central basis element z: on each
-    current idempotent e, w = e*z either lies in Q*e (z cannot split e, and
-    e is kept) or has a minimal polynomial on eA that must split into
-    distinct rational linear factors (else the input is not split over Q).
-    The finer idempotents are then the Lagrange interpolants f(w) of w at
-    its eigenvalues, each a combination of the stored powers of w, since
-    deg f is below their count.  Once there are as many idempotents as the
-    center has dimensions, the center is split and each of them is
-    primitive, so the later basis elements would only return them unchanged.
+    Each idempotent e is held as one positive integer den times a sparse
+    integer vector {i: x}; a has integer constants, so every product stays
+    an integer.  Refines {1} by the spectrum of each central basis element
+    z: on each current idempotent e, w = e*z either lies in Q*e (z cannot
+    split e, and e is kept) or has a minimal polynomial on eA that must
+    split into distinct rational linear factors (else the input is not
+    split over Q).  The finer idempotents are then the Lagrange
+    interpolants f(w) of w at its eigenvalues, each a combination of the
+    stored powers of w, since deg f is below their count.  For the
+    eigenvalue lam, f is s * g with g = prod over the other eigenvalues
+    mu = p/q of (q*t - p), an integer polynomial, and s = prod of
+    1 / (q * (lam - mu)); so g's combination of the powers is an integer
+    vector, divided by its gcd, and s only moves den.  Once there are as
+    many idempotents as the center has dimensions, the center is split and
+    each of them is primitive, so the later basis elements would only
+    return them unchanged.
     """
     center = _center(a)
-    idempotents = [list(a.unit)]
+    den, unit = linalg.integral(a.unit)
+    idempotents = [(den, {i: x for i, x in enumerate(unit) if x})]
     for z in center:
         if len(idempotents) == len(center):
             break
-        refined: list[list[Fraction]] = []
-        for e in idempotents:
-            powers, minpoly = _krylov(a, e, a.multiply(e, z))
-            if minpoly is None:
-                refined.append(e)
+        refined: list[tuple[int, dict[int, int]]] = []
+        for den, e in idempotents:
+            krylov = _krylov(a, e, z)
+            if krylov is None:
+                refined.append((den, e))
                 continue
+            powers, minpoly = krylov
             roots, split = linalg.rational_roots(minpoly)
             if not split:
                 raise NonSplitCoradicalError(
@@ -269,14 +315,23 @@ def _primitive_idempotents(a: Algebra) -> list[list[Fraction]]:
                     "an irrational spectrum)"
                 )
             for lam in roots:
-                # f = prod over the other roots mu of (t - mu) / (lam - mu)
-                f = [ONE]
+                g, s = [1], Fraction(1, den)
                 for mu in roots:
                     if mu != lam:
-                        f = [(lo - mu * hi) / (lam - mu)
-                             for lo, hi in zip([ZERO] + f, f + [ZERO])]
-                refined.append([sum(fk * p[i] for fk, p in zip(f, powers) if p[i])
-                                for i in range(a.dim)])
+                        p, q = mu.numerator, mu.denominator
+                        g = [q * hi - p * lo for lo, hi in zip(g + [0], [0] + g)]
+                        s /= q * (lam - mu)
+                v = [0] * a.dim
+                for gk, power in zip(g, powers):
+                    if gk:
+                        for i, x in enumerate(power):
+                            if x:
+                                v[i] += gk * x
+                content = math.gcd(*v)
+                s *= content
+                refined.append(
+                    (s.denominator, {i: s.numerator * (x // content) for i, x in enumerate(v) if x})
+                )
         idempotents = refined
     return idempotents
 
@@ -290,89 +345,118 @@ def _hit_maps(c: Coalgebra, f) -> tuple[list, list]:
     """The left and right hit actions of the functional f on c.
 
     v -> f applied to the left, respectively right, tensorand of Delta v.
-    Row i of a map lists the nonzero coordinates of the image of e_i as
-    (index, value) pairs, all scaled by one positive integer (the lcm of the
-    denominators of f times that of delta), so the maps are exact up to that
-    factor and need only integer arithmetic.
+    A map lists (i, image) for each basis vector e_i with a nonzero image,
+    the image as its nonzero (index, value) pairs, all scaled by one
+    positive integer (the lcm of the denominators of f times that of
+    delta), so the maps are exact up to that factor and need only integer
+    arithmetic.
     """
     _df, fs = linalg.integral(f)
     _dd, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
-    left: list[dict[int, int]] = [{} for _ in range(c.dim)]
-    right: list[dict[int, int]] = [{} for _ in range(c.dim)]
+    left: dict[int, dict[int, int]] = {}
+    right: dict[int, dict[int, int]] = {}
     for (i, j, k, _x), x in zip(c.delta, xs):
         if fs[j]:
-            left[i][k] = left[i].get(k, 0) + x * fs[j]
+            row = left.setdefault(i, {})
+            row[k] = row.get(k, 0) + x * fs[j]
         if fs[k]:
-            right[i][j] = right[i].get(j, 0) + x * fs[k]
-    return tuple(
-        [tuple((t, y) for t, y in row.items() if y) for row in m] for m in (left, right)
-    )
+            row = right.setdefault(i, {})
+            row[j] = row.get(j, 0) + x * fs[k]
+    maps = []
+    for m in (left, right):
+        images = ((i, tuple((t, y) for t, y in row.items() if y)) for i, row in m.items())
+        maps.append([(i, image) for i, image in images if image])
+    return tuple(maps)
 
 
 def _mat_apply(m, v) -> list[int]:
     """Apply a map in _hit_maps' sparse form to an integer vector."""
-    out = [0] * len(m)
-    for i, vi in enumerate(v):
+    out = [0] * len(v)
+    for i, image in m:
+        vi = v[i]
         if vi:
-            for t, y in m[i]:
+            for t, y in image:
                 out[t] += y * vi
     return out
 
 
-def _component_subspace(c: Coalgebra, e: list[Fraction], c0_basis) -> list[list[int]]:
-    lh, rh = _hit_maps(c, e)
-    return linalg.echelon([_mat_apply(lh, _mat_apply(rh, v)) for v in c0_basis])[0]
+def _component_subspace(left, c0_basis, size: int) -> list[list[int]]:
+    """Echelon basis of e -> C_0, from the left hit map of e, found from size images.
+
+    On C_0, e is the counit on its own simple subcoalgebra and zero on the
+    others, so e hits C_0 onto that subcoalgebra from either side alone, and
+    the images of the C_0 basis are taken until size of them are independent.
+    """
+    ech: list[list[int]] = []
+    pivots: list[int] = []
+    for v in c0_basis:
+        if len(ech) == size:
+            break
+        linalg.extend_echelon(ech, pivots, _mat_apply(left, v))
+    return linalg.echelon(ech)[0]
 
 
 def simple_components(
     c: Coalgebra, a: Algebra, j_basis: list[list[int]], c0_basis
-) -> list[SimpleComponent]:
-    """Simple subcoalgebra classes of the coradical, canonically ordered.
+) -> tuple[list[SimpleComponent], dict[str, tuple[list, list]]]:
+    """Simple subcoalgebra classes of the coradical, canonically ordered, and their hit maps.
 
     a is the dual algebra of c, j_basis its radical and c0_basis the
     coradical C_0 (the filtration's first level).  Requires the dual's
     semisimple quotient to split over Q into full matrix components;
     otherwise NonSplitCoradicalError is raised.  Grouplike components are
     labelled by their basis vector when the grouplike element is one, else
-    g0, g1, ...; larger components get s0, s1, ...
+    g0, g1, ...; larger components get s0, s1, ...  Also returns, by label,
+    the left and right hit maps of each component's idempotent (_hit_maps'
+    form), which q_table applies.
 
     Each primitive central idempotent e of A/J gives one component, of
     dimension rank(e * A/J) = trace(L_e), read off the regular traces of the
     quotient's basis in one pass.  Primitive central idempotents are unique
     and the components are sorted on (d, echelon subspace), so the result
-    does not depend on how the idempotents are found.
+    does not depend on how the idempotents are found.  Everything up to the
+    stored idempotents and grouplikes runs on integers: an idempotent is one
+    positive denominator times an integer vector, and the counit is scaled
+    to integers once.
     """
-    quotient, lift = _quotient(a, j_basis)
+    quotient, scale, keep = _quotient(a, j_basis)
     traces = _regular_traces(quotient)
+    counit_den, counit = linalg.integral(c.counit)
     raw = []
-    for e_bar in _primitive_idempotents(quotient):
-        e = lift(e_bar)
+    for den, e_bar in _primitive_idempotents(quotient):
         # L_e is idempotent, so rank(e * A/J) = trace(L_e)
-        ideal_rank = int(sum(x * t for x, t in zip(e_bar, traces) if x))
+        ideal_rank = sum(x * traces[t] for t, x in e_bar.items()) // den
         d = math.isqrt(ideal_rank)
         if d * d != ideal_rank:
             raise NonSplitCoradicalError(
                 "non-split coradical; extend scalars (a simple component has "
                 f"dimension {ideal_rank}, not a perfect square)"
             )
-        subspace = _component_subspace(c, e, c0_basis)
+        # the idempotent of A/J is scale * e_bar / den, lifted by zeros at J's pivots
+        e = [0] * c.dim
+        for t, x in e_bar.items():
+            e[keep[t]] = x
+        hits = _hit_maps(c, e)
+        subspace = _component_subspace(hits[0], c0_basis, ideal_rank)
         if len(subspace) != ideal_rank:
             raise AssertionError("component subspace rank mismatch")
         grouplike = None
         if d == 1:
-            v = [Fraction(x) for x in subspace[0]]
-            eps = sum(c.counit[i] * v[i] for i in range(c.dim))
+            v = subspace[0]
+            eps = sum(x * y for x, y in zip(counit, v) if y)
             if eps == 0:
                 raise AssertionError("grouplike component with vanishing counit")
-            grouplike = tuple(x / eps for x in v)
-        raw.append((d, tuple(tuple(r) for r in subspace), tuple(e), grouplike))
-    if sum(d * d for d, _s, _e, _g in raw) != len(c0_basis):
+            # v / counit(v), with counit(v) = eps / counit_den
+            grouplike = tuple(Fraction(x * counit_den, eps) if x else ZERO for x in v)
+        idempotent = tuple(Fraction(scale * x, den) if x else ZERO for x in e)
+        raw.append((d, tuple(tuple(r) for r in subspace), idempotent, grouplike, hits))
+    if sum(d * d for d, *_rest in raw) != len(c0_basis):
         raise AssertionError("central idempotents do not fill the coradical")
     raw.sort(key=lambda t: (t[0], t[1]))
     comps = []
     counters = {"g": 0, "s": 0}
     used = set()
-    for d, _sig, e, grouplike in raw:
+    for d, _sig, e, grouplike, hits in raw:
         if grouplike is not None:
             label = None
             for i, x in enumerate(grouplike):
@@ -388,23 +472,23 @@ def simple_components(
         while label in used:
             label += "'"
         used.add(label)
-        comps.append(SimpleComponent(label, d, e, grouplike))
-    comps.sort(key=lambda s: (s.d, s.label))
-    return comps
+        comps.append((SimpleComponent(label, d, e, grouplike), hits))
+    comps.sort(key=lambda t: (t[0].d, t[0].label))
+    return [s for s, _h in comps], {s.label: h for s, h in comps}
 
 
 def q_table(
-    c: Coalgebra, comps: list[SimpleComponent], chain: FiltrationChain
+    comps: list[SimpleComponent], hits: dict[str, tuple[list, list]], chain: FiltrationChain
 ) -> dict[tuple[int, str, str], int]:
-    """Isotypic dimensions of the filtration quotients of c.
+    """Isotypic dimensions of the filtration quotients of the coalgebra.
 
     (n, tau, mu) -> dimension of the part of C_n/C_{n-1} whose left coaction
     lands in component tau and right coaction in component mu; computed as the
-    rank of the composed hit-action projectors modulo C_{n-1}.  Zero entries
-    are omitted.
+    rank of the composed hit-action projectors modulo C_{n-1}.  hits holds
+    each component's left and right hit maps, as simple_components returns
+    them.  Zero entries are omitted.
     """
     table: dict[tuple[int, str, str], int] = {}
-    hits = {s.label: _hit_maps(c, s.idempotent) for s in comps}
     for n in range(1, len(chain)):
         below = [list(v) for v in chain.bases[n - 1]]
         ech_below, piv_below = linalg.echelon(below)
@@ -535,8 +619,8 @@ def analyze(c: Coalgebra, flags) -> AnalysisResult:
     a = dual_algebra(c)
     j_basis = radical(a)
     chain = coradical_filtration(a, j_basis)
-    comps = simple_components(c, a, j_basis, chain.bases[0])
-    table = q_table(c, comps, chain)
+    comps, hits = simple_components(c, a, j_basis, chain.bases[0])
+    table = q_table(comps, hits, chain)
     dims = {s.label: s.d for s in comps}
     blocks: dict[BlockIndex, int] = {}
     for s in comps:

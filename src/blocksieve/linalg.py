@@ -7,9 +7,10 @@ kernels, coordinates and inverses then run on integers only, by
 cross-multiplication.  Pivot selection takes the lowest row index with a
 nonzero entry in the current column, and each result has a unique normal
 form, so outputs are deterministic and equal to those of rational
-arithmetic.  Fraction remains only in the small polynomial toolkit below:
-rational-root extraction via Hensel lifting, so that fully split
-polynomials never require factoring their (potentially huge) constant terms.
+arithmetic.  The polynomial toolkit below is integral too: squarefree parts
+come from pseudo-remainder sequences, and rational roots from Hensel lifting,
+so that fully split polynomials never require factoring their (potentially
+huge) constant terms.  Fraction appears only in the roots it returns.
 """
 
 from __future__ import annotations
@@ -112,6 +113,21 @@ def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
     return v
 
 
+def extend_echelon(ech: list[list[int]], pivots: list[int], v) -> bool:
+    """Append the residue of the integer v to ech if it is nonzero; return whether it was.
+
+    The appended row is primitive and zero at every earlier pivot, so ech
+    and pivots stay in the form residue() needs, and a False return means v
+    lies in the span of the rows.
+    """
+    row = residue(v, ech, pivots)
+    if not any(row):
+        return False
+    ech.append(primitive(row))
+    pivots.append(next(col for col, x in enumerate(row) if x))
+    return True
+
+
 def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
     """Primitive integer basis of {x : M x = 0}, one vector per free column.
 
@@ -163,45 +179,7 @@ def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
     return den, coords
 
 
-# -- polynomials over Q, coefficients ascending ------------------------------
-
-
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_divmod(p, q):
-    p = [Fraction(x) for x in p]
-    q = [Fraction(x) for x in q]
-    poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while len(p) >= len(q):
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[i + k] -= c * b
-        poly_trim(p)
-    return poly_trim(quot), p
-
-
-def poly_gcd(p, q):
-    p = poly_trim([Fraction(x) for x in p])
-    q = poly_trim([Fraction(x) for x in q])
-    while q:
-        p, q = q, poly_divmod(p, q)[1]
-    if p:
-        lead = p[-1]
-        p = [x / lead for x in p]
-    return p
-
-
-def poly_deriv(p):
-    return poly_trim([Fraction(i) * p[i] for i in range(1, len(p))])
+# -- integer polynomials, coefficients ascending -----------------------------
 
 
 def poly_int(p) -> list[int]:
@@ -209,12 +187,59 @@ def poly_int(p) -> list[int]:
     return primitive(integral(p)[1][::-1])[::-1]
 
 
-# -- rational roots by Hensel lifting ----------------------------------------
+def _poly_prem(p: list[int], q: list[int]) -> list[int]:
+    """Pseudo-remainder of p by q: the remainder of lead(q)^k * p, in integers."""
+    p = list(p)
+    lead = q[-1]
+    while len(p) >= len(q):
+        top, shift = p[-1], len(p) - len(q)
+        p = [lead * x for x in p]
+        for i, y in enumerate(q):
+            p[i + shift] -= top * y
+        while p and p[-1] == 0:
+            p.pop()
+    return p
 
-_SMALL_PRIMES = [
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-]
+
+def _poly_exact_quotient(p: list[int], q: list[int]) -> list[int]:
+    """p / q for integer polynomials where q is primitive and divides p over Q.
+
+    By Gauss's lemma the quotient then has integer coefficients, so every
+    step of the long division is an exact integer division.
+    """
+    p = list(p)
+    quot = [0] * (len(p) - len(q) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        x = quot[shift] = p[shift + len(q) - 1] // q[-1]
+        for i, y in enumerate(q):
+            p[i + shift] -= x * y
+    return quot
+
+
+def _squarefree_part(p: list[int]) -> list[int]:
+    """p / gcd(p, p'), primitive with a positive leading coefficient.
+
+    The gcd comes from the primitive pseudo-remainder sequence of p and p',
+    so every coefficient stays an integer.
+    """
+    p = poly_int(p)
+    g, h = p, poly_int([i * x for i, x in enumerate(p)][1:])
+    while h:
+        r = _poly_prem(g, h)
+        g, h = h, (poly_int(r) if r else [])
+    return poly_int(_poly_exact_quotient(p, g))
+
+
+def _odd_primes():
+    """3, 5, 7, 11, ... without end, by trial division."""
+    n = 3
+    while True:
+        if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            yield n
+        n += 2
+
+
+# -- rational roots by Hensel lifting ----------------------------------------
 
 
 def _poly_eval_mod(p: list[int], x: int, m: int) -> int:
@@ -246,9 +271,10 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     """(all rational roots of p, whether p splits into linear factors over Q).
 
     p has integer coefficients, ascending.  Multiplicities are ignored: roots
-    come from the squarefree part.  Root extraction lifts the roots modulo a
-    small prime to high p-adic precision and reconstructs p/q, so no large
-    integer is ever factored.
+    come from the squarefree part, found in integers.  Root extraction lifts
+    the roots modulo the first odd prime that keeps them simple to high
+    p-adic precision and reconstructs p/q, so no large integer is ever
+    factored.
     """
     p = [int(c) for c in p]
     while p and p[-1] == 0:
@@ -257,8 +283,7 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
         raise ValueError("zero polynomial has every root")
     if len(p) == 1:
         return [], True
-    frac = [Fraction(c) for c in p]
-    sqfree = poly_int(poly_divmod(frac, poly_gcd(frac, poly_deriv(frac)))[0])
+    sqfree = _squarefree_part(p)
     zero_roots: list[Fraction] = []
     if sqfree[0] == 0:
         zero_roots.append(Fraction(0))
@@ -273,24 +298,18 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
         return sorted(zero_roots + [Fraction(-sqfree[0], sqfree[1])]), True
     lead = abs(sqfree[-1])
     bound = lead + max(abs(c) for c in sqfree)  # >= |p| and >= q for any root p/q
-    prime = None
-    for cand in _SMALL_PRIMES:
-        if sqfree[-1] % cand == 0:
-            continue
-        dp = [(i * sqfree[i]) % cand for i in range(1, len(sqfree))]
-        # squarefree mod cand iff gcd(f, f') = 1 there; test by common roots
-        # plus degree drop of the derivative
-        if all(
-            _poly_eval_mod(sqfree, x, cand) != 0 or _poly_eval_mod(dp, x, cand) % cand != 0
-            for x in range(cand)
-        ):
-            prime = cand
-            break
-    if prime is None:
-        raise ArithmeticError("no small prime keeps the polynomial squarefree")
+    dp_int = [i * sqfree[i] for i in range(1, len(sqfree))]
+    # the first odd prime that keeps the leading coefficient and leaves no
+    # root repeated modulo it; every prime that fails divides
+    # lead * disc(sqfree), which is nonzero, so the search ends
+    prime = next(
+        cand for cand in _odd_primes()
+        if sqfree[-1] % cand
+        and all(_poly_eval_mod(sqfree, x, cand) or _poly_eval_mod(dp_int, x, cand)
+                for x in range(cand))
+    )
     modulus_target = 2 * bound * bound + 1
     residues = [x for x in range(prime) if _poly_eval_mod(sqfree, x, prime) == 0]
-    dp_int = [i * sqfree[i] for i in range(1, len(sqfree))]
     found: list[Fraction] = []
     for x in residues:
         m = prime

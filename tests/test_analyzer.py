@@ -110,7 +110,7 @@ class TestHitMaps:
                 for left, sparse in zip((True, False), maps):
                     ref = _dense_hit(c, f, left)
                     got = [[Fraction(0)] * c.dim for _ in range(c.dim)]
-                    for i, image in enumerate(sparse):
+                    for i, image in sparse:
                         for t, y in image:
                             assert isinstance(y, int) and y != 0
                             got[t][i] = Fraction(y)
@@ -227,12 +227,18 @@ def corpus_and_variants(corpus_dir, per_item=2):
 
 
 def semisimple_quotient(c):
+    """A/J with its constants scaled to integers, as simple_components builds it."""
     a = dual_algebra(c)
     return _quotient(a, radical(a))[0]
 
 
 def unit_vectors(n):
     return [[F(int(t == s)) for t in range(n)] for s in range(n)]
+
+
+def idempotent_vectors(q):
+    """_primitive_idempotents(q) as dense rational vectors: each (den, den * e) as e."""
+    return [[F(e.get(i, 0), den) for i in range(q.dim)] for den, e in _primitive_idempotents(q)]
 
 
 class TestPrimitiveIdempotents:
@@ -243,7 +249,7 @@ class TestPrimitiveIdempotents:
         ]
         for c in cases:
             q = semisimple_quotient(c)
-            idems = _primitive_idempotents(q)
+            idems = idempotent_vectors(q)
             zero = [0] * q.dim
             for i, e in enumerate(idems):
                 assert q.multiply(e, e) == e
@@ -261,7 +267,7 @@ class TestTraceRank:
             q = semisimple_quotient(c)
             traces = _regular_traces(q)
             ranks = []
-            for e in _primitive_idempotents(q):
+            for e in idempotent_vectors(q):
                 dense = linalg.rank([q.multiply(e, b) for b in unit_vectors(q.dim)])
                 assert sum(x * t for x, t in zip(e, traces)) == dense
                 ranks.append(dense)

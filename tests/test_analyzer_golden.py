@@ -5,6 +5,12 @@ the six corpus coalgebras and three seeded random-basis variants of each,
 under PLAIN, NON_COSEMISIMPLE and NSP.  The digests were recorded before the
 analyzer's simple-component stage was reworked for speed; a change that
 only makes the analyzer faster must leave every one of them unchanged.
+
+The corpus has at most four simple components, so a second table pins
+inputs with many: tensor products of grouplike, comatrix, Sweedler and
+S3-dual coalgebras (up to 24 components), two seeded random-basis variants
+of g3 (x) g4, and 40 grouplikes, under PLAIN and NSP.  Those digests were
+recorded before the simple-component stage moved to integer arithmetic.
 """
 
 import hashlib
@@ -13,7 +19,13 @@ import random
 
 from blocksieve.analyzer import analyze
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN
-from blocksieve.coalgebra import change_basis, parse_coalgebra
+from blocksieve.coalgebra import change_basis, parse_coalgebra, tensor_product
+from blocksieve.corpus import (
+    grouplike_coalgebra,
+    matrix_coalgebra,
+    s3_dual_coalgebra,
+    sweedler_coalgebra,
+)
 
 from conftest import random_change_of_basis
 
@@ -110,3 +122,48 @@ def test_analyze_output_matches_recorded_digests(corpus_dir):
                 text = json.dumps(analyze(coalgebra, flags).as_json_dict(), sort_keys=True)
                 got[f"{name}:{flag_name}"] = hashlib.sha256(text.encode()).hexdigest()
     assert got == DIGESTS
+
+
+MANY_COMPONENT_DIGESTS = {
+    "g2*g3*g4:PLAIN": "ba7c89bbd6f91227bb46dff8f480567bb03e40b8675a31b177e6039cdcc22f59",
+    "g2*g3*g4:NSP": "08067039d6f943f01a54a3b2bf58c6bca8d42ed304752142ba676da5b3e484e2",
+    "g4*s3_dual:PLAIN": "35ad865dbd0b047d367db39bf03fad1884718fe2876a39893694dbde50ff1106",
+    "g4*s3_dual:NSP": "af106fc03ae0ff47a4f36dd16af4d84f5ba892a00a41d090b8d513c93849e7b8",
+    "matrix2*s3_dual:PLAIN": "f256f56299990f52a6d8ed766e95563c63733e96bbf86e07ff47b2e999bb8c91",
+    "matrix2*s3_dual:NSP": "2f7eec4bc79dee6948804d54e0c8fca12f4727ee39dbcf80aab0dd60a0ac59e0",
+    "sweedler4*s3_dual:PLAIN": "acbb76d4d52adf9957c9f550b610ff06fc127da28cb017c311801f92fccc2699",
+    "sweedler4*s3_dual:NSP": "c95551c328900e4cf9ad5163468303ce6f30c8f2e0f7c4cb933a6c9b974ce64b",
+    "g2*g3*sweedler4:PLAIN": "1e1e2421be7e170970f18ae8a8cab5f78f5316269f1aec123d0d7ca294ca9633",
+    "g2*g3*sweedler4:NSP": "49981ce65c7ffa571ad7d57e2352d0faf5097e7104b6af4c920c4f2cd5f100f6",
+    "g3*g4#0:PLAIN": "0550b62a57afdf3d9c8260882dabe9db5a802b3bf8d42f35700b8b94317f2c76",
+    "g3*g4#0:NSP": "bc2db8a310ec0db4954b0045de3844f59383c24bfa18dbd210ec3a745fce6e8c",
+    "g3*g4#1:PLAIN": "e5d509d7922875d0cda81e044c19d127fd6e81dd67cb32f977b0c2103010b44a",
+    "g3*g4#1:NSP": "028f3b9baab4dc84b83bc076eea2ff1383e968b935d0100f2a8094b820f025f3",
+    "grouplike40:PLAIN": "f60455df886f6f25d1474ba2066093b37ee615d669a2f7df91d402c6b6b46e97",
+    "grouplike40:NSP": "4262b399b34ee4d9287eb0cda0be3a6890b0a163f5fe5a17e0cdcbaf3a25f33a",
+}
+
+
+def many_component_cases():
+    g = grouplike_coalgebra
+    rng = random.Random(2018)
+    g3_g4 = tensor_product(g(3), g(4))
+    return [
+        ("g2*g3*g4", tensor_product(tensor_product(g(2), g(3)), g(4))),
+        ("g4*s3_dual", tensor_product(g(4), s3_dual_coalgebra())),
+        ("matrix2*s3_dual", tensor_product(matrix_coalgebra(2), s3_dual_coalgebra())),
+        ("sweedler4*s3_dual", tensor_product(sweedler_coalgebra(), s3_dual_coalgebra())),
+        ("g2*g3*sweedler4", tensor_product(tensor_product(g(2), g(3)), sweedler_coalgebra())),
+    ] + [
+        (f"g3*g4#{b}", change_basis(g3_g4, random_change_of_basis(rng, g3_g4.dim)))
+        for b in range(2)
+    ] + [("grouplike40", g(40))]
+
+
+def test_many_component_outputs_match_recorded_digests():
+    got = {}
+    for name, coalgebra in many_component_cases():
+        for flag_name in ("PLAIN", "NSP"):
+            text = json.dumps(analyze(coalgebra, FLAGS[flag_name]).as_json_dict(), sort_keys=True)
+            got[f"{name}:{flag_name}"] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == MANY_COMPONENT_DIGESTS

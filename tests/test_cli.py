@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from blocksieve.analyzer import MAX_ANALYZE_DIM
 from blocksieve.blocks import MAX_BLOCK_LEVEL, serialize_block_system
@@ -261,6 +264,19 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"above the analyzer's limit of {MAX_ANALYZE_DIM}" in captured.err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_blocksieve_matches_main(self, corpus_dir, capsys):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for args in (["analyze", str(corpus_dir / "sweedler4.json")],
+                     ["analyze", str(corpus_dir / "sweedler4.json"), "--no-skew-primitives"]):
+            proc = subprocess.run([sys.executable, "-m", "blocksieve", *args],
+                                  capture_output=True, text=True, env=env, check=False,
+                                  timeout=120)
+            code = main(args)
+            assert (proc.stdout, proc.returncode) == (capsys.readouterr().out, code)
 
 
 class TestDeterminism:

@@ -212,3 +212,163 @@ class TestRationalRoots:
         roots, split = linalg.rational_roots(linalg.poly_int(poly))
         assert split
         assert roots == sorted([Fraction(-7), Fraction(5, 3), Fraction(2), Fraction(13)])
+
+    def test_split_polynomial_of_degree_200(self):
+        # every odd prime below 200 repeats a root of prod (t - k), so the
+        # Hensel prime has to come from past any fixed small-prime list
+        poly = [1]
+        for k in range(1, 201):
+            poly = [hi - k * lo for lo, hi in zip(poly + [0], [0] + poly)]
+        roots, split = linalg.rational_roots(poly)
+        assert split
+        assert roots == [Fraction(k) for k in range(1, 201)]
+
+
+# -- Fraction reference for rational_roots -------------------------------------
+#
+# The root finder as it stood with a Fraction squarefree part and a fixed
+# list of small Hensel primes; it agrees with the integer version wherever one
+# of those primes works, which holds for every polynomial generated below.
+
+_REF_PRIMES = [
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+]
+
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_divmod(p, q):
+    p = _ref_trim([Fraction(x) for x in p])
+    q = _ref_trim([Fraction(x) for x in q])
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
+        c = p[-1] / q[-1]
+        k = len(p) - len(q)
+        quot[k] = c
+        for i, b in enumerate(q):
+            p[i + k] -= c * b
+        _ref_trim(p)
+    return _ref_trim(quot), p
+
+
+def _ref_gcd(p, q):
+    p = _ref_trim([Fraction(x) for x in p])
+    q = _ref_trim([Fraction(x) for x in q])
+    while q:
+        p, q = q, _ref_divmod(p, q)[1]
+    return [x / p[-1] for x in p] if p else p
+
+
+def _ref_eval_mod(p, x, m):
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _ref_reconstruct(a, m, bound):
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    p, q = r1, s1
+    if q == 0:
+        return None
+    if q < 0:
+        p, q = -p, -q
+    if q > bound or math.gcd(p, q) != 1:
+        return None
+    return p, q
+
+
+def _ref_rational_roots(p):
+    p = _ref_trim([int(c) for c in p])
+    if len(p) == 1:
+        return [], True
+    frac = [Fraction(c) for c in p]
+    deriv = _ref_trim([Fraction(i) * frac[i] for i in range(1, len(frac))])
+    sqfree = linalg.poly_int(_ref_divmod(frac, _ref_gcd(frac, deriv))[0])
+    zero_roots = []
+    if sqfree[0] == 0:
+        zero_roots.append(Fraction(0))
+        k = 1
+        while sqfree[k] == 0:
+            k += 1
+        sqfree = sqfree[k:]
+    deg = len(sqfree) - 1
+    if deg == 0:
+        return zero_roots, True
+    if deg == 1:
+        return sorted(zero_roots + [Fraction(-sqfree[0], sqfree[1])]), True
+    bound = abs(sqfree[-1]) + max(abs(c) for c in sqfree)
+    prime = None
+    for cand in _REF_PRIMES:
+        if sqfree[-1] % cand == 0:
+            continue
+        dp = [(i * sqfree[i]) % cand for i in range(1, len(sqfree))]
+        if all(_ref_eval_mod(sqfree, x, cand) != 0 or _ref_eval_mod(dp, x, cand) != 0
+               for x in range(cand)):
+            prime = cand
+            break
+    if prime is None:
+        raise ArithmeticError("no small prime keeps the polynomial squarefree")
+    target = 2 * bound * bound + 1
+    dp_int = [i * sqfree[i] for i in range(1, len(sqfree))]
+    found = []
+    for x in [x for x in range(prime) if _ref_eval_mod(sqfree, x, prime) == 0]:
+        m = prime
+        while m < target:
+            m_next = m * m
+            inv = pow(_ref_eval_mod(dp_int, x, m_next), -1, m_next)
+            x = (x - _ref_eval_mod(sqfree, x, m_next) * inv) % m_next
+            m = m_next
+        rec = _ref_reconstruct(x, m, bound)
+        if rec is None:
+            continue
+        num, den = rec
+        if sum(c * num**i * den ** (deg - i) for i, c in enumerate(sqfree)) == 0:
+            found.append(Fraction(num, den))
+    found = sorted(set(found))
+    return sorted(zero_roots + found), len(found) == deg
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _random_factored_polynomial(rng):
+    """A product of (q*t - p) factors with multiplicities, maybe t^k, quadratics and content."""
+    poly = [rng.choice([1, -1]) * rng.randint(1, 6)]  # content > 1, either sign
+    for _ in range(rng.randint(0, 6)):
+        num, den = rng.randint(-12, 12), rng.randint(1, 4)
+        g = math.gcd(num, den)
+        for _ in range(rng.randint(1, 3)):
+            poly = _poly_mul(poly, [-num // g, den // g])
+    if rng.random() < 0.3:
+        poly = [0] * rng.randint(1, 3) + poly
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        # t^2 + a with a > 0, or t^2 - a for a non-square a
+        a = rng.choice([1, 2, 3, 5, 7])
+        quad = [a, 0, 1] if rng.random() < 0.5 else [-a - (a == 1), 0, 1]
+        scale = rng.randint(1, 3)
+        poly = _poly_mul(poly, [scale * c for c in quad])
+    return poly
+
+
+class TestRationalRootsAgainstFractionReference:
+    def test_two_hundred_seeded_products(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            poly = _random_factored_polynomial(rng)
+            assert linalg.rational_roots(poly) == _ref_rational_roots(poly), poly
