@@ -341,21 +341,22 @@ def _regular_traces(a: Algebra) -> list:
     return [sum(x for k, terms in row.items() for i, x in terms if i == k) for row in a.mult]
 
 
-def _hit_maps(c: Coalgebra, f) -> tuple[list, list]:
-    """The left and right hit actions of the functional f on c.
+def _hit_maps(delta: list[tuple[int, int, int, int]], f) -> tuple[list, list]:
+    """The left and right hit actions of the functional f on a coalgebra.
 
-    v -> f applied to the left, respectively right, tensorand of Delta v.
-    A map lists (i, image) for each basis vector e_i with a nonzero image,
-    the image as its nonzero (index, value) pairs, all scaled by one
-    positive integer (the lcm of the denominators of f times that of
-    delta), so the maps are exact up to that factor and need only integer
-    arithmetic.
+    delta is the coalgebra's table with its constants scaled to integers
+    by one positive factor, as simple_components builds it once for every
+    component.  v -> f applied to the left, respectively right, tensorand
+    of Delta v.  A map lists (i, image) for each basis vector e_i with a
+    nonzero image, the image as its nonzero (index, value) pairs, all
+    scaled by one positive integer (the lcm of the denominators of f times
+    delta's factor), so the maps are exact up to that factor and need only
+    integer arithmetic.
     """
     _df, fs = linalg.integral(f)
-    _dd, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
     left: dict[int, dict[int, int]] = {}
     right: dict[int, dict[int, int]] = {}
-    for (i, j, k, _x), x in zip(c.delta, xs):
+    for i, j, k, x in delta:
         if fs[j]:
             row = left.setdefault(i, {})
             row[k] = row.get(k, 0) + x * fs[j]
@@ -416,12 +417,14 @@ def simple_components(
     and the components are sorted on (d, echelon subspace), so the result
     does not depend on how the idempotents are found.  Everything up to the
     stored idempotents and grouplikes runs on integers: an idempotent is one
-    positive denominator times an integer vector, and the counit is scaled
-    to integers once.
+    positive denominator times an integer vector, and the counit and delta
+    are each scaled to integers once, however many components there are.
     """
     quotient, scale, keep = _quotient(a, j_basis)
     traces = _regular_traces(quotient)
     counit_den, counit = linalg.integral(c.counit)
+    _dd, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
+    delta = [(i, j, k, x) for (i, j, k, _x), x in zip(c.delta, xs)]
     raw = []
     for den, e_bar in _primitive_idempotents(quotient):
         # L_e is idempotent, so rank(e * A/J) = trace(L_e)
@@ -436,7 +439,7 @@ def simple_components(
         e = [0] * c.dim
         for t, x in e_bar.items():
             e[keep[t]] = x
-        hits = _hit_maps(c, e)
+        hits = _hit_maps(delta, e)
         subspace = _component_subspace(hits[0], c0_basis, ideal_rank)
         if len(subspace) != ideal_rank:
             raise AssertionError("component subspace rank mismatch")

@@ -8,9 +8,10 @@ transposing the comultiplication constants; that duality is how the analyzer
 reaches the coradical.
 
 Both tables stay sparse: the dual algebra keeps exactly the nonzero entries
-of delta, and the coassociativity check runs over delta scaled to integers
-by the lcm of its denominators.  Scaling by one positive integer changes no
-verdict, so exactness is unchanged.
+of delta, and validate checks both axioms in integers, on delta scaled by the
+lcm D of its denominators and the counit by the lcm E of its own, so the
+sides of the counit law scale by D * E.  Scaling by one positive integer
+changes no verdict, so exactness is unchanged.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Coalgebra:
         if len(self.counit) != self.dim:
             raise ValueError("counit vector must match dim")
         object.__setattr__(self, "basis", tuple(str(s) for s in self.basis))
-        object.__setattr__(self, "counit", tuple(Fraction(x) for x in self.counit))
+        object.__setattr__(self, "counit", tuple(
+            x if isinstance(x, Fraction) else Fraction(x) for x in self.counit
+        ))
         seen = set()
         norm = []
         for (i, j, k, c) in self.delta:
@@ -78,7 +81,8 @@ class Coalgebra:
             if (i, j, k) in seen:
                 raise ValueError(f"duplicate delta entry ({i},{j},{k})")
             seen.add((i, j, k))
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c == 0:
                 raise ValueError(f"zero coefficient at delta entry ({i},{j},{k})")
             norm.append((i, j, k, c))
@@ -94,9 +98,14 @@ def validate(c: Coalgebra) -> list[str]:
 
     Returns [] when both axioms hold; otherwise one message per broken axiom
     naming the first basis index where it fails.  Failures are data, not
-    errors.  Both laws are checked on delta scaled to integers by the lcm D
-    of its denominators: each side of coassociativity scales by D^2 and each
-    side of the counit law by D, so the verdicts are those of the rationals.
+    errors.  Both laws run in integers: delta is scaled by the lcm D of its
+    denominators and the counit by the lcm E of its own, so each side of
+    coassociativity scales by D^2 and each side of the counit law by D * E,
+    and the verdicts are those of the rationals.  On e_i the terms of
+    (Delta (x) id) Delta are added to one accumulator and those of
+    (id (x) Delta) Delta subtracted from it, keyed by the triple (a, b, c)
+    as the integer (a * n + b) * n + c; the axiom holds at i iff every
+    value is 0.
     """
     n = c.dim
     den, scaled = integral([x for (_i, _j, _k, x) in c.delta])
@@ -105,29 +114,35 @@ def validate(c: Coalgebra) -> list[str]:
         rows[i].append((j, k, x))
     failures: list[str] = []
 
+    # a term (a, b, y) of row j lands at key (a*n + b)*n + k on the left, and
+    # a term (u, v, y) of row k at key j*n*n + (u*n + v) on the right
+    left_keys = [[((a * n + b) * n, y) for a, b, y in row] for row in rows]
+    right_keys = [[(u * n + v, y) for u, v, y in row] for row in rows]
+    nn = n * n
     for i in range(n):
-        # (Delta (x) id) Delta vs (id (x) Delta) Delta on e_i
-        lhs: dict[tuple[int, int, int], int] = {}
-        rhs: dict[tuple[int, int, int], int] = {}
+        acc: dict[int, int] = {}
         for j, k, x in rows[i]:
-            for a, b, y in rows[j]:
-                key = (a, b, k)
-                lhs[key] = lhs.get(key, 0) + x * y
-            for u, v, y in rows[k]:
-                key = (j, u, v)
-                rhs[key] = rhs.get(key, 0) + x * y
-        if any(lhs.get(t, 0) != rhs.get(t, 0) for t in lhs.keys() | rhs.keys()):
+            for key, y in left_keys[j]:
+                key += k
+                acc[key] = acc.get(key, 0) + x * y
+            offset = j * nn
+            for key, y in right_keys[k]:
+                key += offset
+                acc[key] = acc.get(key, 0) - x * y
+        if any(acc.values()):
             failures.append(
                 f"coassociativity fails at basis index {i} ({c.basis[i]})"
             )
             break
+    counit_den, eps = integral(c.counit)
+    unit = den * counit_den
     for i in range(n):
-        left: list = [0] * n
-        right: list = [0] * n
+        left: list[int] = [0] * n
+        right: list[int] = [0] * n
         for j, k, x in rows[i]:
-            left[k] += x * c.counit[j]
-            right[j] += x * c.counit[k]
-        want = [den if t == i else 0 for t in range(n)]
+            left[k] += x * eps[j]
+            right[j] += x * eps[k]
+        want = [unit if t == i else 0 for t in range(n)]
         if left != want or right != want:
             failures.append(f"counit law fails at basis index {i} ({c.basis[i]})")
             break

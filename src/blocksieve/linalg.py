@@ -242,6 +242,10 @@ def _odd_primes():
 # -- rational roots by Hensel lifting ----------------------------------------
 
 
+def _poly_mod(p: list[int], m: int) -> list[int]:
+    return [c % m for c in p]
+
+
 def _poly_eval_mod(p: list[int], x: int, m: int) -> int:
     acc = 0
     for c in reversed(p):
@@ -273,8 +277,8 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     p has integer coefficients, ascending.  Multiplicities are ignored: roots
     come from the squarefree part, found in integers.  Root extraction lifts
     the roots modulo the first odd prime that keeps them simple to high
-    p-adic precision and reconstructs p/q, so no large integer is ever
-    factored.
+    p-adic precision, all roots together one precision at a time, and
+    reconstructs p/q, so no large integer is ever factored.
     """
     p = [int(c) for c in p]
     while p and p[-1] == 0:
@@ -299,27 +303,36 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     lead = abs(sqfree[-1])
     bound = lead + max(abs(c) for c in sqfree)  # >= |p| and >= q for any root p/q
     dp_int = [i * sqfree[i] for i in range(1, len(sqfree))]
+
+    def keeps_roots_simple(cand: int) -> bool:
+        f, df = _poly_mod(sqfree, cand), _poly_mod(dp_int, cand)
+        return all(_poly_eval_mod(f, x, cand) or _poly_eval_mod(df, x, cand)
+                   for x in range(cand))
+
     # the first odd prime that keeps the leading coefficient and leaves no
     # root repeated modulo it; every prime that fails divides
     # lead * disc(sqfree), which is nonzero, so the search ends
     prime = next(
-        cand for cand in _odd_primes()
-        if sqfree[-1] % cand
-        and all(_poly_eval_mod(sqfree, x, cand) or _poly_eval_mod(dp_int, x, cand)
-                for x in range(cand))
+        cand for cand in _odd_primes() if sqfree[-1] % cand and keeps_roots_simple(cand)
     )
     modulus_target = 2 * bound * bound + 1
-    residues = [x for x in range(prime) if _poly_eval_mod(sqfree, x, prime) == 0]
+    f_mod = _poly_mod(sqfree, prime)
+    residues = [x for x in range(prime) if _poly_eval_mod(f_mod, x, prime) == 0]
+    # Newton steps for every residue together, one precision at a time; the
+    # coefficients are reduced modulo each precision once, not once per root.
+    # f(x) is 0 modulo m, so f'(x)^-1 is needed modulo m only
+    m = prime
+    while m < modulus_target:
+        m_next = m * m
+        f_mod, df_mod = _poly_mod(sqfree, m_next), _poly_mod(dp_int, m)
+        residues = [
+            (x - _poly_eval_mod(f_mod, x, m_next)
+             * pow(_poly_eval_mod(df_mod, x, m), -1, m)) % m_next
+            for x in residues
+        ]
+        m = m_next
     found: list[Fraction] = []
     for x in residues:
-        m = prime
-        while m < modulus_target:
-            m_next = m * m
-            fx = _poly_eval_mod(sqfree, x, m_next)
-            dfx = _poly_eval_mod(dp_int, x, m_next)
-            inv = pow(dfx, -1, m_next)
-            x = (x - fx * inv) % m_next
-            m = m_next
         rec = _rational_reconstruct(x, m, bound)
         if rec is None:
             continue

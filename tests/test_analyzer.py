@@ -105,8 +105,10 @@ class TestHitMaps:
             functionals = [list(s.idempotent) for s in analyze(c, PLAIN).components]
             functionals.append([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                 for _ in range(c.dim)])
+            _den, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
+            delta = [(i, j, k, x) for (i, j, k, _x), x in zip(c.delta, xs)]
             for f in functionals:
-                maps = blocksieve.analyzer._hit_maps(c, f)
+                maps = blocksieve.analyzer._hit_maps(delta, f)
                 for left, sparse in zip((True, False), maps):
                     ref = _dense_hit(c, f, left)
                     got = [[Fraction(0)] * c.dim for _ in range(c.dim)]
@@ -410,6 +412,43 @@ class TestComputeOnce:
             monkeypatch.setattr(blocksieve.analyzer, name, counting(name))
         analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
         assert calls == {"dual_algebra": 1, "radical": 1}
+
+    def test_delta_scalings_do_not_grow_with_the_components(self, monkeypatch):
+        # a scaling of delta is an integral() call on delta's own coefficient
+        # objects, in table order; each entry gets a Fraction object of its
+        # own, so that no other list (the counit, the dual algebra's
+        # constants) can share them
+        original = linalg.integral
+        inputs = [
+            sweedler_coalgebra(),
+            grouplike_coalgebra(40),
+            tensor_product(tensor_product(grouplike_coalgebra(2), grouplike_coalgebra(3)),
+                           grouplike_coalgebra(4)),
+        ]
+        scalings, components = [], []
+        for c in inputs:
+            c = Coalgebra(c.dim, c.basis, tuple(
+                (i, j, k, F(x.numerator, x.denominator)) for (i, j, k, x) in c.delta
+            ), c.counit)
+            coeffs = [x for (_i, _j, _k, x) in c.delta]
+            calls = 0
+
+            def counting(values):
+                nonlocal calls
+                values = list(values)
+                if len(values) == len(coeffs) and all(
+                    v is x for v, x in zip(values, coeffs)
+                ):
+                    calls += 1
+                return original(values)
+
+            monkeypatch.setattr(blocksieve.linalg, "integral", counting)
+            monkeypatch.setattr(blocksieve.coalgebra, "integral", counting)
+            components.append(len(analyze(c, PLAIN).components))
+            scalings.append(calls)
+        assert components == [2, 40, 24]
+        assert scalings[0] >= 1
+        assert scalings == [scalings[0]] * len(inputs)
 
 
 def label_free_q_table(res):

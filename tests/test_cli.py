@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from blocksieve.analyzer import MAX_ANALYZE_DIM
 from blocksieve.blocks import MAX_BLOCK_LEVEL, serialize_block_system
 from blocksieve.cli import main
-from blocksieve.coalgebra import serialize_coalgebra
-from blocksieve.corpus import grouplike_coalgebra
+from blocksieve.coalgebra import Coalgebra, serialize_coalgebra
+from blocksieve.corpus import grouplike_coalgebra, sweedler_coalgebra
 from blocksieve.solver import minimal_form
 
 
@@ -264,6 +265,31 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"above the analyzer's limit of {MAX_ANALYZE_DIM}" in captured.err
+
+    def test_non_coassociative_file_exit_two(self, tmp_path, capsys):
+        # Delta x = x (x) g + 1 (x) x + x (x) x: the counit law holds, but
+        # (Delta (x) id) Delta x has x (x) g (x) x where the other side has
+        # x (x) 1 (x) x
+        one = Fraction(1)
+        delta = ((0, 0, 0, one), (1, 1, 1, one), (2, 2, 1, one), (2, 0, 2, one), (2, 2, 2, one))
+        path = tmp_path / "noncoassociative.json"
+        path.write_bytes(serialize_coalgebra(
+            Coalgebra(3, ("1", "g", "x"), delta, (one, one, Fraction(0)))
+        ))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coassociativity fails at basis index 2 (x)\n"
+
+    def test_broken_counit_file_exit_two(self, tmp_path, capsys):
+        c = sweedler_coalgebra()
+        counit = c.counit[:3] + (Fraction(1, 3),)
+        path = tmp_path / "broken_counit.json"
+        path.write_bytes(serialize_coalgebra(Coalgebra(c.dim, c.basis, c.delta, counit)))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: counit law fails at basis index 3 (gx)\n"
 
 
 class TestModuleEntryPoint:

@@ -23,7 +23,62 @@ from blocksieve.corpus import (
     write_corpus,
 )
 
+from blocksieve.linalg import integral
+
 from conftest import random_change_of_basis
+
+
+def _ref_validate(c: Coalgebra) -> list[str]:
+    """Reference: coassociativity on integer-scaled delta, the counit law in Fractions.
+
+    This is the checker the integer counit law replaced; it compares two
+    tuple-keyed dicts per basis vector and never scales the counit.
+    """
+    n = c.dim
+    den, scaled = integral([x for (_i, _j, _k, x) in c.delta])
+    rows = [[] for _ in range(n)]
+    for (i, j, k, _x), x in zip(c.delta, scaled):
+        rows[i].append((j, k, x))
+    failures = []
+    for i in range(n):
+        lhs, rhs = {}, {}
+        for j, k, x in rows[i]:
+            for a, b, y in rows[j]:
+                lhs[(a, b, k)] = lhs.get((a, b, k), 0) + x * y
+            for u, v, y in rows[k]:
+                rhs[(j, u, v)] = rhs.get((j, u, v), 0) + x * y
+        if any(lhs.get(t, 0) != rhs.get(t, 0) for t in lhs.keys() | rhs.keys()):
+            failures.append(f"coassociativity fails at basis index {i} ({c.basis[i]})")
+            break
+    for i in range(n):
+        left, right = [0] * n, [0] * n
+        for j, k, x in rows[i]:
+            left[k] += x * c.counit[j]
+            right[j] += x * c.counit[k]
+        want = [den if t == i else 0 for t in range(n)]
+        if left != want or right != want:
+            failures.append(f"counit law fails at basis index {i} ({c.basis[i]})")
+            break
+    return failures
+
+
+def _perturbed_constant(c: Coalgebra, rng: random.Random) -> Coalgebra | None:
+    """c with one delta constant shifted by a random p/q; None if it would vanish."""
+    delta = list(c.delta)
+    t = rng.randrange(len(delta))
+    i, j, k, x = delta[t]
+    x += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 4))
+    if x == 0:
+        return None
+    delta[t] = (i, j, k, x)
+    return Coalgebra(c.dim, c.basis, tuple(delta), c.counit)
+
+
+def _perturbed_counit(c: Coalgebra, rng: random.Random) -> Coalgebra:
+    """c with one counit entry shifted by a random p/q."""
+    counit = list(c.counit)
+    counit[rng.randrange(c.dim)] += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 4))
+    return Coalgebra(c.dim, c.basis, c.delta, tuple(counit))
 
 
 class TestValidate:
@@ -74,6 +129,36 @@ class TestValidate:
             "coassociativity fails at basis index 0 (f0)",
             "counit law fails at basis index 0 (f0)",
         ]
+
+    def test_matches_fraction_counit_reference(self):
+        rng = random.Random(31)
+        cases = []
+        for build in CORPUS_BUILDERS.values():
+            c = build()
+            cases.append(c)
+            for _ in range(2):
+                cases.append(change_basis(c, random_change_of_basis(rng, c.dim)))
+        # a counit with denominators, so that its scale E exceeds 1
+        half = Fraction(1, 2)
+        c = change_basis(sweedler_coalgebra(), [[half, 0, 0, 0], [0, Fraction(2, 3), 0, 0],
+                                                [0, 0, 1, half], [0, 0, 0, 1]])
+        assert integral(c.counit)[0] == 6
+        cases.append(c)
+        variants = []
+        for c in cases:
+            variants.append(c)
+            for _ in range(2):
+                variants.append(_perturbed_counit(c, rng))
+                broken = _perturbed_constant(c, rng)
+                if broken is not None:
+                    variants.append(broken)
+        failing = 0
+        for c in variants:
+            got = validate(c)
+            assert got == _ref_validate(c), c
+            failing += bool(got)
+        assert failing >= len(variants) // 2
+        assert failing < len(variants)
 
 
 def _is_associative(a) -> bool:
