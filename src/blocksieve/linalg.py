@@ -57,7 +57,11 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
     pivots are eliminated too, so the result is a canonical basis of the row
     space.  Rows are sequences of ints and Fractions.
     """
-    work = [primitive(integral(r)[1]) for r in rows if any(r)]
+    # Rows of ints, such as products of integer vectors, need no scaling.
+    work = [
+        primitive(list(r) if all(type(x) is int for x in r) else integral(r)[1])
+        for r in rows if any(r)
+    ]
     if not work:
         return [], []
     ncols = len(work[0])

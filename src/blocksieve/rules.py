@@ -96,20 +96,34 @@ def chain_gaps(levels, n: int, d1: int, d2: int):
             yield i
 
 
-def stranded(levels):
+def escalate(open_rows: dict, n: int, cells) -> None:
+    """R5 fold step: lay level n >= 1, holding cells, on the levels folded into open_rows.
+
+    open_rows maps a row d1 to its open cells: the off-diagonal cells
+    (m, d1, d2) of the folded levels whose row is empty at every folded
+    level above m.  A cell of level n continues the open cells of its row,
+    and each off-diagonal cell of level n opens.  open_rows is updated in
+    place; the rows level n holds get new lists and no other list is
+    touched, so folding a shallow copy leaves the original as it was.
+    """
+    for (a, _b) in cells:
+        open_rows.pop(a, None)
+    for (a, b) in cells:
+        if a != b:
+            open_rows.setdefault(a, []).append((n, a, b))
+
+
+def stranded(levels) -> list[tuple[int, int, int]]:
     """R5: each off-diagonal cell (n, d1, d2), n >= 1, with row d1 empty at every higher level.
 
-    Levels are read from the top down, so the cells of the top level come
-    first and each level is checked against the rows seen above it.
+    The positive levels are folded bottom up with escalate; the cells still
+    open after the top level are the stranded ones, in no particular order.
     """
-    rows_above: set[int] = set()
-    for n in sorted(levels, reverse=True):
-        cells = levels[n]
+    open_rows: dict = {}
+    for n in sorted(levels):
         if n >= 1:
-            for (d1, d2) in cells:
-                if d1 != d2 and d1 not in rows_above:
-                    yield n, d1, d2
-        rows_above.update([a for (a, _b) in cells])
+            escalate(open_rows, n, levels[n])
+    return [cell for held in open_rows.values() for cell in held]
 
 
 def backed(levels, cell: tuple[int, int]) -> bool:

@@ -24,9 +24,16 @@ top-level case split.
 Nodes and closes are counted in bulk.  The exclude run of a level, one node
 per remaining group plus the exclude-all leaf, is one tick, which raises
 exactly when the count passes the node cap, as counting node by node would.
-An include step bisects the groups sorted by cost for those within its
-budget slack, tries only those, and closes the rest with one count.  Phase 2
-builds its reach bitsets by doubling runs of multiples.  None of this
+Each fact a node reads is computed once, where it becomes fixed: the R11
+verdict of every group once per coradical case (it reads level 0 only), the
+R4 verdict of every group within budget once per entry into a level (it
+reads the levels below only), and the R5 state as the open rows of the
+levels below, folded one level at a time (rules.escalate), so a stop tests
+whether any row is left open.  An include step keeps the groups within its
+budget slack, tries the open ones and closes the rest with one count per
+reason (budget, R7, R11, R4).  Phase 2 reads the free groups off the
+placement stack and builds its reach bitsets over the slack left once every
+group has its least value, doubling runs of multiples.  None of this
 changes which nodes are visited, in what order, or why each one closes, so
 the stats, witnesses and refutation traces of a certificate are those of a
 node-by-node count.
@@ -48,7 +55,7 @@ from .blocks import (
     ModeFlags,
     total_dim,
 )
-from .rules import backed, chain_gaps, check, has_nsp_core, nsp_forcing_ok, stranded
+from .rules import backed, chain_gaps, check, escalate, has_nsp_core, nsp_forcing_ok
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -234,36 +241,48 @@ def _level_groups(max_d: int, r: int) -> list[_Group]:
 
 
 def _multipliers(costs: tuple[int, ...], budget: int) -> tuple[int, ...] | None:
-    """Lexicographically least k_1, k_2, ... >= 1 with sum k_i * costs[i] = budget, or None."""
-    mask = (1 << (budget + 1)) - 1
-    # reach[i] = bitset of totals achievable by units i.. with each k >= 1
-    reach = [0] * (len(costs) + 1)
-    reach[len(costs)] = 1
-    for i in range(len(costs) - 1, -1, -1):
+    """Lexicographically least k_1, k_2, ... >= 1 with sum k_i * costs[i] = budget, or None.
+
+    The search runs over the extra multiples j_i = k_i - 1 >= 0, which must
+    sum j_i * costs[i] to the slack budget - sum(costs).  A unit costing more
+    than the slack keeps j_i = 0, so the reach bitsets cover only the others.
+    """
+    slack = budget - sum(costs)
+    if slack < 0:
+        return None
+    ks = [1] * len(costs)
+    if not slack:
+        return tuple(ks)
+    cheap = [i for i, c in enumerate(costs) if c <= slack]
+    mask = (1 << (slack + 1)) - 1
+    # reach[t] = bitset of extra totals achievable by the last t cheap units
+    # with each j >= 0
+    reach = [1]
+    acc = 1
+    for i in reversed(cheap):
         c = costs[i]
-        most = budget // c
-        if most == 0:
-            continue
-        # reach[i + 1] shifted by c, 2c, ..., most * c, doubling the run of
-        # multiples covered at each step
-        acc, run = reach[i + 1] << c, 1
-        while 2 * run <= most:
+        most = slack // c
+        # shifted by 0, c, ..., most * c, doubling the run of multiples
+        # covered at each step
+        run = 1
+        while 2 * run <= most + 1:
             acc |= acc << (run * c)
             run *= 2
-        if run < most:
-            acc |= acc << ((most - run) * c)
-        reach[i] = acc & mask
-    if not (reach[0] >> budget) & 1:
+        if run <= most:
+            acc |= acc << ((most + 1 - run) * c)
+        acc &= mask
+        reach.append(acc)
+    if not (acc >> slack) & 1:
         return None
-    ks = []
-    rem = budget
-    for i, c in enumerate(costs):
-        # reach[i] holds rem, so some k with rem - k * c >= 0 is in reach[i + 1]
-        k = 1
-        while not (reach[i + 1] >> (rem - k * c)) & 1:
-            k += 1
-        ks.append(k)
-        rem -= k * c
+    rem = slack
+    for t, i in zip(range(len(cheap) - 1, -1, -1), cheap):
+        # the later units reach rem - j * c for some j >= 0; take the least
+        after = reach[t]
+        c, j = costs[i], 0
+        while not (after >> (rem - j * c)) & 1:
+            j += 1
+        ks[i] += j
+        rem -= j * c
     return tuple(ks)
 
 
@@ -290,13 +309,19 @@ class _Search:
         # within its slack by bisection.
         self.by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
         self.sorted_costs = [self.groups[j].cost for j in self.by_cost]
+        self.costs = [g.cost for g in self.groups]
         # support[level] holds the occupied (d1, d2) cells of each occupied
         # level; level 0 always holds the grouplike cell (1, 1).  This is the
-        # table shape the support predicates of rules.py read.  placed[level]
-        # lists the groups of those cells in placement order, which is
-        # canonical (increasing first cell).
+        # table shape the support predicates of rules.py read.  stack lists
+        # the placed (level, group) pairs in placement order: level 0 first,
+        # then level by level, each level in canonical order (increasing
+        # first cell).  pointed holds the stack positions of the (1, 1)
+        # groups at positive levels, lowest level first.
         self.support: dict[int, set[tuple[int, int]]] = {}
-        self.placed: list[list[_Group]] = [[] for _ in range(bounds.max_level + 1)]
+        self.stack: list[tuple[int, _Group]] = []
+        self.pointed: list[int] = []
+        # R11 verdict of each group, fixed by the coradical case.
+        self.backed: list[bool] = []
         self._case_first_close: str | None = None
         self._case_nodes_start = 0
         self._case_found = False
@@ -319,14 +344,18 @@ class _Search:
 
     def _place(self, level: int, g: _Group):
         self.support.setdefault(level, set()).update(g.members)
-        self.placed[level].append(g)
+        if level and g.first == (1, 1):
+            self.pointed.append(len(self.stack))
+        self.stack.append((level, g))
 
     def _unplace(self, level: int, g: _Group):
         cells = self.support[level]
         cells.difference_update(g.members)
         if not cells:
             del self.support[level]
-        self.placed[level].pop()
+        if level and g.first == (1, 1):
+            self.pointed.pop()
+        self.stack.pop()
 
     # -- phase 1: support enumeration --------------------------------------
 
@@ -342,12 +371,14 @@ class _Search:
 
     def _level0_dfs(self, i: int, min_cost: int):
         self._tick(len(self.diag0) + 1 - i)
-        chosen = self.placed[0][1:]
+        chosen = [g for _, g in self.stack[1:]]
         case = "{(0,1,1)" + "".join(f", (0,{g.first[0]},{g.first[1]})" for g in chosen) + "}"
         self._case_first_close = None
         self._case_found = False
         self._case_nodes_start = self.nodes
-        self._subset_dfs(1, 0, min_cost)
+        # The mirror cell uses the same two dimensions, so one call per group.
+        self.backed = [backed(self.support, g.first) for g in self.groups]
+        self._subset_dfs(1, 0, min_cost, {}, None, [])
         if not self._case_found and len(self.trace) <= _TRACE_CAP:
             reason = self._case_first_close or "exhausted"
             used = self.nodes - self._case_nodes_start
@@ -364,70 +395,105 @@ class _Search:
                 self._level0_dfs(j + 1, min_cost + g.cost)
                 self._unplace(0, g)
 
-    def _subset_dfs(self, level: int, gi: int, min_cost: int):
-        """Choose the support of a positive level from groups[gi:], then stop or go deeper."""
+    def _subset_dfs(
+        self, level: int, gi: int, min_cost: int, open_rows: dict, why: list | None, cands: list
+    ):
+        """Choose the support of a positive level from groups[gi:], then stop or go deeper.
+
+        open_rows is the R5 fold of the levels below (rules.escalate).  A
+        level is entered with gi = 0 and why None; the entry computes why,
+        the close reason of each group at this level, and the include
+        recursion hands it down with cands, the groups from gi on that fit
+        the parent step's slack, in decreasing index.
+        """
         if level > self.bounds.max_level:
             # The grid ends here; the support below is a complete candidate.
-            self._stop(level - 1)
+            self._stop(level - 1, open_rows)
             return
         self._tick(len(self.groups) + 1 - gi)
-        if not self.placed[level]:
-            self._stop(level - 1)
+        cells = self.support.get(level)
+        if cells is None:
+            self._stop(level - 1, open_rows)
         else:
-            self._subset_dfs(level + 1, 0, min_cost)
-        # Include branches, with constraint checks against the fixed lower
-        # levels.  The groups over budget are closed in one count.  Every
-        # include step of a coradical case comes after the case's first stop
-        # (its exclude-all leaf), which either closed, fixing the reason the
-        # trace names, or found a witness, so the case leaves no trace line;
-        # and the counts do not depend on the order of the closes.
-        fit = bisect_right(self.sorted_costs, self.N - min_cost)
-        candidates = sorted((j for j in self.by_cost[:fit] if j >= gi), reverse=True)
-        over = len(self.groups) - gi - len(candidates)
+            above = dict(open_rows)
+            escalate(above, level, cells)
+            self._subset_dfs(level + 1, 0, min_cost, above, None, [])
+        # Include branches.  Every include step of a coradical case comes
+        # after the case's first stop (its exclude-all leaf), which either
+        # closed, fixing the reason the trace names, or found a witness, so
+        # the case leaves no trace line; and the counts do not depend on the
+        # order of the closes.  So the groups over budget, and those the
+        # fixed lower levels close, are each closed in one count.
+        if why is None:
+            why, cands = self._level_closes(level, min_cost)
+        else:
+            slack = self.N - min_cost
+            cost = self.costs
+            cands = [j for j in cands if cost[j] <= slack]
+        over = len(self.groups) - gi - len(cands)
         if over:
             self._close("budget", over)
-        for j in candidates:
-            g = self.groups[j]
-            if self.nsp and level == 1 and g.first == (1, 1):
-                self._close("R7")
-                continue
-            # The mirror cell uses the same two dimensions.
-            if not backed(self.support, g.first):
-                self._close("R11")
-                continue
-            # Witnesses lie strictly below this level, which is already fixed.
-            # The mirror cell's condition is the same with i and n-i swapped,
-            # so one representative suffices on symmetric supports.
-            if any(chain_gaps(self.support, level, *g.first)):
-                self._close("R4")
-                continue
-            self._place(level, g)
-            self._subset_dfs(level, j + 1, min_cost + g.cost)
-            self._unplace(level, g)
+        reasons = [why[j] for j in cands]
+        for reason in ("R7", "R11", "R4"):
+            n = reasons.count(reason)
+            if n:
+                self._close(reason, n)
+        for i, j in enumerate(cands):
+            if reasons[i] is None:
+                g = self.groups[j]
+                self._place(level, g)
+                # cands[:i] are the groups after j that fit this step's slack
+                self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, why, cands[:i])
+                self._unplace(level, g)
+
+    def _level_closes(self, level: int, min_cost: int) -> tuple[list, list]:
+        """Close reasons at a newly entered level, and the groups that fit its slack.
+
+        why[j] is R7, R11 or R4 when an include step at this level closes
+        group j, None when it is tried.  Only the groups within the entry's
+        slack are set, since every include step of the level has less; they
+        come back in decreasing index.  R11 reads level 0 and R4 the levels
+        below this one, all fixed until the level is left.
+        """
+        why: list = [None] * len(self.groups)
+        fit = self.by_cost[:bisect_right(self.sorted_costs, self.N - min_cost)]
+        fit.sort(reverse=True)
+        for j in fit:
+            if not self.backed[j]:
+                why[j] = "R11"
+            # Witnesses lie strictly below this level.  The mirror cell's
+            # condition is the same with i and n-i swapped, so one
+            # representative suffices on symmetric supports.
+            elif any(chain_gaps(self.support, level, *self.groups[j].first)):
+                why[j] = "R4"
+        if self.nsp and level == 1:
+            # B(1,1,1) is group 0 and always backed.
+            why[0] = "R7"
+        return why, fit
 
     # -- stop checks + phase 2 ---------------------------------------------
 
-    def _stop(self, n_max: int):
+    def _stop(self, n_max: int, open_rows: dict):
         """Check a complete support; every include fit its slack, so its cost is within N."""
         self._tick()
         if self.ncss and n_max < 1:
             self._close("RNC")
             return
-        if any(stranded(self.support)):
+        if open_rows:
             self._close("R5")
             return
-        pointed = [n for n in range(1, n_max + 1) if (1, 1) in self.support[n]]
-        top = pointed[-1] if pointed else 0
+        pointed = self.pointed
+        top = self.stack[pointed[-1]][0] if pointed else 0
         if self.nsp:
-            # R7: the six necessary blocks; B(1,1,1) was closed at placement.
+            # R7: the six necessary blocks; B(1,1,1) was closed by the include steps.
             if top <= 1 or not has_nsp_core(self.support):
                 self._close("R7")
                 return
-            if not nsp_forcing_ok(self.support, pointed[0], top):
+            if not nsp_forcing_ok(self.support, self.stack[pointed[0]][0], top):
                 self._close("R8")
                 return
         self.supports += 1
-        entries = self._assign(n_max, top)
+        entries = self._assign(top)
         if entries is None:
             self._close("partition")
             return
@@ -436,31 +502,30 @@ class _Search:
             self.best = candidate
         self._case_found = True
 
-    def _assign(self, n_max: int, top: int) -> list[tuple[int, int, int, int]] | None:
+    def _assign(self, top: int) -> list[tuple[int, int, int, int]] | None:
         """Phase 2: lexicographically least dimension assignment, or None.
 
         Entries are (level, d1, d2, dim).  The grouplike block and the block
         (top, 1, 1) of the top pointed level are pinned to exactly r; every
         free group contributes weight * k * divisor for some k >= 1, and the
-        multipliers k are least in (level, first cell) order of the groups.
+        multipliers k are least in (level, first cell) order of the groups,
+        which is the order of the placement stack.
         """
-        fixed = [(0, 1, 1, self.r)] + ([(top, 1, 1, self.r)] if top else [])
-        budget = self.N - self.r * len(fixed)
-        if budget < 0:
-            return None
-        # (1, 1) is the first placed group of any level that holds it.
-        free = [
-            (level, g)
-            for level in range(n_max + 1)
-            for g in self.placed[level][1 if level in (0, top) else 0:]
-        ]
-        ks = _multipliers(tuple(g.cost for _, g in free), budget)
+        fixed = [(0, 1, 1, self.r)]
+        if top:
+            fixed.append((top, 1, 1, self.r))
+            p = self.pointed[-1]
+            free = self.stack[1:p] + self.stack[p + 1:]
+        else:
+            free = self.stack[1:]
+        ks = _multipliers(tuple(g.cost for _, g in free), self.N - self.r * len(fixed))
         if ks is None:
             return None
         out = fixed
         for (level, g), k in zip(free, ks):
             value = k * g.divisor
-            out.extend((level, d1, d2, value) for (d1, d2) in g.members)
+            for (d1, d2) in g.members:
+                out.append((level, d1, d2, value))
         return out
 
 

@@ -11,7 +11,7 @@ from blocksieve.blocks import (
     total_dim,
     transpose,
 )
-from blocksieve.rules import RULE_NAMES, RULE_ORDER, check, explain
+from blocksieve.rules import RULE_NAMES, RULE_ORDER, check, escalate, explain, stranded
 from blocksieve.solver import minimal_form
 
 from conftest import random_system
@@ -223,3 +223,70 @@ class TestRuleSetProperties:
         for rid in RULE_ORDER:
             assert rid in RULE_NAMES
             assert rid in RULE_ANCHORS
+
+
+def support_levels(s: BlockSystem) -> dict[int, set[tuple[int, int]]]:
+    """The occupied (d1, d2) cells of each level, the table shape the support predicates read."""
+    levels: dict[int, set[tuple[int, int]]] = {}
+    for i in s.blocks:
+        levels.setdefault(i.level, set()).add((i.d1, i.d2))
+    return levels
+
+
+def fold(levels, top: int):
+    """escalate applied to levels 1..top in turn, as the solver carries it up its search."""
+    open_rows: dict = {}
+    for n in range(1, top + 1):
+        escalate(open_rows, n, levels.get(n, set()))
+    return {cell for held in open_rows.values() for cell in held}
+
+
+def escalates_nowhere(levels) -> set[tuple[int, int, int]]:
+    """R5 read off its statement: off-diagonal cells at n >= 1 whose row is empty above n."""
+    return {
+        (n, a, b)
+        for n, cells in levels.items() if n >= 1
+        for (a, b) in cells
+        if a != b and not any(m > n and any(x == a for (x, _y) in row) for m, row in levels.items())
+    }
+
+
+class TestEscalationFold:
+    def test_fold_leaves_the_stranded_cells_on_random_tables(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            levels = support_levels(random_system(rng, symmetric=rng.random() < 0.5))
+            top = max(levels, default=0)
+            expected = escalates_nowhere(levels)
+            assert fold(levels, top) == expected
+            assert set(stranded(levels)) == expected
+            assert len(stranded(levels)) == len(expected)
+
+    def test_empty_level_keeps_the_open_cells(self):
+        levels = {0: {(1, 1), (2, 2)}, 1: {(2, 1)}, 2: set()}
+        assert fold(levels, 1) == fold(levels, 2) == {(1, 2, 1)}
+        assert set(stranded(levels)) == {(1, 2, 1)}
+
+    def test_diagonal_only_level_continues_its_rows_and_opens_none(self):
+        levels = {0: {(1, 1), (2, 2), (3, 3)}, 1: {(2, 1), (3, 1)}, 2: {(2, 2), (1, 1)}}
+        assert fold(levels, 1) == {(1, 2, 1), (1, 3, 1)}
+        assert fold(levels, 2) == {(1, 3, 1)}
+        assert set(stranded(levels)) == {(1, 3, 1)}
+
+    def test_mirror_pair_needs_both_rows_continued(self):
+        levels = {0: {(1, 1), (2, 2)}, 1: {(1, 2), (2, 1)}, 2: {(1, 1)}}
+        assert fold(levels, 1) == {(1, 1, 2), (1, 2, 1)}
+        assert fold(levels, 2) == {(1, 2, 1)}
+        levels[3] = {(2, 2)}
+        assert fold(levels, 3) == set()
+        assert list(stranded(levels)) == []
+
+    def test_folding_a_shallow_copy_leaves_the_original(self):
+        # the solver folds a copy of the open rows into each new level
+        open_rows: dict = {}
+        escalate(open_rows, 1, {(1, 2), (2, 1), (3, 1)})
+        snapshot = {a: list(held) for a, held in open_rows.items()}
+        above = dict(open_rows)
+        escalate(above, 2, {(1, 3), (2, 2)})
+        assert open_rows == snapshot
+        assert above == {1: [(2, 1, 3)], 3: [(1, 3, 1)]}

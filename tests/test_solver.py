@@ -252,6 +252,17 @@ class TestNodeCap:
             solve(p, node_cap=nodes - 1)
 
 
+def least_multipliers(costs, budget):
+    """Lexicographically least k >= 1 with sum k_i * costs[i] = budget, by trying k_1 upward."""
+    if not costs:
+        return () if budget == 0 else None
+    for k in range(1, budget // costs[0] + 1):
+        rest = least_multipliers(costs[1:], budget - k * costs[0])
+        if rest is not None:
+            return (k, *rest)
+    return None
+
+
 class TestMultipliers:
     def test_lexicographically_least_multipliers_by_brute_force(self):
         for size in range(4):
@@ -263,6 +274,29 @@ class TestMultipliers:
                          if sum(k * c for k, c in zip(ks, costs)) == budget),
                         None,
                     )
+                    assert _multipliers(costs, budget) == expected, (costs, budget)
+
+    def test_slack_above_every_cost(self):
+        # every unit takes part in the reach bitsets
+        for size in range(1, 5):
+            for costs in itertools.product(range(1, 6), repeat=size):
+                for extra in range(max(costs) + 1, max(costs) + 5):
+                    budget = sum(costs) + extra
+                    assert _multipliers(costs, budget) == least_multipliers(costs, budget), (
+                        costs, budget)
+
+    def test_every_cost_above_the_slack(self):
+        # no unit can take a second multiple: all ones at slack 0, else none
+        assert _multipliers((), 0) == ()
+        assert _multipliers((), 3) is None
+        assert _multipliers((2,), 0) is None
+        assert _multipliers((3, 1), 0) is None
+        for size in range(1, 5):
+            for costs in itertools.product(range(2, 7), repeat=size):
+                for extra in range(-1, min(costs)):
+                    budget = sum(costs) + extra
+                    expected = (1,) * size if extra == 0 else None
+                    assert least_multipliers(costs, budget) == expected
                     assert _multipliers(costs, budget) == expected, (costs, budget)
 
 

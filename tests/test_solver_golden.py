@@ -10,6 +10,17 @@ every r of the group, in increasing r.  The digests were recorded before the
 solver's node and budget accounting was reworked for speed; a change that
 only makes the solver faster must leave every verdict, witness, node count,
 close count and refutation trace, and so every digest, unchanged.
+
+A second table, SLACK_DIGESTS, pins the small group orders past N = 32
+under NON_COSEMISIMPLE, where most supports close on their budget slack
+and most of the solver's time goes: r = 1 for 33 <= N <= 46 and r = 2 for
+34 <= N <= 60.  Its digests were recorded before the R4, R5 and R11
+verdicts were hoisted out of the per-node work and phase 2 was rewritten
+over the slack.
+
+`python tests/test_solver_golden.py` prints both tables as Python source,
+so that new points can be recorded on a chosen commit (from a checkout
+without installing, `PYTHONPATH=src python tests/test_solver_golden.py`).
 """
 
 import hashlib
@@ -34,9 +45,18 @@ def golden_points() -> dict[str, list[tuple[int, int]]]:
     return groups
 
 
-def digests() -> dict[str, str]:
+def slack_points() -> dict[str, list[tuple[int, int]]]:
+    """'NON_COSEMISIMPLE:N' -> the r = 1 and r = 2 points of SLACK_DIGESTS, in increasing r."""
+    points = {(N, 1) for N in range(33, 47)} | {(N, 2) for N in range(34, 61, 2)}
+    groups: dict[str, list[tuple[int, int]]] = {}
+    for N, r in sorted(points):
+        groups.setdefault(f"NON_COSEMISIMPLE:{N}", []).append((N, r))
+    return groups
+
+
+def digests(groups: dict[str, list[tuple[int, int]]]) -> dict[str, str]:
     out = {}
-    for key, pts in golden_points().items():
+    for key, pts in groups.items():
         flags = FLAGS[key.split(":")[0]]
         certs = [[r, solve(FeasibilityProblem(N, r, flags)).as_json_dict()] for N, r in pts]
         text = json.dumps(certs, sort_keys=True)
@@ -178,5 +198,47 @@ DIGESTS = {
 }
 
 
+SLACK_DIGESTS = {
+    "NON_COSEMISIMPLE:33": "fef4622ea8be594dc05201e77ba76a31383b090f992768cb76e3e905f00bfed9",
+    "NON_COSEMISIMPLE:34": "2fad8b343409a98b6afc8565aa92a47a8928ba8e0655ce1d2520003ac87e8a7a",
+    "NON_COSEMISIMPLE:35": "5d89edf4dfd7e7a3fc0b21dfc196ec459eb2ad239dbee872bcd3f87b280d9965",
+    "NON_COSEMISIMPLE:36": "7a79c52567f054606f6169e6b75162674141bf19001b61480541b840e8ae9df3",
+    "NON_COSEMISIMPLE:37": "954270f72e3582934c1c77950b3962e19d29beee5e073c7f7557f03b2b9c387a",
+    "NON_COSEMISIMPLE:38": "4a354aa35dd6a8d0abadcea09564bbfe76bc20b04136404465a782ebf45db285",
+    "NON_COSEMISIMPLE:39": "85e42cc6007642f6558748a73cd7965c7bbf40ddffb2558fe82a6e6c9b8d9479",
+    "NON_COSEMISIMPLE:40": "03905392d648ee07ed1cf197cef571f81feb9fc47d7d434b5a22a53eedc4b154",
+    "NON_COSEMISIMPLE:41": "7faaf6759db5f5f66f45937971d5be1fa68e5a2c15b438396b2583f6b144d872",
+    "NON_COSEMISIMPLE:42": "7ffb8499c53e167b9d2cbd129fc69c736217e857d52678f54cad405e2f84933b",
+    "NON_COSEMISIMPLE:43": "ec17d4d029a5426f3317e3079b7bc4e085e3009fe00ba57564842c0db8481e52",
+    "NON_COSEMISIMPLE:44": "7ae6d2e35e40bd4151bb02bf6b9738241717709e54676c0cbcd0b104aa0b9e8f",
+    "NON_COSEMISIMPLE:45": "313eedacb83e530038917af1c9b4f410568e2ec9230445635888f07460a20069",
+    "NON_COSEMISIMPLE:46": "311e8b44119fbe64b5953e9b091b22b046f48c31ac4ced78dc4b57aff0f26eb9",
+    "NON_COSEMISIMPLE:48": "2c9dbf74e9833e8f254c5dd0dd0a1781ad15ceaa513ab96a9c090b62c745347f",
+    "NON_COSEMISIMPLE:50": "c9c6445a4cae0ca3ceedfeff47667551cee5416a75a1d3e52e4ad15b7a3a5171",
+    "NON_COSEMISIMPLE:52": "ee76bb5361112c4718d2a192a39bc79c1c171e31b63f94a433586e56b2568cee",
+    "NON_COSEMISIMPLE:54": "c0fe1a30caacce3dd86c6c9b292d4b87571987821c40a63ec098fcd109a2a1f5",
+    "NON_COSEMISIMPLE:56": "1dc448a49f612f6288b07b3c72b766ffdfe9bf9afedd95cdedd8bbea14cda7c0",
+    "NON_COSEMISIMPLE:58": "061e8e311c9264b03e1ea3951b3178851e7a440e779b38f2f8333fa7dc087c06",
+    "NON_COSEMISIMPLE:60": "dd8c73ce0b8e2460a1253c50f524c78003a70c2d75718b092d24b29847d7a621",
+}
+
+
 def test_solve_output_matches_recorded_digests():
-    assert digests() == DIGESTS
+    assert digests(golden_points()) == DIGESTS
+
+
+def test_small_group_orders_match_recorded_digests():
+    assert digests(slack_points()) == SLACK_DIGESTS
+
+
+def _print_table(name: str, table: dict[str, str]):
+    print(f"{name} = {{")
+    for key, digest in table.items():
+        print(f'    "{key}": "{digest}",')
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_table("DIGESTS", digests(golden_points()))
+    print()
+    _print_table("SLACK_DIGESTS", digests(slack_points()))
