@@ -5,10 +5,10 @@ finite-dimensional algebra A; its Jacobson radical J is the kernel of the
 trace form of the regular representation (characteristic 0); the coradical
 filtration is read off as annihilators, C_n = (J^{n+1})^perp; the semisimple
 quotient A/J decomposes into split simple components whose central
-idempotents act on each filtration quotient by the hit actions, and the ranks
-of those projectors are the isotypic dimensions.  Aggregating isotypic
-dimensions by component size yields the block system, which is then run
-through the rule engine.
+idempotents act on each filtration quotient by the hit actions, and the
+ranks of those projectors, taken as their traces, are the isotypic
+dimensions.  Aggregating isotypic dimensions by component size yields the
+block system, which is then run through the rule engine.
 
 analyze runs each stage once, handing its result to the later stages:
 
@@ -26,18 +26,22 @@ The kernels touch only nonzero structure constants: the dual algebra is
 delta read backwards, the trace form is one pass over pairs of delta
 entries, and the hit actions are sparse maps applied in integer arithmetic.
 Tables handed to the trace form and hit maps are scaled to integers by one
-positive factor, which changes no kernel, rank or echelon form, so every
-result is exactly the one the rational arithmetic gives.  The semisimple
-quotient A/J is projected term by term and its constants scaled to
-integers once.  Its central idempotents are each one positive denominator
-times a sparse integer vector, refined by Krylov sequences tested
-fraction-free; a central element that cannot split an idempotent is
+positive factor, which changes no kernel, rank, trace sign or echelon form,
+so every result is exactly the one the rational arithmetic gives; delta is
+scaled once per coalgebra (Coalgebra.integral_delta), for validate and
+every hit map, and the trace form scales the dual algebra's constants.
+The semisimple quotient A/J is projected term by term and its constants
+scaled to integers once.  Its central idempotents are each one positive
+denominator times a sparse integer vector, refined by Krylov sequences
+tested fraction-free, whose minimal polynomial comes out of the same
+elimination; a central element that cannot split an idempotent is
 detected on that idempotent's support alone.  Each component's dimension
 is a trace rather than a rank, its subspace is the one-sided hit of its
-idempotent on C_0, and its hit maps are built once and handed to q_table.
-Fraction appears only in the projection onto A/J, in scalars (the
-quotient's unit and each Lagrange factor) and in the stored idempotents and
-grouplikes.
+idempotent on C_0, and its hit maps are built once, with their scale, and
+handed to q_table, which counts each isotypic dimension as a difference of
+traces on consecutive levels, each level's traces taken once.  Fraction
+appears only in the projection onto A/J, in scalars (the quotient's unit
+and each Lagrange factor) and in the stored idempotents and grouplikes.
 """
 
 from __future__ import annotations
@@ -244,12 +248,15 @@ def _krylov(a: Algebra, e: dict[int, int], z: list[int]) -> tuple[list, list[int
     e'A with e' as their unit, all scaled alike.  The first product is
     formed on e's support alone and compared with e there, so a z that
     cannot split e (w in Q*e') costs O(support) and gives None.  Otherwise
-    each power, as a dense vector, is tested against the earlier ones with
-    the fraction-free residue.  Returns the independent powers and the
-    minimal polynomial of w on e'A: D * t^m - sum of D * c_i * t^i, where
-    (D, D * c) are the coordinates of the first dependent power in the
-    earlier ones.  D is their least common denominator, so the polynomial
-    is primitive with a positive leading coefficient.
+    each power, as a dense vector, is reduced against the earlier ones with
+    the fraction-free residue, carrying a tail that starts as the unit
+    vector of its exponent: a reduced row is its head plus its tail's
+    combination of the powers, so when a head reduces to zero its tail is
+    a relation among the powers, with the new power's coefficient still
+    positive.  There are at most dim + 1 powers, since at most dim are
+    independent.  Returns the independent powers and the minimal
+    polynomial of w on e'A, the tail divided by its content: primitive,
+    with a positive leading coefficient.
     """
     w: dict[int, int] = {}
     for j, x in e.items():
@@ -264,15 +271,25 @@ def _krylov(a: Algebra, e: dict[int, int], z: list[int]) -> tuple[list, list[int
         i in e for i, y in w.items() if y
     ):
         return None
+    n = a.dim
     powers: list[list[int]] = []
     ech: list[list[int]] = []
     pivots: list[int] = []
-    power = [e.get(i, 0) for i in range(a.dim)]
-    while linalg.extend_echelon(ech, pivots, power):
+    power = [e.get(i, 0) for i in range(n)]
+    while True:
+        tail = [0] * (n + 1)
+        tail[len(powers)] = 1
+        row = linalg.residue(power + tail, ech, pivots)
+        pivot = next((col for col in range(n) if row[col]), None)
+        if pivot is None:
+            break
+        ech.append(linalg.primitive(row))
+        pivots.append(pivot)
         powers.append(power)
         power = a.multiply(power, z)
-    den, coords = linalg.solve_coords(powers, power)
-    return powers, [-x for x in coords] + [den]
+    relation = row[n:n + len(powers) + 1]
+    content = math.gcd(*relation)
+    return powers, [x // content for x in relation]
 
 
 def _primitive_idempotents(a: Algebra) -> list[tuple[int, dict[int, int]]]:
@@ -341,19 +358,18 @@ def _regular_traces(a: Algebra) -> list:
     return [sum(x for k, terms in row.items() for i, x in terms if i == k) for row in a.mult]
 
 
-def _hit_maps(delta: list[tuple[int, int, int, int]], f) -> tuple[list, list]:
-    """The left and right hit actions of the functional f on a coalgebra.
+def _hit_maps(c: Coalgebra, f) -> tuple[list, list, int]:
+    """The left and right hit actions of the functional f on c, in integers, and their scale.
 
-    delta is the coalgebra's table with its constants scaled to integers
-    by one positive factor, as simple_components builds it once for every
-    component.  v -> f applied to the left, respectively right, tensorand
-    of Delta v.  A map lists (i, image) for each basis vector e_i with a
-    nonzero image, the image as its nonzero (index, value) pairs, all
-    scaled by one positive integer (the lcm of the denominators of f times
-    delta's factor), so the maps are exact up to that factor and need only
-    integer arithmetic.
+    v -> f applied to the left, respectively right, tensorand of Delta v.
+    A map lists (i, image) for each basis vector e_i with a nonzero image,
+    the image as its nonzero (index, value) pairs.  Both maps are read off
+    c.integral_delta and f scaled to integers, so they need only integer
+    arithmetic and are the exact maps times one positive integer, which is
+    returned with them: the lcm of the denominators of f times delta's D.
     """
-    _df, fs = linalg.integral(f)
+    df, fs = linalg.integral(f)
+    dd, delta = c.integral_delta
     left: dict[int, dict[int, int]] = {}
     right: dict[int, dict[int, int]] = {}
     for i, j, k, x in delta:
@@ -367,7 +383,7 @@ def _hit_maps(delta: list[tuple[int, int, int, int]], f) -> tuple[list, list]:
     for m in (left, right):
         images = ((i, tuple((t, y) for t, y in row.items() if y)) for i, row in m.items())
         maps.append([(i, image) for i, image in images if image])
-    return tuple(maps)
+    return maps[0], maps[1], df * dd
 
 
 def _mat_apply(m, v) -> list[int]:
@@ -399,7 +415,7 @@ def _component_subspace(left, c0_basis, size: int) -> list[list[int]]:
 
 def simple_components(
     c: Coalgebra, a: Algebra, j_basis: list[list[int]], c0_basis
-) -> tuple[list[SimpleComponent], dict[str, tuple[list, list]]]:
+) -> tuple[list[SimpleComponent], dict[str, tuple[list, list, int]]]:
     """Simple subcoalgebra classes of the coradical, canonically ordered, and their hit maps.
 
     a is the dual algebra of c, j_basis its radical and c0_basis the
@@ -409,7 +425,7 @@ def simple_components(
     labelled by their basis vector when the grouplike element is one, else
     g0, g1, ...; larger components get s0, s1, ...  Also returns, by label,
     the left and right hit maps of each component's idempotent (_hit_maps'
-    form), which q_table applies.
+    form, with their scale), which q_table applies.
 
     Each primitive central idempotent e of A/J gives one component, of
     dimension rank(e * A/J) = trace(L_e), read off the regular traces of the
@@ -417,14 +433,13 @@ def simple_components(
     and the components are sorted on (d, echelon subspace), so the result
     does not depend on how the idempotents are found.  Everything up to the
     stored idempotents and grouplikes runs on integers: an idempotent is one
-    positive denominator times an integer vector, and the counit and delta
-    are each scaled to integers once, however many components there are.
+    positive denominator times an integer vector, the counit is scaled to
+    integers once, however many components there are, and the hit maps
+    read delta from c.integral_delta.
     """
     quotient, scale, keep = _quotient(a, j_basis)
     traces = _regular_traces(quotient)
     counit_den, counit = linalg.integral(c.counit)
-    _dd, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
-    delta = [(i, j, k, x) for (i, j, k, _x), x in zip(c.delta, xs)]
     raw = []
     for den, e_bar in _primitive_idempotents(quotient):
         # L_e is idempotent, so rank(e * A/J) = trace(L_e)
@@ -439,7 +454,8 @@ def simple_components(
         e = [0] * c.dim
         for t, x in e_bar.items():
             e[keep[t]] = x
-        hits = _hit_maps(delta, e)
+        idempotent = tuple(Fraction(scale * x, den) if x else ZERO for x in e)
+        hits = _hit_maps(c, idempotent)
         subspace = _component_subspace(hits[0], c0_basis, ideal_rank)
         if len(subspace) != ideal_rank:
             raise AssertionError("component subspace rank mismatch")
@@ -451,7 +467,6 @@ def simple_components(
                 raise AssertionError("grouplike component with vanishing counit")
             # v / counit(v), with counit(v) = eps / counit_den
             grouplike = tuple(Fraction(x * counit_den, eps) if x else ZERO for x in v)
-        idempotent = tuple(Fraction(scale * x, den) if x else ZERO for x in e)
         raw.append((d, tuple(tuple(r) for r in subspace), idempotent, grouplike, hits))
     if sum(d * d for d, *_rest in raw) != len(c0_basis):
         raise AssertionError("central idempotents do not fill the coradical")
@@ -480,37 +495,105 @@ def simple_components(
     return [s for s, _h in comps], {s.label: h for s, h in comps}
 
 
+def _level_traces(
+    comps: list[SimpleComponent], hits: dict[str, tuple[list, list, int]], columns, basis
+) -> tuple[int, dict[tuple[str, str], int]]:
+    """Traces of the integer maps L_tau R_mu on span(basis), as (den, den * trace) for every pair.
+
+    basis is a nullspace basis, so each vector v has a coordinate p_v where
+    it alone is nonzero (its free column), and a map T that keeps the span
+    has trace sum over v of (T v)[p_v] / v[p_v].  T v is one right-hit
+    application per (mu, v); its coordinate p_v is one dot with the image
+    column p_v of each L_tau, which columns[tau] holds as (i, y) pairs.
+    den is the lcm of the v[p_v].
+    """
+    count = [0] * len(basis[0])
+    for v in basis:
+        for i, x in enumerate(v):
+            if x:
+                count[i] += 1
+    free = []
+    for v in basis:
+        p = next((i for i, x in enumerate(v) if x and count[i] == 1), None)
+        if p is None:
+            raise AssertionError("filtration basis vector with no coordinate of its own")
+        free.append(p)
+    den = math.lcm(*(v[p] for v, p in zip(basis, free)))
+    rows = []
+    for v, p in zip(basis, free):
+        cols = [(tau.label, columns[tau.label][p]) for tau in comps if p in columns[tau.label]]
+        if cols:
+            rows.append((v, den // v[p], cols))
+    traces = dict.fromkeys(((tau.label, mu.label) for tau in comps for mu in comps), 0)
+    for mu in comps:
+        right = hits[mu.label][1]
+        for v, weight, cols in rows:
+            w = _mat_apply(right, v)
+            for label, col in cols:
+                dot = 0
+                for i, y in col:
+                    dot += w[i] * y
+                traces[label, mu.label] += weight * dot
+    return den, traces
+
+
 def q_table(
-    comps: list[SimpleComponent], hits: dict[str, tuple[list, list]], chain: FiltrationChain
+    comps: list[SimpleComponent],
+    hits: dict[str, tuple[list, list, int]],
+    chain: FiltrationChain,
 ) -> dict[tuple[int, str, str], int]:
     """Isotypic dimensions of the filtration quotients of the coalgebra.
 
     (n, tau, mu) -> dimension of the part of C_n/C_{n-1} whose left coaction
-    lands in component tau and right coaction in component mu; computed as the
-    rank of the composed hit-action projectors modulo C_{n-1}.  hits holds
-    each component's left and right hit maps, as simple_components returns
-    them.  Zero entries are omitted.
+    lands in component tau and right coaction in component mu.  hits holds
+    each component's left and right hit maps and their scale, as
+    simple_components returns them.  Zero entries are omitted.
+
+    J maps C_n into C_{n-1}, so A acts on C_n/C_{n-1} through A/J, where
+    the hit action L_tau R_mu of the two central idempotents is idempotent;
+    its rank there, the dimension sought, is its trace, which is the trace
+    on C_n minus the trace on C_{n-1}.  On C_0 the action is that of A/J
+    itself, which projects onto the simple subcoalgebra tau from either
+    side, so the trace there is d_tau^2 if tau = mu and 0 otherwise.  Each
+    higher level's traces are taken once, on the filtration's own nullspace
+    bases, in integers over one common denominator; a difference that is
+    not a non-negative integer, or a level whose dimensions do not add up
+    to its jump, raises.  A chain with one level has no quotient and costs
+    nothing.
     """
     table: dict[tuple[int, str, str], int] = {}
+    if len(chain) == 1:
+        return table
+    columns = {}
+    for tau in comps:
+        col: dict[int, list[tuple[int, int]]] = {}
+        for i, image in hits[tau.label][0]:
+            for t, y in image:
+                col.setdefault(t, []).append((i, y))
+        columns[tau.label] = col
+    # the traces on C_0 of the integer maps, the exact maps times their scales
+    den_below = 1
+    below = {(tau.label, mu.label): (tau.dim * hits[tau.label][2] ** 2 if tau is mu else 0)
+             for tau in comps for mu in comps}
     for n in range(1, len(chain)):
-        below = [list(v) for v in chain.bases[n - 1]]
-        ech_below, piv_below = linalg.echelon(below)
-        right = {mu.label: [_mat_apply(hits[mu.label][1], v) for v in chain.bases[n]]
-                 for mu in comps}
+        den, traces = _level_traces(comps, hits, columns, chain.bases[n])
         jump = len(chain.bases[n]) - len(chain.bases[n - 1])
         seen = 0
         for tau in comps:
-            lm = hits[tau.label][0]
             for mu in comps:
-                q = linalg.rank([
-                    linalg.residue(_mat_apply(lm, w), ech_below, piv_below)
-                    for w in right[mu.label]
-                ])
+                pair = (tau.label, mu.label)
+                common = den * den_below * hits[tau.label][2] * hits[mu.label][2]
+                q, rem = divmod(traces[pair] * den_below - below[pair] * den, common)
+                if rem or q < 0:
+                    raise AssertionError(
+                        f"isotypic dimension at level {n} for {pair} is not a non-negative integer"
+                    )
                 if q:
                     table[(n, tau.label, mu.label)] = q
                     seen += q
         if seen != jump:
             raise AssertionError("isotypic dimensions do not fill the quotient")
+        den_below, below = den, traces
     return table
 
 

@@ -8,16 +8,19 @@ transposing the comultiplication constants; that duality is how the analyzer
 reaches the coradical.
 
 Both tables stay sparse: the dual algebra keeps exactly the nonzero entries
-of delta, and validate checks both axioms in integers, on delta scaled by the
-lcm D of its denominators and the counit by the lcm E of its own, so the
-sides of the counit law scale by D * E.  Scaling by one positive integer
-changes no verdict, so exactness is unchanged.
+of delta.  A coalgebra scales delta to integers once, by the lcm D of its
+denominators (Coalgebra.integral_delta), and every stage that works in
+integers reads that one table: validate checks both axioms on it and on the
+counit scaled by the lcm E of its own denominators, so the sides of the
+counit law scale by D * E.  Scaling by one positive integer changes no
+verdict, so exactness is unchanged.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .linalg import echelon, integral
@@ -36,12 +39,24 @@ def _frac(x, where: str) -> Fraction:
         return x
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return _rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise CoalgebraParseError(f"{where}: bad rational {x!r}: {exc}") from exc
     raise CoalgebraParseError(
         f"{where}: coefficients must be 'p/q' strings or integers, got {type(x).__name__}"
     )
+
+
+def _rational(x: str) -> Fraction:
+    """x as a Fraction; a canonical "-?p" or "-?p/q" of decimal digits skips Fraction's regex.
+
+    Every other string, signs and spaces included, goes to Fraction(x), so
+    the result or the error is the one Fraction(x) gives.
+    """
+    num, slash, den = x.partition("/")
+    if (num[1:] if num[:1] == "-" else num).isdecimal() and (not slash or den.isdecimal()):
+        return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(x)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -88,6 +103,16 @@ class Coalgebra:
             norm.append((i, j, k, c))
         object.__setattr__(self, "delta", tuple(sorted(norm)))
 
+    @cached_property
+    def integral_delta(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(D, delta with each constant times D), D the lcm of delta's denominators.
+
+        Built once per coalgebra, on first use, for every stage that needs
+        delta in integers.
+        """
+        den, xs = integral([x for (_i, _j, _k, x) in self.delta])
+        return den, tuple((i, j, k, x) for (i, j, k, _x), x in zip(self.delta, xs))
+
     def delta_of(self, i: int) -> dict[tuple[int, int], Fraction]:
         """Comultiplication of the i-th basis vector as {(j, k): coefficient}."""
         return {(j, k): c for (i0, j, k, c) in self.delta if i0 == i}
@@ -98,19 +123,19 @@ def validate(c: Coalgebra) -> list[str]:
 
     Returns [] when both axioms hold; otherwise one message per broken axiom
     naming the first basis index where it fails.  Failures are data, not
-    errors.  Both laws run in integers: delta is scaled by the lcm D of its
-    denominators and the counit by the lcm E of its own, so each side of
-    coassociativity scales by D^2 and each side of the counit law by D * E,
-    and the verdicts are those of the rationals.  On e_i the terms of
-    (Delta (x) id) Delta are added to one accumulator and those of
-    (id (x) Delta) Delta subtracted from it, keyed by the triple (a, b, c)
-    as the integer (a * n + b) * n + c; the axiom holds at i iff every
-    value is 0.
+    errors.  Both laws run in integers: on c.integral_delta, delta scaled by
+    the lcm D of its denominators, and on the counit scaled by the lcm E of
+    its own, so each side of coassociativity scales by D^2 and each side of
+    the counit law by D * E, and the verdicts are those of the rationals.
+    On e_i the terms of (Delta (x) id) Delta are added to one accumulator
+    and those of (id (x) Delta) Delta subtracted from it, keyed by the
+    triple (a, b, c) as the integer (a * n + b) * n + c; the axiom holds at
+    i iff every value is 0.
     """
     n = c.dim
-    den, scaled = integral([x for (_i, _j, _k, x) in c.delta])
+    den, delta = c.integral_delta
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for (i, j, k, _x), x in zip(c.delta, scaled):
+    for i, j, k, x in delta:
         rows[i].append((j, k, x))
     failures: list[str] = []
 

@@ -95,10 +95,6 @@ def echelon(rows) -> tuple[list[list[int]], list[int]]:
     return out, pivots
 
 
-def rank(rows) -> int:
-    return len(echelon(rows)[0])
-
-
 def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
     """Residual of an integer v after eliminating every pivot coordinate.
 
@@ -161,26 +157,6 @@ def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
         g = math.gcd(*x)
         basis.append([q // g for q in x])
     return basis
-
-
-def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
-    """Coordinates of v in the given independent rows, as (D, D * coords); or None.
-
-    D is the least positive integer making D * coords integral, the form
-    integral() gives; None means v is outside the rows' span.  The system
-    sum_i c_i * basis_rows[i] = v is eliminated over its transpose: each
-    echelon row is then zero away from its pivot and the last column, and
-    primitive, so c_col = r[k] / r[col] is already in lowest terms.
-    """
-    k = len(basis_rows)
-    ech, pivots = echelon([[b[j] for b in basis_rows] + [x] for j, x in enumerate(v)])
-    if pivots and pivots[-1] == k:
-        return None  # inconsistent
-    den = math.lcm(*(r[col] for r, col in zip(ech, pivots)))
-    coords = [0] * k
-    for r, col in zip(ech, pivots):
-        coords[col] = r[k] * (den // r[col])
-    return den, coords
 
 
 # -- integer polynomials, coefficients ascending -----------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from blocksieve.blocks import BlockIndex, BlockSystem
+from blocksieve.linalg import echelon
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -42,3 +44,30 @@ def random_change_of_basis(rng: random.Random, n: int):
         for k in range(n):
             P[i][k] += c * P[j][k]
     return P
+
+
+# -- exact references that only the tests use --------------------------------
+
+
+def rank(rows) -> int:
+    return len(echelon(rows)[0])
+
+
+def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
+    """Coordinates of v in the given independent rows, as (D, D * coords); or None.
+
+    D is the least positive integer making D * coords integral, the form
+    integral() gives; None means v is outside the rows' span.  The system
+    sum_i c_i * basis_rows[i] = v is eliminated over its transpose: each
+    echelon row is then zero away from its pivot and the last column, and
+    primitive, so c_col = r[k] / r[col] is already in lowest terms.
+    """
+    k = len(basis_rows)
+    ech, pivots = echelon([[b[j] for b in basis_rows] + [x] for j, x in enumerate(v)])
+    if pivots and pivots[-1] == k:
+        return None  # inconsistent
+    den = math.lcm(*(r[col] for r, col in zip(ech, pivots)))
+    coords = [0] * k
+    for r, col in zip(ech, pivots):
+        coords[col] = r[k] * (den // r[col])
+    return den, coords

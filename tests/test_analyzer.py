@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,11 +13,17 @@ from blocksieve.analyzer import (
     FiltrationChain,
     NonSplitCoradicalError,
     _center,
+    _hit_maps,
+    _krylov,
+    _mat_apply,
     _primitive_idempotents,
     _quotient,
     _regular_traces,
     analyze,
+    coradical_filtration,
+    q_table,
     radical,
+    simple_components,
 )
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_dim
 from blocksieve.coalgebra import (
@@ -35,7 +42,7 @@ from blocksieve.corpus import (
     sweedler_tensor_square,
 )
 
-from conftest import random_change_of_basis
+from conftest import random_change_of_basis, rank, solve_coords
 
 F = Fraction
 
@@ -97,6 +104,7 @@ def _dense_hit(c, f, left):
 
 class TestHitMaps:
     def test_equal_dense_reference_up_to_one_positive_scalar(self):
+        # the scalar is the one _hit_maps returns with the maps
         rng = random.Random(17)
         cases = [sweedler_coalgebra(), s3_dual_coalgebra(), matrix_coalgebra(2),
                  change_basis(sweedler_tensor_square(),
@@ -105,24 +113,16 @@ class TestHitMaps:
             functionals = [list(s.idempotent) for s in analyze(c, PLAIN).components]
             functionals.append([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                 for _ in range(c.dim)])
-            _den, xs = linalg.integral([x for (_i, _j, _k, x) in c.delta])
-            delta = [(i, j, k, x) for (i, j, k, _x), x in zip(c.delta, xs)]
             for f in functionals:
-                maps = blocksieve.analyzer._hit_maps(delta, f)
-                for left, sparse in zip((True, False), maps):
-                    ref = _dense_hit(c, f, left)
+                left_map, right_map, scale = _hit_maps(c, f)
+                assert isinstance(scale, int) and scale > 0
+                for left, sparse in zip((True, False), (left_map, right_map)):
                     got = [[Fraction(0)] * c.dim for _ in range(c.dim)]
                     for i, image in sparse:
                         for t, y in image:
                             assert isinstance(y, int) and y != 0
-                            got[t][i] = Fraction(y)
-                    pairs = [(g, r) for gr, rr in zip(got, ref) for g, r in zip(gr, rr)]
-                    scale = next((g / r for g, r in pairs if r), None)
-                    if scale is None:
-                        assert not any(g for g, _r in pairs)
-                        continue
-                    assert scale > 0
-                    assert all(g == scale * r for g, r in pairs)
+                            got[t][i] = Fraction(y, scale)
+                    assert got == _dense_hit(c, f, left)
 
 
 def filtration_is_compatible(c: Coalgebra, chain) -> bool:
@@ -263,6 +263,43 @@ class TestPrimitiveIdempotents:
             assert len(idems) == len(_center(q))
 
 
+class TestKrylov:
+    def test_relation_equals_the_solve_coords_reference(self):
+        # the minimal polynomial read off the powers' own elimination equals
+        # the coordinates of the first dependent power found by a second one
+        rng = random.Random(31)
+        cases = [
+            grouplike_coalgebra(6),
+            tensor_product(grouplike_coalgebra(2), s3_dual_coalgebra()),
+            tensor_product(s3_dual_coalgebra(), sweedler_coalgebra()),
+            change_basis(grouplike_coalgebra(4), random_change_of_basis(rng, 4)),
+        ]
+        degrees = []
+        for c in cases:
+            q = semisimple_quotient(c)
+            center = _center(q)
+            den, unit = linalg.integral(q.unit)
+            starts = [{i: x for i, x in enumerate(unit) if x}]
+            # a non-unit idempotent: the sum of two primitive ones, over one denominator
+            (d1, e1), (d2, e2) = _primitive_idempotents(q)[:2]
+            lcm = math.lcm(d1, d2)
+            pair = {i: e1.get(i, 0) * (lcm // d1) + e2.get(i, 0) * (lcm // d2)
+                    for i in set(e1) | set(e2)}
+            starts.append({i: x for i, x in pair.items() if x})
+            for e in starts:
+                for _ in range(6):
+                    z = [sum(rng.randint(-3, 3) * b[i] for b in center) for i in range(q.dim)]
+                    got = _krylov(q, e, z)
+                    if got is None:
+                        continue
+                    powers, minpoly = got
+                    d, coords = solve_coords(powers, q.multiply(powers[-1], z))
+                    assert minpoly == [-x for x in coords] + [d]
+                    degrees.append(len(minpoly) - 1)
+        assert sum(1 for k in degrees if k >= 3) >= 10
+        assert max(degrees) >= 5
+
+
 class TestTraceRank:
     def test_trace_equals_dense_rank_of_the_ideal(self, corpus_dir):
         for c in corpus_and_variants(corpus_dir):
@@ -270,7 +307,7 @@ class TestTraceRank:
             traces = _regular_traces(q)
             ranks = []
             for e in idempotent_vectors(q):
-                dense = linalg.rank([q.multiply(e, b) for b in unit_vectors(q.dim)])
+                dense = rank([q.multiply(e, b) for b in unit_vectors(q.dim)])
                 assert sum(x * t for x, t in zip(e, traces)) == dense
                 ranks.append(dense)
             assert sorted(ranks) == sorted(s.dim for s in analyze(c, PLAIN).components)
@@ -291,6 +328,66 @@ class TestQTable:
             for n in range(1, len(chain)):
                 jump = chain.dims[n] - chain.dims[n - 1]
                 assert sum(v for (lev, _t, _m), v in table.items() if lev == n) == jump
+
+
+def rank_q_table(comps, hits, chain):
+    """q_table by ranks: each pair's hit images of C_n, reduced modulo C_{n-1}."""
+    table = {}
+    for n in range(1, len(chain)):
+        ech_below, piv_below = linalg.echelon([list(v) for v in chain.bases[n - 1]])
+        for tau in comps:
+            for mu in comps:
+                q = rank([
+                    linalg.residue(_mat_apply(hits[tau.label][0], _mat_apply(hits[mu.label][1], w)),
+                                   ech_below, piv_below)
+                    for w in chain.bases[n]
+                ])
+                if q:
+                    table[(n, tau.label, mu.label)] = q
+    return table
+
+
+def q_table_inputs(c):
+    a = dual_algebra(c)
+    j_basis = radical(a)
+    chain = coradical_filtration(a, j_basis)
+    comps, hits = simple_components(c, a, j_basis, chain.bases[0])
+    return comps, hits, chain
+
+
+class TestQTableAgainstRanks:
+    def test_corpus_and_random_bases(self, corpus_dir):
+        for c in corpus_and_variants(corpus_dir):
+            args = q_table_inputs(c)
+            assert list(q_table(*args).items()) == list(rank_q_table(*args).items())
+
+    def test_tensor_products_with_several_levels(self):
+        g, sw = grouplike_coalgebra, sweedler_coalgebra
+        rng = random.Random(5)
+        sw_m2 = tensor_product(sw(), matrix_coalgebra(2))
+        cases = [
+            tensor_product(sw(), sw()),
+            tensor_product(tensor_product(g(2), g(3)), sw()),
+            tensor_product(sw(), s3_dual_coalgebra()),
+            sw_m2,
+            change_basis(sw_m2, random_change_of_basis(rng, sw_m2.dim)),
+        ]
+        levels = []
+        for c in cases:
+            comps, hits, chain = q_table_inputs(c)
+            levels.append(len(chain))
+            table = q_table(comps, hits, chain)
+            assert table
+            assert list(table.items()) == list(rank_q_table(comps, hits, chain).items())
+        assert max(levels) == 3 and min(levels) == 2
+
+    def test_a_wrong_hit_scale_trips_the_integrality_check(self):
+        comps, hits, chain = q_table_inputs(sweedler_coalgebra())
+        assert q_table(comps, hits, chain) == {(1, "1", "g"): 1, (1, "g", "1"): 1}
+        left_map, right_map, scale = hits["g"]
+        hits["g"] = (left_map, right_map, 2 * scale)
+        with pytest.raises(AssertionError, match="not a non-negative integer"):
+            q_table(comps, hits, chain)
 
 
 class TestAnalyze:
@@ -412,6 +509,33 @@ class TestComputeOnce:
             monkeypatch.setattr(blocksieve.analyzer, name, counting(name))
         analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
         assert calls == {"dual_algebra": 1, "radical": 1}
+
+    def test_analyze_scales_delta_twice(self, monkeypatch):
+        # one scaling is the coalgebra's own table, read by validate and the
+        # hit maps; the other is radical's, on the dual algebra's copy of the
+        # constants.  The inputs have a radical, so no other table analyze
+        # scales (the counit, a functional, the quotient's constants) has
+        # len(delta) entries
+        original = linalg.integral
+        rng = random.Random(3)
+        sw_s3 = tensor_product(sweedler_coalgebra(), s3_dual_coalgebra())
+        inputs = [sweedler_coalgebra(), sweedler_tensor_square(), sw_s3,
+                  change_basis(sweedler_coalgebra(), random_change_of_basis(rng, 4))]
+        for c in inputs:
+            calls = 0
+
+            def counting(values):
+                nonlocal calls
+                values = list(values)
+                calls += len(values) == len(c.delta)
+                return original(values)
+
+            monkeypatch.setattr(blocksieve.linalg, "integral", counting)
+            monkeypatch.setattr(blocksieve.coalgebra, "integral", counting)
+            analyze(c, PLAIN)
+            assert calls == 2
+            analyze(c, PLAIN)
+            assert calls == 3
 
     def test_delta_scalings_do_not_grow_with_the_components(self, monkeypatch):
         # a scaling of delta is an integral() call on delta's own coefficient

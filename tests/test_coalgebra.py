@@ -6,6 +6,7 @@ import pytest
 from blocksieve.coalgebra import (
     Coalgebra,
     CoalgebraParseError,
+    _frac,
     change_basis,
     dual_algebra,
     parse_coalgebra,
@@ -374,6 +375,31 @@ class TestSerialization:
         with pytest.raises(CoalgebraParseError, match="bad rational"):
             parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,0,"x/y"]], '
                             '"counit": ["1"], "field": "Q"}')
+
+    def test_rational_strings_give_what_fraction_gives(self):
+        # canonical strings skip Fraction's regex; every string, canonical or
+        # not, must give the Fraction or the error message Fraction(text) gives
+        texts = ["3/4", "-3/4", "+3/4", " 3/4 ", "--3", "3/-4", "3/0", "1.5", "1e3",
+                 "3_0/4", "\u0663/4", "", "/", "1/", "/2", "-", "-0", "12/-0", "-12/18",
+                 "007", "1" * 5000]
+
+        def outcome(parse):
+            try:
+                x = parse()
+            except CoalgebraParseError as exc:
+                return "error", str(exc)
+            return type(x), x
+
+        def reference(text):
+            try:
+                return Fraction(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise CoalgebraParseError(f"delta[0]: bad rational {text!r}: {exc}") from exc
+
+        for text in texts:
+            assert outcome(lambda: _frac(text, "delta[0]")) == outcome(lambda: reference(text))
+        assert _frac("-12/18", "w") == Fraction(-2, 3)
+        assert "bad rational" in outcome(lambda: _frac("--3", "w"))[1]
 
     def test_accepts_integer_coefficients(self):
         c = parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,0,1]], '

