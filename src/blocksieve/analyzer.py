@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .blocks import BlockIndex, BlockSystem
-from .coalgebra import Algebra, Coalgebra, dual_algebra, validate
+from .blocks import BlockIndex, BlockSystem, block_system_payload
+from .coalgebra import Algebra, Coalgebra, _frac_str, dual_algebra, validate
 from .rules import RuleViolation, check
 
 ZERO = Fraction(0)
@@ -614,10 +614,6 @@ class AnalysisResult:
         return "passes all necessary conditions (no admissibility claim)"
 
     def as_json_dict(self) -> dict:
-        from .blocks import serialize_block_system
-        from .coalgebra import _frac_str
-        import json as _json
-
         return {
             "components": [
                 {
@@ -640,7 +636,7 @@ class AnalysisResult:
                 {"level": n, "tau": t, "mu": m, "dim": v}
                 for (n, t, m), v in sorted(self.q_table.items())
             ],
-            "block_system": _json.loads(serialize_block_system(self.block_system)),
+            "block_system": block_system_payload(self.block_system),
             "rule_report": [
                 {
                     "rule": v.rule,

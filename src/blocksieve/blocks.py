@@ -234,15 +234,19 @@ def parse_block_system(text: bytes | str) -> BlockSystem:
     return BlockSystem(r, blocks)
 
 
-def serialize_block_system(s: BlockSystem) -> bytes:
-    """Canonical UTF-8 JSON bytes: indices sorted lexicographically by (level, d1, d2)."""
-    payload = {
+def block_system_payload(s: BlockSystem) -> dict:
+    """The JSON object of a block system: indices sorted lexicographically by (level, d1, d2)."""
+    return {
         "group_order": s.group_order,
         "blocks": [
             {"level": n, "d1": a, "d2": b, "dim": v} for (n, a, b, v) in s.entries()
         ],
     }
-    return json.dumps(payload).encode("utf-8")
+
+
+def serialize_block_system(s: BlockSystem) -> bytes:
+    """Canonical UTF-8 JSON bytes of block_system_payload(s)."""
+    return json.dumps(block_system_payload(s)).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -273,7 +277,7 @@ class Certificate:
     def as_json_dict(self) -> dict:
         out: dict = {"verdict": self.verdict, "stats": self.stats}
         if self.witness is not None:
-            out["witness"] = json.loads(serialize_block_system(self.witness))
+            out["witness"] = block_system_payload(self.witness)
         if self.refutation_summary is not None:
             out["refutation"] = list(self.refutation_summary)
         return out

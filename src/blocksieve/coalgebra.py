@@ -13,7 +13,17 @@ denominators (Coalgebra.integral_delta), and every stage that works in
 integers reads that one table: validate checks both axioms on it and on the
 counit scaled by the lcm E of its own denominators, so the sides of the
 counit law scale by D * E.  Scaling by one positive integer changes no
-verdict, so exactness is unchanged.
+verdict, so exactness is unchanged.  Coassociativity packs each slice
+(i, j) of the scaled table over its last index into one integer, so a
+dense basis vector costs O(n^3) packed products, not O(n^4) scalar ones
+(see validate for the digit bound that keeps the packed test exact).
+
+Ingestion costs a few C-level operations per delta entry: parse_coalgebra
+tests the entries in one bulk pass over their columns and converts each
+distinct coefficient string once, through a dict local to the call, and
+Coalgebra(...) tests ranges, duplicates and zero constants in bulk.  Each
+falls back to an entry-by-entry scan only when a test fails, to name the
+first bad entry in the message.
 """
 
 from __future__ import annotations
@@ -69,7 +79,11 @@ class Coalgebra:
 
     delta holds quadruples (i, j, k, c) meaning Delta(e_i) contains c*e_j(x)e_k.
     Construction normalizes coefficients to Fraction and sorts the table; it
-    does not verify the coalgebra axioms, that is validate()'s job.
+    does not verify the coalgebra axioms, that is validate()'s job.  A table
+    of int-indexed Fraction tuples is checked in bulk (ranges, duplicates,
+    zero constants); anything else, and any table failing a bulk test, goes
+    through the entry scan, which converts constants and raises for the
+    first bad entry.
     """
 
     dim: int
@@ -88,9 +102,20 @@ class Coalgebra:
         object.__setattr__(self, "counit", tuple(
             x if isinstance(x, Fraction) else Fraction(x) for x in self.counit
         ))
+        delta = self.delta
+        if delta and set(map(type, delta)) == {tuple} and set(map(len, delta)) == {4}:
+            ii, jj, kk, cs = zip(*delta)
+            idx = ii + jj + kk
+            if (set(map(type, idx)) == {int} and 0 <= min(idx) <= max(idx) < self.dim
+                    and len(set(zip(ii, jj, kk))) == len(delta)
+                    and set(map(type, cs)) == {Fraction} and all(cs)):
+                object.__setattr__(self, "delta", tuple(sorted(delta)))
+                return
+        # the scan below names the first bad entry (or converts non-Fraction
+        # constants); an input passing the bulk test above never reaches it
         seen = set()
         norm = []
-        for (i, j, k, c) in self.delta:
+        for (i, j, k, c) in delta:
             if not all(0 <= t < self.dim for t in (i, j, k)):
                 raise ValueError(f"delta entry ({i},{j},{k}) out of range")
             if (i, j, k) in seen:
@@ -127,33 +152,47 @@ def validate(c: Coalgebra) -> list[str]:
     the lcm D of its denominators, and on the counit scaled by the lcm E of
     its own, so each side of coassociativity scales by D^2 and each side of
     the counit law by D * E, and the verdicts are those of the rationals.
-    On e_i the terms of (Delta (x) id) Delta are added to one accumulator
-    and those of (id (x) Delta) Delta subtracted from it, keyed by the
-    triple (a, b, c) as the integer (a * n + b) * n + c; the axiom holds at
-    i iff every value is 0.
+
+    Coassociativity runs on packed slices (Kronecker substitution).  With
+    x_ijk the scaled constants, slice (i, j) is packed over its last index
+    as the integer P_ij = sum_c x_ijc * 2^(w*c).  At e_i the coefficient of
+    e_a (x) e_b (x) e_c is sum_j x_jab * x_ijc on the (Delta (x) id) Delta
+    side and sum_k x_iak * x_kbc on the (id (x) Delta) Delta side, so one
+    dict keyed by a * n + b accumulates sum_j x_jab * P_ij - sum_k x_iak * P_kb,
+    whose base-2^w digits (signed) are the differences over c.  A digit is
+    a sum of at most 2n products of two constants, so its absolute value is
+    at most 2n * X^2 < 2^(w-1) with X = max |x| and
+    w = 2 * bitlen(X) + bitlen(n) + 2; a sum of such signed digits times
+    distinct powers of 2^w is 0 only when every digit is 0 (the lowest
+    nonzero digit is not a multiple of 2^w).  So the axiom holds at i iff
+    every accumulated value is 0.
     """
     n = c.dim
     den, delta = c.integral_delta
+    top = max(map(abs, list(zip(*delta))[3])) if delta else 0
+    w = 2 * top.bit_length() + n.bit_length() + 2
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    packed: list[dict[int, int]] = [{} for _ in range(n)]
     for i, j, k, x in delta:
         rows[i].append((j, k, x))
+        p = packed[i]
+        p[j] = p.get(j, 0) + (x << (w * k))
     failures: list[str] = []
 
-    # a term (a, b, y) of row j lands at key (a*n + b)*n + k on the left, and
-    # a term (u, v, y) of row k at key j*n*n + (u*n + v) on the right
-    left_keys = [[((a * n + b) * n, y) for a, b, y in row] for row in rows]
-    right_keys = [[(u * n + v, y) for u, v, y in row] for row in rows]
-    nn = n * n
+    # a term (a, b, y) of row j pairs with P_ij at key a*n + b; a term
+    # (a, k, x) of row i pairs with each slice P_kb at key a*n + b
+    keyed = [[(a * n + b, y) for a, b, y in row] for row in rows]
+    slices = [list(p.items()) for p in packed]
     for i in range(n):
         acc: dict[int, int] = {}
-        for j, k, x in rows[i]:
-            for key, y in left_keys[j]:
-                key += k
-                acc[key] = acc.get(key, 0) + x * y
-            offset = j * nn
-            for key, y in right_keys[k]:
-                key += offset
-                acc[key] = acc.get(key, 0) - x * y
+        for j, p in slices[i]:
+            for key, y in keyed[j]:
+                acc[key] = acc.get(key, 0) + y * p
+        for a, k, x in rows[i]:
+            an = a * n
+            for b, p in slices[k]:
+                key = an + b
+                acc[key] = acc.get(key, 0) - x * p
         if any(acc.values()):
             failures.append(
                 f"coassociativity fails at basis index {i} ({c.basis[i]})"
@@ -167,7 +206,8 @@ def validate(c: Coalgebra) -> list[str]:
         for j, k, x in rows[i]:
             left[k] += x * eps[j]
             right[j] += x * eps[k]
-        want = [unit if t == i else 0 for t in range(n)]
+        want = [0] * n
+        want[i] = unit
         if left != want or right != want:
             failures.append(f"counit law fails at basis index {i} ({c.basis[i]})")
             break
@@ -330,16 +370,7 @@ def parse_coalgebra(text: bytes | str) -> Coalgebra:
     raw_delta = obj["delta"]
     if not isinstance(raw_delta, list):
         raise CoalgebraParseError("delta must be a list")
-    delta = []
-    for idx, entry in enumerate(raw_delta):
-        where = f"delta[{idx}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise CoalgebraParseError(f"{where}: entries are [i, j, k, coeff]")
-        i, j, k, coeff = entry
-        for t in (i, j, k):
-            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < dim:
-                raise CoalgebraParseError(f"{where}: index {t!r} out of range")
-        delta.append((i, j, k, _frac(coeff, where)))
+    delta = _delta_entries(raw_delta, dim)
     raw_counit = obj["counit"]
     if not isinstance(raw_counit, list) or len(raw_counit) != dim:
         raise CoalgebraParseError("counit must be a list of dim rationals")
@@ -348,6 +379,40 @@ def parse_coalgebra(text: bytes | str) -> Coalgebra:
         return Coalgebra(dim, tuple(basis), tuple(delta), counit)
     except ValueError as exc:
         raise CoalgebraParseError(str(exc)) from exc
+
+
+def _delta_entries(raw: list, dim: int) -> list[tuple[int, int, int, Fraction]]:
+    """The entries [i, j, k, coeff] of a parsed delta list as (i, j, k, Fraction) tuples.
+
+    One pass of bulk tests over the columns checks every entry: exact types
+    (type(t) is int, so a bool index is rejected), one chained range test on
+    all indices, and each distinct coefficient converted once through a
+    dict local to the call.  An empty list, or one failing a test, goes
+    through the entry scan below, which raises the error naming the first
+    bad entry.
+    """
+    if raw and set(map(type, raw)) == {list} and set(map(len, raw)) == {4}:
+        ii, jj, kk, xs = zip(*raw)
+        idx = ii + jj + kk
+        if (set(map(type, idx)) == {int} and 0 <= min(idx) <= max(idx) < dim
+                and set(map(type, xs)) <= {str, int}):
+            try:
+                value = {x: _frac(x, "") for x in set(xs)}
+            except CoalgebraParseError:
+                pass
+            else:
+                return list(zip(ii, jj, kk, map(value.__getitem__, xs)))
+    delta = []
+    for pos, entry in enumerate(raw):
+        where = f"delta[{pos}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise CoalgebraParseError(f"{where}: entries are [i, j, k, coeff]")
+        i, j, k, coeff = entry
+        for t in (i, j, k):
+            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < dim:
+                raise CoalgebraParseError(f"{where}: index {t!r} out of range")
+        delta.append((i, j, k, _frac(coeff, where)))
+    return delta
 
 
 def serialize_coalgebra(c: Coalgebra) -> bytes:

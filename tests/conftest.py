@@ -71,3 +71,37 @@ def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
     for r, col in zip(ech, pivots):
         coords[col] = r[k] * (den // r[col])
     return den, coords
+
+
+def coassociativity_failure(c) -> int | None:
+    """First basis index where coassociativity fails, or None: the unpacked reference.
+
+    On e_i the terms of (Delta (x) id) Delta are added to one signed dict and
+    those of (id (x) Delta) Delta subtracted from it, keyed by the triple
+    (a, b, c) as the integer (a * n + b) * n + c, on delta scaled to
+    integers; the axiom holds at i iff every value is 0.  This is the check
+    validate ran before it packed each slice into one integer.
+    """
+    n = c.dim
+    den, delta = c.integral_delta
+    rows = [[] for _ in range(n)]
+    for i, j, k, x in delta:
+        rows[i].append((j, k, x))
+    # a term (a, b, y) of row j lands at key (a*n + b)*n + k on the left, and
+    # a term (u, v, y) of row k at key j*n*n + (u*n + v) on the right
+    left_keys = [[((a * n + b) * n, y) for a, b, y in row] for row in rows]
+    right_keys = [[(u * n + v, y) for u, v, y in row] for row in rows]
+    nn = n * n
+    for i in range(n):
+        acc: dict[int, int] = {}
+        for j, k, x in rows[i]:
+            for key, y in left_keys[j]:
+                key += k
+                acc[key] = acc.get(key, 0) + x * y
+            offset = j * nn
+            for key, y in right_keys[k]:
+                key += offset
+                acc[key] = acc.get(key, 0) - x * y
+        if any(acc.values()):
+            return i
+    return None

@@ -9,7 +9,9 @@ from blocksieve.blocks import (
     BlockIndex,
     BlockSystem,
     BlockSystemParseError,
+    Certificate,
     ModeFlags,
+    block_system_payload,
     parse_block_system,
     pointed_levels,
     serialize_block_system,
@@ -129,6 +131,18 @@ class TestSerialization:
         data = json.loads(serialize_block_system(s))
         levels = [(e["level"], e["d1"], e["d2"]) for e in data["blocks"]]
         assert levels == sorted(levels)
+
+    def test_payload_is_what_the_bytes_decode_to(self):
+        # certificates and analysis results embed the payload dict directly;
+        # dumping it must give the serialized bytes, key order included
+        rng = random.Random(17)
+        for _ in range(50):
+            s = random_system(rng)
+            payload = block_system_payload(s)
+            assert json.dumps(payload).encode("utf-8") == serialize_block_system(s)
+            assert payload == json.loads(serialize_block_system(s))
+            cert = Certificate("feasible", witness=s)
+            assert cert.as_json_dict()["witness"] == payload
 
     def test_serialize_parse_of_parse_is_identity(self):
         # scrambled field order parses to the same system

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from blocksieve.corpus import (
 
 from blocksieve.linalg import integral
 
-from conftest import random_change_of_basis
+from conftest import coassociativity_failure, random_change_of_basis
 
 
 def _ref_validate(c: Coalgebra) -> list[str]:
@@ -160,6 +161,122 @@ class TestValidate:
             failing += bool(got)
         assert failing >= len(variants) // 2
         assert failing < len(variants)
+
+
+def _packed_failure(c: Coalgebra) -> int | None:
+    """The first failing index validate reports for coassociativity, or None."""
+    prefix = "coassociativity fails at basis index "
+    for msg in validate(c):
+        if msg.startswith(prefix):
+            return int(msg[len(prefix):].split()[0])
+    return None
+
+
+def _with_constant(c: Coalgebra, t: int, x) -> Coalgebra:
+    """c with its t-th delta constant replaced by x (the entry dropped when x is 0)."""
+    delta = list(c.delta)
+    i, j, k, _x = delta[t]
+    if x:
+        delta[t] = (i, j, k, Fraction(x))
+    else:
+        del delta[t]
+    return Coalgebra(c.dim, c.basis, tuple(delta), c.counit)
+
+
+def _raw(n: int, entries) -> Coalgebra:
+    """A dim-n table from (i, j, k, x) entries; the counit is irrelevant here."""
+    return Coalgebra(n, tuple(f"e{i}" for i in range(n)),
+                     tuple((i, j, k, Fraction(x)) for i, j, k, x in entries),
+                     (Fraction(1),) * n)
+
+
+def _sample_cases(rng: random.Random) -> list[Coalgebra]:
+    """Corpus builders, two tensor products and seeded random bases of each."""
+    cases = [build() for build in CORPUS_BUILDERS.values()]
+    cases.append(tensor_product(sweedler_coalgebra(), grouplike_coalgebra(3)))
+    cases.append(tensor_product(matrix_coalgebra(2), sweedler_coalgebra()))
+    for c in list(cases):
+        if c.dim <= 9:
+            cases.append(change_basis(c, random_change_of_basis(rng, c.dim)))
+    return cases
+
+
+class TestPackedCoassociativity:
+    """validate's packed slices against the unpacked triple-keyed reference."""
+
+    def test_valid_inputs_agree(self):
+        cases = _sample_cases(random.Random(5))
+        assert len(cases) >= 12
+        for c in cases:
+            assert coassociativity_failure(c) is None
+            assert _packed_failure(c) is None
+
+    def test_unit_mutations_at_every_row(self):
+        rng = random.Random(6)
+        mutants = failing = 0
+        for c in _sample_cases(rng):
+            rows: dict[int, list[int]] = {}
+            for t, (i, *_rest) in enumerate(c.delta):
+                rows.setdefault(i, []).append(t)
+            for ts in rows.values():
+                for t in (ts[0], ts[-1], rng.choice(ts)):
+                    for step in (1, -1):
+                        m = _with_constant(c, t, c.delta[t][3] + step)
+                        got = _packed_failure(m)
+                        assert got == coassociativity_failure(m), (c.basis, t)
+                        mutants += 1
+                        failing += got is not None
+        assert mutants > 400
+        assert failing > mutants // 2
+
+    def test_constants_beyond_2_to_80(self):
+        # f_0 = 2^-90 * e_0 makes Delta(f_0) = 2^90 f_0 (x) f_0; shears then mix
+        # the huge constant into the others
+        rng = random.Random(7)
+        for build in (sweedler_coalgebra, s3_dual_coalgebra, lambda: grouplike_coalgebra(4)):
+            base = build()
+            P = random_change_of_basis(rng, base.dim)
+            P[0] = [x / 2**90 for x in P[0]]
+            c = change_basis(base, P)
+            assert max(abs(x) for *_t, x in c.delta) >= 2**80
+            assert _packed_failure(c) is None
+            for t in rng.sample(range(len(c.delta)), min(12, len(c.delta))):
+                for step in (1, -1):
+                    m = _with_constant(c, t, c.delta[t][3] + step)
+                    assert _packed_failure(m) == coassociativity_failure(m) is not None
+
+    def test_digit_sums_reach_n_times_max_squared(self):
+        n, x = 16, 3**20
+        # every constant x: each digit is n * x^2 on both sides, and they cancel
+        full = _raw(n, [(i, j, k, x) for i in range(n) for j in range(n) for k in range(n)])
+        assert coassociativity_failure(full) is None
+        assert _packed_failure(full) is None
+        # at e_0, digit (0, 0, 0) is n * x^2 on the left and -(n - 2) * x^2 on the right
+        entries = {(j, 0, 0): x for j in range(n)}
+        entries.update({(0, j, 0): x for j in range(n)})
+        entries.update({(0, 0, k): -x for k in range(1, n)})
+        skew = _raw(n, [(i, j, k, y) for (i, j, k), y in entries.items()])
+        assert coassociativity_failure(skew) == 0
+        assert _packed_failure(skew) == 0
+        # one unit off in the same table still fails at the same index
+        t = next(t for t, e in enumerate(skew.delta) if e[:3] == (5, 0, 0))
+        assert _packed_failure(_with_constant(skew, t, x + 1)) == 0
+
+    def test_digits_a_narrower_base_would_carry_into_each_other(self):
+        # at e_0 the only nonzero digits sit at (a, b) = (1, 1): m * y^2 at c = 3
+        # (from rows j in J) and -1 at c = 4 (from row 15); rows 3 and 4 are
+        # empty, so the other side is 0.  With base 2^v and m * y^2 = 2^v the
+        # packed value would cancel; the true base is wider, so it must not
+        n = 16
+        rows_j = [1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]
+        for t in range(0, 24):
+            y = 2**t
+            for m in (1, 2, 3, 4, 8, 12):
+                entries = [(j, 1, 1, y) for j in rows_j[:m]] + [(15, 1, 1, 1)]
+                entries += [(0, j, 3, y) for j in rows_j[:m]] + [(0, 15, 4, -1)]
+                c = _raw(n, entries)
+                assert coassociativity_failure(c) == 0
+                assert _packed_failure(c) == 0, (t, m)
 
 
 def _is_associative(a) -> bool:
@@ -412,3 +529,130 @@ class TestSerialization:
         with pytest.raises(CoalgebraParseError, match="out of range"):
             parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,1,"1"]], '
                             '"counit": ["1"], "field": "Q"}')
+
+
+def _doc(delta, counit=None, dim=2) -> str:
+    """Coalgebra JSON with the given delta (a JSON fragment) on basis e0, e1."""
+    counit = counit or '["1", "1"]'
+    basis = json.dumps([f"e{i}" for i in range(dim)])
+    return (f'{{"dim": {dim}, "basis": {basis}, "delta": {delta}, '
+            f'"counit": {counit}, "field": "Q"}}')
+
+
+def _parse_error(text) -> str:
+    with pytest.raises(CoalgebraParseError) as info:
+        parse_coalgebra(text)
+    return str(info.value)
+
+
+GOOD = '[0, 0, 0, "1"], [1, 1, 1, "1"]'
+
+
+class TestParseChecks:
+    """Every delta entry is checked once, in bulk; messages name the first bad entry."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ('[0, true, 0, "1"]', "delta[1]: index True out of range"),
+        ('[0, 0, 2, "1"]', "delta[1]: index 2 out of range"),
+        ('[-1, 0, 0, "1"]', "delta[1]: index -1 out of range"),
+        ('[0, 0, 1.0, "1"]', "delta[1]: index 1.0 out of range"),
+        ('"0,0,0,1"', "delta[1]: entries are [i, j, k, coeff]"),
+        ('[0, 0, "1"]', "delta[1]: entries are [i, j, k, coeff]"),
+        ('[0, 1, 0, 0.5]',
+         "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ('[0, 1, 0, false]', "delta[1]: coefficients must be rationals, got False"),
+        ('[0, 1, 0, "1/0"]',
+         "delta[1]: bad rational '1/0': Fraction(1, 0)"),
+    ])
+    def test_entry_messages(self, bad, message):
+        text = _doc(f'[[0, 0, 0, "1"], {bad}, [1, 1, 1, "1"]]')
+        assert _parse_error(text) == message
+
+    @pytest.mark.parametrize("coeff", ['"0"', '"0/7"', '"-0"', "0"])
+    def test_zero_coefficient(self, coeff):
+        text = _doc(f'[[0, 0, 0, "1"], [0, 1, 1, {coeff}], [1, 1, 1, "1"]]')
+        assert _parse_error(text) == "zero coefficient at delta entry (0,1,1)"
+
+    def test_duplicate_entry(self):
+        text = _doc('[[0, 0, 0, "1"], [1, 1, 1, "1"], [0, 0, 0, "2"]]')
+        assert _parse_error(text) == "duplicate delta entry (0,0,0)"
+
+    def test_first_bad_entry_is_named(self):
+        # a bad coefficient in entry 1 is reported before a bad index in entry 2,
+        # and a bad index in entry 1 before a bad coefficient in entry 2
+        assert _parse_error(_doc('[[0, 0, 0, "1"], [0, 1, 1, "x"], [0, 0, 9, "1"]]')) == (
+            "delta[1]: bad rational 'x': Invalid literal for Fraction: 'x'")
+        assert _parse_error(_doc('[[0, 0, 0, "1"], [0, 0, 9, "1"], [0, 1, 1, "x"]]')) == (
+            "delta[1]: index 9 out of range")
+        # a zero or duplicate is a table error, raised once every entry parses
+        assert _parse_error(_doc('[[0, 0, 0, "0"], [0, 0, 9, "1"]]')) == (
+            "delta[1]: index 9 out of range")
+
+    def test_non_canonical_strings_give_what_fraction_gives(self):
+        texts = ["2/4", "+3", " 1", "1 ", "-6/-4", "007", "3/-4", "2.5", "1e2", "1_0"]
+        good = []
+        for t in texts:
+            try:
+                good.append((t, Fraction(t)))
+            except ValueError:
+                msg = _parse_error(_doc(f'[[0, 0, 0, {json.dumps(t)}]]'))
+                assert msg.startswith(f"delta[0]: bad rational {t!r}: "), msg
+        delta = ", ".join(f'[0, {i // 2}, {i % 2}, {json.dumps(t)}]'
+                          for i, (t, _x) in enumerate(good[:4]))
+        c = parse_coalgebra(_doc(f"[{delta}]", counit='["-0/5", "2/4"]'))
+        assert [x for *_t, x in c.delta] == [x for _t, x in good[:4]]
+        assert c.counit == (Fraction(0), Fraction(1, 2))
+        assert all(type(x) is Fraction for *_t, x in c.delta)
+
+    def test_repeated_strings_give_equal_values(self):
+        n = 4
+        delta = ", ".join(f'[{i}, {j}, {k}, "-6/4"]'
+                          for i in range(n) for j in range(n) for k in range(n))
+        text = _doc(f"[{delta}]", counit=json.dumps(["1"] * n), dim=n)
+        c = parse_coalgebra(text)
+        assert len(c.delta) == n**3
+        assert {x for *_t, x in c.delta} == {Fraction(-3, 2)}
+
+    def test_round_trip_moved_and_tensored(self):
+        rng = random.Random(11)
+        for c in _sample_cases(rng):
+            assert parse_coalgebra(serialize_coalgebra(c)) == c
+
+    def test_empty_delta(self):
+        c = parse_coalgebra(_doc("[]"))
+        assert c.delta == ()
+
+
+class TestDirectConstruction:
+    """Coalgebra(...) checks ranges, duplicates and zeros in bulk, messages as before."""
+
+    @staticmethod
+    def _make(delta, dim=2):
+        return Coalgebra(dim, tuple(f"e{i}" for i in range(dim)), tuple(delta),
+                         (Fraction(1),) * dim)
+
+    @pytest.mark.parametrize("delta, message", [
+        ([(0, 0, 0, Fraction(1)), (0, 0, 2, Fraction(1))], "delta entry (0,0,2) out of range"),
+        ([(0, 0, 0, Fraction(1)), (-1, 0, 0, Fraction(1))], "delta entry (-1,0,0) out of range"),
+        ([(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(2))], "duplicate delta entry (0,0,0)"),
+        ([(0, 0, 0, Fraction(1)), (1, 1, 1, Fraction(0))],
+         "zero coefficient at delta entry (1,1,1)"),
+        ([(0, 0, 0, 1), (1, 1, 1, 0)], "zero coefficient at delta entry (1,1,1)"),
+        # the first bad entry in input order is the one named
+        ([(1, 1, 1, Fraction(0)), (0, 0, 5, Fraction(1))],
+         "zero coefficient at delta entry (1,1,1)"),
+        ([(0, 0, 5, Fraction(1)), (1, 1, 1, Fraction(0))], "delta entry (0,0,5) out of range"),
+        ([(0, 0, 0, Fraction(1)), (0, 0, 0)], "not enough values to unpack (expected 4, got 3)"),
+    ])
+    def test_messages(self, delta, message):
+        with pytest.raises(ValueError) as info:
+            self._make(delta)
+        assert str(info.value) == message
+
+    def test_normalizes_like_the_entry_scan(self):
+        # lists, ints and out-of-order entries become sorted tuples of Fractions
+        c = self._make([[1, 1, 1, 1], (0, 0, 0, Fraction(2, 4))])
+        assert c.delta == ((0, 0, 0, Fraction(1, 2)), (1, 1, 1, Fraction(1)))
+        assert all(type(e) is tuple and type(e[3]) is Fraction for e in c.delta)
+        assert self._make([(1, 1, 1, Fraction(1)), (0, 0, 0, Fraction(1))]) == self._make(
+            [(0, 0, 0, 1), (1, 1, 1, 1)])
