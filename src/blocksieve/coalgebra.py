@@ -102,7 +102,7 @@ class Coalgebra:
         object.__setattr__(self, "counit", tuple(
             x if isinstance(x, Fraction) else Fraction(x) for x in self.counit
         ))
-        delta = self.delta
+        delta = tuple(self.delta)
         if delta and set(map(type, delta)) == {tuple} and set(map(len, delta)) == {4}:
             ii, jj, kk, cs = zip(*delta)
             idx = ii + jj + kk

@@ -656,3 +656,7 @@ class TestDirectConstruction:
         assert all(type(e) is tuple and type(e[3]) is Fraction for e in c.delta)
         assert self._make([(1, 1, 1, Fraction(1)), (0, 0, 0, Fraction(1))]) == self._make(
             [(0, 0, 0, 1), (1, 1, 1, 1)])
+        # a one-shot iterable is read once, by whichever path runs
+        entries = [(1, 1, 1, Fraction(1)), (0, 0, 0, Fraction(1))]
+        c = Coalgebra(2, ("e0", "e1"), (e for e in entries), (Fraction(1),) * 2)
+        assert c.delta == tuple(sorted(entries))
