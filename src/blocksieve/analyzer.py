@@ -32,7 +32,11 @@ scaled once per coalgebra (Coalgebra.integral_delta), for validate and
 every hit map, and the trace form scales the dual algebra's constants.
 The semisimple quotient A/J is projected term by term and its constants
 scaled to integers once.  Its central idempotents are each one positive
-denominator times a sparse integer vector, refined by Krylov sequences
+denominator times a sparse integer vector.  The center's basis is tried
+first: when each basis vector z has z * z a nonzero multiple of z and the
+rescaled vectors sum to the unit, they are the primitive central
+idempotents, at one product per vector (the certificate is argued at
+_certified_idempotents).  Otherwise {1} is refined by Krylov sequences
 tested fraction-free, whose minimal polynomial comes out of the same
 elimination; a central element that cannot split an idempotent is
 detected on that idempotent's support alone.  Each component's dimension
@@ -40,8 +44,9 @@ is a trace rather than a rank, its subspace is the one-sided hit of its
 idempotent on C_0, and its hit maps are built once, with their scale, and
 handed to q_table, which counts each isotypic dimension as a difference of
 traces on consecutive levels, each level's traces taken once.  Fraction
-appears only in the projection onto A/J, in scalars (the quotient's unit
-and each Lagrange factor) and in the stored idempotents and grouplikes.
+appears only in the projection onto A/J, in scalars (the quotient's unit,
+each certified idempotent's scale and their sum, each Lagrange factor)
+and in the stored idempotents and grouplikes.
 """
 
 from __future__ import annotations
@@ -296,9 +301,56 @@ def _primitive_idempotents(a: Algebra) -> list[tuple[int, dict[int, int]]]:
     """Primitive central idempotents of a split semisimple algebra, as (den, den * e).
 
     Each idempotent e is held as one positive integer den times a sparse
-    integer vector {i: x}; a has integer constants, so every product stays
-    an integer.  Refines {1} by the spectrum of each central basis element
-    z: on each current idempotent e, w = e*z either lies in Q*e (z cannot
+    integer vector {i: x}, with gcd(den, x's) = 1; a has integer constants,
+    so every product stays an integer.  The center's own basis is tried
+    first (_certified_idempotents); only when it is not already the answer
+    is {1} refined (_refined_idempotents).  Both give the same list up to
+    order, since primitive central idempotents are unique.
+    """
+    center = _center(a)
+    certified = _certified_idempotents(a, center)
+    if certified is not None:
+        return certified
+    return _refined_idempotents(a, center)
+
+
+def _certified_idempotents(
+    a: Algebra, center: list[list[int]]
+) -> list[tuple[int, dict[int, int]]] | None:
+    """The center basis rescaled, when that is the set of primitive central idempotents.
+
+    Each basis vector z costs one product: z * z = mu * z with mu != 0,
+    decided by cross-multiplying integers, makes z / mu an idempotent.  If
+    every one passes and the k = dim Z idempotents sum to the unit, they
+    are the primitive ones (Friedl and Ronyai, STOC 1985, split commutative
+    semisimple algebras the same way): in a splitting Z = K_1 + ... + K_t
+    into fields, each is a nonzero 0/1 vector, and in characteristic 0
+    vectors of 0s and 1s summing to 1 have disjoint supports, so
+    k <= t <= sum of [K_tau : Q] = dim Z = k.  Hence every K_tau is Q
+    and each idempotent is supported on one factor.  Returns None at the
+    first vector that fails, or when the sum is not the unit.
+    """
+    idempotents = []
+    total: list = [0] * a.dim
+    for z in center:
+        w = a.multiply(z, z)
+        j0 = next(i for i, x in enumerate(z) if x)
+        if not w[j0] or any(wi * z[j0] != w[j0] * zi for wi, zi in zip(w, z)):
+            return None
+        s = Fraction(z[j0], w[j0])  # z is primitive, so s * z is in lowest terms
+        e = {i: s.numerator * x for i, x in enumerate(z) if x}
+        for i, x in e.items():
+            total[i] += Fraction(x, s.denominator)
+        idempotents.append((s.denominator, e))
+    if total != list(a.unit):
+        return None
+    return idempotents
+
+
+def _refined_idempotents(a: Algebra, center: list[list[int]]) -> list[tuple[int, dict[int, int]]]:
+    """Primitive central idempotents by refining {1} with the spectrum of each central z.
+
+    On each current idempotent e, w = e*z either lies in Q*e (z cannot
     split e, and e is kept) or has a minimal polynomial on eA that must
     split into distinct rational linear factors (else the input is not
     split over Q).  The finer idempotents are then the Lagrange
@@ -310,9 +362,9 @@ def _primitive_idempotents(a: Algebra) -> list[tuple[int, dict[int, int]]]:
     vector, divided by its gcd, and s only moves den.  Once there are as
     many idempotents as the center has dimensions, the center is split and
     each of them is primitive, so the later basis elements would only
-    return them unchanged.
+    return them unchanged.  This tests up to k central elements against up
+    to k idempotents, O(k^2) _krylov calls for k components.
     """
-    center = _center(a)
     den, unit = linalg.integral(a.unit)
     idempotents = [(den, {i: x for i, x in enumerate(unit) if x})]
     for z in center:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,11 +14,13 @@ from blocksieve.analyzer import (
     FiltrationChain,
     NonSplitCoradicalError,
     _center,
+    _certified_idempotents,
     _hit_maps,
     _krylov,
     _mat_apply,
     _primitive_idempotents,
     _quotient,
+    _refined_idempotents,
     _regular_traces,
     analyze,
     coradical_filtration,
@@ -33,6 +36,7 @@ from blocksieve.coalgebra import (
     dual_algebra,
     parse_coalgebra,
     tensor_product,
+    validate,
 )
 from blocksieve.corpus import (
     grouplike_coalgebra,
@@ -217,6 +221,41 @@ class TestSimpleComponents:
             analyze(c, PLAIN)
 
 
+def rational_quaternions_dual() -> Coalgebra:
+    """The dual coalgebra of H_Q, on the basis dual to 1, i, j, k.
+
+    Delta e_c holds e_a (x) e_b with the coefficient of c in the product
+    a * b of H_Q, so the dual algebra is H_Q itself, a division algebra
+    with center Q and dimension 4 = 2^2 that does not split over Q.
+    """
+    i, j, k = 1, 2, 3
+    table = {(0, t): (t, 1) for t in range(4)}
+    table.update({(t, 0): (t, 1) for t in range(1, 4)})
+    table.update({(t, t): (0, -1) for t in range(1, 4)})
+    table.update({(i, j): (k, 1), (j, i): (k, -1), (j, k): (i, 1), (k, j): (i, -1),
+                  (k, i): (j, 1), (i, k): (j, -1)})
+    delta = tuple((c, a, b, F(x)) for (a, b), (c, x) in table.items())
+    return Coalgebra(4, ("1", "i", "j", "k"), delta, (F(1), F(0), F(0), F(0)))
+
+
+class TestNonSplitSimpleComponents:
+    def test_quaternions_are_a_valid_coalgebra_with_a_split_center(self):
+        c = rational_quaternions_dual()
+        assert validate(c) == []
+        a = dual_algebra(c)
+        assert not radical(a) and len(_center(a)) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="simple_components tests only the center's splitting and whether the "
+               "dimension is a square; a central simple algebra over Q such as H_Q "
+               "needs a norm-equation test to be refused",
+    )
+    def test_quaternions_rejected(self):
+        with pytest.raises(NonSplitCoradicalError):
+            analyze(rational_quaternions_dual(), PLAIN)
+
+
 def corpus_and_variants(corpus_dir, per_item=2):
     """The six corpus coalgebras, each followed by seeded random-basis variants."""
     rng = random.Random(29)
@@ -261,6 +300,85 @@ class TestPrimitiveIdempotents:
                     assert q.multiply(e, b) == q.multiply(b, e)
             assert [sum(col) for col in zip(*idems)] == list(q.unit)
             assert len(idems) == len(_center(q))
+
+
+def idempotent_key(pair):
+    """A sort key for one (den, {i: x}) idempotent; the dicts themselves do not order."""
+    den, e = pair
+    return den, sorted(e.items())
+
+
+def tensor_family():
+    """Tensor products of 2-3 small coalgebras of dimension <= 24; a 1-dim factor in pairs only."""
+    factors = {
+        "g1": grouplike_coalgebra(1), "g2": grouplike_coalgebra(2),
+        "g3": grouplike_coalgebra(3), "g4": grouplike_coalgebra(4),
+        "sw": sweedler_coalgebra(), "m2": matrix_coalgebra(2), "s3": s3_dual_coalgebra(),
+    }
+    combos = [("g1", f) for f in factors]
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement([f for f in factors if f != "g1"], k):
+            if math.prod(factors[f].dim for f in combo) <= 24:
+                combos.append(combo)
+    out = []
+    for combo in combos:
+        c = factors[combo[0]]
+        for f in combo[1:]:
+            c = tensor_product(c, factors[f])
+        out.append(c)
+    return out
+
+
+class TestCertifiedIdempotents:
+    def test_equal_the_refinement_wherever_the_certificate_holds(self, corpus_dir):
+        rng = random.Random(41)
+        corpus = [parse_coalgebra(p.read_bytes()) for p in sorted(corpus_dir.glob("*.json"))]
+        moved = [change_basis(c, random_change_of_basis(rng, c.dim))
+                 for c in corpus for _ in range(3)]
+        family = tensor_family()
+        certified = []
+        for c in corpus + family + moved + [grouplike_coalgebra(256)]:
+            q = semisimple_quotient(c)
+            center = _center(q)
+            got = _certified_idempotents(q, center)
+            want = sorted(_refined_idempotents(q, center), key=idempotent_key)
+            assert sorted(_primitive_idempotents(q), key=idempotent_key) == want
+            if got is not None:
+                assert sorted(got, key=idempotent_key) == want
+            certified.append(got is not None)
+        assert len(family) == 37
+        assert 30 <= sum(certified) < len(certified)
+        assert certified[-1]
+
+    def test_idempotents_not_summing_to_the_unit_fall_back(self):
+        # Q x Q in the basis (1, e): 1 and e are central idempotents spanning
+        # the center, but 1 + e is not the unit, so the center's basis is not
+        # its primitive idempotents; those are e and 1 - e
+        mult = ({0: ((0, 1),), 1: ((1, 1),)}, {0: ((1, 1),), 1: ((1, 1),)})
+        a = Algebra(2, mult, (F(1), F(0)))
+        center = _center(a)
+        assert sorted(center) == [[0, 1], [1, 0]]
+        assert all(a.multiply(z, z) == z for z in center)
+        assert _certified_idempotents(a, center) is None
+        got = sorted(_primitive_idempotents(a), key=idempotent_key)
+        assert got == [(1, {0: 1, 1: -1}), (1, {1: 1})]
+
+    def test_grouplikes_need_no_krylov_sequence(self, monkeypatch):
+        calls = 0
+        original = blocksieve.analyzer._krylov
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(blocksieve.analyzer, "_krylov", counting)
+        res = analyze(grouplike_coalgebra(24), PLAIN)
+        assert res.block_system == BlockSystem(24, {(0, 1, 1): 24})
+        assert calls == 0
+        # the S3 dual's center basis is not idempotent, so it refines
+        analyze(s3_dual_coalgebra(), PLAIN)
+        assert calls > 0
 
 
 class TestKrylov:

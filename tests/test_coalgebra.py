@@ -101,6 +101,30 @@ class TestValidate:
         failures = validate(c)
         assert any("counit law fails at basis index 2" in f for f in failures)
 
+    def test_missing_diagonal_counit_term_reported(self):
+        # Delta x = x (x) x with eps(x) = 0: every term of Delta x is on the
+        # diagonal, and (eps (x) id) Delta x = 0 lacks the x that the law
+        # needs, with no stray term elsewhere to give the failure away
+        delta = ((0, 0, 0, Fraction(1)), (1, 1, 1, Fraction(1)))
+        c = Coalgebra(2, ("1", "x"), delta, (Fraction(1), Fraction(0)))
+        assert validate(c) == ["counit law fails at basis index 1 (x)"]
+        assert validate(c) == _ref_validate(c)
+
+    def test_cancelling_counit_terms_pass(self):
+        # Delta x = x (x) 1 + 1 (x) x + (g - g') (x) (g - g') with eps(g) =
+        # eps(g') = 1: the last four terms leave zero entries at g and g' on
+        # both sides, which must not count as failures
+        delta = (
+            (0, 0, 0, Fraction(1)), (1, 1, 1, Fraction(1)), (2, 2, 2, Fraction(1)),
+            (3, 3, 0, Fraction(1)), (3, 0, 3, Fraction(1)),
+            (3, 1, 1, Fraction(1)), (3, 1, 2, Fraction(-1)),
+            (3, 2, 1, Fraction(-1)), (3, 2, 2, Fraction(1)),
+        )
+        c = Coalgebra(4, ("1", "g", "g'", "x"), delta,
+                      (Fraction(1), Fraction(1), Fraction(1), Fraction(0)))
+        assert validate(c) == _ref_validate(c)
+        assert not any(m.startswith("counit") for m in validate(c))
+
     def test_broken_coassociativity_reported(self):
         # Delta x = x (x) g + 1 (x) x is not coassociative (mixed coefficients)
         delta = (

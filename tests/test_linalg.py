@@ -188,6 +188,10 @@ class TestRationalRoots:
             ([6, 11, 6, 1], [-3, -2, -1], True),
             ([1, 0, 1], [], False),                  # t^2 + 1
             ([-1, 0, 0, 1], [1], False),             # t^3 - 1
+            ([1, -2, 1], [1], True),                 # (t-1)^2, a double root
+            ([0, 3, 1], [-3, 0], True),              # t(t+3), a zero root
+            ([0, 0, -4], [0], True),                 # -4t^2
+            ([-6, 5, -1], [2, 3], True),             # -(t-2)(t-3)
         ],
     )
     def test_table(self, poly, roots, split):
@@ -224,6 +228,30 @@ class TestRationalRoots:
         roots, split = linalg.rational_roots(poly)
         assert split
         assert roots == [Fraction(k) for k in range(1, 201)]
+
+    def test_every_small_quadratic_against_a_brute_force_search(self):
+        # a root p/q in lowest terms of a*t^2 + b*t + c has p | c and q | a
+        # when c != 0, and is 0 or -b/a when c == 0, so |p| <= 12 and
+        # q <= 12 for coefficients in [-12, 12]; each candidate x and each
+        # (a, b) fix the one c that makes x a root
+        span = range(-12, 13)
+        roots: dict[tuple[int, int, int], set] = {}
+        for x in {Fraction(p, q) for p in span for q in range(1, 13)}:
+            p, q = x.numerator, x.denominator
+            for a in span:
+                for b in span:
+                    c, rem = divmod(-(a * p * p + b * p * q), q * q)
+                    if a and not rem and -12 <= c <= 12:
+                        roots.setdefault((a, b, c), set()).add(x)
+        split = 0
+        for a in span:
+            for b in span:
+                for c in span:
+                    if a:
+                        want = sorted(roots.get((a, b, c), ()))
+                        assert linalg.rational_roots([c, b, a]) == (want, bool(want)), (a, b, c)
+                        split += bool(want)
+        assert 0 < split < 24 * 25 * 25
 
 
 # -- Fraction reference for rational_roots -------------------------------------
