@@ -8,10 +8,9 @@ cross-multiplication.  Pivot selection takes the lowest row index with a
 nonzero entry in the current column, and each result has a unique normal
 form, so outputs are deterministic and equal to those of rational
 arithmetic.  The polynomial toolkit below is integral too: squarefree parts
-come from pseudo-remainder sequences, and rational roots from the
-discriminant of a quadratic or else from Hensel lifting, so that fully split
-polynomials never require factoring their (potentially huge) constant
-terms.  Fraction appears only in the roots it returns.
+come from pseudo-remainder sequences, and rational roots from Hensel lifting,
+so that fully split polynomials never require factoring their (potentially
+huge) constant terms.  Fraction appears only in the roots it returns.
 """
 
 from __future__ import annotations
@@ -252,28 +251,14 @@ def _rational_reconstruct(a: int, m: int, bound: int) -> tuple[int, int] | None:
     return p, q
 
 
-def _quadratic_roots(c: int, b: int, a: int) -> tuple[list[Fraction], bool]:
-    """rational_roots of a*t^2 + b*t + c (a != 0), from the discriminant.
-
-    The roots (-b +- sqrt(disc)) / 2a are rational exactly when disc is a
-    square; a zero disc gives the one double root.
-    """
-    disc = b * b - 4 * a * c
-    root = math.isqrt(disc) if disc >= 0 else -1
-    if root * root != disc:
-        return [], False
-    return sorted({Fraction(-b - root, 2 * a), Fraction(-b + root, 2 * a)}), True
-
-
 def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     """(all rational roots of p, whether p splits into linear factors over Q).
 
     p has integer coefficients, ascending.  Multiplicities are ignored: roots
-    come from the squarefree part, found in integers.  A quadratic is solved
-    by its discriminant.  Otherwise root extraction lifts the roots modulo
-    the first odd prime that keeps them simple to high p-adic precision, all
-    roots together one precision at a time, and reconstructs p/q, so no
-    large integer is ever factored.
+    come from the squarefree part, found in integers.  Root extraction lifts
+    the roots modulo the first odd prime that keeps them simple to high
+    p-adic precision, all roots together one precision at a time, and
+    reconstructs p/q, so no large integer is ever factored.
     """
     p = [int(c) for c in p]
     while p and p[-1] == 0:
@@ -282,8 +267,6 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
         raise ValueError("zero polynomial has every root")
     if len(p) == 1:
         return [], True
-    if len(p) == 3:
-        return _quadratic_roots(*p)
     sqfree = _squarefree_part(p)
     zero_roots: list[Fraction] = []
     if sqfree[0] == 0:

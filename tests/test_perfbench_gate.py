@@ -6,6 +6,7 @@ and checked by perfbench's own Checker, so a change that breaks the gate
 fails here before any benchmark run.  perfbench is imported, not changed.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,14 +15,25 @@ import pytest
 import blocksieve
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
+# perfbench's modules import each other by these top-level names
+PERFBENCH_MODULES = ("calibration", "worker", "workloads")
 
-import worker  # noqa: E402
-import workloads  # noqa: E402
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """(worker, workloads) from perfbench/, with perfbench/ on sys.path and
+    its modules in sys.modules for this test only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in PERFBENCH_MODULES:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("worker"), importlib.import_module("workloads")
+    for name in PERFBENCH_MODULES:
+        sys.modules.pop(name, None)
 
 
 @pytest.mark.parametrize("workload", ["analyze-sparse", "analyze-dense"])
-def test_analyzer_workload_passes_the_gate(workload):
+def test_analyzer_workload_passes_the_gate(perfbench, workload):
+    worker, workloads = perfbench
     reqs = workloads.generate(workload, 1, PERFBENCH.parent)
     assert workloads.fingerprint_problem(workload, 1, reqs) is None
     checker = workloads.Checker(workload)
@@ -33,3 +45,10 @@ def test_analyzer_workload_passes_the_gate(workload):
             problems[req["id"]] = problem
     assert len(reqs) == {"analyze-sparse": 43, "analyze-dense": 100}[workload]
     assert problems == {}
+
+
+def test_perfbench_modules_do_not_outlive_the_fixture():
+    """Runs after the gate tests above: the top-level names worker,
+    workloads and calibration are free again for the rest of the session."""
+    assert str(PERFBENCH) not in sys.path
+    assert not any(name in sys.modules for name in PERFBENCH_MODULES)
