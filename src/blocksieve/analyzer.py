@@ -689,14 +689,7 @@ class AnalysisResult:
                 for (n, t, m), v in sorted(self.q_table.items())
             ],
             "block_system": block_system_payload(self.block_system),
-            "rule_report": [
-                {
-                    "rule": v.rule,
-                    "indices": [[i.level, i.d1, i.d2] for i in v.indices],
-                    "message": v.message,
-                }
-                for v in self.rule_report
-            ],
+            "rule_report": [v.as_json_dict() for v in self.rule_report],
             "verdict": self.verdict,
         }
 

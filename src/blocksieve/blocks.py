@@ -114,11 +114,6 @@ class BlockSystem:
     def max_level(self) -> int:
         return max((i.level for i in self.blocks), default=0)
 
-    def __eq__(self, other):
-        if not isinstance(other, BlockSystem):
-            return NotImplemented
-        return self.group_order == other.group_order and self.blocks == other.blocks
-
     def __repr__(self):
         body = ", ".join(f"({i.level},{i.d1},{i.d2}):{v}" for i, v in sorted(self.blocks.items()))
         return f"BlockSystem(r={self.group_order}, {{{body}}})"

@@ -3,6 +3,7 @@
 Subcommands: bound, check, solve, scan, orders, analyze.  Exit codes follow
 one contract everywhere: 0 for feasible / all rules pass, 1 for infeasible /
 violations found, 2 for usage or input errors (including search-cap refusals).
+Only solve, scan and orders search, so only they read BLOCKSIEVE_NODE_CAP.
 Output is byte-identical across runs for the same inputs, format, and any
 parallelism degree.
 """
@@ -13,24 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .blocks import (
-    BlockSystemParseError,
-    ModeFlags,
-    parse_block_system,
-    total_dim,
-)
-from .coalgebra import CoalgebraParseError, parse_coalgebra
-from .analyzer import (
-    CoalgebraInvalidError,
-    CoalgebraTooLargeError,
-    NonSplitCoradicalError,
-    analyze,
-)
+from .blocks import ModeFlags, parse_block_system, total_dim
+from .coalgebra import parse_coalgebra
+from .analyzer import analyze
 from .rules import check, explain
 from .solver import (
-    BoundsError,
     FeasibilityProblem,
     GridBounds,
     SearchCapExceeded,
@@ -44,21 +33,6 @@ NODE_CAP_ENV = "BLOCKSIEVE_NODE_CAP"
 FORMATS = ("text", "json", "csv", "markdown")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    dim: int | None = None
-    group_order: int | None = None
-    t_max: int | None = None
-    inputs: tuple[str, ...] = ()
-    flags: ModeFlags = ModeFlags()
-    fmt: str = "text"
-    max_level: int | None = None
-    max_d: int | None = None
-    jobs: int = 1
-    node_cap: int | None = None
-
-
 def _flags_from(ns) -> ModeFlags:
     return ModeFlags(
         non_cosemisimple=getattr(ns, "non_cosemisimple", False),
@@ -67,12 +41,23 @@ def _flags_from(ns) -> ModeFlags:
     )
 
 
-def _bounds_from(config: CliConfig) -> GridBounds | None:
-    if config.max_level is None and config.max_d is None:
+def _bounds_from(ns) -> GridBounds | None:
+    if ns.max_level is None and ns.max_d is None:
         return None
-    if config.max_level is None or config.max_d is None:
+    if ns.max_level is None or ns.max_d is None:
         raise SystemExit2("--max-level and --max-d must be given together")
-    return GridBounds(config.max_level, config.max_d)
+    return GridBounds(ns.max_level, ns.max_d)
+
+
+def _node_cap() -> int | None:
+    """BLOCKSIEVE_NODE_CAP as an integer; read only by the commands that search."""
+    raw = os.environ.get(NODE_CAP_ENV)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise SystemExit2(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
 class SystemExit2(Exception):
@@ -102,27 +87,24 @@ def _witness_lines(witness) -> list[str]:
     return lines
 
 
-def _cmd_bound(config: CliConfig, out) -> int:
-    n_min, ds = lower_bound(config.group_order)
-    if config.fmt == "json":
+def _cmd_bound(ns, out) -> int:
+    n_min, ds = lower_bound(ns.group_order)
+    if ns.fmt == "json":
         out.write(json.dumps({"N_min": n_min, "d": sorted(ds)}, sort_keys=True) + "\n")
     else:
         out.write(f"N_min = {n_min}, d in {{{','.join(str(d) for d in sorted(ds))}}}\n")
     return 0
 
 
-def _cmd_solve(config: CliConfig, out) -> int:
-    problem = FeasibilityProblem(
-        config.dim, config.group_order, config.flags, _bounds_from(config)
-    )
-    cert = solve(problem, node_cap=config.node_cap)
-    if config.fmt == "json":
+def _cmd_solve(ns, out) -> int:
+    node_cap = _node_cap()
+    problem = FeasibilityProblem(ns.dim, ns.group_order, _flags_from(ns), _bounds_from(ns))
+    cert = solve(problem, node_cap=node_cap)
+    if ns.fmt == "json":
         out.write(json.dumps(cert.as_json_dict(), sort_keys=True) + "\n")
     else:
         out.write(_regime_header(cert.stats) + "\n")
-        out.write(
-            f"dim {config.dim}, group order {config.group_order}: {cert.verdict}\n"
-        )
+        out.write(f"dim {ns.dim}, group order {ns.group_order}: {cert.verdict}\n")
         if cert.witness is not None:
             out.write("\n".join(_witness_lines(cert.witness)) + "\n")
         elif cert.refutation_summary:
@@ -138,10 +120,11 @@ def _closing_summary(cert) -> str:
     return " ".join(f"{k}:{v}" for k, v in sorted(closed.items())) or "empty search space"
 
 
-def _cmd_scan(config: CliConfig, out) -> int:
-    r = config.group_order
-    rows = scan(r, config.t_max, config.flags, node_cap=config.node_cap, jobs=config.jobs)
-    if config.fmt == "json":
+def _cmd_scan(ns, out) -> int:
+    node_cap = _node_cap()
+    r = ns.group_order
+    rows = scan(r, ns.t_max, _flags_from(ns), node_cap=node_cap, jobs=ns.jobs)
+    if ns.fmt == "json":
         payload = [
             {"t": t, "N": t * r, "verdict": verdict, "summary": _closing_summary(cert)}
             for (t, verdict, cert) in rows
@@ -153,17 +136,16 @@ def _cmd_scan(config: CliConfig, out) -> int:
         (str(t), str(t * r), verdict, _closing_summary(cert))
         for (t, verdict, cert) in rows
     ]
-    _write_table(out, header, table, config.fmt)
+    _write_table(out, header, table, ns.fmt)
     return 0
 
 
-def _cmd_orders(config: CliConfig, out) -> int:
-    N = config.dim
+def _cmd_orders(ns, out) -> int:
+    node_cap = _node_cap()
+    N = ns.dim
     divisors = [r for r in range(2, N) if N % r == 0]
-    feasible = admissible_group_orders(
-        N, config.flags, node_cap=config.node_cap, jobs=config.jobs
-    )
-    if config.fmt == "json":
+    feasible = admissible_group_orders(N, _flags_from(ns), node_cap=node_cap, jobs=ns.jobs)
+    if ns.fmt == "json":
         out.write(
             json.dumps(
                 {"dim": N, "admissible_group_orders": sorted(feasible),
@@ -177,25 +159,17 @@ def _cmd_orders(config: CliConfig, out) -> int:
     table = [
         (str(r), "feasible" if r in feasible else "infeasible") for r in divisors
     ]
-    _write_table(out, header, table, config.fmt)
+    _write_table(out, header, table, ns.fmt)
     if not feasible:
         out.write(f"no admissible group order 1 < r < {N} divides {N}\n")
     return 0
 
 
-def _cmd_check(config: CliConfig, out) -> int:
-    path = config.inputs[0]
-    system = parse_block_system(_read(path))
-    violations = check(system, config.flags)
-    if config.fmt == "json":
-        payload = [
-            {
-                "rule": v.rule,
-                "indices": [[i.level, i.d1, i.d2] for i in v.indices],
-                "message": v.message,
-            }
-            for v in violations
-        ]
+def _cmd_check(ns, out) -> int:
+    system = parse_block_system(_read(ns.input))
+    violations = check(system, _flags_from(ns))
+    if ns.fmt == "json":
+        payload = [v.as_json_dict() for v in violations]
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         out.write(
@@ -210,11 +184,10 @@ def _cmd_check(config: CliConfig, out) -> int:
     return 1 if violations else 0
 
 
-def _cmd_analyze(config: CliConfig, out) -> int:
-    path = config.inputs[0]
-    coalgebra = parse_coalgebra(_read(path))
-    result = analyze(coalgebra, config.flags)
-    if config.fmt == "json":
+def _cmd_analyze(ns, out) -> int:
+    coalgebra = parse_coalgebra(_read(ns.input))
+    result = analyze(coalgebra, _flags_from(ns))
+    if ns.fmt == "json":
         out.write(json.dumps(result.as_json_dict(), sort_keys=True) + "\n")
         return 1 if result.rule_report else 0
     out.write(f"coalgebra of dimension {coalgebra.dim}\n")
@@ -319,29 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns) -> CliConfig:
-    node_cap = None
-    raw = os.environ.get(NODE_CAP_ENV)
-    if raw is not None:
-        try:
-            node_cap = int(raw)
-        except ValueError as exc:
-            raise SystemExit2(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    return CliConfig(
-        command=ns.command,
-        dim=getattr(ns, "dim", None),
-        group_order=getattr(ns, "group_order", None),
-        t_max=getattr(ns, "t_max", None),
-        inputs=(ns.input,) if hasattr(ns, "input") else (),
-        flags=_flags_from(ns),
-        fmt=getattr(ns, "fmt", "text"),
-        max_level=getattr(ns, "max_level", None),
-        max_d=getattr(ns, "max_d", None),
-        jobs=getattr(ns, "jobs", 1),
-        node_cap=node_cap,
-    )
-
-
 _DISPATCH = {
     "bound": _cmd_bound,
     "solve": _cmd_solve,
@@ -352,38 +302,17 @@ _DISPATCH = {
 }
 
 
-def run(config: CliConfig, out=None) -> int:
-    """Dispatch one parsed command; returns the exit code."""
-    out = out if out is not None else sys.stdout
-    try:
-        return _DISPATCH[config.command](config, out)
-    except (
-        SystemExit2,
-        BlockSystemParseError,
-        CoalgebraParseError,
-        CoalgebraInvalidError,
-        CoalgebraTooLargeError,
-        NonSplitCoradicalError,
-        BoundsError,
-        SearchCapExceeded,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # every library refusal subclasses ValueError or SearchCapExceeded
     try:
-        config = _config_from(ns)
-    except SystemExit2 as exc:
+        return _DISPATCH[ns.command](ns, sys.stdout)
+    except (SystemExit2, SearchCapExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

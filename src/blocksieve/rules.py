@@ -67,6 +67,14 @@ class RuleViolation:
     message: str
     missing_witness: str | None = None
 
+    def as_json_dict(self) -> dict:
+        """The JSON form shared by `check --format json` and the analyzer's report."""
+        return {
+            "rule": self.rule,
+            "indices": [[i.level, i.d1, i.d2] for i in self.indices],
+            "message": self.message,
+        }
+
 
 def explain(v: RuleViolation) -> str:
     """Deterministic one-line rendering: rule id, rule statement, indices."""

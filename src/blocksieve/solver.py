@@ -45,7 +45,6 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from sys import _getframe, getrecursionlimit
 
 from .blocks import (
     FEASIBLE,
@@ -66,11 +65,11 @@ LEVEL_CAP = 200
 GROUP_CAP = 5_000
 DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
-_STACK_SLACK = 20  # solve, run, and the checks below the deepest search frame
 
 
 class BoundsError(ValueError):
-    """Raised when bounds exceed the level cap, the group cap or the recursion limit."""
+    """Raised when bounds exceed the level cap or the group cap, or when the search
+    they allow reaches the interpreter's recursion limit."""
 
 
 class SearchCapExceeded(RuntimeError):
@@ -537,8 +536,8 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     If the group order does not divide the dimension the answer is immediate.
     Raises ValueError for a node cap below 1, before any other answer;
     BoundsError when a level of the grid holds more than GROUP_CAP
-    branching units, or when the grid could nest the search deeper than the
-    recursion limit allows below the caller's stack.
+    branching units, or when the search reaches the interpreter's recursion
+    limit below the caller's stack.
     """
     if node_cap is not None and node_cap < 1:
         raise ValueError(f"node_cap must be positive, got {node_cap}")
@@ -565,20 +564,16 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
         )
     cap = node_cap if node_cap is not None else DEFAULT_NODE_CAP
     search = _Search(N, r, nsp, ncss, bounds, cap)
-    # Phase 1 nests one frame per placed block and one per positive level.
-    # Every block costs at least r, and the grid holds at most
-    # len(diag0) + max_level * len(groups) of them; default bounds
-    # (max_level <= LEVEL_CAP) fit under the default limit.
-    blocks = min(N // r, len(search.diag0) + bounds.max_level * len(search.groups))
-    depth = _stack_depth() + blocks + min(bounds.max_level, blocks) + _STACK_SLACK
-    if depth > getrecursionlimit():
+    # Phase 1 nests one frame per placed block and one per positive level;
+    # default bounds (max_level <= LEVEL_CAP) fit under the default limit.
+    try:
+        search.run()
+    except RecursionError:
         raise BoundsError(
             f"bounds max_level={bounds.max_level}, max_d={bounds.max_d} at N/r={N // r} "
-            f"allow {blocks} placed blocks and a search depth of up to {depth} frames, "
-            f"above the interpreter's recursion limit of {getrecursionlimit()}; "
+            "nest the search deeper than the interpreter's recursion limit; "
             "use a smaller max_level or max_d"
-        )
-    search.run()
+        ) from None
     stats = {
         "nodes": search.nodes,
         "closed": dict(sorted(search.closed.items())),
@@ -593,14 +588,6 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     if total_dim(witness) != N or check(witness, eff_flags):
         raise AssertionError("internal error: witness failed verification")
     return Certificate(FEASIBLE, witness=witness, stats=stats)
-
-
-def _stack_depth() -> int:
-    """Frames on the caller's stack, counted against the recursion limit."""
-    frame, n = _getframe(1), 0
-    while frame is not None:
-        frame, n = frame.f_back, n + 1
-    return n
 
 
 def _solve_all(

@@ -5,25 +5,37 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+import blocksieve
 from blocksieve.analyzer import MAX_ANALYZE_DIM
 from blocksieve.blocks import MAX_BLOCK_LEVEL, serialize_block_system
-from blocksieve.cli import main
+from blocksieve.cli import NODE_CAP_ENV, main
 from blocksieve.coalgebra import Coalgebra, serialize_coalgebra
 from blocksieve.corpus import grouplike_coalgebra, sweedler_coalgebra
-from blocksieve.solver import minimal_form
+from blocksieve.solver import SearchCapExceeded, minimal_form
 
 
-def run_cli(args, monkeypatch=None, env=None, capsys=None):
-    if env:
+@pytest.fixture(autouse=True)
+def _no_node_cap(monkeypatch):
+    """Each test starts without a node cap from the caller's environment."""
+    monkeypatch.delenv(NODE_CAP_ENV, raising=False)
+
+
+def run_cli(args, env):
+    with pytest.MonkeyPatch.context() as mp:
         for k, v in env.items():
-            os.environ[k] = v
-    try:
-        code = main(args)
-    finally:
-        if env:
-            for k in env:
-                os.environ.pop(k, None)
-    return code
+            mp.setenv(k, v)
+        return main(args)
+
+
+def test_every_library_refusal_maps_to_exit_two():
+    # main's single except catches (SystemExit2, SearchCapExceeded, ValueError)
+    names = [getattr(blocksieve, name) for name in blocksieve.__all__]
+    errors = [obj for obj in names if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(errors) >= 8
+    for cls in errors:
+        assert issubclass(cls, (ValueError, SearchCapExceeded)), cls
 
 
 class TestBound:
@@ -91,6 +103,19 @@ class TestSolve:
             env={"BLOCKSIEVE_NODE_CAP": "many"},
         )
         assert code == 2
+
+
+class TestNodeCapEnv:
+    def test_commands_without_search_ignore_it(self, tmp_path, capsys, corpus_dir):
+        path = tmp_path / "ok.json"
+        path.write_bytes(serialize_block_system(minimal_form(3, 2)))
+        for args in (["bound", "--group-order", "3"],
+                     ["check", str(path)],
+                     ["analyze", str(corpus_dir / "sweedler4.json"), "--format", "json"]):
+            code = main(args)
+            out = capsys.readouterr().out
+            assert run_cli(args, env={NODE_CAP_ENV: "many"}) == code
+            assert capsys.readouterr().out == out
 
 
 class TestRejectedOptions:

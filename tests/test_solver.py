@@ -210,6 +210,23 @@ class TestSolve:
             sys.setrecursionlimit(limit)
         assert outcomes == {"refused", "feasible"}
 
+    def test_recursion_limit_refusal_leaves_no_state(self):
+        p = FeasibilityProblem(200, 2, NON_COSEMISIMPLE, bounds=GridBounds(99, 1))
+        fresh = solve(p).as_json_dict()
+        assert fresh["verdict"] == "feasible"
+        frame, here = sys._getframe(), 0
+        while frame is not None:
+            frame, here = frame.f_back, here + 1
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(here + 60)
+            with pytest.raises(BoundsError, match="recursion limit"):
+                solve(p)
+            assert sys.getrecursionlimit() == here + 60
+        finally:
+            sys.setrecursionlimit(limit)
+        assert solve(p).as_json_dict() == fresh
+
     def test_auto_nsp_applied_when_coprime(self):
         cert = solve(FeasibilityProblem(42, 3, ModeFlags(auto_nsp=True)))
         assert cert.stats["regime"]["no_skew_primitives"]
