@@ -25,14 +25,17 @@ input coalgebra never changes them.
 The kernels touch only nonzero structure constants: the dual algebra is
 delta read backwards, the trace form is one pass over pairs of delta
 entries, and the hit actions are sparse maps applied in integer arithmetic.
-Tables handed to the trace form and hit maps are scaled to integers by one
-positive factor, which changes no kernel, rank, trace sign or echelon form,
-so every result is exactly the one the rational arithmetic gives; delta is
-scaled once per coalgebra (Coalgebra.integral_delta), for validate and
-every hit map, and the trace form scales the dual algebra's constants.
-The semisimple quotient A/J is projected term by term and its constants
-scaled to integers once.  Its central idempotents are each one positive
-denominator times a sparse integer vector.  The center's basis is tried
+Delta is scaled to integers once per coalgebra, by the lcm D of its
+denominators (Coalgebra.integral_delta), and validate, the dual algebra
+and every hit map read that one table.  So the dual algebra's product is
+D times the convolution product and its unit is the counit over D; that
+scaling changes no kernel, rank, trace sign or echelon form, so the
+radical's trace form and the filtration's products run on integers and
+every result is exactly the one the rational arithmetic gives.  The
+semisimple quotient A/J is projected term by term in integers, scaled by
+the lcm of the radical's echelon pivots.  Its central idempotents are
+each one positive denominator times a sparse integer vector, lifted back
+to A/J by both scales.  The center's basis is tried
 first: when each basis vector z has z * z a nonzero multiple of z and the
 rescaled vectors sum to the unit, they are the primitive central
 idempotents, at one product per vector (the certificate is argued at
@@ -44,9 +47,9 @@ is a trace rather than a rank, its subspace is the one-sided hit of its
 idempotent on C_0, and its hit maps are built once, with their scale, and
 handed to q_table, which counts each isotypic dimension as a difference of
 traces on consecutive levels, each level's traces taken once.  Fraction
-appears only in the projection onto A/J, in scalars (the quotient's unit,
-each certified idempotent's scale and their sum, each Lagrange factor)
-and in the stored idempotents and grouplikes.
+appears only in scalars (the units of the dual and of the quotient, each
+certified idempotent's scale and their sum, each Lagrange factor) and in
+the stored idempotents and grouplikes.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ class CoalgebraInvalidError(ValueError):
 
 # Largest input dimension analyze accepts.  The filtration echelons
 # |J^n| * |J| dense product rows of length dim, which grows as dim^3:
-# Sweedler^{(x)4} (dim 256) takes about 6.5 s and 135 MB, while dim 1024
-# would need about 10^9 row entries.
+# Sweedler^{(x)4} (dim 256) takes about 2.6 s of CPU time and 136 MB of
+# peak RSS (Python 3.11, shared 2-vCPU x86-64 host), while dim 1024 would
+# need about 10^9 row entries.
 MAX_ANALYZE_DIM = 256
 
 
@@ -89,24 +93,22 @@ def radical(a: Algebra) -> list[list[int]]:
     the radical of the bilinear form (x, y) -> trace(L_x L_y), one exact
     kernel computation.  With c(i, j, k) the coefficient of e_i in e_j * e_k,
     trace(L_x L_y) = sum over u, v of c(u, x, v) * c(v, y, u), so the form is
-    one pass over pairs of nonzero constants, taken as integers scaled by
-    one positive factor.
+    one pass over pairs of nonzero constants, taken as they are given: the
+    dual algebra's are ints, and scaling the product by D scales the form
+    by D^2, which leaves its kernel unchanged.
     """
     n = a.dim
-    entries, values = [], []
+    by_out_right: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, row in enumerate(a.mult):
         for k, terms in row.items():
             for i, cst in terms:
-                entries.append((i, j, k))
-                values.append(cst)
-    _den, consts = linalg.integral(values)
-    by_out_right: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (i, j, k), cst in zip(entries, consts):
-        by_out_right.setdefault((i, k), []).append((j, cst))
+                by_out_right.setdefault((i, k), []).append((j, cst))
     gram = [[0] * n for _ in range(n)]
-    for (u, x, v), cx in zip(entries, consts):
-        for y, cy in by_out_right.get((v, u), ()):
-            gram[x][y] += cx * cy
+    for x, row in enumerate(a.mult):
+        for v, terms in row.items():
+            for u, cx in terms:
+                for y, cy in by_out_right.get((v, u), ()):
+                    gram[x][y] += cx * cy
     return linalg.nullspace(gram, ncols=n)
 
 
@@ -125,7 +127,12 @@ class FiltrationChain:
 
 
 def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChain:
-    """C_n = annihilator of J^{n+1} in the dual algebra a; strictly increasing."""
+    """C_n = annihilator of J^{n+1} in the dual algebra a; strictly increasing.
+
+    J^{n+1} is spanned by the products of J^n's echelon basis with J's, in
+    integers when a's constants are; a product scaled by a's D spans the
+    same space.
+    """
     bases: list[tuple[tuple[int, ...], ...]] = []
     power = j_basis
     while True:
@@ -164,55 +171,57 @@ class SimpleComponent:
 
 
 def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[int]]:
-    """Semisimple quotient A/J on the non-pivot coordinates of J's echelon form.
+    """Semisimple quotient A/J on the non-pivot coordinates of J's echelon form, in integers.
 
-    The echelon rows are zero at every other pivot, so projecting a sparse
-    product subtracts one row per pivot coordinate among its terms and reads
-    the rest off the kept coordinates; with J = 0 the constants pass through
-    unchanged.  The projected constants are then scaled to integers by one
-    positive D, so the returned algebra has the product x o y = D * (x * y).
-    It is isomorphic to A/J through x -> D * x: its unit is u / D, its
-    idempotents are those of A/J divided by D, and its center, regular
-    traces of idempotents and ideals are those of A/J.  Returns the algebra,
-    D and the kept coordinates.
+    a has int constants.  The echelon rows are zero at every other pivot,
+    so the image in A/J of a sparse product subtracts x / p times the row of
+    each pivot coordinate among its terms (x the term, p the row's pivot
+    entry) and reads the rest off the kept coordinates.  Scaled by the lcm
+    L of the pivot entries, that is L * x at a kept coordinate and
+    (L / p) * x times the row, all integers, so the returned algebra has the
+    product x o y = L * (x * y) on A/J.  It is isomorphic to A/J through
+    x -> x / L: its unit is u / L, its idempotents are those of A/J divided
+    by L, and its center, regular traces of idempotents and ideals are
+    those of A/J.  With J = 0, L = 1 and the constants pass through
+    unchanged.  Returns the algebra, L and the kept coordinates.
     """
     ech, pivots = linalg.echelon(j_basis)
+    lcm = math.lcm(*(r[col] for r, col in zip(ech, pivots)))
     pivot_rows = {
-        col: (r[col], [(u, x) for u, x in enumerate(r) if x and u != col])
+        col: (lcm // r[col], [(u, x) for u, x in enumerate(r) if x and u != col])
         for r, col in zip(ech, pivots)
     }
     keep = [i for i in range(a.dim) if i not in pivot_rows]
     pos = {i: t for t, i in enumerate(keep)}
 
-    def project(terms) -> dict[int, Fraction | int]:
-        out: dict[int, Fraction | int] = {}
+    def project(terms) -> dict[int, int]:
+        out: dict[int, int] = {}
         for i, x in terms:
             if i in pos:
-                out[pos[i]] = out.get(pos[i], 0) + x
+                out[pos[i]] = out.get(pos[i], 0) + lcm * x
             else:
-                p, rest = pivot_rows[i]
-                scale = Fraction(x) / p
+                m, rest = pivot_rows[i]
+                s = m * x
                 for u, y in rest:
-                    out[pos[u]] = out.get(pos[u], 0) - scale * y
+                    out[pos[u]] = out.get(pos[u], 0) - s * y
         return out
 
-    images = []
+    mult: list[dict] = [{} for _ in keep]
     for s in keep:
         for t, terms in a.mult[s].items():
             if t in pos:
-                image = sorted((u, x) for u, x in project(terms).items() if x)
+                image = tuple(sorted((u, x) for u, x in project(terms).items() if x))
                 if image:
-                    images.append((pos[s], pos[t], image))
-    den, consts = linalg.integral([x for _s, _t, image in images for _u, x in image])
-    mult: list[dict] = [{} for _ in keep]
-    scaled = iter(consts)
-    for s, t, image in images:
-        mult[s][t] = tuple((u, next(scaled)) for u, _x in image)
-    unit = project((i, x) for i, x in enumerate(a.unit) if x)
+                    mult[pos[s]][pos[t]] = image
+    # u = ints / den and project(v) is L * pi(v), so the unit pi(u) / L is
+    # project(ints) / (den * L^2)
+    den, ints = linalg.integral(a.unit)
+    unit = project((i, x) for i, x in enumerate(ints) if x)
     quotient = Algebra(
-        len(keep), tuple(mult), tuple(Fraction(unit.get(t, 0), den) for t in range(len(keep)))
+        len(keep), tuple(mult),
+        tuple(Fraction(unit.get(t, 0), den * lcm * lcm) for t in range(len(keep))),
     )
-    return quotient, den, keep
+    return quotient, lcm, keep
 
 
 def _center(a: Algebra) -> list[list[int]]:
@@ -455,13 +464,17 @@ def _component_subspace(left, c0_basis, size: int) -> list[list[int]]:
     On C_0, e is the counit on its own simple subcoalgebra and zero on the
     others, so e hits C_0 onto that subcoalgebra from either side alone, and
     the images of the C_0 basis are taken until size of them are independent.
+    A basis vector that is zero on every e_i the map moves has image 0 and
+    is passed over, so k grouplike components cost k images, not k^2 / 2.
     """
+    domain = [i for i, _image in left]
     ech: list[list[int]] = []
     pivots: list[int] = []
     for v in c0_basis:
         if len(ech) == size:
             break
-        linalg.extend_echelon(ech, pivots, _mat_apply(left, v))
+        if any(v[i] for i in domain):
+            linalg.extend_echelon(ech, pivots, _mat_apply(left, v))
     return linalg.echelon(ech)[0]
 
 
@@ -484,12 +497,16 @@ def simple_components(
     quotient's basis in one pass.  Primitive central idempotents are unique
     and the components are sorted on (d, echelon subspace), so the result
     does not depend on how the idempotents are found.  Everything up to the
-    stored idempotents and grouplikes runs on integers: an idempotent is one
-    positive denominator times an integer vector, the counit is scaled to
-    integers once, however many components there are, and the hit maps
-    read delta from c.integral_delta.
+    stored idempotents and grouplikes runs on integers: the quotient's
+    constants are ints, an idempotent is one positive denominator times an
+    integer vector, lifted to A/J by the quotient's and a's combined scale,
+    the counit is scaled to integers once, however many components there
+    are, and the hit maps read delta from c.integral_delta.
     """
-    quotient, scale, keep = _quotient(a, j_basis)
+    quotient, lcm, keep = _quotient(a, j_basis)
+    # a's product is D times the convolution product and the quotient's is
+    # lcm times a's, so an idempotent of A/J is D * lcm times one of the quotient
+    scale = c.integral_delta[0] * lcm
     traces = _regular_traces(quotient)
     counit_den, counit = linalg.integral(c.counit)
     raw = []

@@ -10,10 +10,12 @@ reaches the coradical.
 Both tables stay sparse: the dual algebra keeps exactly the nonzero entries
 of delta.  A coalgebra scales delta to integers once, by the lcm D of its
 denominators (Coalgebra.integral_delta), and every stage that works in
-integers reads that one table: validate checks both axioms on it and on the
-counit scaled by the lcm E of its own denominators, so the sides of the
-counit law scale by D * E.  Scaling by one positive integer changes no
-verdict, so exactness is unchanged.  Coassociativity packs each slice
+integers reads that one table.  The dual algebra is built from it, with
+product D times the convolution product and unit the counit over D.
+validate checks both axioms on it and on the counit scaled by the lcm E
+of its own denominators, so the sides of the counit law scale by D * E.
+Scaling by one positive integer changes no verdict, so exactness is
+unchanged.  Coassociativity packs each slice
 (i, j) of the scaled table over its last index into one integer, so a
 dense basis vector costs O(n^3) packed products, not O(n^4) scalar ones
 (see validate for the digit bound that keeps the packed test exact).
@@ -226,7 +228,12 @@ class Algebra:
 
     mult[j] maps k to the nonzero terms of e_j * e_k as (i, c) pairs, meaning
     e_j * e_k = sum of c * e_i; a k with e_j * e_k = 0 is absent.  Constants
-    are ints or Fractions.
+    are ints or Fractions; the analyzer's algebras hold ints.  An algebra
+    whose product is D * (x * y) for a positive integer D, as dual_algebra
+    builds it, is isomorphic to the one with product x * y through
+    x -> x / D: its unit is the unit divided by D, its idempotents are
+    divided by D, and every subspace the product defines (radical, its
+    powers, center, ideals) is the same.
     """
 
     dim: int
@@ -252,21 +259,24 @@ class Algebra:
 
 
 def dual_algebra(c: Coalgebra) -> Algebra:
-    """Convolution algebra on the dual basis: (f*h)(x) = (f (x) h)(Delta x).
+    """Convolution algebra on the dual basis, (f*h)(x) = (f (x) h)(Delta x), in integers.
 
     The multiplication constants are the comultiplication constants read
-    backwards, e_j * e_k = sum over delta entries (i, j, k, c) of c * e_i, so
-    the algebra holds exactly len(c.delta) constants; integral ones are
-    stored as ints.  The counit becomes the unit.  Coassociativity of the
-    input transposes to associativity of the output.
+    backwards, from c.integral_delta: e_j * e_k = sum over delta entries
+    (i, j, k, c) of D * c * e_i, with D the lcm of delta's denominators, so
+    the algebra holds exactly len(c.delta) int constants and its product is
+    D times the convolution product.  Its unit is therefore the counit
+    divided by D (see Algebra).  Coassociativity of the input transposes to
+    associativity of the output.
     """
+    den, delta = c.integral_delta
     rows: list[dict[int, list]] = [{} for _ in range(c.dim)]
-    for (i, j, k, x) in c.delta:
-        rows[j].setdefault(k, []).append((i, x.numerator if x.denominator == 1 else x))
+    for (i, j, k, x) in delta:
+        rows[j].setdefault(k, []).append((i, x))
     return Algebra(
         c.dim,
         tuple({k: tuple(terms) for k, terms in row.items()} for row in rows),
-        tuple(c.counit),
+        tuple(x / den for x in c.counit),
     )
 
 

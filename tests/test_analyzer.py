@@ -195,6 +195,22 @@ class TestSimpleComponents:
         comps = analyze(sweedler_coalgebra(), PLAIN).components
         assert [s.label for s in comps] == ["1", "g"]
 
+    def test_grouplike_subspaces_take_one_image_each(self, monkeypatch):
+        # C_0 basis vectors outside a component's hit map cost no echelon step:
+        # 24 grouplikes take 24 images, not 24 * 25 / 2
+        calls = 0
+        original = linalg.extend_echelon
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(blocksieve.linalg, "extend_echelon", counting)
+        res = analyze(grouplike_coalgebra(24), PLAIN)
+        assert len(res.components) == 24
+        assert calls == 24
+
     def test_non_split_rejected(self):
         # dual algebra Q[t]/(t^2 + t + 1), a field of degree 2
         delta = (
@@ -290,6 +306,10 @@ class TestPrimitiveIdempotents:
         ]
         for c in cases:
             q = semisimple_quotient(c)
+            # the projection scales by the lcm of J's pivot entries, so no
+            # constant is a Fraction even where delta's have denominators
+            assert all(type(x) is int for row in q.mult for terms in row.values()
+                       for _u, x in terms)
             idems = idempotent_vectors(q)
             zero = [0] * q.dim
             for i, e in enumerate(idems):
@@ -628,12 +648,11 @@ class TestComputeOnce:
         analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
         assert calls == {"dual_algebra": 1, "radical": 1}
 
-    def test_analyze_scales_delta_twice(self, monkeypatch):
-        # one scaling is the coalgebra's own table, read by validate and the
-        # hit maps; the other is radical's, on the dual algebra's copy of the
-        # constants.  The inputs have a radical, so no other table analyze
-        # scales (the counit, a functional, the quotient's constants) has
-        # len(delta) entries
+    def test_analyze_scales_delta_once(self, monkeypatch):
+        # the one scaling is the coalgebra's own table, read by validate, the
+        # dual algebra and the hit maps, and kept for the next call.  The
+        # inputs have a radical, so no other table analyze scales (the
+        # counit, the dual's unit, a functional) has len(delta) entries
         original = linalg.integral
         rng = random.Random(3)
         sw_s3 = tensor_product(sweedler_coalgebra(), s3_dual_coalgebra())
@@ -651,9 +670,9 @@ class TestComputeOnce:
             monkeypatch.setattr(blocksieve.linalg, "integral", counting)
             monkeypatch.setattr(blocksieve.coalgebra, "integral", counting)
             analyze(c, PLAIN)
-            assert calls == 2
+            assert calls == 1
             analyze(c, PLAIN)
-            assert calls == 3
+            assert calls == 1
 
     def test_delta_scalings_do_not_grow_with_the_components(self, monkeypatch):
         # a scaling of delta is an integral() call on delta's own coefficient

@@ -355,31 +355,43 @@ class TestDualAlgebra:
             assert _is_associative(dual_algebra(c2))
 
     def test_constants_are_delta_read_backwards(self):
-        rng = random.Random(13)
-        coalgebras = [build() for build in CORPUS_BUILDERS.values()]
-        coalgebras.append(
-            change_basis(sweedler_coalgebra(), random_change_of_basis(rng, 4))
-        )
+        # the stored constants are ints, D times delta's, D = lcm of its denominators
+        coalgebras = _corpus_and_moved(13)
+        assert sum(c.integral_delta[0] > 1 for c in coalgebras) >= 6
         for c in coalgebras:
             a = dual_algebra(c)
+            den = integral([x for (_i, _j, _k, x) in c.delta])[0]
             stored = [x for row in a.mult for terms in row.values() for _i, x in terms]
             assert len(stored) == len(c.delta)
-            assert all(x != 0 for x in stored)
+            assert all(type(x) is int and x != 0 for x in stored)
             expected = {}
             for (i, j, k, x) in c.delta:
-                expected.setdefault((j, k), [Fraction(0)] * c.dim)[i] += x
+                expected.setdefault((j, k), [Fraction(0)] * c.dim)[i] += den * x
             for j in range(c.dim):
                 for k in range(c.dim):
-                    e_j = [Fraction(int(t == j)) for t in range(c.dim)]
-                    e_k = [Fraction(int(t == k)) for t in range(c.dim)]
+                    e_j = [int(t == j) for t in range(c.dim)]
+                    e_k = [int(t == k) for t in range(c.dim)]
                     assert a.multiply(e_j, e_k) == expected.get(
                         (j, k), [Fraction(0)] * c.dim
                     )
 
     def test_unit_is_counit(self):
-        c = sweedler_coalgebra()
-        a = dual_algebra(c)
-        assert a.unit == c.counit
+        # the counit over D, which is the unit of the product D * (x * y)
+        for c in _corpus_and_moved(14):
+            a = dual_algebra(c)
+            den = integral([x for (_i, _j, _k, x) in c.delta])[0]
+            assert a.unit == tuple(x / den for x in c.counit)
+            for k in range(c.dim):
+                e_k = [int(t == k) for t in range(c.dim)]
+                assert a.multiply(a.unit, e_k) == e_k == a.multiply(e_k, a.unit)
+
+
+def _corpus_and_moved(seed: int) -> list[Coalgebra]:
+    """The corpus, then each corpus coalgebra in two seeded random bases (fractional constants)."""
+    rng = random.Random(seed)
+    corpus = [build() for _name, build in sorted(CORPUS_BUILDERS.items())]
+    return corpus + [change_basis(c, random_change_of_basis(rng, c.dim))
+                     for c in corpus for _ in range(2)]
 
 
 class TestTensorProduct:
