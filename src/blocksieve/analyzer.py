@@ -22,34 +22,29 @@ Block dimensions are basis invariants: they are ranks of canonically defined
 projectors on canonically defined quotients, so a change of basis of the
 input coalgebra never changes them.
 
-The kernels touch only nonzero structure constants: the dual algebra is
-delta read backwards, the trace form is one pass over pairs of delta
-entries, and the hit actions are sparse maps applied in integer arithmetic.
-Delta is scaled to integers once per coalgebra, by the lcm D of its
-denominators (Coalgebra.integral_delta), and validate, the dual algebra
-and every hit map read that one table.  So the dual algebra's product is
-D times the convolution product and its unit is the counit over D; that
-scaling changes no kernel, rank, trace sign or echelon form, so the
-radical's trace form and the filtration's products run on integers and
-every result is exactly the one the rational arithmetic gives.  The
-semisimple quotient A/J is projected term by term in integers, scaled by
-the lcm of the radical's echelon pivots.  Its central idempotents are
-each one positive denominator times a sparse integer vector, lifted back
-to A/J by both scales.  The center's basis is tried
-first: when each basis vector z has z * z a nonzero multiple of z and the
-rescaled vectors sum to the unit, they are the primitive central
-idempotents, at one product per vector (the certificate is argued at
-_certified_idempotents).  Otherwise {1} is refined by Krylov sequences
-tested fraction-free, whose minimal polynomial comes out of the same
-elimination; a central element that cannot split an idempotent is
-detected on that idempotent's support alone.  Each component's dimension
-is a trace rather than a rank, its subspace is the one-sided hit of its
-idempotent on C_0, and its hit maps are built once, with their scale, and
-handed to q_table, which counts each isotypic dimension as a difference of
-traces on consecutive levels, each level's traces taken once.  Fraction
-appears only in scalars (the units of the dual and of the quotient, each
-certified idempotent's scale and their sum, each Lagrange factor) and in
-the stored idempotents and grouplikes.
+The kernels touch only nonzero structure constants, in integers.  Delta
+is scaled once per coalgebra by the lcm D of its denominators
+(Coalgebra.integral_delta), and validate, the dual algebra and the hit
+maps read that one table: the dual's product is D times the convolution
+product and its unit the counit over D, which changes no kernel, rank,
+trace sign or echelon form.  So the radical's trace form (one pass over
+pairs of constants) and the filtration's products run on integers, and
+A/J is projected term by term, scaled by the lcm of the radical's
+echelon pivots.  Its primitive central idempotents, each one positive
+denominator times a sparse integer vector, are the center's basis
+rescaled when that passes a certificate at one product per vector
+(_certified_idempotents); otherwise {1} is refined by fraction-free
+Krylov sequences, and a central element that cannot split an idempotent
+is detected on that idempotent's support alone.  From there the work
+follows supports rather than dim per component: one pass over delta
+builds every component's hit maps, with their scales; a component's
+subspace is the one-sided hit of its idempotent on the C_0 vectors that
+an index from coordinates finds on the map's domain; its dimension is a
+trace; and a grouplike and its label come from one echelon row's
+nonzeros.  q_table reuses the maps and counts each isotypic dimension as
+a difference of traces on consecutive levels, each level's traces taken
+once.  Fraction appears only in scalars and in the stored idempotents and
+grouplikes.
 """
 
 from __future__ import annotations
@@ -57,6 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 
 from . import linalg
 from .blocks import BlockIndex, BlockSystem, block_system_payload
@@ -419,32 +416,36 @@ def _regular_traces(a: Algebra) -> list:
     return [sum(x for k, terms in row.items() for i, x in terms if i == k) for row in a.mult]
 
 
-def _hit_maps(c: Coalgebra, f) -> tuple[list, list, int]:
-    """The left and right hit actions of the functional f on c, in integers, and their scale.
+def _hit_maps(c: Coalgebra, functionals) -> list[tuple[list, list, int]]:
+    """The left and right hit actions of each functional {j: Fraction} on c, in integers.
 
     v -> f applied to the left, respectively right, tensorand of Delta v.
     A map lists (i, image) for each basis vector e_i with a nonzero image,
-    the image as its nonzero (index, value) pairs.  Both maps are read off
-    c.integral_delta and f scaled to integers, so they need only integer
-    arithmetic and are the exact maps times one positive integer, which is
-    returned with them: the lcm of the denominators of f times delta's D.
+    the image as its nonzero (index, value) pairs.  Each functional is
+    scaled to integers by the lcm of its denominators and indexed by
+    coordinate, so one pass over c.integral_delta builds every map: the
+    exact map times that lcm times delta's D, returned with it.
     """
-    df, fs = linalg.integral(f)
     dd, delta = c.integral_delta
-    left: dict[int, dict[int, int]] = {}
-    right: dict[int, dict[int, int]] = {}
+    by_coord: list[list[tuple[int, int]]] = [[] for _ in range(c.dim)]
+    scales = [math.lcm(*(x.denominator for x in f.values())) for f in functionals]
+    for m, (f, df) in enumerate(zip(functionals, scales)):
+        for j, x in f.items():
+            by_coord[j].append((m, x.numerator * (df // x.denominator)))
+    lefts: list[dict] = [{} for _ in scales]
+    rights: list[dict] = [{} for _ in scales]
     for i, j, k, x in delta:
-        if fs[j]:
-            row = left.setdefault(i, {})
-            row[k] = row.get(k, 0) + x * fs[j]
-        if fs[k]:
-            row = right.setdefault(i, {})
-            row[j] = row.get(j, 0) + x * fs[k]
-    maps = []
-    for m in (left, right):
-        images = ((i, tuple((t, y) for t, y in row.items() if y)) for i, row in m.items())
-        maps.append([(i, image) for i, image in images if image])
-    return maps[0], maps[1], df * dd
+        for m, y in by_coord[j]:
+            row = lefts[m].setdefault(i, {})
+            row[k] = row.get(k, 0) + x * y
+        for m, y in by_coord[k]:
+            row = rights[m].setdefault(i, {})
+            row[j] = row.get(j, 0) + x * y
+
+    def listed(m):  # the nonzero (t, y) pairs of each row, and the rows that have one
+        return [(i, im) for i, r in m.items() if (im := tuple(filter(itemgetter(1), r.items())))]
+
+    return [(listed(lm), listed(rm), df * dd) for lm, rm, df in zip(lefts, rights, scales)]
 
 
 def _mat_apply(m, v) -> list[int]:
@@ -458,24 +459,31 @@ def _mat_apply(m, v) -> list[int]:
     return out
 
 
-def _component_subspace(left, c0_basis, size: int) -> list[list[int]]:
-    """Echelon basis of e -> C_0, from the left hit map of e, found from size images.
+def _component_subspaces(lefts, sizes, c0_basis) -> list[list[list[int]]]:
+    """Echelon basis of e -> C_0 for each idempotent e, from its left hit map and size.
 
     On C_0, e is the counit on its own simple subcoalgebra and zero on the
-    others, so e hits C_0 onto that subcoalgebra from either side alone, and
-    the images of the C_0 basis are taken until size of them are independent.
-    A basis vector that is zero on every e_i the map moves has image 0 and
-    is passed over, so k grouplike components cost k images, not k^2 / 2.
+    others, so e hits C_0 onto that subcoalgebra from either side alone.
+    The images are taken in C_0's order until size of them are independent,
+    from just the vectors an index from coordinates finds on the map's
+    domain, the others having image 0: k grouplikes cost k images.
     """
-    domain = [i for i, _image in left]
-    ech: list[list[int]] = []
-    pivots: list[int] = []
-    for v in c0_basis:
-        if len(ech) == size:
-            break
-        if any(v[i] for i in domain):
-            linalg.extend_echelon(ech, pivots, _mat_apply(left, v))
-    return linalg.echelon(ech)[0]
+    supported: dict[int, list[int]] = {}
+    for n, v in enumerate(c0_basis):
+        for i in compress(range(len(v)), v):
+            supported.setdefault(i, []).append(n)
+    subspaces = []
+    for left, size in zip(lefts, sizes):
+        ech, pivots = [], []
+        for n in sorted({n for i, _image in left for n in supported.get(i, ())}):
+            if len(ech) == size:
+                break
+            linalg.extend_echelon(ech, pivots, _mat_apply(left, c0_basis[n]))
+        if len(ech) != size:
+            raise AssertionError("component subspace rank mismatch")
+        # one row from extend_echelon is already primitive with a positive lead
+        subspaces.append(ech if size == 1 else linalg.echelon(ech)[0])
+    return subspaces
 
 
 def simple_components(
@@ -496,12 +504,8 @@ def simple_components(
     dimension rank(e * A/J) = trace(L_e), read off the regular traces of the
     quotient's basis in one pass.  Primitive central idempotents are unique
     and the components are sorted on (d, echelon subspace), so the result
-    does not depend on how the idempotents are found.  Everything up to the
-    stored idempotents and grouplikes runs on integers: the quotient's
-    constants are ints, an idempotent is one positive denominator times an
-    integer vector, lifted to A/J by the quotient's and a's combined scale,
-    the counit is scaled to integers once, however many components there
-    are, and the hit maps read delta from c.integral_delta.
+    does not depend on how the idempotents are found.  Each idempotent is
+    lifted to A/J sparse, and the work past it follows supports.
     """
     quotient, lcm, keep = _quotient(a, j_basis)
     # a's product is D times the convolution product and the quotient's is
@@ -509,7 +513,7 @@ def simple_components(
     scale = c.integral_delta[0] * lcm
     traces = _regular_traces(quotient)
     counit_den, counit = linalg.integral(c.counit)
-    raw = []
+    found = []
     for den, e_bar in _primitive_idempotents(quotient):
         # L_e is idempotent, so rank(e * A/J) = trace(L_e)
         ideal_rank = sum(x * traces[t] for t, x in e_bar.items()) // den
@@ -520,42 +524,40 @@ def simple_components(
                 f"dimension {ideal_rank}, not a perfect square)"
             )
         # the idempotent of A/J is scale * e_bar / den, lifted by zeros at J's pivots
-        e = [0] * c.dim
-        for t, x in e_bar.items():
-            e[keep[t]] = x
-        idempotent = tuple(Fraction(scale * x, den) if x else ZERO for x in e)
-        hits = _hit_maps(c, idempotent)
-        subspace = _component_subspace(hits[0], c0_basis, ideal_rank)
-        if len(subspace) != ideal_rank:
-            raise AssertionError("component subspace rank mismatch")
-        grouplike = None
+        found.append((d, {keep[t]: Fraction(scale * x, den) for t, x in e_bar.items()}))
+    if sum(d * d for d, _e in found) != len(c0_basis):
+        raise AssertionError("central idempotents do not fill the coradical")
+    maps = _hit_maps(c, [e for _d, e in found])
+    subspaces = _component_subspaces([h[0] for h in maps], [d * d for d, _e in found], c0_basis)
+    raw = []
+    for (d, e), hits, subspace in zip(found, maps, subspaces):
+        idempotent = [ZERO] * c.dim
+        for j, x in e.items():
+            idempotent[j] = x
+        grouplike = named = None
         if d == 1:
             v = subspace[0]
-            eps = sum(x * y for x, y in zip(counit, v) if y)
+            support = list(compress(range(c.dim), v))
+            eps = sum(counit[i] * v[i] for i in support)
             if eps == 0:
                 raise AssertionError("grouplike component with vanishing counit")
-            # v / counit(v), with counit(v) = eps / counit_den
-            grouplike = tuple(Fraction(x * counit_den, eps) if x else ZERO for x in v)
-        raw.append((d, tuple(tuple(r) for r in subspace), idempotent, grouplike, hits))
-    if sum(d * d for d, *_rest in raw) != len(c0_basis):
-        raise AssertionError("central idempotents do not fill the coradical")
+            # v / counit(v), with counit(v) = eps / counit_den; one entry 1 names it
+            grouplike = [ZERO] * c.dim
+            for i in support:
+                grouplike[i] = Fraction(v[i] * counit_den, eps)
+            if len(support) == 1 and v[support[0]] * counit_den == eps:
+                named = c.basis[support[0]]
+            grouplike = tuple(grouplike)
+        raw.append((d, tuple(map(tuple, subspace)), tuple(idempotent), grouplike, named, hits))
     raw.sort(key=lambda t: (t[0], t[1]))
     comps = []
     counters = {"g": 0, "s": 0}
     used = set()
-    for d, _sig, e, grouplike, hits in raw:
-        if grouplike is not None:
-            label = None
-            for i, x in enumerate(grouplike):
-                if x == 1 and all(y == 0 for t, y in enumerate(grouplike) if t != i):
-                    label = c.basis[i]
-                    break
-            if label is None or label in used:
-                label = f"g{counters['g']}"
-            counters["g"] += 1
-        else:
-            label = f"s{counters['s']}"
-            counters["s"] += 1
+    for d, _sig, e, grouplike, label, hits in raw:
+        kind = "s" if grouplike is None else "g"
+        if label is None or label in used:
+            label = f"{kind}{counters[kind]}"
+        counters[kind] += 1
         while label in used:
             label += "'"
         used.add(label)
@@ -690,10 +692,8 @@ class AnalysisResult:
                     "d": s.d,
                     "dim": s.dim,
                     "grouplike": s.is_grouplike,
-                    "idempotent": [_frac_str(x) for x in s.idempotent],
-                    "element": (
-                        [_frac_str(x) for x in s.grouplike] if s.grouplike else None
-                    ),
+                    "idempotent": [_frac_str(x) if x else "0" for x in s.idempotent],
+                    "element": s.grouplike and [_frac_str(x) if x else "0" for x in s.grouplike],
                 }
                 for s in self.components
             ],

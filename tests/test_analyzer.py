@@ -106,9 +106,34 @@ def _dense_hit(c, f, left):
     return m
 
 
+def sparse(f):
+    """A dense functional as _hit_maps takes it: {coordinate: nonzero value}."""
+    return {j: x for j, x in enumerate(f) if x}
+
+
+def sparse_tensor_products(corpus_dir):
+    """The 37 tensor products of the analyze-sparse benchmark: 2-3 factors, dim <= 24."""
+    factors = {"g1": grouplike_coalgebra(1), "g2": grouplike_coalgebra(2)}
+    for name, path in (("g3", "grouplike_c3"), ("g4", "grouplike_c4"), ("sw", "sweedler4"),
+                       ("m2", "matrix2"), ("s3", "s3_dual")):
+        factors[name] = parse_coalgebra((corpus_dir / f"{path}.json").read_bytes())
+    names = [f for f in factors if f != "g1"]
+    combos = [("g1", f) for f in factors] + [
+        combo for k in (2, 3) for combo in itertools.combinations_with_replacement(names, k)
+        if math.prod(factors[f].dim for f in combo) <= 24
+    ]
+    out = []
+    for combo in combos:
+        c = factors[combo[0]]
+        for f in combo[1:]:
+            c = tensor_product(c, factors[f])
+        out.append(c)
+    return out
+
+
 class TestHitMaps:
     def test_equal_dense_reference_up_to_one_positive_scalar(self):
-        # the scalar is the one _hit_maps returns with the maps
+        # the scalar is the one _hit_maps returns with each functional's maps
         rng = random.Random(17)
         cases = [sweedler_coalgebra(), s3_dual_coalgebra(), matrix_coalgebra(2),
                  change_basis(sweedler_tensor_square(),
@@ -117,16 +142,33 @@ class TestHitMaps:
             functionals = [list(s.idempotent) for s in analyze(c, PLAIN).components]
             functionals.append([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                 for _ in range(c.dim)])
-            for f in functionals:
-                left_map, right_map, scale = _hit_maps(c, f)
+            all_maps = _hit_maps(c, [sparse(f) for f in functionals])
+            assert len(all_maps) == len(functionals)
+            for f, (left_map, right_map, scale) in zip(functionals, all_maps):
                 assert isinstance(scale, int) and scale > 0
-                for left, sparse in zip((True, False), (left_map, right_map)):
+                for left, sparse_map in zip((True, False), (left_map, right_map)):
                     got = [[Fraction(0)] * c.dim for _ in range(c.dim)]
-                    for i, image in sparse:
+                    for i, image in sparse_map:
                         for t, y in image:
                             assert isinstance(y, int) and y != 0
                             got[t][i] = Fraction(y, scale)
                     assert got == _dense_hit(c, f, left)
+
+    def test_one_call_for_all_functionals_equals_one_call_each(self, corpus_dir):
+        # maps, their order and their scales do not depend on which other
+        # functionals share the pass over delta, even on overlapping supports
+        rng = random.Random(41)
+        cases = corpus_and_variants(corpus_dir) + sparse_tensor_products(corpus_dir)
+        assert len(cases) == 18 + 37
+        for c in cases:
+            functionals = [sparse(s.idempotent) for s in analyze(c, PLAIN).components]
+            for _ in range(3):
+                support = rng.sample(range(c.dim), rng.randint(1, c.dim))
+                functionals.append({j: F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+                                    for j in support})
+            together = _hit_maps(c, functionals)
+            assert together == [_hit_maps(c, [f])[0] for f in functionals]
+            assert _hit_maps(c, []) == []
 
 
 def filtration_is_compatible(c: Coalgebra, chain) -> bool:
@@ -210,6 +252,66 @@ class TestSimpleComponents:
         res = analyze(grouplike_coalgebra(24), PLAIN)
         assert len(res.components) == 24
         assert calls == 24
+
+    def test_hit_maps_read_delta_once_for_all_components(self):
+        # one pass over the scaled delta builds the maps of all 24 components
+        class CountingDelta(tuple):
+            reads = 0
+
+            def __iter__(self):
+                CountingDelta.reads += 1
+                return super().__iter__()
+
+        c = grouplike_coalgebra(24)
+        den, delta = c.integral_delta
+        c.__dict__["integral_delta"] = (den, CountingDelta(delta))
+        a = dual_algebra(c)
+        j_basis = radical(a)
+        chain = coradical_filtration(a, j_basis)
+        CountingDelta.reads = 0
+        comps, hits = simple_components(c, a, j_basis, chain.bases[0])
+        assert len(comps) == len(hits) == 24
+        assert CountingDelta.reads == 1
+
+    def test_subspace_step_applies_one_left_map_per_grouplike(self, monkeypatch):
+        # the coordinate index finds each grouplike's one C_0 candidate; a
+        # single-level chain leaves q_table nothing to apply
+        calls = 0
+        original = blocksieve.analyzer._mat_apply
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(blocksieve.analyzer, "_mat_apply", counting)
+        res = analyze(grouplike_coalgebra(24), PLAIN)
+        assert len(res.components) == 24 and res.filtration.dims == (24,)
+        assert calls == 24
+
+    @pytest.mark.parametrize("delta,labels,expected", [
+        # grouplikes x0, x1 and x0 + x2
+        (((0, 0, 0, F(1)), (1, 1, 1, F(1)),
+          (2, 0, 2, F(1)), (2, 2, 0, F(1)), (2, 2, 2, F(1))),
+         ("g2", "g0", "x"),
+         [("g0", "010"), ("g2", "100"), ("g2'", "101")]),
+        (((0, 0, 0, F(1)), (1, 1, 1, F(1)),
+          (2, 0, 2, F(1)), (2, 2, 0, F(1)), (2, 2, 2, F(1))),
+         ("x", "y", "z"),
+         [("g2", "101"), ("x", "100"), ("y", "010")]),
+        # grouplikes x0, x1 and x1 + x2: the basis label g1 is taken first
+        (((0, 0, 0, F(1)), (1, 1, 1, F(1)),
+          (2, 1, 2, F(1)), (2, 2, 1, F(1)), (2, 2, 2, F(1))),
+         ("g1", "a", "b"),
+         [("a", "010"), ("g1", "011"), ("g2", "100")]),
+    ])
+    def test_grouplike_labels_basis_counter_and_primes(self, delta, labels, expected):
+        # a grouplike that is a basis vector takes its label unless it is
+        # taken, else g<count of grouplikes before it>, primed until unused
+        c = Coalgebra(3, labels, delta, (F(1), F(1), F(0)))
+        assert validate(c) == []
+        comps = analyze(c, PLAIN).components
+        assert [(s.label, "".join(str(x) for x in s.grouplike)) for s in comps] == expected
 
     def test_non_split_rejected(self):
         # dual algebra Q[t]/(t^2 + t + 1), a field of degree 2
