@@ -251,14 +251,31 @@ def _center(a: Algebra) -> list[list[int]]:
     return linalg.nullspace(dense, ncols=a.dim)
 
 
+def _multiple_of(a: Algebra, e: dict[int, int], z: list[int]) -> int | None:
+    """r with e*z = (r / x0) * e, x0 being e's first entry, else None; in O(support of e)."""
+    w: dict[int, int] = {}
+    for j, x in e.items():
+        for k, terms in a.mult[j].items():
+            if z[k]:
+                s = x * z[k]
+                for i, cst in terms:
+                    w[i] = w.get(i, 0) + s * cst
+    j0, x0 = next(iter(e.items()))
+    ratio = w.get(j0, 0)
+    if all(w.get(i, 0) * x0 == ratio * x for i, x in e.items()) and all(
+        i in e for i, y in w.items() if y
+    ):
+        return ratio
+    return None
+
+
 def _krylov(a: Algebra, e: dict[int, int], z: list[int]) -> tuple[list, list[int]] | None:
     """Powers e, e*z, e*z^2, ... in eA while they stay independent; None if there is one.
 
     e is a sparse integer vector {i: x}, den times an idempotent e', and z
     is central, so e*z^k is den times w^k for w = e'*z: the powers of w in
-    e'A with e' as their unit, all scaled alike.  The first product is
-    formed on e's support alone and compared with e there, so a z that
-    cannot split e (w in Q*e') costs O(support) and gives None.  Otherwise
+    e'A with e' as their unit, all scaled alike.  A z that cannot split e
+    (w in Q*e') is found by _multiple_of in O(support) and gives None.  Otherwise
     each power, as a dense vector, is reduced against the earlier ones with
     the fraction-free residue, carrying a tail that starts as the unit
     vector of its exponent: a reduced row is its head plus its tail's
@@ -269,18 +286,7 @@ def _krylov(a: Algebra, e: dict[int, int], z: list[int]) -> tuple[list, list[int
     polynomial of w on e'A, the tail divided by its content: primitive,
     with a positive leading coefficient.
     """
-    w: dict[int, int] = {}
-    for j, x in e.items():
-        for k, terms in a.mult[j].items():
-            if z[k]:
-                s = x * z[k]
-                for i, cst in terms:
-                    w[i] = w.get(i, 0) + s * cst
-    j0, x0 = next(iter(e.items()))
-    ratio = w.get(j0, 0)  # w = (ratio / x0) * e if w is a multiple of e
-    if all(w.get(i, 0) * x0 == ratio * x for i, x in e.items()) and all(
-        i in e for i, y in w.items() if y
-    ):
+    if _multiple_of(a, e, z) is not None:
         return None
     n = a.dim
     powers: list[list[int]] = []
@@ -325,8 +331,8 @@ def _certified_idempotents(
 ) -> list[tuple[int, dict[int, int]]] | None:
     """The center basis rescaled, when that is the set of primitive central idempotents.
 
-    Each basis vector z costs one product: z * z = mu * z with mu != 0,
-    decided by cross-multiplying integers, makes z / mu an idempotent.  If
+    Each basis vector z costs one product on its support (_multiple_of):
+    z * z = mu * z with mu != 0 makes z / mu an idempotent.  If
     every one passes and the k = dim Z idempotents sum to the unit, they
     are the primitive ones (Friedl and Ronyai, STOC 1985, split commutative
     semisimple algebras the same way): in a splitting Z = K_1 + ... + K_t
@@ -339,12 +345,12 @@ def _certified_idempotents(
     idempotents = []
     total: list = [0] * a.dim
     for z in center:
-        w = a.multiply(z, z)
-        j0 = next(i for i, x in enumerate(z) if x)
-        if not w[j0] or any(wi * z[j0] != w[j0] * zi for wi, zi in zip(w, z)):
+        sparse = {i: x for i, x in enumerate(z) if x}
+        ratio = _multiple_of(a, sparse, z)  # mu times z's first nonzero entry
+        if not ratio:
             return None
-        s = Fraction(z[j0], w[j0])  # z is primitive, so s * z is in lowest terms
-        e = {i: s.numerator * x for i, x in enumerate(z) if x}
+        s = Fraction(next(iter(sparse.values())), ratio)  # z is primitive: lowest terms
+        e = {i: s.numerator * x for i, x in sparse.items()}
         for i, x in e.items():
             total[i] += Fraction(x, s.denominator)
         idempotents.append((s.denominator, e))
@@ -357,10 +363,10 @@ def _refined_idempotents(a: Algebra, center: list[list[int]]) -> list[tuple[int,
     """Primitive central idempotents by refining {1} with the spectrum of each central z.
 
     On each current idempotent e, w = e*z either lies in Q*e (z cannot
-    split e, and e is kept) or has a minimal polynomial on eA that must
-    split into distinct rational linear factors (else the input is not
-    split over Q).  The finer idempotents are then the Lagrange
-    interpolants f(w) of w at its eigenvalues, each a combination of the
+    split e, and e is kept) or has a minimal polynomial on eA, squarefree
+    as linalg.rational_roots requires since eA is semisimple; the input
+    splits over Q only if its roots are rational.  The finer idempotents
+    are the Lagrange interpolants f(w) of w at those roots, each a combination of the
     stored powers of w, since deg f is below their count.  For the
     eigenvalue lam, f is s * g with g = prod over the other eigenvalues
     mu = p/q of (q*t - p), an integer polynomial, and s = prod of
@@ -422,16 +428,18 @@ def _hit_maps(c: Coalgebra, functionals) -> list[tuple[list, list, int]]:
     v -> f applied to the left, respectively right, tensorand of Delta v.
     A map lists (i, image) for each basis vector e_i with a nonzero image,
     the image as its nonzero (index, value) pairs.  Each functional is
-    scaled to integers by the lcm of its denominators and indexed by
-    coordinate, so one pass over c.integral_delta builds every map: the
-    exact map times that lcm times delta's D, returned with it.
+    scaled to integers by linalg.integral and indexed by coordinate, so
+    one pass over c.integral_delta builds every map: the exact map times
+    that scale times delta's D, returned with it.
     """
     dd, delta = c.integral_delta
     by_coord: list[list[tuple[int, int]]] = [[] for _ in range(c.dim)]
-    scales = [math.lcm(*(x.denominator for x in f.values())) for f in functionals]
-    for m, (f, df) in enumerate(zip(functionals, scales)):
-        for j, x in f.items():
-            by_coord[j].append((m, x.numerator * (df // x.denominator)))
+    scales = []
+    for m, f in enumerate(functionals):
+        df, values = linalg.integral(f.values())
+        scales.append(df)
+        for j, y in zip(f, values):
+            by_coord[j].append((m, y))
     lefts: list[dict] = [{} for _ in scales]
     rights: list[dict] = [{} for _ in scales]
     for i, j, k, x in delta:

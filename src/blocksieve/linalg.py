@@ -7,10 +7,10 @@ kernels, coordinates and inverses then run on integers only, by
 cross-multiplication.  Pivot selection takes the lowest row index with a
 nonzero entry in the current column, and each result has a unique normal
 form, so outputs are deterministic and equal to those of rational
-arithmetic.  The polynomial toolkit below is integral too: squarefree parts
-come from pseudo-remainder sequences, and rational roots from Hensel lifting,
-so that fully split polynomials never require factoring their (potentially
-huge) constant terms.  Fraction appears only in the roots it returns.
+arithmetic.  The polynomial toolkit below is integral too: the rational roots
+of a squarefree polynomial come from Hensel lifting, so that fully split
+polynomials never require factoring their (potentially huge) constant terms.
+Fraction appears only in the roots it returns.
 """
 
 from __future__ import annotations
@@ -159,55 +159,7 @@ def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
     return basis
 
 
-# -- integer polynomials, coefficients ascending -----------------------------
-
-
-def poly_int(p) -> list[int]:
-    """Primitive integer coefficients with a positive leading coefficient."""
-    return primitive(integral(p)[1][::-1])[::-1]
-
-
-def _poly_prem(p: list[int], q: list[int]) -> list[int]:
-    """Pseudo-remainder of p by q: the remainder of lead(q)^k * p, in integers."""
-    p = list(p)
-    lead = q[-1]
-    while len(p) >= len(q):
-        top, shift = p[-1], len(p) - len(q)
-        p = [lead * x for x in p]
-        for i, y in enumerate(q):
-            p[i + shift] -= top * y
-        while p and p[-1] == 0:
-            p.pop()
-    return p
-
-
-def _poly_exact_quotient(p: list[int], q: list[int]) -> list[int]:
-    """p / q for integer polynomials where q is primitive and divides p over Q.
-
-    By Gauss's lemma the quotient then has integer coefficients, so every
-    step of the long division is an exact integer division.
-    """
-    p = list(p)
-    quot = [0] * (len(p) - len(q) + 1)
-    for shift in range(len(quot) - 1, -1, -1):
-        x = quot[shift] = p[shift + len(q) - 1] // q[-1]
-        for i, y in enumerate(q):
-            p[i + shift] -= x * y
-    return quot
-
-
-def _squarefree_part(p: list[int]) -> list[int]:
-    """p / gcd(p, p'), primitive with a positive leading coefficient.
-
-    The gcd comes from the primitive pseudo-remainder sequence of p and p',
-    so every coefficient stays an integer.
-    """
-    p = poly_int(p)
-    g, h = p, poly_int([i * x for i, x in enumerate(p)][1:])
-    while h:
-        r = _poly_prem(g, h)
-        g, h = h, (poly_int(r) if r else [])
-    return poly_int(_poly_exact_quotient(p, g))
+# -- rational roots of integer polynomials, coefficients ascending -----------
 
 
 def _odd_primes():
@@ -217,9 +169,6 @@ def _odd_primes():
         if all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n += 2
-
-
-# -- rational roots by Hensel lifting ----------------------------------------
 
 
 def _poly_mod(p: list[int], m: int) -> list[int]:
@@ -254,11 +203,15 @@ def _rational_reconstruct(a: int, m: int, bound: int) -> tuple[int, int] | None:
 def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     """(all rational roots of p, whether p splits into linear factors over Q).
 
-    p has integer coefficients, ascending.  Multiplicities are ignored: roots
-    come from the squarefree part, found in integers.  Root extraction lifts
-    the roots modulo the first odd prime that keeps them simple to high
-    p-adic precision, all roots together one precision at a time, and
-    reconstructs p/q, so no large integer is ever factored.
+    p has integer coefficients, ascending, and is squarefree.  The analyzer's
+    input is: its Krylov relation is the minimal polynomial of w = e'z in the
+    semisimple algebra e'(A/J), and in characteristic 0 such a polynomial has
+    no repeated factor.  Root extraction lifts the roots modulo the first odd
+    prime that keeps them simple to high p-adic precision, all roots together
+    one precision at a time, and reconstructs p/q, so no large integer is
+    ever factored.  A p that repeats a root modulo every odd prime, as any p
+    with a repeated rational root does, raises ValueError instead of
+    searching forever.
     """
     p = [int(c) for c in p]
     while p and p[-1] == 0:
@@ -267,36 +220,43 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
         raise ValueError("zero polynomial has every root")
     if len(p) == 1:
         return [], True
-    sqfree = _squarefree_part(p)
     zero_roots: list[Fraction] = []
-    if sqfree[0] == 0:
+    if p[0] == 0:
+        if p[1] == 0:
+            raise ValueError("t^2 divides the polynomial; it is not squarefree")
         zero_roots.append(Fraction(0))
-        k = 1
-        while sqfree[k] == 0:
-            k += 1
-        sqfree = sqfree[k:]
-    deg = len(sqfree) - 1
+        p = p[1:]
+    deg = len(p) - 1
     if deg == 0:
         return zero_roots, True
     if deg == 1:
-        return sorted(zero_roots + [Fraction(-sqfree[0], sqfree[1])]), True
-    lead = abs(sqfree[-1])
-    bound = lead + max(abs(c) for c in sqfree)  # >= |p| and >= q for any root p/q
-    dp_int = [i * sqfree[i] for i in range(1, len(sqfree))]
+        return sorted(zero_roots + [Fraction(-p[0], p[1])]), True
+    lead = abs(p[-1])
+    bound = lead + max(abs(c) for c in p)  # >= |p| and >= q for any root p/q
+    dp_int = [i * p[i] for i in range(1, len(p))]
 
     def keeps_roots_simple(cand: int) -> bool:
-        f, df = _poly_mod(sqfree, cand), _poly_mod(dp_int, cand)
+        f, df = _poly_mod(p, cand), _poly_mod(dp_int, cand)
         return all(_poly_eval_mod(f, x, cand) or _poly_eval_mod(df, x, cand)
                    for x in range(cand))
 
     # the first odd prime that keeps the leading coefficient and leaves no
-    # root repeated modulo it; every prime that fails divides
-    # lead * disc(sqfree), which is nonzero, so the search ends
-    prime = next(
-        cand for cand in _odd_primes() if sqfree[-1] % cand and keeps_roots_simple(cand)
-    )
+    # root repeated modulo it.  Every prime that fails divides
+    # lead * disc(p) = +-Res(p, p'), which is nonzero when p is squarefree,
+    # and by Hadamard's bound |Res(p, p')| <= deg^deg * (sum of c^2)^deg <
+    # 2^limit; so once the failed primes multiply past 2^limit, p has a
+    # repeated root
+    failed, limit = 1, None
+    for prime in _odd_primes():
+        if p[-1] % prime and keeps_roots_simple(prime):
+            break
+        if limit is None:
+            limit = deg * (deg.bit_length() + sum(c * c for c in p).bit_length())
+        failed *= prime
+        if failed.bit_length() > limit:
+            raise ValueError("the polynomial has a repeated root; it is not squarefree")
     modulus_target = 2 * bound * bound + 1
-    f_mod = _poly_mod(sqfree, prime)
+    f_mod = _poly_mod(p, prime)
     residues = [x for x in range(prime) if _poly_eval_mod(f_mod, x, prime) == 0]
     # Newton steps for every residue together, one precision at a time; the
     # coefficients are reduced modulo each precision once, not once per root.
@@ -304,7 +264,7 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     m = prime
     while m < modulus_target:
         m_next = m * m
-        f_mod, df_mod = _poly_mod(sqfree, m_next), _poly_mod(dp_int, m)
+        f_mod, df_mod = _poly_mod(p, m_next), _poly_mod(dp_int, m)
         residues = [
             (x - _poly_eval_mod(f_mod, x, m_next)
              * pow(_poly_eval_mod(df_mod, x, m), -1, m)) % m_next
@@ -318,7 +278,7 @@ def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
             continue
         num, den = rec
         # p/q is a root iff sum of c_i * p^i * q^(deg-i) vanishes
-        if sum(c * num**i * den ** (deg - i) for i, c in enumerate(sqfree)) == 0:
+        if sum(c * num**i * den ** (deg - i) for i, c in enumerate(p)) == 0:
             found.append(Fraction(num, den))
     found = sorted(set(found))
     fully_split = len(found) == deg

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from blocksieve.blocks import BlockIndex, BlockSystem
-from blocksieve.linalg import echelon
+from blocksieve.linalg import echelon, integral, primitive
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -71,6 +71,47 @@ def solve_coords(basis_rows, v) -> tuple[int, list[int]] | None:
     for r, col in zip(ech, pivots):
         coords[col] = r[k] * (den // r[col])
     return den, coords
+
+
+def poly_int(p) -> list[int]:
+    """Primitive integer coefficients (ascending) with a positive leading coefficient."""
+    return primitive(integral(p)[1][::-1])[::-1]
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_divmod(p, q):
+    """(quotient, remainder) of polynomials over Q, coefficients ascending, in Fractions."""
+    p = _poly_trim([Fraction(x) for x in p])
+    q = _poly_trim([Fraction(x) for x in q])
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
+        c = p[-1] / q[-1]
+        k = len(p) - len(q)
+        quot[k] = c
+        for i, b in enumerate(q):
+            p[i + k] -= c * b
+        _poly_trim(p)
+    return _poly_trim(quot), p
+
+
+def poly_gcd(p, q):
+    """Monic gcd over Q by Euclid's algorithm in Fractions; [] when both are zero."""
+    p = _poly_trim([Fraction(x) for x in p])
+    q = _poly_trim([Fraction(x) for x in q])
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return [x / p[-1] for x in p] if p else p
+
+
+def squarefree_part(p) -> list[int]:
+    """p / gcd(p, p') as poly_int gives it: p with each repeated factor kept once."""
+    deriv = [i * Fraction(c) for i, c in enumerate(p)][1:]
+    return poly_int(poly_divmod(p, poly_gcd(p, deriv))[0])
 
 
 def coassociativity_failure(c) -> int | None:

@@ -46,7 +46,7 @@ from blocksieve.corpus import (
     sweedler_tensor_square,
 )
 
-from conftest import random_change_of_basis, rank, solve_coords
+from conftest import poly_gcd, random_change_of_basis, rank, solve_coords
 
 F = Fraction
 
@@ -501,6 +501,36 @@ class TestCertifiedIdempotents:
         # the S3 dual's center basis is not idempotent, so it refines
         analyze(s3_dual_coalgebra(), PLAIN)
         assert calls > 0
+
+
+class TestRationalRootsPrecondition:
+    def test_every_minimal_polynomial_is_squarefree(self, corpus_dir, monkeypatch):
+        # linalg.rational_roots requires a squarefree polynomial; each one
+        # the analyzer hands it is the minimal polynomial of an element of a
+        # semisimple algebra, so gcd(p, p') must be a constant
+        seen = []
+        original = linalg.rational_roots
+
+        def recording(p):
+            seen.append(list(p))
+            return original(p)
+
+        monkeypatch.setattr(blocksieve.linalg, "rational_roots", recording)
+        rng = random.Random(43)
+        corpus = [parse_coalgebra(p.read_bytes()) for p in sorted(corpus_dir.glob("*.json"))]
+        moved = [change_basis(c, random_change_of_basis(rng, c.dim))
+                 for c in corpus for _ in range(3)]
+        family = tensor_family()
+        for c in corpus + family + moved:
+            analyze(c, PLAIN)
+        before = len(seen)
+        non_split = TestSimpleComponents()
+        non_split.test_non_split_rejected()
+        non_split.test_non_split_after_a_rational_split()
+        assert len(family) == 37 and len(moved) == 18
+        assert before >= 50 and len(seen) > before
+        for p in seen:
+            assert len(poly_gcd(p, [i * x for i, x in enumerate(p)][1:])) == 1, p
 
 
 class TestKrylov:

@@ -6,7 +6,7 @@ import pytest
 
 from blocksieve import linalg
 
-from conftest import rank, solve_coords
+from conftest import poly_int, rank, solve_coords, squarefree_part
 
 
 class TestEchelon:
@@ -184,13 +184,13 @@ class TestRationalRoots:
             ([2, -3, 1], [1, 2], True),              # (t-1)(t-2)
             ([-2, 0, 1], [], False),                 # t^2 - 2
             ([-15, 7, 2], [-5, Fraction(3, 2)], True),
-            ([0, 1, -2, 1], [0, 1], True),           # t(t-1)^2
+            ([0, -1, 1], [0, 1], True),              # t(t-1)
             ([6, 11, 6, 1], [-3, -2, -1], True),
             ([1, 0, 1], [], False),                  # t^2 + 1
             ([-1, 0, 0, 1], [1], False),             # t^3 - 1
-            ([1, -2, 1], [1], True),                 # (t-1)^2, a double root
+            ([-1, 1], [1], True),                    # t-1
             ([0, 3, 1], [-3, 0], True),              # t(t+3), a zero root
-            ([0, 0, -4], [0], True),                 # -4t^2
+            ([0, -4], [0], True),                    # -4t
             ([-6, 5, -1], [2, 3], True),             # -(t-2)(t-3)
         ],
     )
@@ -198,6 +198,29 @@ class TestRationalRoots:
         got_roots, got_split = linalg.rational_roots(poly)
         assert got_roots == [Fraction(x) for x in roots]
         assert got_split is split
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            [0, 1, -2, 1],                           # t(t-1)^2
+            [1, -2, 1],                              # (t-1)^2
+            [0, 0, -4],                              # -4t^2
+            [20, -16, 1, 1],                         # (t-2)^2 (t+5)
+            [0, 0, -3, 6],                           # 3t^2 (2t-1)
+            # ((t^2-2)(t^2-3)(t^2-6))^2: 2, 3 or 6 is a square modulo every
+            # odd prime, so every prime repeats a root and only the
+            # resultant bound ends the search
+            [1296, 0, -2592, 0, 2088, 0, -864, 0, 193, 0, -22, 0, 1],
+        ],
+    )
+    def test_root_repeated_modulo_every_prime_is_refused(self, poly):
+        with pytest.raises(ValueError, match="not squarefree"):
+            linalg.rational_roots(poly)
+
+    def test_repeated_irrational_factor_keeps_its_answer(self):
+        # (t^2+1)^2: any prime 3 mod 4 leaves it without roots, so the
+        # search ends there, and it has no rational root
+        assert linalg.rational_roots([1, 0, 2, 0, 1]) == ([], False)
 
     def test_huge_split_polynomial(self):
         big = 10**15
@@ -215,7 +238,7 @@ class TestRationalRoots:
         poly = [Fraction(1)]
         for a in [2, -7, 13, Fraction(5, 3)]:
             poly = times_linear(poly, a)
-        roots, split = linalg.rational_roots(linalg.poly_int(poly))
+        roots, split = linalg.rational_roots(poly_int(poly))
         assert split
         assert roots == sorted([Fraction(-7), Fraction(5, 3), Fraction(2), Fraction(13)])
 
@@ -247,7 +270,10 @@ class TestRationalRoots:
         for a in span:
             for b in span:
                 for c in span:
-                    if a:
+                    if a and b * b == 4 * a * c:  # a double root
+                        with pytest.raises(ValueError):
+                            linalg.rational_roots([c, b, a])
+                    elif a:
                         want = sorted(roots.get((a, b, c), ()))
                         assert linalg.rational_roots([c, b, a]) == (want, bool(want)), (a, b, c)
                         split += bool(want)
@@ -257,41 +283,14 @@ class TestRationalRoots:
 # -- Fraction reference for rational_roots -------------------------------------
 #
 # The root finder as it stood with a Fraction squarefree part and a fixed
-# list of small Hensel primes; it agrees with the integer version wherever one
-# of those primes works, which holds for every polynomial generated below.
+# list of small Hensel primes.  It takes repeated factors too, and on the
+# squarefree parts generated below it agrees with the integer version, since
+# one of those primes works for each of them.
 
 _REF_PRIMES = [
     3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
     73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
 ]
-
-
-def _ref_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _ref_divmod(p, q):
-    p = _ref_trim([Fraction(x) for x in p])
-    q = _ref_trim([Fraction(x) for x in q])
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    while len(p) >= len(q):
-        c = p[-1] / q[-1]
-        k = len(p) - len(q)
-        quot[k] = c
-        for i, b in enumerate(q):
-            p[i + k] -= c * b
-        _ref_trim(p)
-    return _ref_trim(quot), p
-
-
-def _ref_gcd(p, q):
-    p = _ref_trim([Fraction(x) for x in p])
-    q = _ref_trim([Fraction(x) for x in q])
-    while q:
-        p, q = q, _ref_divmod(p, q)[1]
-    return [x / p[-1] for x in p] if p else p
 
 
 def _ref_eval_mod(p, x, m):
@@ -319,12 +318,12 @@ def _ref_reconstruct(a, m, bound):
 
 
 def _ref_rational_roots(p):
-    p = _ref_trim([int(c) for c in p])
+    p = [int(c) for c in p]
+    while p and p[-1] == 0:
+        p.pop()
     if len(p) == 1:
         return [], True
-    frac = [Fraction(c) for c in p]
-    deriv = _ref_trim([Fraction(i) * frac[i] for i in range(1, len(frac))])
-    sqfree = linalg.poly_int(_ref_divmod(frac, _ref_gcd(frac, deriv))[0])
+    sqfree = squarefree_part(p)
     zero_roots = []
     if sqfree[0] == 0:
         zero_roots.append(Fraction(0))
@@ -396,9 +395,25 @@ def _random_factored_polynomial(rng):
     return poly
 
 
+def _has_repeated_rational_root(poly, roots):
+    """Whether p'(x) = 0 at one of the rational roots x of p."""
+    deriv = [i * c for i, c in enumerate(poly)][1:]
+    return any(sum(c * x**i for i, c in enumerate(deriv)) == 0 for x in roots)
+
+
 class TestRationalRootsAgainstFractionReference:
     def test_two_hundred_seeded_products(self):
         rng = random.Random(8)
+        refused = 0
         for _ in range(200):
             poly = _random_factored_polynomial(rng)
-            assert linalg.rational_roots(poly) == _ref_rational_roots(poly), poly
+            want = _ref_rational_roots(poly)
+            assert linalg.rational_roots(squarefree_part(poly)) == want, poly
+            try:
+                got = linalg.rational_roots(poly)
+            except ValueError:
+                refused += 1
+                continue
+            assert got == want, poly
+            assert not _has_repeated_rational_root(poly, want[0]), poly
+        assert 0 < refused < 200
