@@ -5,7 +5,8 @@ one contract everywhere: 0 for feasible / all rules pass, 1 for infeasible /
 violations found, 2 for usage or input errors (including search-cap refusals).
 Only solve, scan and orders search, so only they read BLOCKSIEVE_NODE_CAP.
 Output is byte-identical across runs for the same inputs, format, and any
-parallelism degree.
+parallelism degree.  Only analyze reads coalgebras, so only it imports the
+analyzer stack; every other command loads the package's core alone.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import os
 import sys
 
 from .blocks import ModeFlags, parse_block_system, total_dim
-from .coalgebra import parse_coalgebra
-from .analyzer import analyze
 from .rules import check, explain
 from .solver import (
     FeasibilityProblem,
@@ -185,6 +184,9 @@ def _cmd_check(ns, out) -> int:
 
 
 def _cmd_analyze(ns, out) -> int:
+    from .analyzer import analyze
+    from .coalgebra import parse_coalgebra
+
     coalgebra = parse_coalgebra(_read(ns.input))
     result = analyze(coalgebra, _flags_from(ns))
     if ns.fmt == "json":

@@ -239,7 +239,7 @@ def _level_groups(max_d: int, r: int) -> list[_Group]:
     return groups
 
 
-def _multipliers(costs: tuple[int, ...], budget: int) -> tuple[int, ...] | None:
+def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
     """Lexicographically least k_1, k_2, ... >= 1 with sum k_i * costs[i] = budget, or None.
 
     The search runs over the extra multiples j_i = k_i - 1 >= 0, which must
@@ -517,7 +517,9 @@ class _Search:
             free = self.stack[1:p] + self.stack[p + 1:]
         else:
             free = self.stack[1:]
-        ks = _multipliers(tuple(g.cost for _, g in free), self.N - self.r * len(fixed))
+        # a list, not tuple(generator): that grows its tuple by resizing, which
+        # fills the interpreter's per-length tuple free lists on every call
+        ks = _multipliers([g.cost for _, g in free], self.N - self.r * len(fixed))
         if ks is None:
             return None
         out = fixed

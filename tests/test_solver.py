@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,9 @@ from blocksieve.solver import (
     scan,
     solve,
 )
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def lcm(a, b):
@@ -267,6 +273,26 @@ class TestNodeCap:
         assert solve(p, node_cap=nodes).as_json_dict() == full.as_json_dict()
         with pytest.raises(SearchCapExceeded):
             solve(p, node_cap=nodes - 1)
+
+
+def test_repeated_solves_do_not_grow_the_heap():
+    # Phase 2 runs once per complete support; building its cost tuple from a
+    # generator filled the tuple free lists, about 6,000 blocks here.  A fresh
+    # interpreter, so earlier tests' garbage and free lists do not count.
+    code = (
+        "import sys\n"
+        "from blocksieve import NON_COSEMISIMPLE, FeasibilityProblem, solve\n"
+        "p = FeasibilityProblem(40, 1, NON_COSEMISIMPLE)\n"
+        "solve(p); solve(p)\n"
+        "before = sys.getallocatedblocks()\n"
+        "for _ in range(4):\n"
+        "    solve(p)\n"
+        "print(sys.getallocatedblocks() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert int(out) < 2000
 
 
 def least_multipliers(costs, budget):
