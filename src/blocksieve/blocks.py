@@ -7,54 +7,128 @@ B(n, d1, d2).  Level 0 is the coradical: its blocks are diagonal and the
 group order r.  Zero blocks are not stored; a sparse map keeps search states
 small.
 
-All values in this module are immutable after construction and safe to share
-across threads or processes.
+All values in this module are immutable after construction (assigning or
+deleting a field raises AttributeError) and safe to share across threads or
+processes; they pickle and copy by rebuilding through their constructors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+
+# Sets a slot of a frozen value, past the __setattr__ that refuses assignment.
+_setattr = object.__setattr__
 
 
 class BlockSystemParseError(ValueError):
     """Raised for malformed block-system JSON; the message names the offending entry."""
 
 
-@dataclass(frozen=True, order=True)
-class BlockIndex:
+class _Frozen:
+    """Base of the immutable value types: fields are the subclass's __slots__, in order.
+
+    Equality holds between instances of the same class with equal fields and
+    hashing hashes the tuple of fields; repr names every field; pickling and
+    copying rebuild the value through the constructor, which takes the fields
+    positionally.  Assigning or deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BlockIndex(_Frozen):
     """Index (level, d1, d2) of one block.
 
     Level-0 blocks are diagonal by definition, so d1 != d2 is rejected there.
     Field order gives the canonical lexicographic ordering used everywhere.
     """
 
-    level: int
-    d1: int
-    d2: int
+    __slots__ = ("level", "d1", "d2")
 
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"block level must be >= 0, got {self.level}")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError(
-                f"comodule dimensions must be >= 1, got ({self.d1}, {self.d2})"
-            )
-        if self.level == 0 and self.d1 != self.d2:
+    def __init__(self, level: int, d1: int, d2: int):
+        if level < 0:
+            raise ValueError(f"block level must be >= 0, got {level}")
+        if d1 < 1 or d2 < 1:
+            raise ValueError(f"comodule dimensions must be >= 1, got ({d1}, {d2})")
+        if level == 0 and d1 != d2:
             raise ValueError("level-0 block must be diagonal")
+        _set_level(self, level)
+        _set_d1(self, d1)
+        _set_d2(self, d2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.d1 == other.d1 and self.d2 == other.d2
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.level, self.d1, self.d2))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            if self.level != other.level:
+                return self.level < other.level
+            if self.d1 != other.d1:
+                return self.d1 < other.d1
+            return self.d2 < other.d2
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return not other < self
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return other < self
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return not self < other
+        return NotImplemented
 
     def __iter__(self):
         return iter((self.level, self.d1, self.d2))
 
 
+# The slot descriptors' setters: one call per field, the cheapest way past
+# the refusing __setattr__ for the most constructed value type.
+_set_level = BlockIndex.level.__set__
+_set_d1 = BlockIndex.d1.__set__
+_set_d2 = BlockIndex.d2.__set__
+
 CORADICAL_POINTED = BlockIndex(0, 1, 1)
 
 
-@dataclass(frozen=True)
-class ModeFlags:
+class ModeFlags(_Frozen):
     """Which optional necessary conditions are in force.
 
     no_skew_primitives implies non_cosemisimple (the skew-primitive-free class
@@ -62,13 +136,19 @@ class ModeFlags:
     solver to derive no_skew_primitives from gcd(r, N/r) = 1.
     """
 
-    non_cosemisimple: bool = False
-    no_skew_primitives: bool = False
-    auto_nsp: bool = False
+    __slots__ = ("non_cosemisimple", "no_skew_primitives", "auto_nsp")
 
-    def __post_init__(self):
-        if self.no_skew_primitives and not self.non_cosemisimple:
-            object.__setattr__(self, "non_cosemisimple", True)
+    def __init__(
+        self,
+        non_cosemisimple: bool = False,
+        no_skew_primitives: bool = False,
+        auto_nsp: bool = False,
+    ):
+        if no_skew_primitives and not non_cosemisimple:
+            non_cosemisimple = True
+        _setattr(self, "non_cosemisimple", non_cosemisimple)
+        _setattr(self, "no_skew_primitives", no_skew_primitives)
+        _setattr(self, "auto_nsp", auto_nsp)
 
 
 NSP = ModeFlags(no_skew_primitives=True)
@@ -76,8 +156,7 @@ NON_COSEMISIMPLE = ModeFlags(non_cosemisimple=True)
 PLAIN = ModeFlags()
 
 
-@dataclass(frozen=True, eq=True)
-class BlockSystem:
+class BlockSystem(_Frozen):
     """A sparse block-dimension table together with the group order r.
 
     The group order is stored separately from the (0,1,1) entry so that rule
@@ -87,16 +166,17 @@ class BlockSystem:
 
     group_order 0 is permitted so the analyzer can represent coalgebras with
     no grouplikes at all; such systems fail the rule check, as they must.
+
+    blocks is a dict, so a BlockSystem is unhashable.
     """
 
-    group_order: int
-    blocks: dict[BlockIndex, int] = field(default_factory=dict)
+    __slots__ = ("group_order", "blocks")
 
-    def __post_init__(self):
-        if self.group_order < 0:
-            raise ValueError(f"group order must be >= 0, got {self.group_order}")
+    def __init__(self, group_order: int, blocks: dict[BlockIndex, int] | None = None):
+        if group_order < 0:
+            raise ValueError(f"group order must be >= 0, got {group_order}")
         normalized: dict[BlockIndex, int] = {}
-        for idx, dim in self.blocks.items():
+        for idx, dim in (blocks or {}).items():
             if not isinstance(idx, BlockIndex):
                 idx = BlockIndex(*idx)
             if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
@@ -105,7 +185,8 @@ class BlockSystem:
                     "zero blocks must be omitted"
                 )
             normalized[idx] = dim
-        object.__setattr__(self, "blocks", normalized)
+        _setattr(self, "group_order", group_order)
+        _setattr(self, "blocks", normalized)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Stored entries as (level, d1, d2, dim), canonically sorted."""
@@ -244,26 +325,33 @@ def serialize_block_system(s: BlockSystem) -> bytes:
     return json.dumps(block_system_payload(s)).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Frozen):
     """Outcome of a feasibility query.
 
     Feasible certificates carry a witness system that passes the full rule
     check and sums to the queried dimension; infeasible ones carry a bounded
     refutation trace (top-level case split plus the rule that closed each
-    case).  stats records node counts and which rules fired per branch class.
+    case).  stats records node counts and which rules fired per branch class;
+    it is a dict (a fresh one by default), so a Certificate is unhashable.
     """
 
-    verdict: str
-    witness: BlockSystem | None = None
-    stats: dict = field(default_factory=dict)
-    refutation_summary: tuple[str, ...] | None = None
+    __slots__ = ("verdict", "witness", "stats", "refutation_summary")
 
-    def __post_init__(self):
-        if self.verdict not in (FEASIBLE, INFEASIBLE):
+    def __init__(
+        self,
+        verdict: str,
+        witness: BlockSystem | None = None,
+        stats: dict | None = None,
+        refutation_summary: tuple[str, ...] | None = None,
+    ):
+        if verdict not in (FEASIBLE, INFEASIBLE):
             raise ValueError(f"verdict must be '{FEASIBLE}' or '{INFEASIBLE}'")
-        if (self.verdict == FEASIBLE) != (self.witness is not None):
+        if (verdict == FEASIBLE) != (witness is not None):
             raise ValueError("witness must be present exactly when feasible")
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "witness", witness)
+        _setattr(self, "stats", {} if stats is None else stats)
+        _setattr(self, "refutation_summary", refutation_summary)
 
     @property
     def feasible(self) -> bool:

@@ -13,9 +13,7 @@ that an absent (0,1,1) entry counts as r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .blocks import BlockIndex, BlockSystem, ModeFlags, pointed_levels
+from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, _setattr, pointed_levels
 
 # Rule ids in report order.  R7 and R8 are active only with the
 # no-skew-primitives flag; RNC only with the non-cosemisimple flag.
@@ -58,14 +56,22 @@ RULE_ANCHORS = {
 }
 
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(_Frozen):
     """One broken rule: which rule, at which indices, and why."""
 
-    rule: str
-    indices: tuple[BlockIndex, ...]
-    message: str
-    missing_witness: str | None = None
+    __slots__ = ("rule", "indices", "message", "missing_witness")
+
+    def __init__(
+        self,
+        rule: str,
+        indices: tuple[BlockIndex, ...],
+        message: str,
+        missing_witness: str | None = None,
+    ):
+        _setattr(self, "rule", rule)
+        _setattr(self, "indices", indices)
+        _setattr(self, "message", message)
+        _setattr(self, "missing_witness", missing_witness)
 
     def as_json_dict(self) -> dict:
         """The JSON form shared by `check --format json` and the analyzer's report."""

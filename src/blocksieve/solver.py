@@ -44,14 +44,16 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .blocks import (
     FEASIBLE,
     INFEASIBLE,
+    PLAIN,
     BlockSystem,
     Certificate,
     ModeFlags,
+    _Frozen,
+    _setattr,
     total_dim,
 )
 from .rules import backed, chain_gaps, check, escalate, has_nsp_core, nsp_forcing_ok
@@ -143,16 +145,23 @@ def minimal_form(r: int, d: int) -> BlockSystem:
     )
 
 
-@dataclass(frozen=True)
-class GridBounds:
+def _require_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+class GridBounds(_Frozen):
     """Finite search grid: levels 0..max_level, comodule dimensions 1..max_d."""
 
-    max_level: int
-    max_d: int
+    __slots__ = ("max_level", "max_d")
 
-    def __post_init__(self):
-        if self.max_level < 0 or self.max_d < 1:
+    def __init__(self, max_level: int, max_d: int):
+        _require_int(max_level, "max_level")
+        _require_int(max_d, "max_d")
+        if max_level < 0 or max_d < 1:
             raise ValueError("bounds must satisfy max_level >= 0 and max_d >= 1")
+        _setattr(self, "max_level", max_level)
+        _setattr(self, "max_d", max_d)
 
     @classmethod
     def defaults(cls, target_dim: int, group_order: int) -> "GridBounds":
@@ -181,20 +190,28 @@ class GridBounds:
         return cls(max_level, max_d)
 
 
-@dataclass(frozen=True)
-class FeasibilityProblem:
+class FeasibilityProblem(_Frozen):
     """A (dimension, group order) query under mode flags and finite bounds."""
 
-    target_dim: int
-    group_order: int
-    flags: ModeFlags = ModeFlags()
-    bounds: GridBounds | None = None
+    __slots__ = ("target_dim", "group_order", "flags", "bounds")
 
-    def __post_init__(self):
-        if self.target_dim < 1:
+    def __init__(
+        self,
+        target_dim: int,
+        group_order: int,
+        flags: ModeFlags = PLAIN,
+        bounds: GridBounds | None = None,
+    ):
+        _require_int(target_dim, "target_dim")
+        _require_int(group_order, "group_order")
+        if target_dim < 1:
             raise ValueError("target_dim must be positive")
-        if self.group_order < 1:
+        if group_order < 1:
             raise ValueError("group_order must be positive")
+        _setattr(self, "target_dim", target_dim)
+        _setattr(self, "group_order", group_order)
+        _setattr(self, "flags", flags)
+        _setattr(self, "bounds", bounds)
 
 
 def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
@@ -209,7 +226,6 @@ def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
     return nsp, ncss, auto_applied
 
 
-@dataclass(frozen=True, slots=True)
 class _Group:
     """A branching unit of the support search: a single cell or a mirror pair.
 
@@ -217,11 +233,15 @@ class _Group:
     the support, not a field.
     """
 
-    first: tuple[int, int]            # canonical (d1, d2) of the first index
-    members: tuple[tuple[int, int], ...]
-    divisor: int
-    weight: int                       # how many grid entries share the value
-    cost: int                         # least total the unit adds: weight * divisor
+    __slots__ = ("first", "members", "divisor", "weight", "cost")
+
+    def __init__(self, first: tuple[int, int], members: tuple[tuple[int, int], ...],
+                 divisor: int, weight: int, cost: int):
+        self.first = first            # canonical (d1, d2) of the first index
+        self.members = members
+        self.divisor = divisor
+        self.weight = weight          # how many grid entries share the value
+        self.cost = cost              # least total the unit adds: weight * divisor
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +33,35 @@ def random_system(rng: random.Random, max_level=4, max_d=3, symmetric=False) -> 
         if symmetric and n >= 1:
             blocks[BlockIndex(n, d2, d1)] = v
     return BlockSystem(r, blocks)
+
+
+def assert_value_type(value, fields: dict, repr_text: str):
+    """The behaviour shared by the core's immutable value types.
+
+    fields maps each field name, in constructor order, to its expected value.
+    The value equals a copy built from its fields, not the tuple of them;
+    its repr is repr_text; assigning or deleting any field raises
+    AttributeError and leaves the field as it was; pickle and both copies
+    give an equal value of the same class.
+    """
+    for name, expected in fields.items():
+        assert getattr(value, name) == expected
+    assert value == type(value)(*fields.values())
+    assert value != tuple(fields.values())
+    assert not value == tuple(fields.values())
+    assert repr(value) == repr_text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == fields[name]
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert repr(twin) == repr_text
 
 
 def random_change_of_basis(rng: random.Random, n: int):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -20,7 +21,7 @@ from blocksieve.blocks import (
 )
 from blocksieve.solver import LEVEL_CAP, minimal_form
 
-from conftest import random_system
+from conftest import assert_value_type, random_system
 
 
 class TestBlockIndex:
@@ -37,6 +38,80 @@ class TestBlockIndex:
     def test_canonical_ordering(self):
         idxs = [BlockIndex(1, 2, 1), BlockIndex(0, 1, 1), BlockIndex(1, 1, 2)]
         assert sorted(idxs) == [BlockIndex(0, 1, 1), BlockIndex(1, 1, 2), BlockIndex(1, 2, 1)]
+
+    def test_every_comparison_agrees_with_the_tuples(self):
+        idxs = [BlockIndex(n, a, b) for n in range(3) for a in range(1, 4) for b in range(1, 4)
+                if n or a == b]
+        random.Random(7).shuffle(idxs)
+        assert [tuple(i) for i in sorted(idxs)] == sorted(tuple(i) for i in idxs)
+        for x, y in itertools.product(idxs, repeat=2):
+            tx, ty = tuple(x), tuple(y)
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                tx < ty, tx <= ty, tx > ty, tx >= ty, tx == ty)
+        with pytest.raises(TypeError):
+            BlockIndex(1, 1, 1) < (1, 1, 2)
+
+
+class TestValueTypes:
+    """Construction, equality, hashing, repr, immutability and pickling of the value types."""
+
+    def test_block_index(self):
+        idx = BlockIndex(d2=3, level=1, d1=2)
+        assert_value_type(idx, {"level": 1, "d1": 2, "d2": 3},
+                          "BlockIndex(level=1, d1=2, d2=3)")
+        assert idx == BlockIndex(1, 2, 3)
+        assert hash(idx) == hash(BlockIndex(1, 2, 3)) == hash((1, 2, 3))
+        assert tuple(idx) == (1, 2, 3)
+        with pytest.raises(TypeError):
+            BlockIndex(1, 2)
+        with pytest.raises(TypeError):
+            BlockIndex(1, 2, 3, level=1)
+
+    def test_mode_flags(self):
+        assert_value_type(ModeFlags(), {"non_cosemisimple": False, "no_skew_primitives": False,
+                                        "auto_nsp": False},
+                          "ModeFlags(non_cosemisimple=False, no_skew_primitives=False, auto_nsp=False)")
+        nsp = ModeFlags(no_skew_primitives=True)
+        assert_value_type(nsp, {"non_cosemisimple": True, "no_skew_primitives": True,
+                                "auto_nsp": False},
+                          "ModeFlags(non_cosemisimple=True, no_skew_primitives=True, auto_nsp=False)")
+        assert nsp == ModeFlags(True, True) == ModeFlags(False, True)
+        assert hash(nsp) == hash(ModeFlags(True, True, False))
+        assert ModeFlags(auto_nsp=True) != ModeFlags()
+        assert len({ModeFlags(), ModeFlags(False), nsp, ModeFlags(True, True)}) == 2
+
+    def test_block_system(self):
+        s = BlockSystem(3, {(0, 1, 1): 3, BlockIndex(1, 2, 1): 6})
+        assert_value_type(s, {"group_order": 3,
+                              "blocks": {BlockIndex(0, 1, 1): 3, BlockIndex(1, 2, 1): 6}},
+                          "BlockSystem(r=3, {(0,1,1):3, (1,2,1):6})")
+        assert s == BlockSystem(group_order=3, blocks={(1, 2, 1): 6, (0, 1, 1): 3})
+        assert s != BlockSystem(3, {(0, 1, 1): 3})
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
+        empty = BlockSystem(2)
+        assert_value_type(empty, {"group_order": 2, "blocks": {}}, "BlockSystem(r=2, {})")
+        assert empty.blocks is not BlockSystem(2).blocks
+
+    def test_certificate(self):
+        cert = Certificate("infeasible")
+        assert_value_type(cert, {"verdict": "infeasible", "witness": None, "stats": {},
+                                 "refutation_summary": None},
+                          "Certificate(verdict='infeasible', witness=None, stats={}, "
+                          "refutation_summary=None)")
+        assert cert.stats is not Certificate("infeasible").stats
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cert)
+        s = minimal_form(2, 2)
+        feasible = Certificate(verdict="feasible", witness=s, stats={"nodes": 3})
+        assert_value_type(feasible, {"verdict": "feasible", "witness": s, "stats": {"nodes": 3},
+                                     "refutation_summary": None},
+                          f"Certificate(verdict='feasible', witness={s!r}, stats={{'nodes': 3}}, "
+                          "refutation_summary=None)")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(feasible)
+        with pytest.raises(ValueError, match="witness"):
+            Certificate("feasible")
 
 
 class TestBlockSystem:

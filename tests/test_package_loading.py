@@ -1,10 +1,11 @@
 """What each entry point loads: the core eagerly, the rest on first use.
 
-`import blocksieve` loads `blocks`, `rules` and `solver` only; the analyzer
-stack (`coalgebra`, `linalg`, `analyzer`, and with them `fractions`) and the
-oracle load when one of their names is first used.  Each check runs in a
-fresh interpreter, since the test session itself has long loaded everything,
-on the copy of blocksieve this session imported: the checkout's src, or an
+`import blocksieve` loads `blocks`, `rules` and `solver` only, and neither
+`dataclasses` nor `inspect`; the analyzer stack (`coalgebra`, `linalg`,
+`analyzer`, and with them `fractions` and `dataclasses`) and the oracle load
+when one of their names is first used.  Each check runs in a fresh
+interpreter, since the test session itself has long loaded everything, on
+the copy of blocksieve this session imported: the checkout's src, or an
 installed package when the file is run against one.
 """
 
@@ -24,9 +25,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PATH_ENTRY = str(Path(blocksieve.__file__).resolve().parent.parent)
 CORE = ["blocksieve", "blocksieve.blocks", "blocksieve.rules", "blocksieve.solver"]
 
-# The blocksieve modules loaded, and whether fractions is, as a Python expression.
+# The blocksieve modules loaded, and which of the stdlib modules that only
+# the analyzer stack needs are, as a Python expression.
 LOADED = ("{'modules': sorted(m for m in sys.modules if m.split('.')[0] == 'blocksieve'), "
-          "'fractions': 'fractions' in sys.modules}")
+          "'stdlib': sorted(m for m in ('dataclasses', 'fractions', 'inspect') "
+          "if m in sys.modules)}")
 
 
 def fresh(code: str) -> dict:
@@ -51,11 +54,11 @@ def after_cli(args: list[str]) -> dict:
 
 def test_import_loads_the_core_only():
     loaded = fresh(f"import json, sys, blocksieve; print(json.dumps({LOADED}))")
-    assert loaded == {"modules": CORE, "fractions": False}
+    assert loaded == {"modules": CORE, "stdlib": []}
 
 
 def test_solve_and_check_load_nothing_beyond_the_core(tmp_path):
-    expected = {"modules": sorted(CORE + ["blocksieve.cli"]), "fractions": False}
+    expected = {"modules": sorted(CORE + ["blocksieve.cli"]), "stdlib": []}
     assert after_cli(["solve", "--dim", "45", "--group-order", "3",
                       "--no-skew-primitives"]) == {"exit": 1, **expected}
     path = tmp_path / "minimal_form.json"
@@ -68,6 +71,7 @@ def test_analyze_never_loads_the_oracle():
     assert loaded["exit"] == 0
     assert "blocksieve.analyzer" in loaded["modules"]
     assert "blocksieve.oracle" not in loaded["modules"]
+    assert {"dataclasses", "fractions"} <= set(loaded["stdlib"])
 
 
 def test_every_public_name_resolves_and_is_listed():

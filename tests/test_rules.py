@@ -11,10 +11,18 @@ from blocksieve.blocks import (
     total_dim,
     transpose,
 )
-from blocksieve.rules import RULE_NAMES, RULE_ORDER, check, escalate, explain, stranded
+from blocksieve.rules import (
+    RULE_NAMES,
+    RULE_ORDER,
+    RuleViolation,
+    check,
+    escalate,
+    explain,
+    stranded,
+)
 from blocksieve.solver import minimal_form
 
-from conftest import random_system
+from conftest import assert_value_type, random_system
 
 ALL_FLAGS = (PLAIN, NON_COSEMISIMPLE, NSP)
 
@@ -40,6 +48,18 @@ class TestSpecExamples:
     def test_sweedler_with_skew_primitives_allowed(self):
         s = BlockSystem(2, {(0, 1, 1): 2, (1, 1, 1): 2})
         assert check(s, NON_COSEMISIMPLE) == []
+
+
+class TestRuleViolation:
+    def test_value_type(self):
+        v = RuleViolation(rule="R1", indices=(BlockIndex(1, 1, 1),), message="m")
+        assert_value_type(v, {"rule": "R1", "indices": (BlockIndex(1, 1, 1),), "message": "m",
+                              "missing_witness": None},
+                          "RuleViolation(rule='R1', indices=(BlockIndex(level=1, d1=1, d2=1),), "
+                          "message='m', missing_witness=None)")
+        assert hash(v) == hash(RuleViolation("R1", (BlockIndex(1, 1, 1),), "m", None))
+        assert v != RuleViolation("R1", (BlockIndex(1, 1, 1),), "m", "w")
+        assert len({v, RuleViolation("R1", (BlockIndex(1, 1, 1),), "m")}) == 1
 
 
 class TestExplainFormat:

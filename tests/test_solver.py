@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -31,6 +33,8 @@ from blocksieve.solver import (
     scan,
     solve,
 )
+
+from conftest import assert_value_type
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -250,6 +254,51 @@ class TestSolve:
         cert = solve(FeasibilityProblem(4, 2, NON_COSEMISIMPLE, GridBounds(1, 1)))
         assert cert.feasible
         assert cert.stats["bounds"] == {"max_level": 1, "max_d": 1}
+
+
+class TestValueTypes:
+    def test_grid_bounds(self):
+        b = GridBounds(max_d=4, max_level=3)
+        assert_value_type(b, {"max_level": 3, "max_d": 4}, "GridBounds(max_level=3, max_d=4)")
+        assert hash(b) == hash(GridBounds(3, 4))
+        assert b != GridBounds(4, 3)
+
+    def test_feasibility_problem(self):
+        p = FeasibilityProblem(10, 2)
+        assert_value_type(p, {"target_dim": 10, "group_order": 2, "flags": ModeFlags(),
+                              "bounds": None},
+                          "FeasibilityProblem(target_dim=10, group_order=2, flags=ModeFlags("
+                          "non_cosemisimple=False, no_skew_primitives=False, auto_nsp=False), "
+                          "bounds=None)")
+        q = FeasibilityProblem(bounds=GridBounds(1, 2), flags=NSP, group_order=2, target_dim=10)
+        assert_value_type(q, {"target_dim": 10, "group_order": 2, "flags": NSP,
+                              "bounds": GridBounds(1, 2)},
+                          "FeasibilityProblem(target_dim=10, group_order=2, flags=ModeFlags("
+                          "non_cosemisimple=True, no_skew_primitives=True, auto_nsp=False), "
+                          "bounds=GridBounds(max_level=1, max_d=2))")
+        assert hash(q) == hash(FeasibilityProblem(10, 2, NSP, GridBounds(1, 2)))
+        assert p != q and len({p, q, FeasibilityProblem(10, 2)}) == 2
+
+    def test_feasible_certificate_round_trips_with_its_witness(self):
+        cert = solve(FeasibilityProblem(42, 3, NSP))
+        assert cert.feasible
+        for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
+            assert twin == cert
+            assert twin.witness == cert.witness == minimal_form(3, 2)
+            assert twin.witness.entries() == cert.witness.entries()
+            assert twin.as_json_dict() == cert.as_json_dict()
+            assert check(twin.witness, NSP) == []
+        assert copy.deepcopy(cert).stats is not cert.stats
+
+    @pytest.mark.parametrize("args", [(45.0, 3), (45, 3.0), (True, 1), (45, True), ("45", 3)])
+    def test_problem_rejects_non_integer_fields(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FeasibilityProblem(*args)
+
+    @pytest.mark.parametrize("args", [(2.5, 3), (3, True), (False, 2), (3, 2.0), (None, 2)])
+    def test_bounds_reject_non_integer_fields(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridBounds(*args)
 
 
 class TestNodeCap:
