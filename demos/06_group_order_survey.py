@@ -8,12 +8,11 @@ skew-primitive-free hypothesis is automatic there (30 is squarefree).
 Dimension 42 shows the contrast.
 """
 
-from blocksieve import NSP, ModeFlags, admissible_group_orders
+from blocksieve import NSP, ModeFlags, admissible_group_orders, surveyed_group_orders
 
 for dim in (30, 42, 60):
     feasible = admissible_group_orders(dim, NSP)
-    divisors = [r for r in range(2, dim) if dim % r == 0]
-    print(f"dimension {dim}: surveyed group orders {divisors}")
+    print(f"dimension {dim}: surveyed group orders {surveyed_group_orders(dim)}")
     if feasible:
         print(f"  admissible: {sorted(feasible)}")
     else:

@@ -46,6 +46,7 @@ from .solver import (
     minimal_form,
     scan,
     solve,
+    surveyed_group_orders,
 )
 
 # Public names of the modules loaded on first use, by module.
@@ -74,7 +75,7 @@ __all__ = [
     "RULE_ANCHORS", "RULE_NAMES", "RULE_ORDER", "RuleViolation", "check", "explain",
     "BoundsError", "FeasibilityProblem", "GridBounds", "SearchCapExceeded",
     "admissible_group_orders", "basic_block_dim", "lower_bound", "minimal_form",
-    "scan", "solve",
+    "scan", "solve", "surveyed_group_orders",
     "OracleCapError", "oracle_enumerate", "oracle_solve",
     "Algebra", "Coalgebra", "CoalgebraParseError", "change_basis", "dual_algebra",
     "parse_coalgebra", "serialize_coalgebra", "tensor_product", "validate",

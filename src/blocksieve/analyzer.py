@@ -106,7 +106,7 @@ def radical(a: Algebra) -> list[list[int]]:
             for u, cx in terms:
                 for y, cy in by_out_right.get((v, u), ()):
                     gram[x][y] += cx * cy
-    return linalg.nullspace(gram, ncols=n)
+    return linalg.nullspace(*linalg.echelon(gram), n)
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,20 @@ def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChai
 
     J^{n+1} is spanned by the products of J^n's echelon basis with J's, in
     integers when a's constants are; a product scaled by a's D spans the
-    same space.
+    same space.  Each power is eliminated once: its echelon form gives the
+    level's nullspace basis and the next power's products, so L levels cost
+    L echelon calls.
     """
     bases: list[tuple[tuple[int, ...], ...]] = []
-    power = j_basis
+    power, pivots = linalg.echelon(j_basis)
     while True:
-        level = linalg.nullspace(power, ncols=a.dim)
+        level = linalg.nullspace(power, pivots, a.dim)
         bases.append(tuple(tuple(v) for v in level))
         if len(level) == a.dim:
             break
         if len(bases) > 1 and len(level) <= len(bases[-2]):
             raise AssertionError("coradical filtration failed to grow strictly")
-        power = linalg.echelon([a.multiply(x, y) for x in power for y in j_basis])[0]
+        power, pivots = linalg.echelon([a.multiply(x, y) for x in power for y in j_basis])
     return FiltrationChain(tuple(bases))
 
 
@@ -248,7 +250,7 @@ def _center(a: Algebra) -> list[list[int]]:
         for k, x in row:
             v[k] = x
         dense.append(v)
-    return linalg.nullspace(dense, ncols=a.dim)
+    return linalg.nullspace(*linalg.echelon(dense), a.dim)
 
 
 def _multiple_of(a: Algebra, e: dict[int, int], z: list[int]) -> int | None:
@@ -579,24 +581,14 @@ def _level_traces(
 ) -> tuple[int, dict[tuple[str, str], int]]:
     """Traces of the integer maps L_tau R_mu on span(basis), as (den, den * trace) for every pair.
 
-    basis is a nullspace basis, so each vector v has a coordinate p_v where
-    it alone is nonzero (its free column), and a map T that keeps the span
-    has trace sum over v of (T v)[p_v] / v[p_v].  T v is one right-hit
-    application per (mu, v); its coordinate p_v is one dot with the image
-    column p_v of each L_tau, which columns[tau] holds as (i, y) pairs.
-    den is the lcm of the v[p_v].
+    basis is a linalg.nullspace basis, so each vector v has a coordinate
+    p_v where it alone is nonzero, its free column, which is its last
+    nonzero coordinate; a map T that keeps the span has trace sum over v of
+    (T v)[p_v] / v[p_v].  T v is one right-hit application per (mu, v); its
+    coordinate p_v is one dot with the image column p_v of each L_tau,
+    which columns[tau] holds as (i, y) pairs.  den is the lcm of the v[p_v].
     """
-    count = [0] * len(basis[0])
-    for v in basis:
-        for i, x in enumerate(v):
-            if x:
-                count[i] += 1
-    free = []
-    for v in basis:
-        p = next((i for i, x in enumerate(v) if x and count[i] == 1), None)
-        if p is None:
-            raise AssertionError("filtration basis vector with no coordinate of its own")
-        free.append(p)
+    free = [max(compress(range(len(v)), v)) for v in basis]
     den = math.lcm(*(v[p] for v, p in zip(basis, free)))
     rows = []
     for v, p in zip(basis, free):

@@ -73,6 +73,8 @@ class BlockIndex(_Frozen):
     __slots__ = ("level", "d1", "d2")
 
     def __init__(self, level: int, d1: int, d2: int):
+        if type(level) is not int or type(d1) is not int or type(d2) is not int:
+            raise ValueError(f"block index fields must be ints, got ({level!r}, {d1!r}, {d2!r})")
         if level < 0:
             raise ValueError(f"block level must be >= 0, got {level}")
         if d1 < 1 or d2 < 1:
@@ -173,13 +175,15 @@ class BlockSystem(_Frozen):
     __slots__ = ("group_order", "blocks")
 
     def __init__(self, group_order: int, blocks: dict[BlockIndex, int] | None = None):
+        if type(group_order) is not int:
+            raise ValueError(f"group order must be an int, got {group_order!r}")
         if group_order < 0:
             raise ValueError(f"group order must be >= 0, got {group_order}")
         normalized: dict[BlockIndex, int] = {}
         for idx, dim in (blocks or {}).items():
             if not isinstance(idx, BlockIndex):
                 idx = BlockIndex(*idx)
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
+            if type(dim) is not int or dim <= 0:
                 raise ValueError(
                     f"block dimension at {tuple(idx)} must be a positive integer; "
                     "zero blocks must be omitted"
@@ -238,9 +242,10 @@ _ENTRY_KEYS = {"level", "d1", "d2", "dim"}
 MAX_BLOCK_LEVEL = 10_000
 
 
-def _require_int(value, what: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BlockSystemParseError(f"{where}: {what} must be an integer, got {value!r}")
+def _require_int(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """value if it is an int and not a bool; else error("<what> must be an integer, ...")."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -265,7 +270,7 @@ def parse_block_system(text: bytes | str) -> BlockSystem:
         raise BlockSystemParseError(f"unknown fields rejected: {sorted(unknown)}")
     if "group_order" not in obj or "blocks" not in obj:
         raise BlockSystemParseError("fields 'group_order' and 'blocks' are required")
-    r = _require_int(obj["group_order"], "group_order", "top level")
+    r = _require_int(obj["group_order"], "top level: group_order", BlockSystemParseError)
     if r < 1:
         raise BlockSystemParseError(f"group_order must be positive, got {r}")
     raw_blocks = obj["blocks"]
@@ -281,10 +286,8 @@ def parse_block_system(text: bytes | str) -> BlockSystem:
             raise BlockSystemParseError(f"{where}: unknown fields rejected: {sorted(bad)}")
         if set(entry) != _ENTRY_KEYS:
             raise BlockSystemParseError(f"{where}: fields level, d1, d2, dim are required")
-        n = _require_int(entry["level"], "level", where)
-        a = _require_int(entry["d1"], "d1", where)
-        b = _require_int(entry["d2"], "d2", where)
-        v = _require_int(entry["dim"], "dim", where)
+        n, a, b, v = (_require_int(entry[key], f"{where}: {key}", BlockSystemParseError)
+                      for key in ("level", "d1", "d2", "dim"))
         if n > MAX_BLOCK_LEVEL:
             raise BlockSystemParseError(
                 f"{where} (level={n}, d1={a}, d2={b}): level above the bound "

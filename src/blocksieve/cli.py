@@ -26,6 +26,7 @@ from .solver import (
     lower_bound,
     scan,
     solve,
+    surveyed_group_orders,
 )
 
 NODE_CAP_ENV = "BLOCKSIEVE_NODE_CAP"
@@ -142,7 +143,7 @@ def _cmd_scan(ns, out) -> int:
 def _cmd_orders(ns, out) -> int:
     node_cap = _node_cap()
     N = ns.dim
-    divisors = [r for r in range(2, N) if N % r == 0]
+    divisors = surveyed_group_orders(N)
     feasible = admissible_group_orders(N, _flags_from(ns), node_cap=node_cap, jobs=ns.jobs)
     if ns.fmt == "json":
         out.write(

@@ -47,8 +47,6 @@ def _frac(x, where: str) -> Fraction:
         raise CoalgebraParseError(f"{where}: coefficients must be rationals, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, str):
         try:
             return _rational(x)
@@ -94,6 +92,8 @@ class Coalgebra:
     counit: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            raise ValueError(f"dim must be an int, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if len(self.basis) != self.dim:
@@ -118,6 +118,8 @@ class Coalgebra:
         seen = set()
         norm = []
         for (i, j, k, c) in delta:
+            if not all(type(t) is int for t in (i, j, k)):
+                raise ValueError(f"delta entry ({i},{j},{k}) has a non-int index")
             if not all(0 <= t < self.dim for t in (i, j, k)):
                 raise ValueError(f"delta entry ({i},{j},{k}) out of range")
             if (i, j, k) in seen:
@@ -139,10 +141,6 @@ class Coalgebra:
         """
         den, xs = integral([x for (_i, _j, _k, x) in self.delta])
         return den, tuple((i, j, k, x) for (i, j, k, _x), x in zip(self.delta, xs))
-
-    def delta_of(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """Comultiplication of the i-th basis vector as {(j, k): coefficient}."""
-        return {(j, k): c for (i0, j, k, c) in self.delta if i0 == i}
 
 
 def validate(c: Coalgebra) -> list[str]:
@@ -281,30 +279,20 @@ def dual_algebra(c: Coalgebra) -> Algebra:
 
 
 def tensor_product(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
-    """Tensor-product coalgebra on pairs of basis vectors."""
-    n1, n2 = c1.dim, c2.dim
+    """Tensor-product coalgebra on pairs of basis vectors, e_i (x) e_j at i * c2.dim + j.
 
-    def pair(i, j):
-        return i * n2 + j
-
+    Each pair of delta entries gives one entry, the product of their
+    constants.  Distinct pairs give distinct index triples, so no two terms
+    meet and none vanishes.
+    """
+    n2 = c2.dim
     basis = tuple(f"{a}⊗{b}" for a in c1.basis for b in c2.basis)
-    delta = []
-    for i1 in range(n1):
-        t1 = c1.delta_of(i1)
-        for i2 in range(n2):
-            t2 = c2.delta_of(i2)
-            acc: dict[tuple[int, int], Fraction] = {}
-            for (j1, k1), a in t1.items():
-                for (j2, k2), b in t2.items():
-                    key = (pair(j1, j2), pair(k1, k2))
-                    acc[key] = acc.get(key, Fraction(0)) + a * b
-            for (j, k), v in acc.items():
-                if v != 0:
-                    delta.append((pair(i1, i2), j, k, v))
-    counit = tuple(
-        c1.counit[i1] * c2.counit[i2] for i1 in range(n1) for i2 in range(n2)
+    delta = tuple(
+        (i1 * n2 + i2, j1 * n2 + j2, k1 * n2 + k2, a * b)
+        for (i1, j1, k1, a) in c1.delta for (i2, j2, k2, b) in c2.delta
     )
-    return Coalgebra(n1 * n2, basis, tuple(delta), counit)
+    counit = tuple(x * y for x in c1.counit for y in c2.counit)
+    return Coalgebra(c1.dim * n2, basis, delta, counit)
 
 
 def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
@@ -324,13 +312,16 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
     if pivots != list(range(n)):
         raise ValueError("change-of-basis matrix is singular")
     inv = [r[n:] for r in ech]
+    rows: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(n)]
+    for j, k, l, coeff in c.delta:
+        rows[j].append((k, l, coeff))
     delta = []
     for i in range(n):
         acc: dict[tuple[int, int], Fraction] = {}
         for j in range(n):
             if P[i][j] == 0:
                 continue
-            for (k, l), coeff in c.delta_of(j).items():
+            for k, l, coeff in rows[j]:
                 w = P[i][j] * coeff / (ech[k][k] * ech[l][l])
                 for a in range(n):
                     if inv[k][a] == 0:

@@ -7,10 +7,13 @@ kernels, coordinates and inverses then run on integers only, by
 cross-multiplication.  Pivot selection takes the lowest row index with a
 nonzero entry in the current column, and each result has a unique normal
 form, so outputs are deterministic and equal to those of rational
-arithmetic.  The polynomial toolkit below is integral too: the rational roots
-of a squarefree polynomial come from Hensel lifting, so that fully split
-polynomials never require factoring their (potentially huge) constant terms.
-Fraction appears only in the roots it returns.
+arithmetic.  Each subspace is eliminated once: nullspace reads its kernel
+basis off the caller's echelon form, and a kernel vector's own coordinate,
+the one no other basis vector uses, is its last nonzero one.  The
+polynomial toolkit below is integral too: the rational roots of a
+squarefree polynomial come from Hensel lifting, so that fully split
+polynomials never require factoring their (potentially huge) constant
+terms.  Fraction appears only in the roots it returns.
 """
 
 from __future__ import annotations
@@ -128,21 +131,19 @@ def extend_echelon(ech: list[list[int]], pivots: list[int], v) -> bool:
     return True
 
 
-def nullspace(rows, ncols: int | None = None) -> list[list[int]]:
+def nullspace(ech: list[list[int]], pivots: list[int], n: int) -> list[list[int]]:
     """Primitive integer basis of {x : M x = 0}, one vector per free column.
 
+    ech and pivots are echelon(M)'s result and n is M's number of columns,
+    so a caller that has eliminated M already does not eliminate it again.
     Free columns are processed in increasing order.  The echelon rows are
-    zero at every other pivot column, so the vector of free column f has
-    L at f and -r[f] * L / r[col] at the pivot col of each row r with
-    r[f] != 0, where L is the lcm of those rows' pivot entries; dividing by
-    the gcd leaves the unique primitive kernel vector positive at f.
-    ncols is required when rows is empty.
+    zero at every other pivot column and before their own, so the vector of
+    free column f has L at f and -r[f] * L / r[col] at the pivot col < f of
+    each row r with r[f] != 0, where L is the lcm of those rows' pivot
+    entries; dividing by the gcd leaves the unique primitive kernel vector
+    positive at f.  So that vector is zero after f and is the only basis
+    vector nonzero at f: f is its own coordinate, its last nonzero one.
     """
-    rows = list(rows)
-    n = len(rows[0]) if rows else ncols
-    if n is None:
-        raise ValueError("ncols required for an empty matrix")
-    ech, pivots = echelon(rows)
     is_pivot = set(pivots)
     basis = []
     for f in range(n):

@@ -53,6 +53,7 @@ from .blocks import (
     Certificate,
     ModeFlags,
     _Frozen,
+    _require_int,
     _setattr,
     total_dim,
 )
@@ -145,11 +146,6 @@ def minimal_form(r: int, d: int) -> BlockSystem:
     )
 
 
-def _require_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 class GridBounds(_Frozen):
     """Finite search grid: levels 0..max_level, comodule dimensions 1..max_d."""
 
@@ -233,28 +229,25 @@ class _Group:
     the support, not a field.
     """
 
-    __slots__ = ("first", "members", "divisor", "weight", "cost")
+    __slots__ = ("first", "members", "divisor", "cost")
 
     def __init__(self, first: tuple[int, int], members: tuple[tuple[int, int], ...],
-                 divisor: int, weight: int, cost: int):
+                 divisor: int):
         self.first = first            # canonical (d1, d2) of the first index
-        self.members = members
+        self.members = members        # the grid entries that share the value
         self.divisor = divisor
-        self.weight = weight          # how many grid entries share the value
-        self.cost = cost              # least total the unit adds: weight * divisor
+        self.cost = len(members) * divisor  # least total the unit adds
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
     """Canonically ordered branching units at one positive level."""
-    groups = [_Group((1, 1), ((1, 1),), r, 1, r)]
+    groups = [_Group((1, 1), ((1, 1),), r)]
     for d in range(2, max_d + 1):
-        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r, 2, 2 * d * r))
+        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r))
     for d1 in range(2, max_d + 1):
-        big = math.lcm(d1 * d1, r)
-        groups.append(_Group((d1, d1), ((d1, d1),), big, 1, big))
+        groups.append(_Group((d1, d1), ((d1, d1),), math.lcm(d1 * d1, r)))
         for d2 in range(d1 + 1, max_d + 1):
-            div = math.lcm(d1 * d2, r)
-            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), div, 2, 2 * div))
+            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r)))
     groups.sort(key=lambda g: g.first)
     return groups
 
@@ -321,8 +314,7 @@ class _Search:
         self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
         self.diag_groups = {}
         for d in [1, *self.diag0]:
-            big = math.lcm(d * d, r)
-            self.diag_groups[d] = _Group((d, d), ((d, d),), big, 1, big)
+            self.diag_groups[d] = _Group((d, d), ((d, d),), math.lcm(d * d, r))
         self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
         # Group indices by cost, so that an include step finds the groups
         # within its slack by bisection.
@@ -526,9 +518,9 @@ class _Search:
 
         Entries are (level, d1, d2, dim).  The grouplike block and the block
         (top, 1, 1) of the top pointed level are pinned to exactly r; every
-        free group contributes weight * k * divisor for some k >= 1, and the
-        multipliers k are least in (level, first cell) order of the groups,
-        which is the order of the placement stack.
+        free group contributes k * cost (k * divisor per member) for some
+        k >= 1, and the multipliers k are least in (level, first cell) order
+        of the groups, which is the order of the placement stack.
         """
         fixed = [(0, 1, 1, self.r)]
         if top:
@@ -646,6 +638,11 @@ def scan(
     return [(t, cert.verdict, cert) for t, cert in enumerate(certs, start=1)]
 
 
+def surveyed_group_orders(N: int) -> list[int]:
+    """The divisors 1 < r < N of N, ascending: the group orders admissible_group_orders surveys."""
+    return [r for r in range(2, N) if N % r == 0]
+
+
 def admissible_group_orders(
     N: int, flags: ModeFlags, *, node_cap: int | None = None, jobs: int = 1
 ) -> set[int]:
@@ -658,7 +655,7 @@ def admissible_group_orders(
     """
     if N < 1:
         raise ValueError("N must be positive")
-    divisors = [r for r in range(2, N) if N % r == 0]
+    divisors = surveyed_group_orders(N)
     problems = [FeasibilityProblem(N, r, flags) for r in divisors]
     certs = _solve_all(problems, node_cap, jobs)
     return {r for r, cert in zip(divisors, certs) if cert.feasible}

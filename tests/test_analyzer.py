@@ -780,6 +780,27 @@ class TestComputeOnce:
         analyze(sweedler_tensor_square(), NON_COSEMISIMPLE)
         assert calls == {"dual_algebra": 1, "radical": 1}
 
+    @pytest.mark.parametrize("build, levels", [
+        (sweedler_coalgebra, 2), (sweedler_tensor_square, 3), (s3_dual_coalgebra, 1),
+    ])
+    def test_filtration_eliminates_each_power_once(self, monkeypatch, build, levels):
+        # one echelon per subspace: J, then J^2, ..., J^levels (which is 0);
+        # each power's echelon form also gives the level's nullspace
+        a = dual_algebra(build())
+        j_basis = radical(a)
+        original = linalg.echelon
+        calls = 0
+
+        def counting(rows):
+            nonlocal calls
+            calls += 1
+            return original(rows)
+
+        monkeypatch.setattr(blocksieve.linalg, "echelon", counting)
+        chain = coradical_filtration(a, j_basis)
+        assert len(chain) == levels
+        assert calls == levels
+
     def test_analyze_scales_delta_once(self, monkeypatch):
         # the one scaling is the coalgebra's own table, read by validate, the
         # dual algebra and the hit maps, and kept for the next call.  The

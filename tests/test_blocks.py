@@ -114,6 +114,44 @@ class TestValueTypes:
             Certificate("feasible")
 
 
+class TestIntegerFields:
+    """Every field of BlockIndex and BlockSystem is an int; a float or a bool is refused."""
+
+    @pytest.mark.parametrize("fields", [(1.5, 1, 1), (True, 2, 1), (1, 2.0, 1), (1, 1, False)])
+    def test_block_index(self, fields):
+        message = f"block index fields must be ints, got {fields!r}"
+        with pytest.raises(ValueError) as info:
+            BlockIndex(*fields)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            BlockSystem(1, {fields: 1})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, True])
+    def test_group_order(self, r):
+        with pytest.raises(ValueError) as info:
+            BlockSystem(r, {(1, 1, 1): 2})
+        assert str(info.value) == f"group order must be an int, got {r!r}"
+
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_block_dimension(self, dim):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            BlockSystem(1, {(1, 1, 1): dim})
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"group_order": true, "blocks": []}',
+         "top level: group_order must be an integer, got True"),
+        ('{"group_order": 1, "blocks": [{"level": 1.5, "d1": 1, "d2": 1, "dim": 1}]}',
+         "blocks[0]: level must be an integer, got 1.5"),
+        ('{"group_order": 1, "blocks": [{"level": 1, "d1": 1, "d2": 1, "dim": "1"}]}',
+         "blocks[0]: dim must be an integer, got '1'"),
+    ])
+    def test_parse_messages(self, text, message):
+        with pytest.raises(BlockSystemParseError) as info:
+            parse_block_system(text)
+        assert str(info.value) == message
+
+
 class TestBlockSystem:
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError, match="omitted"):

@@ -394,6 +394,25 @@ def _corpus_and_moved(seed: int) -> list[Coalgebra]:
                      for c in corpus for _ in range(2)]
 
 
+def _ref_tensor_product(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
+    """Reference: Delta(e_i1 (x) e_i2) accumulated per index pair in Fractions, zeros dropped."""
+    n1, n2 = c1.dim, c2.dim
+    rows1 = [{(j, k): x for (i, j, k, x) in c1.delta if i == i1} for i1 in range(n1)]
+    rows2 = [{(j, k): x for (i, j, k, x) in c2.delta if i == i2} for i2 in range(n2)]
+    delta = []
+    for i1 in range(n1):
+        for i2 in range(n2):
+            acc = {}
+            for (j1, k1), a in rows1[i1].items():
+                for (j2, k2), b in rows2[i2].items():
+                    key = (j1 * n2 + j2, k1 * n2 + k2)
+                    acc[key] = acc.get(key, Fraction(0)) + a * b
+            delta += [(i1 * n2 + i2, j, k, v) for (j, k), v in acc.items() if v]
+    counit = tuple(c1.counit[i1] * c2.counit[i2] for i1 in range(n1) for i2 in range(n2))
+    basis = tuple(f"{a}⊗{b}" for a in c1.basis for b in c2.basis)
+    return Coalgebra(n1 * n2, basis, tuple(delta), counit)
+
+
 class TestTensorProduct:
     def test_dimensions_and_validity(self):
         ts = sweedler_tensor_square()
@@ -404,6 +423,20 @@ class TestTensorProduct:
         c = tensor_product(grouplike_coalgebra(2), grouplike_coalgebra(3))
         assert c.dim == 6
         assert validate(c) == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_fraction_reference(self, seed):
+        # corpus coalgebras of dimension <= 6, in the standard and in seeded
+        # random bases, so that the constants are fractions
+        rng = random.Random(seed)
+        small = [build() for _name, build in sorted(CORPUS_BUILDERS.items())
+                 if build().dim <= 6]
+        cases = small + [change_basis(c, random_change_of_basis(rng, c.dim)) for c in small]
+        for c1 in cases:
+            for c2 in rng.sample(cases, 4):
+                got = tensor_product(c1, c2)
+                assert got == _ref_tensor_product(c1, c2)
+                assert validate(got) == []
 
 
 def _ref_inverse(P):
@@ -679,11 +712,22 @@ class TestDirectConstruction:
          "zero coefficient at delta entry (1,1,1)"),
         ([(0, 0, 5, Fraction(1)), (1, 1, 1, Fraction(0))], "delta entry (0,0,5) out of range"),
         ([(0, 0, 0, Fraction(1)), (0, 0, 0)], "not enough values to unpack (expected 4, got 3)"),
+        # an index must be an int: a float or a bool passes the range test
+        ([(0, 1.0, 0, Fraction(1))], "delta entry (0,1.0,0) has a non-int index"),
+        ([(0, 0, 0, Fraction(1)), (True, 0, 1, Fraction(1))],
+         "delta entry (True,0,1) has a non-int index"),
+        ([(0, 0, 0, 1), (1, 1, False, 1)], "delta entry (1,1,False) has a non-int index"),
     ])
     def test_messages(self, delta, message):
         with pytest.raises(ValueError) as info:
             self._make(delta)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2"])
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValueError) as info:
+            Coalgebra(dim, ("e0", "e1"), ((0, 0, 0, Fraction(1)),), (Fraction(1),) * 2)
+        assert str(info.value) == f"dim must be an int, got {dim!r}"
 
     def test_normalizes_like_the_entry_scan(self):
         # lists, ints and out-of-order entries become sorted tuples of Fractions

@@ -42,15 +42,15 @@ class TestNullspace:
         rng = random.Random(3)
         for _ in range(30):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
-            for v in linalg.nullspace(rows, ncols=5):
+            for v in linalg.nullspace(*linalg.echelon(rows), 5):
                 assert all(sum(r[j] * v[j] for j in range(5)) == 0 for r in rows)
 
     def test_dimension_formula(self):
         rows = [[1, 2, 3], [2, 4, 6]]
-        assert len(linalg.nullspace(rows)) == 3 - rank(rows)
+        assert len(linalg.nullspace(*linalg.echelon(rows), 3)) == 3 - rank(rows)
 
     def test_empty_matrix_gives_identity(self):
-        assert linalg.nullspace([], ncols=2) == [[1, 0], [0, 1]]
+        assert linalg.nullspace([], [], 2) == [[1, 0], [0, 1]]
 
 
 class TestMembership:
@@ -137,7 +137,7 @@ class TestIntegerNormalForms:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_nullspace_is_the_primitive_form_of_the_reference(self, seed):
         for rows, n in _random_matrices(seed):
-            got = linalg.nullspace(rows, ncols=n)
+            got = linalg.nullspace(*linalg.echelon(rows), n)
             free, ref = _ref_nullspace(rows, n)
             assert len(got) == len(ref)
             for v, r, f in zip(got, ref, free):
@@ -145,6 +145,8 @@ class TestIntegerNormalForms:
                 assert math.gcd(*v) == 1
                 assert v[f] > 0
                 assert all(v[g] == 0 for g in free if g != f)
+                # f is v's own coordinate and its last nonzero one
+                assert not any(v[f + 1:])
                 assert [Fraction(x, v[f]) for x in v] == r
                 assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
 
