@@ -76,13 +76,7 @@ __all__ = [
     "BoundsError", "FeasibilityProblem", "GridBounds", "SearchCapExceeded",
     "admissible_group_orders", "basic_block_dim", "lower_bound", "minimal_form",
     "scan", "solve", "surveyed_group_orders",
-    "OracleCapError", "oracle_enumerate", "oracle_solve",
-    "Algebra", "Coalgebra", "CoalgebraParseError", "change_basis", "dual_algebra",
-    "parse_coalgebra", "serialize_coalgebra", "tensor_product", "validate",
-    "AnalysisResult", "CoalgebraInvalidError", "CoalgebraTooLargeError",
-    "FiltrationChain", "MAX_ANALYZE_DIM",
-    "NonSplitCoradicalError", "SimpleComponent", "analyze",
-    "coradical_filtration", "q_table", "radical", "simple_components",
+    *_OWNER,
 ]
 
 

@@ -84,7 +84,7 @@ class CoalgebraTooLargeError(ValueError):
 
 
 def radical(a: Algebra) -> list[list[int]]:
-    """Basis of the Jacobson radical, as the kernel of the trace form.
+    """Reduced echelon basis of the Jacobson radical, the kernel of the trace form.
 
     In characteristic 0 the radical of a finite-dimensional algebra equals
     the radical of the bilinear form (x, y) -> trace(L_x L_y), one exact
@@ -92,7 +92,8 @@ def radical(a: Algebra) -> list[list[int]]:
     trace(L_x L_y) = sum over u, v of c(u, x, v) * c(v, y, u), so the form is
     one pass over pairs of nonzero constants, taken as they are given: the
     dual algebra's are ints, and scaling the product by D scales the form
-    by D^2, which leaves its kernel unchanged.
+    by D^2, which leaves its kernel unchanged.  The kernel comes back as
+    linalg.echelon's rows, so the filtration and A/J read J's pivots off it.
     """
     n = a.dim
     by_out_right: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -106,7 +107,12 @@ def radical(a: Algebra) -> list[list[int]]:
             for u, cx in terms:
                 for y, cy in by_out_right.get((v, u), ()):
                     gram[x][y] += cx * cy
-    return linalg.nullspace(*linalg.echelon(gram), n)
+    return linalg.echelon(linalg.nullspace(*linalg.echelon(gram), n))[0]
+
+
+def _pivots(ech: list[list[int]]) -> list[int]:
+    """The pivot columns of echelon rows: each row's first nonzero column."""
+    return [next(col for col, x in enumerate(row) if x) for row in ech]
 
 
 @dataclass(frozen=True)
@@ -126,14 +132,15 @@ class FiltrationChain:
 def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChain:
     """C_n = annihilator of J^{n+1} in the dual algebra a; strictly increasing.
 
-    J^{n+1} is spanned by the products of J^n's echelon basis with J's, in
-    integers when a's constants are; a product scaled by a's D spans the
-    same space.  Each power is eliminated once: its echelon form gives the
-    level's nullspace basis and the next power's products, so L levels cost
-    L echelon calls.
+    j_basis is radical(a), J's reduced echelon basis.  J^{n+1} is spanned by
+    the products of J^n's echelon basis with J's, in integers when a's
+    constants are; a product scaled by a's D spans the same space.  Each
+    power is eliminated once: its echelon form gives the level's nullspace
+    basis and the next power's products, so L levels cost L - 1 echelon
+    calls, J's being radical's.
     """
     bases: list[tuple[tuple[int, ...], ...]] = []
-    power, pivots = linalg.echelon(j_basis)
+    power, pivots = j_basis, _pivots(j_basis)
     while True:
         level = linalg.nullspace(power, pivots, a.dim)
         bases.append(tuple(tuple(v) for v in level))
@@ -172,10 +179,11 @@ class SimpleComponent:
 def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[int]]:
     """Semisimple quotient A/J on the non-pivot coordinates of J's echelon form, in integers.
 
-    a has int constants.  The echelon rows are zero at every other pivot,
-    so the image in A/J of a sparse product subtracts x / p times the row of
-    each pivot coordinate among its terms (x the term, p the row's pivot
-    entry) and reads the rest off the kept coordinates.  Scaled by the lcm
+    a has int constants and j_basis is radical(a), J's reduced echelon
+    basis.  Its rows are zero at every other pivot, so the image in A/J of
+    a sparse product subtracts x / p times the row of each pivot coordinate
+    among its terms (x the term, p the row's pivot entry) and reads the
+    rest off the kept coordinates.  Scaled by the lcm
     L of the pivot entries, that is L * x at a kept coordinate and
     (L / p) * x times the row, all integers, so the returned algebra has the
     product x o y = L * (x * y) on A/J.  It is isomorphic to A/J through
@@ -184,11 +192,11 @@ def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[
     those of A/J.  With J = 0, L = 1 and the constants pass through
     unchanged.  Returns the algebra, L and the kept coordinates.
     """
-    ech, pivots = linalg.echelon(j_basis)
-    lcm = math.lcm(*(r[col] for r, col in zip(ech, pivots)))
+    pivots = _pivots(j_basis)
+    lcm = math.lcm(*(r[col] for r, col in zip(j_basis, pivots)))
     pivot_rows = {
         col: (lcm // r[col], [(u, x) for u, x in enumerate(r) if x and u != col])
-        for r, col in zip(ech, pivots)
+        for r, col in zip(j_basis, pivots)
     }
     keep = [i for i in range(a.dim) if i not in pivot_rows]
     pos = {i: t for t, i in enumerate(keep)}

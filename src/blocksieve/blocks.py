@@ -333,9 +333,10 @@ class Certificate(_Frozen):
 
     Feasible certificates carry a witness system that passes the full rule
     check and sums to the queried dimension; infeasible ones carry a bounded
-    refutation trace (top-level case split plus the rule that closed each
-    case).  stats records node counts and which rules fired per branch class;
-    it is a dict (a fresh one by default), so a Certificate is unhashable.
+    refutation trace (top-level case split plus, for each case, the rule that
+    closed its level-0 leaf).  stats records node counts and which rules
+    fired per branch class; it is a dict (a fresh one by default), so a
+    Certificate is unhashable.
     """
 
     __slots__ = ("verdict", "witness", "stats", "refutation_summary")

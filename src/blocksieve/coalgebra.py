@@ -69,6 +69,13 @@ def _rational(x: str) -> Fraction:
     return Fraction(x)
 
 
+def _exact(x, where: str) -> Fraction:
+    """Fraction(x); a float (read at its binary value) or a bool is refused, as in JSON input."""
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{where} has a non-rational coefficient {x!r}")
+    return Fraction(x)
+
+
 def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -78,12 +85,12 @@ class Coalgebra:
     """dim, basis labels, sparse comultiplication constants, counit values.
 
     delta holds quadruples (i, j, k, c) meaning Delta(e_i) contains c*e_j(x)e_k.
-    Construction normalizes coefficients to Fraction and sorts the table; it
-    does not verify the coalgebra axioms, that is validate()'s job.  A table
-    of int-indexed Fraction tuples is checked in bulk (ranges, duplicates,
-    zero constants); anything else, and any table failing a bulk test, goes
-    through the entry scan, which converts constants and raises for the
-    first bad entry.
+    Construction normalizes coefficients to Fraction, refusing a float or a
+    bool, and sorts the table; it does not verify the coalgebra axioms, that
+    is validate()'s job.  A table of int-indexed Fraction tuples is checked
+    in bulk (ranges, duplicates, zero constants); anything else, and any
+    table failing a bulk test, goes through the entry scan, which converts
+    constants and raises for the first bad entry.
     """
 
     dim: int
@@ -102,7 +109,8 @@ class Coalgebra:
             raise ValueError("counit vector must match dim")
         object.__setattr__(self, "basis", tuple(str(s) for s in self.basis))
         object.__setattr__(self, "counit", tuple(
-            x if isinstance(x, Fraction) else Fraction(x) for x in self.counit
+            x if isinstance(x, Fraction) else _exact(x, f"counit entry {i}")
+            for i, x in enumerate(self.counit)
         ))
         delta = tuple(self.delta)
         if delta and set(map(type, delta)) == {tuple} and set(map(len, delta)) == {4}:
@@ -126,7 +134,7 @@ class Coalgebra:
                 raise ValueError(f"duplicate delta entry ({i},{j},{k})")
             seen.add((i, j, k))
             if not isinstance(c, Fraction):
-                c = Fraction(c)
+                c = _exact(c, f"delta entry ({i},{j},{k})")
             if c == 0:
                 raise ValueError(f"zero coefficient at delta entry ({i},{j},{k})")
             norm.append((i, j, k, c))
@@ -305,7 +313,8 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
     d_k > 0, so the inverse needs no fraction until the constants are summed.
     """
     n = c.dim
-    P = [[Fraction(x) for x in row] for row in p_rows]
+    P = [[_exact(x, f"change-of-basis entry ({i},{j})") for j, x in enumerate(row)]
+         for i, row in enumerate(p_rows)]
     if len(P) != n or any(len(row) != n for row in P):
         raise ValueError("change-of-basis matrix must be square of size dim")
     ech, pivots = echelon([row + [int(i == j) for j in range(n)] for i, row in enumerate(P)])

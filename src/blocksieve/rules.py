@@ -227,48 +227,47 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                 f"dim B(0,{a},{a})={v} is not a positive multiple of {a * a}",
             )
 
-    # R1: the group order divides every block dimension.
-    if r >= 1:
-        for idx, v in sorted(eff.items()):
-            if v % r != 0:
-                violate("R1", [idx], f"dim {_fmt(idx)}={v} is not a multiple of |G(H)|={r}")
-
-    # R2: edge blocks at positive levels are multiples of d*r.
-    if r >= 1:
-        for idx, v in sorted(eff.items()):
-            if idx.level >= 1 and min(idx.d1, idx.d2) == 1:
-                d = max(idx.d1, idx.d2)
+    # R1, R2, R3, R4 and R12 read each entry on its own, so one pass over the
+    # sorted table serves them all; each rule's violations stay in index order.
+    for idx, v in sorted(eff.items()):
+        n, d1, d2 = idx
+        # R1: the group order divides every block dimension.
+        if r >= 1 and v % r != 0:
+            violate("R1", [idx], f"dim {_fmt(idx)}={v} is not a multiple of |G(H)|={r}")
+        if n >= 1:
+            # R2: edge blocks at positive levels are multiples of d*r.
+            if r >= 1 and min(d1, d2) == 1:
+                d = max(d1, d2)
                 if v % (d * r) != 0:
                     violate(
                         "R2", [idx],
                         f"dim {_fmt(idx)}={v} is not a multiple of {d}*|G(H)|={d * r}",
                     )
-
-    # R3: dim B(n,d1,d2) = dim B(n,d2,d1); absent counts as 0.
-    seen_pairs = set()
-    for idx in sorted(eff):
-        if idx.level >= 1 and idx.d1 != idx.d2:
-            key = (idx.level, min(idx.d1, idx.d2), max(idx.d1, idx.d2))
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            mirror = BlockIndex(idx.level, idx.d2, idx.d1)
-            v, w = eff.get(idx, 0), eff.get(mirror, 0)
-            if v != w:
-                big, small = (idx, mirror) if v > w else (mirror, idx)
+            # R3: dim B(n,d1,d2) = dim B(n,d2,d1); absent counts as 0.  A pair
+            # is compared at its first index in the table: the one with
+            # d1 < d2, or a mirror whose partner is absent.
+            if d1 != d2:
+                mirror = BlockIndex(n, d2, d1)
+                if d1 < d2 or mirror not in eff:
+                    w = eff.get(mirror, 0)
+                    if v != w:
+                        big, small = (idx, mirror) if v > w else (mirror, idx)
+                        violate(
+                            "R3",
+                            [big, small],
+                            f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}",
+                        )
+            # R12: the bicomodule constituents have dimension d1*d2.
+            if v % (d1 * d2) != 0:
                 violate(
-                    "R3",
-                    [big, small],
-                    f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}",
+                    "R12", [idx],
+                    f"dim {_fmt(idx)}={v} is not a multiple of d1*d2={d1 * d2}",
                 )
-
-    # R4: chain condition through every intermediate level.
-    for idx in sorted(eff):
-        n, d1, d2 = idx
+        # R4: chain condition through every intermediate level.
         for i in chain_gaps(by_level, n, d1, d2):
             violate(
                 "R4", [idx],
-                f"dim {_fmt(idx)}={eff[idx]} has no chain witness at split {i}+{n - i}",
+                f"dim {_fmt(idx)}={v} has no chain witness at split {i}+{n - i}",
                 missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero",
             )
 
@@ -336,19 +335,11 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     used = sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)})
     for d in used:
         if not backed(by_level, (d, d)):
-            witnesses = sorted(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
+            first = min(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
             violate(
                 "R11",
-                witnesses[:1],
-                f"{_fmt(witnesses[0])} uses d={d} with no coradical block B(0,{d},{d})",
-            )
-
-    # R12: the bicomodule constituents have dimension d1*d2.
-    for idx, v in sorted(eff.items()):
-        if idx.level >= 1 and v % (idx.d1 * idx.d2) != 0:
-            violate(
-                "R12", [idx],
-                f"dim {_fmt(idx)}={v} is not a multiple of d1*d2={idx.d1 * idx.d2}",
+                [first],
+                f"{_fmt(first)} uses d={d} with no coradical block B(0,{d},{d})",
             )
 
     # RNC: the coalgebra is declared non-cosemisimple.

@@ -19,7 +19,8 @@ Feasible answers carry the lexicographically least witness over the whole
 search space (the support space is exhausted even after a hit, so the result
 is independent of traversal scheduling).  Infeasible answers mean the entire
 bounded space was exhausted; the certificate keeps a bounded trace of the
-top-level case split.
+top-level case split: per coradical case, its node count and the close of its
+level-0 leaf, which the regime fixes (RNC or partition, see _level0_dfs).
 
 Nodes and closes are counted in bulk.  The exclude run of a level, one node
 per remaining group plus the exclude-all leaf, is one tick, which raises
@@ -312,9 +313,7 @@ class _Search:
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
         self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
-        self.diag_groups = {}
-        for d in [1, *self.diag0]:
-            self.diag_groups[d] = _Group((d, d), ((d, d),), math.lcm(d * d, r))
+        self.diag_groups = [_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in self.diag0]
         self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
         # Group indices by cost, so that an include step finds the groups
         # within its slack by bisection.
@@ -333,8 +332,6 @@ class _Search:
         self.pointed: list[int] = []
         # R11 verdict of each group, fixed by the coradical case.
         self.backed: list[bool] = []
-        self._case_first_close: str | None = None
-        self._case_nodes_start = 0
         self._case_found = False
 
     # -- bookkeeping ------------------------------------------------------
@@ -350,8 +347,6 @@ class _Search:
 
     def _close(self, reason: str, n: int = 1):
         self.closed[reason] = self.closed.get(reason, 0) + n
-        if self._case_first_close is None:
-            self._case_first_close = reason
 
     def _place(self, level: int, g: _Group):
         self.support.setdefault(level, set()).update(g.members)
@@ -371,7 +366,7 @@ class _Search:
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
-        self._place(0, self.diag_groups[1])
+        self._place(0, _Group((1, 1), ((1, 1),), self.r))
         self._level0_dfs(0, self.r)
 
     # Both searches below visit the exclude-everything branch first and then
@@ -382,25 +377,28 @@ class _Search:
 
     def _level0_dfs(self, i: int, min_cost: int):
         self._tick(len(self.diag0) + 1 - i)
-        chosen = [g for _, g in self.stack[1:]]
-        case = "{(0,1,1)" + "".join(f", (0,{g.first[0]},{g.first[1]})" for g in chosen) + "}"
-        self._case_first_close = None
         self._case_found = False
-        self._case_nodes_start = self.nodes
+        start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
         self.backed = [backed(self.support, g.first) for g in self.groups]
         self._subset_dfs(1, 0, min_cost, {}, None, [])
         if not self._case_found and len(self.trace) <= _TRACE_CAP:
-            reason = self._case_first_close or "exhausted"
-            used = self.nodes - self._case_nodes_start
             if len(self.trace) == _TRACE_CAP:
                 self.trace.append("... further cases elided")
             else:
+                # The reason named is the close of the case's first event,
+                # _subset_dfs(1, ...) finding level 1 empty and stopping on
+                # level 0 alone.  Under NCSS that stop closes by RNC; otherwise
+                # it reaches phase 2 and closes by partition, or finds a
+                # witness and the case writes no line.  So the regime fixes it.
+                reason = "RNC" if self.ncss else "partition"
+                case = "".join(f", (0,{g.first[0]},{g.first[1]})" for _, g in self.stack[1:])
                 self.trace.append(
-                    f"coradical support {case}: closed by {reason} ({used} nodes)"
+                    f"coradical support {{(0,1,1){case}}}: closed by {reason} "
+                    f"({self.nodes - start} nodes)"
                 )
         for j in range(len(self.diag0) - 1, i - 1, -1):
-            g = self.diag_groups[self.diag0[j]]
+            g = self.diag_groups[j]
             if min_cost + g.cost <= self.N:
                 self._place(0, g)
                 self._level0_dfs(j + 1, min_cost + g.cost)
@@ -429,12 +427,9 @@ class _Search:
             above = dict(open_rows)
             escalate(above, level, cells)
             self._subset_dfs(level + 1, 0, min_cost, above, None, [])
-        # Include branches.  Every include step of a coradical case comes
-        # after the case's first stop (its exclude-all leaf), which either
-        # closed, fixing the reason the trace names, or found a witness, so
-        # the case leaves no trace line; and the counts do not depend on the
-        # order of the closes.  So the groups over budget, and those the
-        # fixed lower levels close, are each closed in one count.
+        # Include branches.  The counts do not depend on the order of the
+        # closes, so the groups over budget, and those the fixed lower levels
+        # close, are each closed in one count.
         if why is None:
             why, cands = self._level_closes(level, min_cost)
         else:

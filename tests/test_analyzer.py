@@ -784,8 +784,9 @@ class TestComputeOnce:
         (sweedler_coalgebra, 2), (sweedler_tensor_square, 3), (s3_dual_coalgebra, 1),
     ])
     def test_filtration_eliminates_each_power_once(self, monkeypatch, build, levels):
-        # one echelon per subspace: J, then J^2, ..., J^levels (which is 0);
-        # each power's echelon form also gives the level's nullspace
+        # one echelon per power J^2, ..., J^levels (which is 0); J's echelon
+        # form is radical's result, and each power's echelon form also gives
+        # the level's nullspace
         a = dual_algebra(build())
         j_basis = radical(a)
         original = linalg.echelon
@@ -799,7 +800,27 @@ class TestComputeOnce:
         monkeypatch.setattr(blocksieve.linalg, "echelon", counting)
         chain = coradical_filtration(a, j_basis)
         assert len(chain) == levels
-        assert calls == levels
+        assert calls == levels - 1
+
+    @pytest.mark.parametrize("build, calls_expected", [
+        (sweedler_coalgebra, 4), (sweedler_tensor_square, 5), (s3_dual_coalgebra, 4),
+    ])
+    def test_analyze_eliminates_j_once(self, monkeypatch, build, calls_expected):
+        # the trace form and J once each in radical, the powers past J in the
+        # filtration, then the center and the components: A/J reads its
+        # pivots off radical's echelon form instead of eliminating J again
+        c = build()
+        original = linalg.echelon
+        calls = 0
+
+        def counting(rows):
+            nonlocal calls
+            calls += 1
+            return original(rows)
+
+        monkeypatch.setattr(blocksieve.linalg, "echelon", counting)
+        analyze(c, PLAIN)
+        assert calls == calls_expected
 
     def test_analyze_scales_delta_once(self, monkeypatch):
         # the one scaling is the coalgebra's own table, read by validate, the

@@ -496,6 +496,15 @@ class TestChangeBasis:
                 back = change_basis(moved, Q)
                 assert (back.delta, back.counit) == (c.delta, c.counit)
 
+    @pytest.mark.parametrize("P, message", [
+        ([[0.1]], "change-of-basis entry (0,0) has a non-rational coefficient 0.1"),
+        ([[True]], "change-of-basis entry (0,0) has a non-rational coefficient True"),
+    ])
+    def test_rejects_inexact_entries(self, P, message):
+        with pytest.raises(ValueError) as info:
+            change_basis(grouplike_coalgebra(1), P)
+        assert str(info.value) == message
+
     def test_rejects_rank_deficient_rational_matrix(self):
         c = sweedler_coalgebra()
         half = Fraction(1, 2)
@@ -717,10 +726,23 @@ class TestDirectConstruction:
         ([(0, 0, 0, Fraction(1)), (True, 0, 1, Fraction(1))],
          "delta entry (True,0,1) has a non-int index"),
         ([(0, 0, 0, 1), (1, 1, False, 1)], "delta entry (1,1,False) has a non-int index"),
+        # a constant must be exact: Fraction() would take a float's binary value
+        ([(0, 0, 0, Fraction(1)), (1, 1, 1, 0.5)],
+         "delta entry (1,1,1) has a non-rational coefficient 0.5"),
+        ([(0, 0, 0, True)], "delta entry (0,0,0) has a non-rational coefficient True"),
     ])
     def test_messages(self, delta, message):
         with pytest.raises(ValueError) as info:
             self._make(delta)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("counit, message", [
+        ((Fraction(1), 0.1), "counit entry 1 has a non-rational coefficient 0.1"),
+        ((True, Fraction(1)), "counit entry 0 has a non-rational coefficient True"),
+    ])
+    def test_counit_must_be_exact(self, counit, message):
+        with pytest.raises(ValueError) as info:
+            Coalgebra(2, ("e0", "e1"), ((0, 0, 0, Fraction(1)),), counit)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("dim", [2.0, True, "2"])

@@ -15,6 +15,8 @@ from blocksieve.rules import (
     RULE_NAMES,
     RULE_ORDER,
     RuleViolation,
+    backed,
+    chain_gaps,
     check,
     escalate,
     explain,
@@ -243,6 +245,98 @@ class TestRuleSetProperties:
         for rid in RULE_ORDER:
             assert rid in RULE_NAMES
             assert rid in RULE_ANCHORS
+
+
+def _fmt(idx) -> str:
+    return f"B({idx.level},{idx.d1},{idx.d2})"
+
+
+def per_rule_reference(s: BlockSystem) -> list[RuleViolation]:
+    """R1, R2, R3, R4, R11 and R12 as separate loops, each over its own sort of the table.
+
+    The loops are the ones check ran before it read the sorted table once;
+    the differential test below holds the one-pass check to them.
+    """
+    r = s.group_order
+    eff = dict(s.blocks)
+    if BlockIndex(0, 1, 1) not in eff and r > 0:
+        eff[BlockIndex(0, 1, 1)] = r
+    by_level: dict = {}
+    for idx, v in eff.items():
+        by_level.setdefault(idx.level, {})[(idx.d1, idx.d2)] = v
+    out = []
+
+    def violate(rule, indices, message, missing=None):
+        out.append(RuleViolation(rule, tuple(indices), message, missing))
+
+    if r >= 1:
+        for idx, v in sorted(eff.items()):
+            if v % r != 0:
+                violate("R1", [idx], f"dim {_fmt(idx)}={v} is not a multiple of |G(H)|={r}")
+    if r >= 1:
+        for idx, v in sorted(eff.items()):
+            if idx.level >= 1 and min(idx.d1, idx.d2) == 1:
+                d = max(idx.d1, idx.d2)
+                if v % (d * r) != 0:
+                    violate("R2", [idx],
+                            f"dim {_fmt(idx)}={v} is not a multiple of {d}*|G(H)|={d * r}")
+    seen_pairs = set()
+    for idx in sorted(eff):
+        if idx.level >= 1 and idx.d1 != idx.d2:
+            key = (idx.level, min(idx.d1, idx.d2), max(idx.d1, idx.d2))
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            mirror = BlockIndex(idx.level, idx.d2, idx.d1)
+            v, w = eff.get(idx, 0), eff.get(mirror, 0)
+            if v != w:
+                big, small = (idx, mirror) if v > w else (mirror, idx)
+                violate("R3", [big, small],
+                        f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}")
+    for idx in sorted(eff):
+        n, d1, d2 = idx
+        for i in chain_gaps(by_level, n, d1, d2):
+            violate("R4", [idx],
+                    f"dim {_fmt(idx)}={eff[idx]} has no chain witness at split {i}+{n - i}",
+                    missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
+    used = sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)})
+    for d in used:
+        if not backed(by_level, (d, d)):
+            witnesses = sorted(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
+            violate("R11", witnesses[:1],
+                    f"{_fmt(witnesses[0])} uses d={d} with no coradical block B(0,{d},{d})")
+    for idx, v in sorted(eff.items()):
+        if idx.level >= 1 and v % (idx.d1 * idx.d2) != 0:
+            violate("R12", [idx],
+                    f"dim {_fmt(idx)}={v} is not a multiple of d1*d2={idx.d1 * idx.d2}")
+    return out
+
+
+class TestOnePassCheck:
+    def test_matches_the_per_rule_loops_on_random_tables(self):
+        # r = 0, stored (0,1,1) entries that disagree with r, lone mirrors
+        # and divisible and indivisible values all occur
+        rng = random.Random(22)
+        ruled = {"R1", "R2", "R3", "R4", "R11", "R12"}
+        seen = set()
+        for _ in range(1000):
+            r = rng.randint(0, 4)
+            blocks = {}
+            if rng.random() < 0.7:
+                blocks[(0, 1, 1)] = r if r and rng.random() < 0.7 else rng.randint(1, 6)
+            for _ in range(rng.randint(0, 10)):
+                n, d1 = rng.randint(0, 4), rng.randint(1, 4)
+                d2 = d1 if n == 0 else rng.randint(1, 4)
+                v = rng.choice((max(r, 1) * d1 * d2 * rng.randint(1, 3), rng.randint(1, 24)))
+                blocks[(n, d1, d2)] = v
+                if n and rng.random() < 0.5:
+                    blocks[(n, d2, d1)] = v if rng.random() < 0.8 else rng.randint(1, 24)
+            s = BlockSystem(r, blocks)
+            expected = per_rule_reference(s)
+            seen.update(v.rule for v in expected)
+            for flags in ALL_FLAGS:
+                assert [v for v in check(s, flags) if v.rule in ruled] == expected
+        assert seen == ruled
 
 
 def support_levels(s: BlockSystem) -> dict[int, set[tuple[int, int]]]:

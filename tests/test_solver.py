@@ -151,6 +151,16 @@ class TestSolve:
         assert not cert.feasible
         assert cert.refutation_summary
 
+    def test_plain_trace_names_the_partition_close(self):
+        # without NON_COSEMISIMPLE a case's level-0 leaf (no block above
+        # level 0) reaches phase 2, so a refuted case names partition
+        cert = solve(FeasibilityProblem(12, 2, PLAIN, GridBounds(0, 3)))
+        assert not cert.feasible
+        assert cert.refutation_summary == (
+            "coradical support {(0,1,1)}: closed by partition (1 nodes)",
+            "coradical support {(0,1,1), (0,2,2)}: closed by partition (1 nodes)",
+        )
+
     def test_4_2_feasible_with_skew_primitives(self):
         cert = solve(FeasibilityProblem(4, 2, NON_COSEMISIMPLE))
         assert cert.feasible

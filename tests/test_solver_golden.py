@@ -231,6 +231,21 @@ def test_small_group_orders_match_recorded_digests():
     assert digests(slack_points()) == SLACK_DIGESTS
 
 
+def test_non_cosemisimple_traces_name_the_rnc_close():
+    # a trace line names the close of its case's level-0 leaf, which has no
+    # block above level 0, so under NON_COSEMISIMPLE and NSP it is RNC
+    lines = []
+    for key, pts in golden_points().items():
+        flags = FLAGS[key.split(":")[0]]
+        if flags.non_cosemisimple or flags.no_skew_primitives:
+            for N, r in pts:
+                cert = solve(FeasibilityProblem(N, r, flags))
+                if not cert.feasible:
+                    lines += cert.refutation_summary
+    assert lines
+    assert all(": closed by RNC (" in line for line in lines)
+
+
 def _print_table(name: str, table: dict[str, str]):
     print(f"{name} = {{")
     for key, digest in table.items():
