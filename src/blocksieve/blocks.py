@@ -14,13 +14,11 @@ processes; they pickle and copy by rebuilding through their constructors.
 
 from __future__ import annotations
 
+import functools
 import json
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-
-# Sets a slot of a frozen value, past the __setattr__ that refuses assignment.
-_setattr = object.__setattr__
 
 
 class BlockSystemParseError(ValueError):
@@ -30,13 +28,20 @@ class BlockSystemParseError(ValueError):
 class _Frozen:
     """Base of the immutable value types: fields are the subclass's __slots__, in order.
 
-    Equality holds between instances of the same class with equal fields and
-    hashing hashes the tuple of fields; repr names every field; pickling and
-    copying rebuild the value through the constructor, which takes the fields
-    positionally.  Assigning or deleting a field raises AttributeError.
+    A subclass constructor validates its arguments and hands the fields, in
+    that order, to _Frozen.__init__.  Equality holds between instances of the
+    same class with equal fields and hashing hashes the tuple of fields; repr
+    names every field; pickling and copying rebuild the value through the
+    constructor, which takes the fields positionally.  Assigning or deleting a
+    field raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        # past the __setattr__ below, which refuses assignment
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -63,11 +68,13 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@functools.total_ordering
 class BlockIndex(_Frozen):
     """Index (level, d1, d2) of one block.
 
     Level-0 blocks are diagonal by definition, so d1 != d2 is rejected there.
-    Field order gives the canonical lexicographic ordering used everywhere.
+    Field order gives the canonical lexicographic ordering used everywhere:
+    __lt__ states it and functools.total_ordering derives <=, > and >=.
     """
 
     __slots__ = ("level", "d1", "d2")
@@ -102,21 +109,6 @@ class BlockIndex(_Frozen):
             return self.d2 < other.d2
         return NotImplemented
 
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return not other < self
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return other < self
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return not self < other
-        return NotImplemented
-
     def __iter__(self):
         return iter((self.level, self.d1, self.d2))
 
@@ -146,11 +138,10 @@ class ModeFlags(_Frozen):
         no_skew_primitives: bool = False,
         auto_nsp: bool = False,
     ):
-        if no_skew_primitives and not non_cosemisimple:
-            non_cosemisimple = True
-        _setattr(self, "non_cosemisimple", non_cosemisimple)
-        _setattr(self, "no_skew_primitives", no_skew_primitives)
-        _setattr(self, "auto_nsp", auto_nsp)
+        for name, value in zip(self.__slots__, (non_cosemisimple, no_skew_primitives, auto_nsp)):
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        super().__init__(non_cosemisimple or no_skew_primitives, no_skew_primitives, auto_nsp)
 
 
 NSP = ModeFlags(no_skew_primitives=True)
@@ -189,8 +180,7 @@ class BlockSystem(_Frozen):
                     "zero blocks must be omitted"
                 )
             normalized[idx] = dim
-        _setattr(self, "group_order", group_order)
-        _setattr(self, "blocks", normalized)
+        super().__init__(group_order, normalized)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Stored entries as (level, d1, d2, dim), canonically sorted."""
@@ -352,10 +342,7 @@ class Certificate(_Frozen):
             raise ValueError(f"verdict must be '{FEASIBLE}' or '{INFEASIBLE}'")
         if (verdict == FEASIBLE) != (witness is not None):
             raise ValueError("witness must be present exactly when feasible")
-        _setattr(self, "verdict", verdict)
-        _setattr(self, "witness", witness)
-        _setattr(self, "stats", {} if stats is None else stats)
-        _setattr(self, "refutation_summary", refutation_summary)
+        super().__init__(verdict, witness, {} if stats is None else stats, refutation_summary)
 
     @property
     def feasible(self) -> bool:

@@ -13,7 +13,7 @@ that an absent (0,1,1) entry counts as r.
 
 from __future__ import annotations
 
-from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, _setattr, pointed_levels
+from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, pointed_levels
 
 # Rule ids in report order.  R7 and R8 are active only with the
 # no-skew-primitives flag; RNC only with the non-cosemisimple flag.
@@ -38,7 +38,9 @@ RULE_NAMES = {
     "RNC": "non-cosemisimplicity",
 }
 
-# One-line statement of what each rule asserts, used by reports.
+# One-line statement of what each rule asserts: public reference text for
+# callers and readers.  Nothing in the package prints it; explain() and the
+# reports name a rule by RULE_NAMES.
 RULE_ANCHORS = {
     "R0": "level 0 is the coradical: diagonal blocks, dim B(0,d,d) a positive multiple of d*d, dim B(0,1,1) = |G(H)|",
     "R1": "|G(H)| = dim B(0,1,1) divides the dimension of every block",
@@ -68,10 +70,7 @@ class RuleViolation(_Frozen):
         message: str,
         missing_witness: str | None = None,
     ):
-        _setattr(self, "rule", rule)
-        _setattr(self, "indices", indices)
-        _setattr(self, "message", message)
-        _setattr(self, "missing_witness", missing_witness)
+        super().__init__(rule, indices, message, missing_witness)
 
     def as_json_dict(self) -> dict:
         """The JSON form shared by `check --format json` and the analyzer's report."""

@@ -55,7 +55,6 @@ from .blocks import (
     ModeFlags,
     _Frozen,
     _require_int,
-    _setattr,
     total_dim,
 )
 from .rules import backed, chain_gaps, check, escalate, has_nsp_core, nsp_forcing_ok
@@ -86,6 +85,8 @@ def basic_block_dim(r: int, d1: int, d2: int) -> int:
     Edge shapes (exactly one of d1, d2 equal to 1) count the forced symmetric
     pair B(n,d,1) + B(n,1,d) together, hence the factor 2.
     """
+    for value, name in ((r, "r"), (d1, "d1"), (d2, "d2")):
+        _require_int(value, name)
     if r < 1 or d1 < 1 or d2 < 1:
         raise ValueError("r, d1, d2 must be positive")
     if d1 == 1 and d2 == 1:
@@ -104,7 +105,7 @@ def lower_bound(r: int) -> tuple[int, frozenset[int]]:
     which is sound because lcm(d^2, r) >= d^2; the result is therefore
     independent of any configured grid bound.
     """
-    if r < 1:
+    if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
     best: int | None = None
     argmin: set[int] = set()
@@ -129,9 +130,9 @@ def minimal_form(r: int, d: int) -> BlockSystem:
     block of lcm(d^2, r).  Passes the full rule check in the
     no-skew-primitives regime.
     """
-    if r < 1:
+    if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
-    if d < 2:
+    if _require_int(d, "d") < 2:
         raise ValueError("d must be at least 2")
     big = math.lcm(d * d, r)
     return BlockSystem(
@@ -157,8 +158,7 @@ class GridBounds(_Frozen):
         _require_int(max_d, "max_d")
         if max_level < 0 or max_d < 1:
             raise ValueError("bounds must satisfy max_level >= 0 and max_d >= 1")
-        _setattr(self, "max_level", max_level)
-        _setattr(self, "max_d", max_d)
+        super().__init__(max_level, max_d)
 
     @classmethod
     def defaults(cls, target_dim: int, group_order: int) -> "GridBounds":
@@ -169,7 +169,9 @@ class GridBounds(_Frozen):
         coradical block of at least lcm(d^2, r) next to the grouplike block,
         so lcm(d^2, r) <= N - r.
         """
-        n, r = target_dim, group_order
+        n, r = _require_int(target_dim, "target_dim"), _require_int(group_order, "group_order")
+        if r < 1:
+            raise ValueError("group_order must be positive")
         max_level = max(n // r - 1, 0)
         if max_level > LEVEL_CAP:
             raise BoundsError(
@@ -205,10 +207,11 @@ class FeasibilityProblem(_Frozen):
             raise ValueError("target_dim must be positive")
         if group_order < 1:
             raise ValueError("group_order must be positive")
-        _setattr(self, "target_dim", target_dim)
-        _setattr(self, "group_order", group_order)
-        _setattr(self, "flags", flags)
-        _setattr(self, "bounds", bounds)
+        if not isinstance(flags, ModeFlags):
+            raise ValueError(f"flags must be a ModeFlags, got {flags!r}")
+        if bounds is not None and not isinstance(bounds, GridBounds):
+            raise ValueError(f"bounds must be a GridBounds or None, got {bounds!r}")
+        super().__init__(target_dim, group_order, flags, bounds)
 
 
 def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
@@ -241,16 +244,17 @@ class _Group:
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
-    """Canonically ordered branching units at one positive level."""
-    groups = [_Group((1, 1), ((1, 1),), r)]
-    for d in range(2, max_d + 1):
-        groups.append(_Group((1, d), ((1, d), (d, 1)), d * r))
-    for d1 in range(2, max_d + 1):
-        groups.append(_Group((d1, d1), ((d1, d1),), math.lcm(d1 * d1, r)))
-        for d2 in range(d1 + 1, max_d + 1):
-            groups.append(_Group((d1, d2), ((d1, d2), (d2, d1)), math.lcm(d1 * d2, r)))
-    groups.sort(key=lambda g: g.first)
-    return groups
+    """Canonically ordered branching units at one positive level.
+
+    An edge unit (1, d2) costs d2 * r per member (R2), every other one
+    lcm(d1 * d2, r) (R1, R12); for (1, 1) both read r.
+    """
+    return [
+        _Group((d1, d2), ((d1, d2),) if d1 == d2 else ((d1, d2), (d2, d1)),
+               d2 * r if d1 == 1 else math.lcm(d1 * d2, r))
+        for d1 in range(1, max_d + 1)
+        for d2 in range(d1, max_d + 1)
+    ]
 
 
 def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
@@ -312,8 +316,10 @@ class _Search:
         self.closed: dict[str, int] = {}
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
-        self.diag0 = [d for d in range(2, bounds.max_d + 1) if math.lcm(d * d, r) <= N - r]
-        self.diag_groups = [_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in self.diag0]
+        # Level 0's units, built apart from the positive levels' table: solve
+        # caps that table only when there is a positive level.
+        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, bounds.max_d + 1))
+        self.diag_groups = [g for g in diag if g.cost <= N - r]
         self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
         # Group indices by cost, so that an include step finds the groups
         # within its slack by bisection.
@@ -376,7 +382,7 @@ class _Search:
     # exclude-all leaf, counted in one tick.
 
     def _level0_dfs(self, i: int, min_cost: int):
-        self._tick(len(self.diag0) + 1 - i)
+        self._tick(len(self.diag_groups) + 1 - i)
         self._case_found = False
         start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
@@ -397,7 +403,7 @@ class _Search:
                     f"coradical support {{(0,1,1){case}}}: closed by {reason} "
                     f"({self.nodes - start} nodes)"
                 )
-        for j in range(len(self.diag0) - 1, i - 1, -1):
+        for j in range(len(self.diag_groups) - 1, i - 1, -1):
             g = self.diag_groups[j]
             if min_cost + g.cost <= self.N:
                 self._place(0, g)
@@ -602,9 +608,15 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
 def _solve_all(
     problems: list[FeasibilityProblem], node_cap: int | None, jobs: int
 ) -> list[Certificate]:
-    """Certificates in problem order; jobs > 1 spreads them over processes."""
+    """Certificates in problem order; jobs > 1 spreads them over processes.
+
+    node_cap is checked here as in solve, so a survey that searches nothing
+    (every point answered by R1, or no point at all) still refuses it.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    if node_cap is not None and node_cap < 1:
+        raise ValueError(f"node_cap must be positive, got {node_cap}")
     run = functools.partial(solve, node_cap=node_cap)
     if jobs > 1:
         # imported here so that importing blocksieve stays cheap
@@ -626,7 +638,9 @@ def scan(
     jobs > 1 solves the points in that many worker processes; the result does
     not depend on it.
     """
-    if t_max < 1:
+    if _require_int(r, "r") < 1:
+        raise ValueError("r must be positive")
+    if _require_int(t_max, "t_max") < 1:
         raise ValueError("t_max must be positive")
     problems = [FeasibilityProblem(t * r, r, flags) for t in range(1, t_max + 1)]
     certs = _solve_all(problems, node_cap, jobs)
@@ -635,6 +649,7 @@ def scan(
 
 def surveyed_group_orders(N: int) -> list[int]:
     """The divisors 1 < r < N of N, ascending: the group orders admissible_group_orders surveys."""
+    _require_int(N, "N")
     return [r for r in range(2, N) if N % r == 0]
 
 
@@ -648,7 +663,7 @@ def admissible_group_orders(
     realizes every admissible total above the r = 1 lower bound), so listing
     it would carry no information about N.  jobs is as in scan.
     """
-    if N < 1:
+    if _require_int(N, "N") < 1:
         raise ValueError("N must be positive")
     divisors = surveyed_group_orders(N)
     problems = [FeasibilityProblem(N, r, flags) for r in divisors]

@@ -15,6 +15,7 @@ from blocksieve.blocks import (
     NSP,
     PLAIN,
     BlockSystem,
+    ModeFlags,
     parse_block_system,
     serialize_block_system,
     total_dim,
@@ -227,3 +228,14 @@ def test_criterion_10_property_suites():
         n_min, _ = lower_bound(r)
         for n in range(r, n_min, r):
             assert not solve(FeasibilityProblem(n, r, NSP)).feasible, (n, r)
+
+
+@criterion(11, "the paper's dimensions: orders of 45 and 105 under nsp and under auto-nsp, < 60 s")
+def test_criterion_11_paper_dimensions():
+    start = time.time()
+    assert admissible_group_orders(45, NSP) == set()
+    assert admissible_group_orders(105, NSP) == {3}
+    auto = ModeFlags(non_cosemisimple=True, auto_nsp=True)
+    assert admissible_group_orders(45, auto) == {3, 15}
+    assert admissible_group_orders(105, auto) == {3}
+    assert time.time() - start < 60

@@ -80,6 +80,20 @@ class TestValueTypes:
         assert ModeFlags(auto_nsp=True) != ModeFlags()
         assert len({ModeFlags(), ModeFlags(False), nsp, ModeFlags(True, True)}) == 2
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"non_cosemisimple": "no"}, "non_cosemisimple must be a bool, got 'no'"),
+            ({"non_cosemisimple": 1}, "non_cosemisimple must be a bool, got 1"),
+            ({"no_skew_primitives": 0}, "no_skew_primitives must be a bool, got 0"),
+            ({"auto_nsp": None}, "auto_nsp must be a bool, got None"),
+        ],
+    )
+    def test_mode_flags_must_be_bools(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            ModeFlags(**kwargs)
+        assert str(info.value) == message
+
     def test_block_system(self):
         s = BlockSystem(3, {(0, 1, 1): 3, BlockIndex(1, 2, 1): 6})
         assert_value_type(s, {"group_order": 3,

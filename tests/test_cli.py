@@ -77,11 +77,14 @@ class TestSolve:
         assert code == 2
 
     def test_nonpositive_node_cap_env_exit_two(self, capsys):
-        # (7, 2) is answered by R1 without a search, (8, 2) is searched
+        # (7, 2) is answered by R1 without a search, (8, 2) is searched; the
+        # surveys of 7 (prime) and 2 (no divisor 1 < r < 2) search nothing
         for cap in ("0", "-1"):
-            for dim in ("7", "8"):
-                code = run_cli(["solve", "--dim", dim, "--group-order", "2"],
-                               env={"BLOCKSIEVE_NODE_CAP": cap})
+            for args in (["solve", "--dim", "7", "--group-order", "2"],
+                         ["solve", "--dim", "8", "--group-order", "2"],
+                         ["orders", "--dim", "7", "--no-skew-primitives"],
+                         ["orders", "--dim", "2"]):
+                code = run_cli(args, env={"BLOCKSIEVE_NODE_CAP": cap})
                 assert code == 2
                 assert f"node_cap must be positive, got {cap}" in capsys.readouterr().err
 

@@ -32,6 +32,7 @@ from blocksieve.solver import (
     minimal_form,
     scan,
     solve,
+    surveyed_group_orders,
 )
 
 from conftest import assert_value_type
@@ -199,6 +200,15 @@ class TestSolve:
                 with pytest.raises(ValueError, match=f"node_cap must be positive, got {cap}"):
                     solve(FeasibilityProblem(n, 2), node_cap=cap)
 
+    def test_nonpositive_node_cap_refused_by_surveys_that_search_nothing(self):
+        # 7 is prime and 2 has no divisor 1 < r < 2, so neither survey reaches solve
+        for cap in (0, -1):
+            for call in (lambda: admissible_group_orders(7, NSP, node_cap=cap),
+                         lambda: admissible_group_orders(2, NSP, node_cap=cap),
+                         lambda: scan(2, 1, NSP, node_cap=cap)):
+                with pytest.raises(ValueError, match=f"node_cap must be positive, got {cap}"):
+                    call()
+
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()
         assert solve(FeasibilityProblem(280, 7, NSP)).feasible
@@ -309,6 +319,43 @@ class TestValueTypes:
     def test_bounds_reject_non_integer_fields(self, args):
         with pytest.raises(ValueError, match="must be an integer"):
             GridBounds(*args)
+
+    @pytest.mark.parametrize(
+        "call,args,message",
+        [
+            (basic_block_dim, (2, 1.5, 1), "d1 must be an integer, got 1.5"),
+            (basic_block_dim, (2.0, 1, 1), "r must be an integer, got 2.0"),
+            (lower_bound, (True,), "r must be an integer, got True"),
+            (lower_bound, (2.0,), "r must be an integer, got 2.0"),
+            (minimal_form, (2.0, 2), "r must be an integer, got 2.0"),
+            (minimal_form, (2, 2.0), "d must be an integer, got 2.0"),
+            (scan, (2, 2.5, NSP), "t_max must be an integer, got 2.5"),
+            (scan, (2.0, 3, NSP), "r must be an integer, got 2.0"),
+            (scan, (0, 3, NSP), "r must be positive"),
+            (admissible_group_orders, (12.0, NSP), "N must be an integer, got 12.0"),
+            (surveyed_group_orders, (12.0,), "N must be an integer, got 12.0"),
+            (GridBounds.defaults, (10.0, 2), "target_dim must be an integer, got 10.0"),
+            (GridBounds.defaults, (10, 2.0), "group_order must be an integer, got 2.0"),
+            (GridBounds.defaults, (10, 0), "group_order must be positive"),
+        ],
+    )
+    def test_functions_reject_non_integer_arguments_by_their_own_name(self, call, args, message):
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((6, 2, "NSP"), "flags must be a ModeFlags, got 'NSP'"),
+            ((6, 2, None), "flags must be a ModeFlags, got None"),
+            ((6, 2, PLAIN, (1, 2)), "bounds must be a GridBounds or None, got (1, 2)"),
+        ],
+    )
+    def test_problem_rejects_ill_typed_flags_and_bounds(self, args, message):
+        with pytest.raises(ValueError) as info:
+            FeasibilityProblem(*args)
+        assert str(info.value) == message
 
 
 class TestNodeCap:
