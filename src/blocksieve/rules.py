@@ -98,15 +98,17 @@ def _fmt(idx) -> str:
 # the solver its partial support, so each rule is stated here once.
 
 
-def chain_gaps(levels, n: int, d1: int, d2: int):
-    """R4: each split i (1 <= i < n) with no b such that (i,d1,b) and (n-i,b,d2) are occupied."""
-    for i in range(1, n):
+def chain_gap(levels, n: int, d1: int, d2: int, start: int = 1) -> int:
+    """R4: the first split i, start <= i < n, with no b such that (i,d1,b) and
+    (n-i,b,d2) are occupied; 0 when every such split has a witness."""
+    for i in range(start, n):
         second_leg = levels.get(n - i, ())
         for (a, b) in levels.get(i, ()):
             if a == d1 and (b, d2) in second_leg:
                 break
         else:
-            yield i
+            return i
+    return 0
 
 
 def escalate(open_rows: dict, n: int, cells) -> None:
@@ -263,12 +265,14 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                     f"dim {_fmt(idx)}={v} is not a multiple of d1*d2={d1 * d2}",
                 )
         # R4: chain condition through every intermediate level.
-        for i in chain_gaps(by_level, n, d1, d2):
+        i = chain_gap(by_level, n, d1, d2)
+        while i:
             violate(
                 "R4", [idx],
                 f"dim {_fmt(idx)}={v} has no chain witness at split {i}+{n - i}",
                 missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero",
             )
+            i = chain_gap(by_level, n, d1, d2, i + 1)
 
     # R5: off-diagonal blocks escalate to a strictly higher level in the same row.
     for n, d1, d2 in sorted(stranded(by_level)):

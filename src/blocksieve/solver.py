@@ -28,16 +28,20 @@ exactly when the count passes the node cap, as counting node by node would.
 Each fact a node reads is computed once, where it becomes fixed: the R11
 verdict of every group once per coradical case (it reads level 0 only), the
 R4 verdict of every group within budget once per entry into a level (it
-reads the levels below only), and the R5 state as the open rows of the
-levels below, folded one level at a time (rules.escalate), so a stop tests
-whether any row is left open.  An include step keeps the groups within its
-budget slack, tries the open ones and closes the rest with one count per
-reason (budget, R7, R11, R4).  Phase 2 reads the free groups off the
-placement stack and builds its reach bitsets over the slack left once every
-group has its least value, doubling runs of multiples.  None of this
-changes which nodes are visited, in what order, or why each one closes, so
-the stats, witnesses and refutation traces of a certificate are those of a
-node-by-node count.
+reads the levels below only, and stops at the first split without a
+witness, rules.chain_gap), and the R5 state as the open rows of the levels
+below, folded one level at a time (rules.escalate), so a stop tests whether
+any row is left open.  The groups within a level entry's slack, in
+decreasing index, are listed once per search for each number of groups a
+slack admits (a bisection on the sorted costs) and shared by the entries.
+An include step walks the groups within its budget slack once, counting
+each closed one under its reason (R7, R11, R4) and collecting the open ones
+to try, and closes the groups over budget in one count.  Phase 2 reads the
+free groups off the placement stack and builds its reach bitsets over the
+slack left once every group has its least value, doubling runs of
+multiples.  None of this changes which nodes are visited, in what order, or
+why each one closes, so the stats, witnesses and refutation traces of a
+certificate are those of a node-by-node count.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .blocks import (
     _require_int,
     total_dim,
 )
-from .rules import backed, chain_gaps, check, escalate, has_nsp_core, nsp_forcing_ok
+from .rules import backed, chain_gap, check, escalate, has_nsp_core, nsp_forcing_ok
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -321,11 +325,16 @@ class _Search:
         diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, bounds.max_d + 1))
         self.diag_groups = [g for g in diag if g.cost <= N - r]
         self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
-        # Group indices by cost, so that an include step finds the groups
+        # Group indices by cost, so that a level entry finds the groups
         # within its slack by bisection.
         self.by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
         self.sorted_costs = [self.groups[j].cost for j in self.by_cost]
         self.costs = [g.cost for g in self.groups]
+        self.firsts = [g.first for g in self.groups]
+        # fits[k] lists the k cheapest groups, by_cost[:k], in decreasing
+        # index: the groups that fit a level entry whose slack admits k of
+        # them.  Each list is built on first use and shared by every entry.
+        self.fits: list[list[int] | None] = [None] * (len(self.groups) + 1)
         # support[level] holds the occupied (d1, d2) cells of each occupied
         # level; level 0 always holds the grouplike cell (1, 1).  This is the
         # table shape the support predicates of rules.py read.  stack lists
@@ -425,7 +434,8 @@ class _Search:
             # The grid ends here; the support below is a complete candidate.
             self._stop(level - 1, open_rows)
             return
-        self._tick(len(self.groups) + 1 - gi)
+        groups = self.groups
+        self._tick(len(groups) + 1 - gi)
         cells = self.support.get(level)
         if cells is None:
             self._stop(level - 1, open_rows)
@@ -433,30 +443,34 @@ class _Search:
             above = dict(open_rows)
             escalate(above, level, cells)
             self._subset_dfs(level + 1, 0, min_cost, above, None, [])
-        # Include branches.  The counts do not depend on the order of the
-        # closes, so the groups over budget, and those the fixed lower levels
-        # close, are each closed in one count.
+        # Include branches, in one pass over the candidates: each group the
+        # fixed lower levels close is counted under its reason, the open ones
+        # are kept to try, and the groups over budget are closed in one count.
         if why is None:
             why, cands = self._level_closes(level, min_cost)
-        else:
-            slack = self.N - min_cost
-            cost = self.costs
-            cands = [j for j in cands if cost[j] <= slack]
-        over = len(self.groups) - gi - len(cands)
+        slack = self.N - min_cost
+        cost = self.costs
+        closed = self.closed
+        fit: list[int] = []
+        tries: list[int] = []
+        for j in cands:
+            if cost[j] <= slack:
+                reason = why[j]
+                if reason is None:
+                    tries.append(len(fit))
+                else:
+                    closed[reason] = closed.get(reason, 0) + 1
+                fit.append(j)
+        over = len(groups) - gi - len(fit)
         if over:
             self._close("budget", over)
-        reasons = [why[j] for j in cands]
-        for reason in ("R7", "R11", "R4"):
-            n = reasons.count(reason)
-            if n:
-                self._close(reason, n)
-        for i, j in enumerate(cands):
-            if reasons[i] is None:
-                g = self.groups[j]
-                self._place(level, g)
-                # cands[:i] are the groups after j that fit this step's slack
-                self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, why, cands[:i])
-                self._unplace(level, g)
+        for i in tries:
+            j = fit[i]
+            g = groups[j]
+            self._place(level, g)
+            # fit[:i] are the groups after j that fit this step's slack
+            self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, why, fit[:i])
+            self._unplace(level, g)
 
     def _level_closes(self, level: int, min_cost: int) -> tuple[list, list]:
         """Close reasons at a newly entered level, and the groups that fit its slack.
@@ -464,19 +478,23 @@ class _Search:
         why[j] is R7, R11 or R4 when an include step at this level closes
         group j, None when it is tried.  Only the groups within the entry's
         slack are set, since every include step of the level has less; they
-        come back in decreasing index.  R11 reads level 0 and R4 the levels
-        below this one, all fixed until the level is left.
+        come back in decreasing index, in a list shared through self.fits
+        that no caller changes.  R11 reads level 0 and R4 the levels below
+        this one, all fixed until the level is left.
         """
         why: list = [None] * len(self.groups)
-        fit = self.by_cost[:bisect_right(self.sorted_costs, self.N - min_cost)]
-        fit.sort(reverse=True)
+        k = bisect_right(self.sorted_costs, self.N - min_cost)
+        fit = self.fits[k]
+        if fit is None:
+            fit = self.fits[k] = sorted(self.by_cost[:k], reverse=True)
+        is_backed, firsts, support = self.backed, self.firsts, self.support
         for j in fit:
-            if not self.backed[j]:
+            if not is_backed[j]:
                 why[j] = "R11"
             # Witnesses lie strictly below this level.  The mirror cell's
             # condition is the same with i and n-i swapped, so one
             # representative suffices on symmetric supports.
-            elif any(chain_gaps(self.support, level, *self.groups[j].first)):
+            elif chain_gap(support, level, *firsts[j]):
                 why[j] = "R4"
         if self.nsp and level == 1:
             # B(1,1,1) is group 0 and always backed.
@@ -543,19 +561,24 @@ class _Search:
         return out
 
 
+def _check_node_cap(node_cap: int | None):
+    if node_cap is not None and _require_int(node_cap, "node_cap") < 1:
+        raise ValueError(f"node_cap must be positive, got {node_cap}")
+
+
 def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     """Decide feasibility of (target_dim, group_order) under the given flags.
 
     Returns a Feasible certificate with the lexicographically least witness,
     or an Infeasible certificate after exhausting the bounded search space.
     If the group order does not divide the dimension the answer is immediate.
-    Raises ValueError for a node cap below 1, before any other answer;
+    Raises ValueError for a node cap that is not an int or is below 1,
+    before any other answer;
     BoundsError when a level of the grid holds more than GROUP_CAP
     branching units, or when the search reaches the interpreter's recursion
     limit below the caller's stack.
     """
-    if node_cap is not None and node_cap < 1:
-        raise ValueError(f"node_cap must be positive, got {node_cap}")
+    _check_node_cap(node_cap)
     N, r = p.target_dim, p.group_order
     nsp, ncss, auto_applied = _resolve_flags(p)
     regime = {
@@ -613,10 +636,9 @@ def _solve_all(
     node_cap is checked here as in solve, so a survey that searches nothing
     (every point answered by R1, or no point at all) still refuses it.
     """
-    if jobs < 1:
+    if _require_int(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if node_cap is not None and node_cap < 1:
-        raise ValueError(f"node_cap must be positive, got {node_cap}")
+    _check_node_cap(node_cap)
     run = functools.partial(solve, node_cap=node_cap)
     if jobs > 1:
         # imported here so that importing blocksieve stays cheap

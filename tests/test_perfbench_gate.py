@@ -1,9 +1,11 @@
-"""The benchmark's correctness gate passes on the analyzer workloads.
+"""The benchmark's correctness gate passes on the analyzer workloads and on scan-nsp.
 
-Every analyze-sparse and analyze-dense request at seed 1 is built and run
-the way perfbench/worker.py runs it, summarized the way it summarizes it,
-and checked by perfbench's own Checker, so a change that breaks the gate
-fails here before any benchmark run.  perfbench is imported, not changed.
+Every analyze-sparse, analyze-dense and scan-nsp request at seed 1 is built
+and run the way perfbench/worker.py runs it, summarized the way it
+summarizes it, and checked by perfbench's own Checker (and, for scan-nsp,
+against the paper's exclusion sets), so a change that breaks the gate fails
+here before any benchmark run.  grid-ncss is covered by the solver/oracle
+grid equivalence in test_oracle.py.  perfbench is imported, not changed.
 """
 
 import importlib
@@ -31,19 +33,36 @@ def perfbench(monkeypatch):
         sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("workload", ["analyze-sparse", "analyze-dense"])
-def test_analyzer_workload_passes_the_gate(perfbench, workload):
+def run_through_the_gate(perfbench, workload):
+    """(requests, outputs, {request id: problem}) for the workload at seed 1."""
     worker, workloads = perfbench
     reqs = workloads.generate(workload, 1, PERFBENCH.parent)
     assert workloads.fingerprint_problem(workload, 1, reqs) is None
     checker = workloads.Checker(workload)
+    outputs = [worker._summary(worker._request(blocksieve, req)()) for req in reqs]
     problems = {}
-    for req in reqs:
-        out = worker._summary(worker._request(blocksieve, req)())
+    for req, out in zip(reqs, outputs):
         problem = checker.problem(req, out)
         if problem is not None:
             problems[req["id"]] = problem
+    return reqs, outputs, problems
+
+
+@pytest.mark.parametrize("workload", ["analyze-sparse", "analyze-dense"])
+def test_analyzer_workload_passes_the_gate(perfbench, workload):
+    reqs, _, problems = run_through_the_gate(perfbench, workload)
     assert len(reqs) == {"analyze-sparse": 43, "analyze-dense": 100}[workload]
+    assert problems == {}
+
+
+def test_scan_nsp_workload_passes_the_gate(perfbench):
+    """Verdicts and witnesses as recorded, the paper's exclusion sets, and
+    every witness passing the NSP rule check."""
+    _, workloads = perfbench
+    reqs, outputs, problems = run_through_the_gate(perfbench, "scan-nsp")
+    for i, problem in workloads.paper_problems(reqs, outputs).items():
+        problems[reqs[i]["id"]] = problem
+    assert len(reqs) == 160
     assert problems == {}
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 from blocksieve.blocks import (
@@ -16,7 +17,7 @@ from blocksieve.rules import (
     RULE_ORDER,
     RuleViolation,
     backed,
-    chain_gaps,
+    chain_gap,
     check,
     escalate,
     explain,
@@ -251,11 +252,25 @@ def _fmt(idx) -> str:
     return f"B({idx.level},{idx.d1},{idx.d2})"
 
 
+def chain_gap_splits(occupied, n: int, d1: int, d2: int, start: int = 1) -> list[int]:
+    """R4 read off its statement: the splits n = i + (n - i), start <= i < n,
+    with no b such that (i, d1, b) and (n - i, b, d2) are both occupied.
+
+    occupied holds (level, d1, d2) triples; every b in use is tried.
+    """
+    dims = {d for (_, a, b) in occupied for d in (a, b)}
+    return [
+        i for i in range(start, n)
+        if not any((i, d1, b) in occupied and (n - i, b, d2) in occupied for b in dims)
+    ]
+
+
 def per_rule_reference(s: BlockSystem) -> list[RuleViolation]:
     """R1, R2, R3, R4, R11 and R12 as separate loops, each over its own sort of the table.
 
-    The loops are the ones check ran before it read the sorted table once;
-    the differential test below holds the one-pass check to them.
+    The loops are the ones check ran before it read the sorted table once,
+    except R4's, which is read off the rule's statement and shares no code
+    with check; the differential test below holds the one-pass check to them.
     """
     r = s.group_order
     eff = dict(s.blocks)
@@ -293,9 +308,10 @@ def per_rule_reference(s: BlockSystem) -> list[RuleViolation]:
                 big, small = (idx, mirror) if v > w else (mirror, idx)
                 violate("R3", [big, small],
                         f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}")
+    occupied = {tuple(idx) for idx in eff}
     for idx in sorted(eff):
         n, d1, d2 = idx
-        for i in chain_gaps(by_level, n, d1, d2):
+        for i in chain_gap_splits(occupied, n, d1, d2):
             violate("R4", [idx],
                     f"dim {_fmt(idx)}={eff[idx]} has no chain witness at split {i}+{n - i}",
                     missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
@@ -337,6 +353,36 @@ class TestOnePassCheck:
             for flags in ALL_FLAGS:
                 assert [v for v in check(s, flags) if v.rule in ruled] == expected
         assert seen == ruled
+
+
+class TestChainGap:
+    def test_first_gap_and_reported_gaps_match_every_split(self):
+        # levels 0..5 so that n <= 1 (no split) and start past n both occur
+        rng = random.Random(24)
+        seen_gap_after_start = False
+        for _ in range(600):
+            cells = {(rng.randint(0, 5), rng.randint(1, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 14))}
+            levels: dict = {}
+            for (n, a, b) in cells:
+                levels.setdefault(n, set()).add((a, b))
+            n, d1, d2 = rng.randint(0, 6), rng.randint(1, 3), rng.randint(1, 3)
+            for start in range(1, 7):
+                gaps = chain_gap_splits(cells, n, d1, d2, start)
+                assert chain_gap(levels, n, d1, d2, start) == (gaps[0] if gaps else 0)
+                seen_gap_after_start |= start > 1 and bool(gaps)
+            # check reports every gap of every positive-level block, in split order
+            s = BlockSystem(1, {c: 1 for c in cells if c[0] >= 1 or c[1] == c[2]})
+            reported = [
+                (v.indices[0], int(re.search(r"split (\d+)\+", v.message).group(1)))
+                for v in check(s, PLAIN) if v.rule == "R4"
+            ]
+            occupied = {tuple(idx) for idx in s.blocks} | {(0, 1, 1)}
+            assert reported == [
+                (idx, i) for idx in sorted(s.blocks)
+                for i in chain_gap_splits(occupied, *idx)
+            ]
+        assert seen_gap_after_start
 
 
 def support_levels(s: BlockSystem) -> dict[int, set[tuple[int, int]]]:

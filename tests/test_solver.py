@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import os
@@ -337,6 +338,23 @@ class TestValueTypes:
             (GridBounds.defaults, (10.0, 2), "target_dim must be an integer, got 10.0"),
             (GridBounds.defaults, (10, 2.0), "group_order must be an integer, got 2.0"),
             (GridBounds.defaults, (10, 0), "group_order must be positive"),
+            # node_cap and jobs, checked before any answer: (7, 2) and
+            # admissible_group_orders(7, ...) answer without a search
+            (functools.partial(solve, node_cap=True), (FeasibilityProblem(8, 2),),
+             "node_cap must be an integer, got True"),
+            (functools.partial(solve, node_cap=2.5), (FeasibilityProblem(8, 2),),
+             "node_cap must be an integer, got 2.5"),
+            (functools.partial(solve, node_cap=1.0), (FeasibilityProblem(7, 2),),
+             "node_cap must be an integer, got 1.0"),
+            (functools.partial(admissible_group_orders, node_cap="5"), (12, NSP),
+             "node_cap must be an integer, got '5'"),
+            (functools.partial(admissible_group_orders, node_cap=False), (7, NSP),
+             "node_cap must be an integer, got False"),
+            (functools.partial(scan, node_cap=2.5), (2, 1, NSP),
+             "node_cap must be an integer, got 2.5"),
+            (functools.partial(scan, jobs=1.0), (2, 2, NSP), "jobs must be an integer, got 1.0"),
+            (functools.partial(admissible_group_orders, jobs=True), (12, NSP),
+             "jobs must be an integer, got True"),
         ],
     )
     def test_functions_reject_non_integer_arguments_by_their_own_name(self, call, args, message):
