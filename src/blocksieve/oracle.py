@@ -10,6 +10,11 @@ the no-skew-primitives flag) are each rules that both implementations enforce,
 so pruning by them cannot change any verdict.  Every emitted candidate is
 still checked in full by the independent pass.
 
+A call is bounded by the work it does, as the solver is by its node cap: its
+grid's cells plus its walk's placements may not pass STEP_CAP.  A grid past
+the cap is refused before it is built, a walk at the placement that would
+pass it.
+
 Single-threaded by design; determinism over speed.
 """
 
@@ -23,18 +28,18 @@ from .blocks import (
     BlockSystem,
     Certificate,
     ModeFlags,
+    _require_int,
 )
 
-DEFAULT_SCALE_CAP = 60
-MAX_GROUP_ORDER = 8
+# Grid cells plus walk placements per call.  The largest use measured is
+# 19,747, at (79, 1) under NCSS; criterion 7 needs at most 16,544 and the odd
+# composite N <= 231 at most 17,368.  A refusal comes in about 4 s (Python
+# 3.11, shared 2-vCPU host), as the solver's does under its default node cap.
+STEP_CAP = 25_000
 
 
 class OracleCapError(ValueError):
-    """Refusal to run beyond the configured small-scale caps."""
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+    """Refusal to run past the step cap."""
 
 
 def _grid(N: int, r: int) -> tuple[int, int]:
@@ -42,7 +47,7 @@ def _grid(N: int, r: int) -> tuple[int, int]:
     max_d = 1
     d = 2
     while d * d <= N:
-        if _lcm(d * d, r) <= N - r:
+        if math.lcm(d * d, r) <= N - r:
             max_d = d
         d += 1
     return max_level, max_d
@@ -51,12 +56,12 @@ def _grid(N: int, r: int) -> tuple[int, int]:
 def _divisor(cell: tuple[int, int, int], r: int) -> int:
     n, a, b = cell
     if n == 0:
-        return _lcm(a * a, r)
+        return math.lcm(a * a, r)
     if a == 1 and b == 1:
         return r
     if a == 1 or b == 1:
         return max(a, b) * r
-    return _lcm(a * b, r)
+    return math.lcm(a * b, r)
 
 
 def _passes(entries: dict[tuple[int, int, int], int], r: int, nsp: bool, ncss: bool) -> bool:
@@ -173,6 +178,10 @@ def _candidates(N: int, r: int, nsp: bool):
     N with it.
     """
     max_level, max_d = _grid(N, r)
+    steps = (max_d - 1) + max_level * max_d**2
+    if steps > STEP_CAP:
+        raise OracleCapError(f"oracle refused: N={N}, r={r} has a grid of {steps} "
+                             f"cells, past the step cap of {STEP_CAP}")
     cells: list[tuple[int, int, int]] = [(0, d, d) for d in range(2, max_d + 1)]
     for n in range(1, max_level + 1):
         for a in range(1, max_d + 1):
@@ -196,6 +205,14 @@ def _candidates(N: int, r: int, nsp: bool):
         return True
 
     def place(cell, v):
+        nonlocal steps
+        steps += 1
+        if steps > STEP_CAP:
+            raise OracleCapError(
+                f"oracle refused: N={N}, r={r} passed the step cap of {STEP_CAP} "
+                f"after {steps - 1 - len(cells)} placements over {len(cells)} cells, "
+                f"at cell {cell}"
+            )
         entries[cell] = v
         levels_occupied[cell[0]] = levels_occupied.get(cell[0], 0) + 1
 
@@ -249,62 +266,43 @@ def _candidates(N: int, r: int, nsp: bool):
         yield from walk(0, r)
 
 
-def _check_caps(N: int, r: int, scale_cap: int):
-    if N > scale_cap:
-        raise OracleCapError(
-            f"oracle refused: N={N} exceeds the small-scale cap {scale_cap}"
-        )
-    if r > MAX_GROUP_ORDER:
-        raise OracleCapError(
-            f"oracle refused: r={r} exceeds the group-order cap {MAX_GROUP_ORDER}"
-        )
-    if N < 1 or r < 1:
-        raise ValueError("N and r must be positive")
+def _accepted(N: int, r: int, flags: ModeFlags, stats: dict):
+    """Yield, in canonical order, each candidate the independent rule pass
+    accepts; stats["candidates"] counts the candidates walked so far."""
+    for value, name in ((N, "N"), (r, "r")):
+        if _require_int(value, name) < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not isinstance(flags, ModeFlags):
+        raise ValueError(f"flags must be a ModeFlags, got {flags!r}")
+    auto = flags.auto_nsp and N % r == 0 and math.gcd(r, N // r) == 1
+    nsp = flags.no_skew_primitives or auto
+    ncss = flags.non_cosemisimple or nsp
+    stats["candidates"] = 0
+    if N % r == 0:
+        for cand in _candidates(N, r, nsp):
+            stats["candidates"] += 1
+            if _passes(cand, r, nsp, ncss):
+                yield BlockSystem(r, cand)
 
 
-def _resolve(flags: ModeFlags, N: int, r: int) -> tuple[bool, bool]:
-    nsp = flags.no_skew_primitives
-    if flags.auto_nsp and not nsp and N % r == 0 and math.gcd(r, N // r) == 1:
-        nsp = True
-    return nsp, flags.non_cosemisimple or nsp
-
-
-def oracle_solve(
-    N: int, r: int, flags: ModeFlags, *, scale_cap: int = DEFAULT_SCALE_CAP
-) -> Certificate:
-    """Small-scale enumeration verdict for (N, r); the solver's ground truth.
+def oracle_solve(N: int, r: int, flags: ModeFlags) -> Certificate:
+    """Exhaustive enumeration verdict for (N, r); the solver's ground truth.
 
     Walks every candidate in lexicographic order and returns the first one the
     independent rule pass accepts, so a feasible answer carries the
     lexicographically least witness.  Infeasible means full exhaustion.
     """
-    _check_caps(N, r, scale_cap)
-    nsp, ncss = _resolve(flags, N, r)
-    examined = 0
-    if N % r == 0:
-        for cand in _candidates(N, r, nsp):
-            examined += 1
-            if _passes(cand, r, nsp, ncss):
-                witness = BlockSystem(r, dict(cand))
-                return Certificate(
-                    FEASIBLE, witness=witness, stats={"candidates": examined}
-                )
+    stats: dict = {}
+    witness = next(_accepted(N, r, flags, stats), None)
+    if witness is not None:
+        return Certificate(FEASIBLE, witness=witness, stats=stats)
     return Certificate(
         INFEASIBLE,
-        stats={"candidates": examined},
-        refutation_summary=(f"exhausted {examined} candidates within default bounds",),
+        stats=stats,
+        refutation_summary=(f"exhausted {stats['candidates']} candidates within default bounds",),
     )
 
 
-def oracle_enumerate(
-    N: int, r: int, flags: ModeFlags, *, scale_cap: int = DEFAULT_SCALE_CAP
-) -> list[BlockSystem]:
+def oracle_enumerate(N: int, r: int, flags: ModeFlags) -> list[BlockSystem]:
     """Every rule-satisfying system of total N, in canonical order."""
-    _check_caps(N, r, scale_cap)
-    nsp, ncss = _resolve(flags, N, r)
-    out: list[BlockSystem] = []
-    if N % r == 0:
-        for cand in _candidates(N, r, nsp):
-            if _passes(cand, r, nsp, ncss):
-                out.append(BlockSystem(r, dict(cand)))
-    return out
+    return list(_accepted(N, r, flags, {}))

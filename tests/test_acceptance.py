@@ -133,16 +133,17 @@ def test_criterion_6_dimension_30():
     assert time.time() - start < 60
 
 
-@criterion(7, "oracle equivalence on the full grid N<=60, r in {1..6}, both regimes, < 30 min")
+@criterion(7, "oracle equivalence on the full grid N<=60, r in {1..6}, both regimes, verdicts and witnesses, < 30 min")
 def test_criterion_7_oracle_equivalence():
     start = time.time()
     points = 0
     for r in range(1, 7):
         for n in range(r, 61, r):
             for flags in (NSP, NON_COSEMISIMPLE):
-                a = solve(FeasibilityProblem(n, r, flags)).verdict
-                b = oracle_solve(n, r, flags).verdict
-                assert a == b, (n, r, flags)
+                a = solve(FeasibilityProblem(n, r, flags))
+                b = oracle_solve(n, r, flags)
+                # both document the lexicographically least witness
+                assert (a.verdict, a.witness) == (b.verdict, b.witness), (n, r, flags)
                 points += 1
     assert points == 294
     assert time.time() - start < 1800
@@ -239,3 +240,27 @@ def test_criterion_11_paper_dimensions():
     assert admissible_group_orders(45, auto) == {3, 15}
     assert admissible_group_orders(105, auto) == {3}
     assert time.time() - start < 60
+
+
+@criterion(12, "oracle equivalence on every divisor pair of the odd composite N<153, nsp and auto-nsp, oracle < 10 s")
+def test_criterion_12_odd_dimensions():
+    # the paper's 45 and 105 among them, and criterion 5's (45,3) and (75,5);
+    # from N = 171 the solver passes its node cap at r = 3 (ROADMAP item 3)
+    start = time.time()
+    oracle_s = 0.0
+    pairs = 0
+    auto = ModeFlags(non_cosemisimple=True, auto_nsp=True)
+    for n in range(9, 153, 2):
+        for r in range(2, n):
+            if n % r:
+                continue
+            pairs += 1
+            for flags in (NSP, auto):
+                a = solve(FeasibilityProblem(n, r, flags))
+                t0 = time.time()
+                b = oracle_solve(n, r, flags)
+                oracle_s += time.time() - t0
+                assert (a.verdict, a.witness) == (b.verdict, b.witness), (n, r, flags)
+    assert pairs == 97
+    assert oracle_s < 10, f"oracle side took {oracle_s:.1f} s"
+    assert time.time() - start < 120

@@ -1,5 +1,9 @@
+import time
+import tracemalloc
+
 import pytest
 
+from blocksieve import oracle
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_dim
 from blocksieve.oracle import OracleCapError, oracle_enumerate, oracle_solve
 from blocksieve.rules import check
@@ -18,12 +22,67 @@ class TestOracleSolve:
         assert cert.feasible
         assert cert.witness == BlockSystem(2, {(0, 1, 1): 2, (1, 1, 1): 2})
 
-    def test_caps(self):
-        with pytest.raises(OracleCapError, match="refused"):
-            oracle_solve(61, 2, NSP)
-        with pytest.raises(OracleCapError, match="refused"):
-            oracle_solve(18, 9, NSP)
-        assert oracle_solve(70, 5, NSP, scale_cap=70).feasible
+    def test_answers_within_the_default_cap(self):
+        # (105, 3) and (45, 9) are among the paper's dimensions
+        for n, r, feasible in [(70, 5, True), (105, 3, True), (45, 9, False)]:
+            cert = oracle_solve(n, r, NSP)
+            assert cert.feasible == feasible, (n, r)
+            if cert.feasible:
+                assert check(cert.witness, NSP) == []
+                assert total_dim(cert.witness) == n
+
+
+class TestStepCap:
+    # (N, r, cells of the grid, placements of the walk): a feasible call, whose
+    # walk stops at its witness, and an infeasible one, whose walk exhausts
+    @pytest.mark.parametrize("n, r, cells, placements", [(20, 2, 147, 7), (22, 2, 163, 66)])
+    def test_cap_at_the_need_and_one_below(self, monkeypatch, n, r, cells, placements):
+        expected = oracle_solve(n, r, NSP).as_json_dict()
+        monkeypatch.setattr(oracle, "STEP_CAP", cells + placements)
+        assert oracle_solve(n, r, NSP).as_json_dict() == expected
+        monkeypatch.setattr(oracle, "STEP_CAP", cells + placements - 1)
+        with pytest.raises(OracleCapError) as err:
+            oracle_solve(n, r, NSP)
+        assert str(err.value).startswith(f"oracle refused: N={n}, r={r} passed the step cap")
+        assert f"after {placements - 1} placements over {cells} cells" in str(err.value)
+        with pytest.raises(OracleCapError, match="oracle refused"):
+            oracle_enumerate(n, r, NSP)
+
+    def test_cap_below_the_grid(self, monkeypatch):
+        monkeypatch.setattr(oracle, "STEP_CAP", 146)
+        with pytest.raises(OracleCapError, match="N=20, r=2 has a grid of 147 cells"):
+            oracle_solve(20, 2, NSP)
+
+    def test_grid_past_the_cap_is_refused_before_it_is_built(self):
+        # (400, 1) has 144,039 cells, some tens of MB if built; (10**6, 1) has
+        # about 10**12, so it runs only once the smaller one is known refused
+        for n in (400, 10**6):
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            try:
+                with pytest.raises(OracleCapError, match=f"N={n}, r=1 has a grid of"):
+                    oracle_solve(n, 1, PLAIN)
+                elapsed = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (n, peak)
+            assert elapsed < 0.5, (n, elapsed)
+
+
+class TestArguments:
+    # N and r are ints (not bools) and positive, flags a ModeFlags, as the solver asks
+    @pytest.mark.parametrize("args, message", [
+        ((12, True, NSP), "r must be an integer, got True"),
+        ((12.0, 3, NSP), "N must be an integer, got 12.0"),
+        ((12, 3, None), "flags must be a ModeFlags, got None"),
+        ((0, 3, NSP), "N must be positive, got 0"),
+        ((12, -3, NSP), "r must be positive, got -3"),
+    ])
+    @pytest.mark.parametrize("entry", [oracle_solve, oracle_enumerate])
+    def test_rejected(self, entry, args, message):
+        with pytest.raises(ValueError, match=message):
+            entry(*args)
 
 
 class TestOracleEnumerate:
