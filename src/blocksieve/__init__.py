@@ -38,7 +38,6 @@ from .rules import RULE_ANCHORS, RULE_NAMES, RULE_ORDER, RuleViolation, check, e
 from .solver import (
     BoundsError,
     FeasibilityProblem,
-    GridBounds,
     SearchCapExceeded,
     admissible_group_orders,
     basic_block_dim,
@@ -73,7 +72,7 @@ __all__ = [
     "MAX_BLOCK_LEVEL", "ModeFlags", "parse_block_system", "pointed_levels",
     "serialize_block_system", "total_dim", "transpose",
     "RULE_ANCHORS", "RULE_NAMES", "RULE_ORDER", "RuleViolation", "check", "explain",
-    "BoundsError", "FeasibilityProblem", "GridBounds", "SearchCapExceeded",
+    "BoundsError", "FeasibilityProblem", "SearchCapExceeded",
     "admissible_group_orders", "basic_block_dim", "lower_bound", "minimal_form",
     "scan", "solve", "surveyed_group_orders",
     *_OWNER,

@@ -56,7 +56,7 @@ from itertools import compress
 from operator import itemgetter
 
 from . import linalg
-from .blocks import BlockIndex, BlockSystem, block_system_payload
+from .blocks import BlockIndex, BlockSystem, ModeFlags, _require, block_system_payload
 from .coalgebra import Algebra, Coalgebra, _frac_str, dual_algebra, validate
 from .rules import RuleViolation, check
 
@@ -753,13 +753,16 @@ def _escalation_violations(
     return out
 
 
-def analyze(c: Coalgebra, flags) -> AnalysisResult:
+def analyze(c: Coalgebra, flags: ModeFlags) -> AnalysisResult:
     """Full pipeline: validate, decompose once per stage, aggregate, rule-check.
 
-    Raises CoalgebraTooLargeError when c.dim exceeds MAX_ANALYZE_DIM,
+    Raises ValueError unless c is a Coalgebra and flags a ModeFlags, before
+    any work; CoalgebraTooLargeError when c.dim exceeds MAX_ANALYZE_DIM,
     CoalgebraInvalidError for axiom failures and NonSplitCoradicalError when
     the coradical does not split over Q.
     """
+    _require(c, Coalgebra, "c")
+    _require(flags, ModeFlags, "flags")
     if c.dim > MAX_ANALYZE_DIM:
         raise CoalgebraTooLargeError(
             f"coalgebra of dimension {c.dim} is above the analyzer's limit of "

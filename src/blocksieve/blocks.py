@@ -227,8 +227,8 @@ _ENTRY_KEYS = {"level", "d1", "d2", "dim"}
 
 # Deepest block level parse_block_system accepts.  The rule check costs work
 # per level up to the deepest one, so a level of 10^8 would run for hours;
-# analyze (dimension <= 256) and solve under default bounds (<= 200 levels)
-# never produce a level near this one.
+# analyze (dimension <= 256) and solve (grids of <= 200 levels) never
+# produce a level near this one.
 MAX_BLOCK_LEVEL = 10_000
 
 
@@ -236,6 +236,13 @@ def _require_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     """value if it is an int and not a bool; else error("<what> must be an integer, ...")."""
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _require(value, cls: type, what: str):
+    """value if it is a cls; else ValueError("<what> must be a <cls>, got ...")."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got {value!r}")
     return value
 
 

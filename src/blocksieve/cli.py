@@ -20,7 +20,6 @@ from .blocks import ModeFlags, parse_block_system, total_dim
 from .rules import check, explain
 from .solver import (
     FeasibilityProblem,
-    GridBounds,
     SearchCapExceeded,
     admissible_group_orders,
     lower_bound,
@@ -39,14 +38,6 @@ def _flags_from(ns) -> ModeFlags:
         no_skew_primitives=getattr(ns, "no_skew_primitives", False),
         auto_nsp=getattr(ns, "auto_nsp", False),
     )
-
-
-def _bounds_from(ns) -> GridBounds | None:
-    if ns.max_level is None and ns.max_d is None:
-        return None
-    if ns.max_level is None or ns.max_d is None:
-        raise SystemExit2("--max-level and --max-d must be given together")
-    return GridBounds(ns.max_level, ns.max_d)
 
 
 def _node_cap() -> int | None:
@@ -98,7 +89,7 @@ def _cmd_bound(ns, out) -> int:
 
 def _cmd_solve(ns, out) -> int:
     node_cap = _node_cap()
-    problem = FeasibilityProblem(ns.dim, ns.group_order, _flags_from(ns), _bounds_from(ns))
+    problem = FeasibilityProblem(ns.dim, ns.group_order, _flags_from(ns))
     cert = solve(problem, node_cap=node_cap)
     if ns.fmt == "json":
         out.write(json.dumps(cert.as_json_dict(), sort_keys=True) + "\n")
@@ -269,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide feasibility of one (dim, group order) pair")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--group-order", type=int, required=True)
-    p.add_argument("--max-level", type=int)
-    p.add_argument("--max-d", type=int)
     add_flags(p)
 
     p = sub.add_parser("scan", help="feasibility of N = t*r for t = 1..t_max")

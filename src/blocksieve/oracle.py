@@ -28,6 +28,7 @@ from .blocks import (
     BlockSystem,
     Certificate,
     ModeFlags,
+    _require,
     _require_int,
 )
 
@@ -43,13 +44,21 @@ class OracleCapError(ValueError):
 
 
 def _grid(N: int, r: int) -> tuple[int, int]:
+    """(max_level, max_d), refused past STEP_CAP cells; a grid has at least
+    max_level cells, so one of more levels is refused before the d loop."""
     max_level = max(N // r - 1, 0)
     max_d = 1
-    d = 2
-    while d * d <= N:
-        if math.lcm(d * d, r) <= N - r:
-            max_d = d
-        d += 1
+    if max_level <= STEP_CAP:
+        d = 2
+        while d * d <= N:
+            if math.lcm(d * d, r) <= N - r:
+                max_d = d
+            d += 1
+    cells = (max_d - 1) + max_level * max_d**2
+    if cells > STEP_CAP:
+        least = "at least " if max_level > STEP_CAP else ""
+        raise OracleCapError(f"oracle refused: N={N}, r={r} has a grid of {least}{cells} "
+                             f"cells, past the step cap of {STEP_CAP}")
     return max_level, max_d
 
 
@@ -178,16 +187,13 @@ def _candidates(N: int, r: int, nsp: bool):
     N with it.
     """
     max_level, max_d = _grid(N, r)
-    steps = (max_d - 1) + max_level * max_d**2
-    if steps > STEP_CAP:
-        raise OracleCapError(f"oracle refused: N={N}, r={r} has a grid of {steps} "
-                             f"cells, past the step cap of {STEP_CAP}")
     cells: list[tuple[int, int, int]] = [(0, d, d) for d in range(2, max_d + 1)]
     for n in range(1, max_level + 1):
         for a in range(1, max_d + 1):
             for b in range(1, max_d + 1):
                 cells.append((n, a, b))
     cells.sort()
+    steps = len(cells)
     position = {cell: q for q, cell in enumerate(cells)}
     entries: dict[tuple[int, int, int], int] = {(0, 1, 1): r}
     levels_occupied: dict[int, int] = {0: 1}
@@ -272,8 +278,7 @@ def _accepted(N: int, r: int, flags: ModeFlags, stats: dict):
     for value, name in ((N, "N"), (r, "r")):
         if _require_int(value, name) < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    if not isinstance(flags, ModeFlags):
-        raise ValueError(f"flags must be a ModeFlags, got {flags!r}")
+    _require(flags, ModeFlags, "flags")
     auto = flags.auto_nsp and N % r == 0 and math.gcd(r, N // r) == 1
     nsp = flags.no_skew_primitives or auto
     ncss = flags.non_cosemisimple or nsp

@@ -13,7 +13,7 @@ that an absent (0,1,1) entry counts as r.
 
 from __future__ import annotations
 
-from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, pointed_levels
+from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, _require, pointed_levels
 
 # Rule ids in report order.  R7 and R8 are active only with the
 # no-skew-primitives flag; RNC only with the non-cosemisimple flag.
@@ -191,9 +191,11 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     """Evaluate every activated rule; an empty list means all of them pass.
 
     Violations are data, not errors, and come back sorted by rule id (in
-    RULE_ORDER) and then by index.
+    RULE_ORDER) and then by index.  Raises ValueError unless s is a
+    BlockSystem and flags a ModeFlags.
     """
-    r = s.group_order
+    r = _require(s, BlockSystem, "s").group_order
+    _require(flags, ModeFlags, "flags")
     nsp = flags.no_skew_primitives
     ncss = flags.non_cosemisimple or nsp
 

@@ -1,8 +1,9 @@
 """Feasibility search over block systems with divisibility and support rules.
 
 Given a target dimension N and group order r, the solver decides whether any
-block system within finite grid bounds satisfies every activated rule and sums
-to N.  The search runs in two phases:
+block system satisfies every activated rule and sums to N.  It searches the
+grid of _grid, which provably holds every such system, or refuses.  The
+search runs in two phases:
 
   phase 1 enumerates support patterns (which blocks are nonzero) level by
   level in canonical order, pruning by the support predicates that
@@ -17,10 +18,10 @@ to N.  The search runs in two phases:
 
 Feasible answers carry the lexicographically least witness over the whole
 search space (the support space is exhausted even after a hit, so the result
-is independent of traversal scheduling).  Infeasible answers mean the entire
-bounded space was exhausted; the certificate keeps a bounded trace of the
-top-level case split: per coradical case, its node count and the close of its
-level-0 leaf, which the regime fixes (RNC or partition, see _level0_dfs).
+is independent of traversal scheduling).  Infeasible answers mean the whole
+grid was exhausted; the certificate keeps a bounded trace of the top-level
+case split: per coradical case, its node count and the close of its level-0
+leaf, RNC (see _level0_dfs).
 
 Nodes and closes are counted in bulk.  The exclude run of a level, one node
 per remaining group plus the exclude-all leaf, is one tick, which raises
@@ -58,6 +59,7 @@ from .blocks import (
     Certificate,
     ModeFlags,
     _Frozen,
+    _require,
     _require_int,
     total_dim,
 )
@@ -67,16 +69,16 @@ LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
 # d * (d + 1) / 2 of them, all built before the first node and ticked at
 # every level, so max_d >= 100 is refused up front instead of spending
-# memory quadratic in max_d; the grids of the tests, demos and benchmark
-# stay below max_d = 20.
+# memory quadratic in max_d; the grid reaches it only at huge r, as at
+# (20_000, 10_000).
 GROUP_CAP = 5_000
 DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
 
 
 class BoundsError(ValueError):
-    """Raised when bounds exceed the level cap or the group cap, or when the search
-    they allow reaches the interpreter's recursion limit."""
+    """Raised when the grid of (N, r) passes the level cap or the group cap, or when
+    its search reaches the interpreter's recursion limit."""
 
 
 class SearchCapExceeded(RuntimeError):
@@ -152,70 +154,39 @@ def minimal_form(r: int, d: int) -> BlockSystem:
     )
 
 
-class GridBounds(_Frozen):
-    """Finite search grid: levels 0..max_level, comodule dimensions 1..max_d."""
+def _grid(N: int, r: int) -> tuple[int, int]:
+    """(max_level, max_d) of a grid that holds every rule-satisfying system.
 
-    __slots__ = ("max_level", "max_d")
-
-    def __init__(self, max_level: int, max_d: int):
-        _require_int(max_level, "max_level")
-        _require_int(max_d, "max_d")
-        if max_level < 0 or max_d < 1:
-            raise ValueError("bounds must satisfy max_level >= 0 and max_d >= 1")
-        super().__init__(max_level, max_d)
-
-    @classmethod
-    def defaults(cls, target_dim: int, group_order: int) -> "GridBounds":
-        """Bounds that provably contain every rule-satisfying system.
-
-        Levels 0..n_max each cost at least r (group divisibility plus level
-        contiguity), so n_max <= N/r - 1.  Any d used anywhere forces a
-        coradical block of at least lcm(d^2, r) next to the grouplike block,
-        so lcm(d^2, r) <= N - r.
-        """
-        n, r = _require_int(target_dim, "target_dim"), _require_int(group_order, "group_order")
-        if r < 1:
-            raise ValueError("group_order must be positive")
-        max_level = max(n // r - 1, 0)
-        if max_level > LEVEL_CAP:
-            raise BoundsError(
-                f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}; "
-                "pass explicit bounds to search a truncated grid"
-            )
-        max_d = 1
-        d = 2
-        while True:
-            if d * d > n:
-                break
-            if math.lcm(d * d, r) <= n - r:
-                max_d = d
-            d += 1
-        return cls(max_level, max_d)
+    Levels 0..n_max each cost at least r (group divisibility plus level
+    contiguity), so n_max <= N/r - 1.  Any d used anywhere forces a
+    coradical block of at least lcm(d^2, r) next to the grouplike block,
+    so lcm(d^2, r) <= N - r.  The level cap is tested before the d loop.
+    """
+    max_level = max(N // r - 1, 0)
+    if max_level > LEVEL_CAP:
+        raise BoundsError(f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}")
+    max_d = 1
+    d = 2
+    while d * d <= N:
+        if math.lcm(d * d, r) <= N - r:
+            max_d = d
+        d += 1
+    return max_level, max_d
 
 
 class FeasibilityProblem(_Frozen):
-    """A (dimension, group order) query under mode flags and finite bounds."""
+    """A (dimension, group order) query under mode flags."""
 
-    __slots__ = ("target_dim", "group_order", "flags", "bounds")
+    __slots__ = ("target_dim", "group_order", "flags")
 
-    def __init__(
-        self,
-        target_dim: int,
-        group_order: int,
-        flags: ModeFlags = PLAIN,
-        bounds: GridBounds | None = None,
-    ):
+    def __init__(self, target_dim: int, group_order: int, flags: ModeFlags = PLAIN):
         _require_int(target_dim, "target_dim")
         _require_int(group_order, "group_order")
         if target_dim < 1:
             raise ValueError("target_dim must be positive")
         if group_order < 1:
             raise ValueError("group_order must be positive")
-        if not isinstance(flags, ModeFlags):
-            raise ValueError(f"flags must be a ModeFlags, got {flags!r}")
-        if bounds is not None and not isinstance(bounds, GridBounds):
-            raise ValueError(f"bounds must be a GridBounds or None, got {bounds!r}")
-        super().__init__(target_dim, group_order, flags, bounds)
+        super().__init__(target_dim, group_order, _require(flags, ModeFlags, "flags"))
 
 
 def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
@@ -308,23 +279,22 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
 
 
 class _Search:
-    def __init__(self, N: int, r: int, nsp: bool, ncss: bool, bounds: GridBounds, node_cap: int):
+    def __init__(self, N: int, r: int, nsp: bool, ncss: bool, max_level: int, max_d: int,
+                 node_cap: int):
         self.N = N
         self.r = r
         self.nsp = nsp
         self.ncss = ncss
-        self.bounds = bounds
+        self.max_level = max_level
         self.node_cap = node_cap
         self.nodes = 0
         self.supports = 0
         self.closed: dict[str, int] = {}
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         self.trace: list[str] = []
-        # Level 0's units, built apart from the positive levels' table: solve
-        # caps that table only when there is a positive level.
-        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, bounds.max_d + 1))
+        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, max_d + 1))
         self.diag_groups = [g for g in diag if g.cost <= N - r]
-        self.groups = _level_groups(bounds.max_d, r) if bounds.max_level >= 1 else []
+        self.groups = _level_groups(max_d, r)
         # Group indices by cost, so that a level entry finds the groups
         # within its slack by bisection.
         self.by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
@@ -401,15 +371,12 @@ class _Search:
             if len(self.trace) == _TRACE_CAP:
                 self.trace.append("... further cases elided")
             else:
-                # The reason named is the close of the case's first event,
-                # _subset_dfs(1, ...) finding level 1 empty and stopping on
-                # level 0 alone.  Under NCSS that stop closes by RNC; otherwise
-                # it reaches phase 2 and closes by partition, or finds a
-                # witness and the case writes no line.  So the regime fixes it.
-                reason = "RNC" if self.ncss else "partition"
+                # The close named is that of the case's first event, level 1
+                # found empty, which is RNC: only NCSS problems are refuted,
+                # since a PLAIN one has the pointed chain (n,1,1) = r.
                 case = "".join(f", (0,{g.first[0]},{g.first[1]})" for _, g in self.stack[1:])
                 self.trace.append(
-                    f"coradical support {{(0,1,1){case}}}: closed by {reason} "
+                    f"coradical support {{(0,1,1){case}}}: closed by RNC "
                     f"({self.nodes - start} nodes)"
                 )
         for j in range(len(self.diag_groups) - 1, i - 1, -1):
@@ -430,7 +397,7 @@ class _Search:
         recursion hands it down with cands, the groups from gi on that fit
         the parent step's slack, in decreasing index.
         """
-        if level > self.bounds.max_level:
+        if level > self.max_level:
             # The grid ends here; the support below is a complete candidate.
             self._stop(level - 1, open_rows)
             return
@@ -570,13 +537,13 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     """Decide feasibility of (target_dim, group_order) under the given flags.
 
     Returns a Feasible certificate with the lexicographically least witness,
-    or an Infeasible certificate after exhausting the bounded search space.
+    or an Infeasible certificate after exhausting the grid of _grid.
     If the group order does not divide the dimension the answer is immediate.
     Raises ValueError for a node cap that is not an int or is below 1,
     before any other answer;
-    BoundsError when a level of the grid holds more than GROUP_CAP
-    branching units, or when the search reaches the interpreter's recursion
-    limit below the caller's stack.
+    BoundsError when the grid has more than LEVEL_CAP positive levels or
+    more than GROUP_CAP branching units per level, or when the search
+    reaches the interpreter's recursion limit below the caller's stack.
     """
     _check_node_cap(node_cap)
     N, r = p.target_dim, p.group_order
@@ -592,32 +559,30 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
             stats={"nodes": 0, "closed": {"R1": 1}, "supports_checked": 0, "regime": regime},
             refutation_summary=(f"R1 forces r | N: {r} does not divide {N}",),
         )
-    bounds = p.bounds if p.bounds is not None else GridBounds.defaults(N, r)
-    groups = bounds.max_d * (bounds.max_d + 1) // 2 if bounds.max_level >= 1 else 0
+    max_level, max_d = _grid(N, r)
+    groups = max_d * (max_d + 1) // 2
     if groups > GROUP_CAP:
         raise BoundsError(
-            f"bounds max_d={bounds.max_d} give {groups} branching units per level, "
-            f"above the group cap of {GROUP_CAP}; "
-            f"use max_d <= {(math.isqrt(8 * GROUP_CAP + 1) - 1) // 2}"
+            f"bounds max_d={max_d} give {groups} branching units per level, "
+            f"above the group cap of {GROUP_CAP}"
         )
     cap = node_cap if node_cap is not None else DEFAULT_NODE_CAP
-    search = _Search(N, r, nsp, ncss, bounds, cap)
+    search = _Search(N, r, nsp, ncss, max_level, max_d, cap)
     # Phase 1 nests one frame per placed block and one per positive level;
-    # default bounds (max_level <= LEVEL_CAP) fit under the default limit.
+    # a grid within the level cap fits under the default limit.
     try:
         search.run()
     except RecursionError:
         raise BoundsError(
-            f"bounds max_level={bounds.max_level}, max_d={bounds.max_d} at N/r={N // r} "
-            "nest the search deeper than the interpreter's recursion limit; "
-            "use a smaller max_level or max_d"
+            f"bounds max_level={max_level}, max_d={max_d} at N/r={N // r} "
+            "nest the search deeper than the interpreter's recursion limit"
         ) from None
     stats = {
         "nodes": search.nodes,
         "closed": dict(sorted(search.closed.items())),
         "supports_checked": search.supports,
         "regime": regime,
-        "bounds": {"max_level": bounds.max_level, "max_d": bounds.max_d},
+        "bounds": {"max_level": max_level, "max_d": max_d},
     }
     if search.best is None:
         return Certificate(INFEASIBLE, stats=stats, refutation_summary=tuple(search.trace))

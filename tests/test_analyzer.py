@@ -722,6 +722,22 @@ class TestAnalyze:
         with pytest.raises(CoalgebraTooLargeError, match=f"limit of {MAX_ANALYZE_DIM}"):
             analyze(grouplike_coalgebra(MAX_ANALYZE_DIM + 1), PLAIN)
 
+    @pytest.mark.parametrize("args, message", [
+        ((sweedler_coalgebra(), None), "flags must be a ModeFlags, got None"),
+        ((sweedler_coalgebra(), True), "flags must be a ModeFlags, got True"),
+        (("x", NSP), "c must be a Coalgebra, got 'x'"),
+        ((sweedler_coalgebra().delta, PLAIN), "c must be a Coalgebra, got "),
+    ])
+    def test_ill_typed_arguments_are_refused_up_front(self, monkeypatch, args, message):
+        def never(_c):
+            raise AssertionError("work started on a refused input")
+
+        for name in ("validate", "dual_algebra"):
+            monkeypatch.setattr(blocksieve.analyzer, name, never)
+        with pytest.raises(ValueError) as info:
+            analyze(*args)
+        assert str(info.value).startswith(message)
+
     def test_invalid_coalgebra_raises(self):
         delta = ((0, 0, 0, F(1)), (1, 1, 0, F(1)))
         c = Coalgebra(2, ("1", "x"), delta, (F(1), F(0)))

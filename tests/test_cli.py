@@ -88,15 +88,13 @@ class TestSolve:
                 assert code == 2
                 assert f"node_cap must be positive, got {cap}" in capsys.readouterr().err
 
-    def test_bounds_beyond_recursion_limit_exit_two(self, capsys):
-        code = main(["solve", "--dim", "3000", "--group-order", "1",
-                     "--max-level", "2000", "--max-d", "1"])
+    def test_level_cap_exit_two(self, capsys):
+        code = main(["solve", "--dim", "10000", "--group-order", "1"])
         assert code == 2
-        assert "recursion limit" in capsys.readouterr().err
+        assert "level cap" in capsys.readouterr().err
 
-    def test_max_d_beyond_group_cap_exit_two(self, capsys):
-        code = main(["solve", "--dim", "40", "--group-order", "4",
-                     "--max-level", "2", "--max-d", "600"])
+    def test_group_cap_exit_two(self, capsys):
+        code = main(["solve", "--dim", "20000", "--group-order", "10000"])
         assert code == 2
         assert "group cap" in capsys.readouterr().err
 
@@ -145,6 +143,12 @@ class TestRejectedOptions:
                      ["bound", "--group-order", "3"]):
             assert main(args + ["--auto-nsp"]) == 2
             assert "unrecognized arguments: --auto-nsp" in capsys.readouterr().err
+
+    def test_no_explicit_grid_options(self, capsys):
+        # every search covers the grid that holds every rule-satisfying system
+        for option in ("--max-level", "--max-d"):
+            assert main(["solve", "--dim", "42", "--group-order", "3", option, "3"]) == 2
+            assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
     def test_nonpositive_jobs_exit_two(self, capsys):
         assert main(["scan", "--group-order", "3", "--t-max", "2", "--jobs", "0"]) == 2

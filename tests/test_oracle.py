@@ -70,6 +70,14 @@ class TestStepCap:
             assert elapsed < 0.5, (n, elapsed)
 
 
+    def test_grid_of_more_levels_than_the_cap_is_refused_before_the_d_loop(self):
+        # the d loop runs to sqrt(N): about 6 s at N = 10**14
+        t0 = time.perf_counter()
+        with pytest.raises(OracleCapError, match=r"N=10{14}, r=1 has a grid of at least"):
+            oracle_solve(10**14, 1, PLAIN)
+        assert time.perf_counter() - t0 < 0.05
+
+
 class TestArguments:
     # N and r are ints (not bools) and positive, flags a ModeFlags, as the solver asks
     @pytest.mark.parametrize("args, message", [

@@ -3,6 +3,8 @@ import random
 import re
 import time
 
+import pytest
+
 from blocksieve.blocks import (
     NON_COSEMISIMPLE,
     NSP,
@@ -168,6 +170,17 @@ class TestIndividualRules:
         s = BlockSystem(3, {(0, 1, 1): 3})
         assert check(s, PLAIN) == []
         assert rules_of(check(s, NON_COSEMISIMPLE)) == ["RNC"]
+
+    @pytest.mark.parametrize("args, message", [
+        ((minimal_form(3, 2), None), "flags must be a ModeFlags, got None"),
+        ((minimal_form(3, 2), "NSP"), "flags must be a ModeFlags, got 'NSP'"),
+        (({"r": 3}, NSP), "s must be a BlockSystem, got {'r': 3}"),
+        ((None, PLAIN), "s must be a BlockSystem, got None"),
+    ])
+    def test_ill_typed_arguments_are_refused(self, args, message):
+        with pytest.raises(ValueError) as info:
+            check(*args)
+        assert str(info.value) == message
 
     def test_group_order_zero_flagged(self):
         s = BlockSystem(0, {(0, 2, 2): 4})

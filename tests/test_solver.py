@@ -24,7 +24,6 @@ from blocksieve.rules import check
 from blocksieve.solver import (
     BoundsError,
     FeasibilityProblem,
-    GridBounds,
     SearchCapExceeded,
     _multipliers,
     admissible_group_orders,
@@ -110,34 +109,36 @@ class TestMinimalForm:
                 assert total_dim(s) == (2 * d + 2) * r + 2 * lcm(d * d, r)
 
 
-class TestGridBounds:
-    def test_defaults(self):
-        b = GridBounds.defaults(42, 3)
-        assert b.max_level == 13
+class TestGrid:
+    """Every search covers the grid that provably holds every rule-satisfying
+    system, or is refused."""
+
+    def test_stats_name_the_searched_grid(self):
         # largest d with lcm(d*d, 3) <= 39 is 6 (lcm(36,3) = 36); the budget
         # prune removes the infeasible intermediate sizes 4 and 5 on its own
-        assert b.max_d == 6
+        cert = solve(FeasibilityProblem(42, 3, NSP))
+        assert cert.stats["bounds"] == {"max_level": 13, "max_d": 6}
 
     def test_level_cap_guard(self):
-        with pytest.raises(BoundsError):
-            GridBounds.defaults(10_000, 1)
+        with pytest.raises(BoundsError, match="level cap"):
+            solve(FeasibilityProblem(10_000, 1))
 
     def test_group_cap_refuses_wide_grid_before_building_it(self):
-        # max_d = 600 means 180,300 branching units per level; building them
-        # took about a second and 95 MB before the first node.
+        # max_d = 1000 means 500,500 branching units per level; building them
+        # would take seconds and hundreds of MB before the first node.
         start = time.perf_counter()
-        with pytest.raises(BoundsError, match="group cap"):
-            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 600)), node_cap=10)
+        with pytest.raises(BoundsError, match="500500 branching units"):
+            solve(FeasibilityProblem(2_000_000, 1_000_000), node_cap=10)
         assert time.perf_counter() - start < 0.2
 
     def test_group_cap_boundary(self):
-        # 99 * 100 / 2 = 4950 units fit under GROUP_CAP, 100 * 101 / 2 do not
-        with pytest.raises(SearchCapExceeded):
-            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 99)), node_cap=10)
-        with pytest.raises(BoundsError, match="max_d <= 99"):
-            solve(FeasibilityProblem(40, 4, bounds=GridBounds(2, 100)), node_cap=10)
-        # a single level builds no units, so any max_d is searched
-        assert solve(FeasibilityProblem(40, 4, bounds=GridBounds(0, 600))).feasible
+        # at N = 2r, max_d is the largest d with d*d | r: 99 * 100 / 2 = 4950
+        # units fit under GROUP_CAP, 100 * 101 / 2 do not
+        cert = solve(FeasibilityProblem(19_602, 9_801))
+        assert cert.feasible
+        assert cert.stats["bounds"] == {"max_level": 1, "max_d": 99}
+        with pytest.raises(BoundsError, match="group cap"):
+            solve(FeasibilityProblem(20_000, 10_000))
 
 
 class TestSolve:
@@ -153,15 +154,14 @@ class TestSolve:
         assert not cert.feasible
         assert cert.refutation_summary
 
-    def test_plain_trace_names_the_partition_close(self):
-        # without NON_COSEMISIMPLE a case's level-0 leaf (no block above
-        # level 0) reaches phase 2, so a refuted case names partition
-        cert = solve(FeasibilityProblem(12, 2, PLAIN, GridBounds(0, 3)))
-        assert not cert.feasible
-        assert cert.refutation_summary == (
-            "coradical support {(0,1,1)}: closed by partition (1 nodes)",
-            "coradical support {(0,1,1), (0,2,2)}: closed by partition (1 nodes)",
-        )
+    def test_every_plain_point_is_feasible(self):
+        # the pointed chain (n,1,1) = r for n < N/r passes every rule, so only
+        # NON_COSEMISIMPLE and NSP problems are refuted, and their refutation
+        # traces name RNC
+        points = [(n, r) for n in range(1, 41) for r in range(1, n + 1) if n % r == 0]
+        assert len(points) == 158
+        for n, r in points:
+            assert solve(FeasibilityProblem(n, r, PLAIN)).feasible, (n, r)
 
     def test_4_2_feasible_with_skew_primitives(self):
         cert = solve(FeasibilityProblem(4, 2, NON_COSEMISIMPLE))
@@ -215,23 +215,17 @@ class TestSolve:
         assert solve(FeasibilityProblem(280, 7, NSP)).feasible
         assert sys.getrecursionlimit() == limit
 
-    def test_shallow_grid_with_large_quotient_is_searched(self):
-        # N/r = 1000 exceeds the default limit, but a grid of 2 levels and
-        # d <= 2 places at most 7 blocks, so the search is shallow.
-        cert = solve(FeasibilityProblem(1000, 1, bounds=GridBounds(2, 2)))
-        assert cert.feasible
-        assert total_dim(cert.witness) == 1000
-
     def test_depth_guard_refuses_before_the_limit_is_hit(self):
-        # A chain of 99 levels of B(n,1,1) nests about 200 search frames.
-        p = FeasibilityProblem(200, 2, NON_COSEMISIMPLE, bounds=GridBounds(99, 1))
+        # The search for a feasible NSP point at 39 levels nests about 30
+        # frames; the interpreter may count a few more than the frame chain.
+        p = FeasibilityProblem(280, 7, NSP)
         frame, here = sys._getframe(), 0
         while frame is not None:
             frame, here = frame.f_back, here + 1
         limit = sys.getrecursionlimit()
         outcomes = set()
         try:
-            for extra in range(180, 240, 4):
+            for extra in range(16, 80, 4):
                 sys.setrecursionlimit(here + extra)
                 try:
                     outcomes.add(solve(p).verdict)
@@ -242,7 +236,7 @@ class TestSolve:
         assert outcomes == {"refused", "feasible"}
 
     def test_recursion_limit_refusal_leaves_no_state(self):
-        p = FeasibilityProblem(200, 2, NON_COSEMISIMPLE, bounds=GridBounds(99, 1))
+        p = FeasibilityProblem(280, 7, NSP)
         fresh = solve(p).as_json_dict()
         assert fresh["verdict"] == "feasible"
         frame, here = sys._getframe(), 0
@@ -250,10 +244,10 @@ class TestSolve:
             frame, here = frame.f_back, here + 1
         limit = sys.getrecursionlimit()
         try:
-            sys.setrecursionlimit(here + 60)
+            sys.setrecursionlimit(here + 24)
             with pytest.raises(BoundsError, match="recursion limit"):
                 solve(p)
-            assert sys.getrecursionlimit() == here + 60
+            assert sys.getrecursionlimit() == here + 24
         finally:
             sys.setrecursionlimit(limit)
         assert solve(p).as_json_dict() == fresh
@@ -271,33 +265,18 @@ class TestSolve:
         assert not cert.stats["regime"]["no_skew_primitives"]
         assert cert.feasible  # the Sweedler-shaped table
 
-    def test_explicit_bounds_are_respected(self):
-        cert = solve(FeasibilityProblem(4, 2, NON_COSEMISIMPLE, GridBounds(1, 1)))
-        assert cert.feasible
-        assert cert.stats["bounds"] == {"max_level": 1, "max_d": 1}
-
 
 class TestValueTypes:
-    def test_grid_bounds(self):
-        b = GridBounds(max_d=4, max_level=3)
-        assert_value_type(b, {"max_level": 3, "max_d": 4}, "GridBounds(max_level=3, max_d=4)")
-        assert hash(b) == hash(GridBounds(3, 4))
-        assert b != GridBounds(4, 3)
-
     def test_feasibility_problem(self):
         p = FeasibilityProblem(10, 2)
-        assert_value_type(p, {"target_dim": 10, "group_order": 2, "flags": ModeFlags(),
-                              "bounds": None},
+        assert_value_type(p, {"target_dim": 10, "group_order": 2, "flags": ModeFlags()},
                           "FeasibilityProblem(target_dim=10, group_order=2, flags=ModeFlags("
-                          "non_cosemisimple=False, no_skew_primitives=False, auto_nsp=False), "
-                          "bounds=None)")
-        q = FeasibilityProblem(bounds=GridBounds(1, 2), flags=NSP, group_order=2, target_dim=10)
-        assert_value_type(q, {"target_dim": 10, "group_order": 2, "flags": NSP,
-                              "bounds": GridBounds(1, 2)},
+                          "non_cosemisimple=False, no_skew_primitives=False, auto_nsp=False))")
+        q = FeasibilityProblem(flags=NSP, group_order=2, target_dim=10)
+        assert_value_type(q, {"target_dim": 10, "group_order": 2, "flags": NSP},
                           "FeasibilityProblem(target_dim=10, group_order=2, flags=ModeFlags("
-                          "non_cosemisimple=True, no_skew_primitives=True, auto_nsp=False), "
-                          "bounds=GridBounds(max_level=1, max_d=2))")
-        assert hash(q) == hash(FeasibilityProblem(10, 2, NSP, GridBounds(1, 2)))
+                          "non_cosemisimple=True, no_skew_primitives=True, auto_nsp=False))")
+        assert hash(q) == hash(FeasibilityProblem(10, 2, NSP))
         assert p != q and len({p, q, FeasibilityProblem(10, 2)}) == 2
 
     def test_feasible_certificate_round_trips_with_its_witness(self):
@@ -316,11 +295,6 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="must be an integer"):
             FeasibilityProblem(*args)
 
-    @pytest.mark.parametrize("args", [(2.5, 3), (3, True), (False, 2), (3, 2.0), (None, 2)])
-    def test_bounds_reject_non_integer_fields(self, args):
-        with pytest.raises(ValueError, match="must be an integer"):
-            GridBounds(*args)
-
     @pytest.mark.parametrize(
         "call,args,message",
         [
@@ -335,9 +309,9 @@ class TestValueTypes:
             (scan, (0, 3, NSP), "r must be positive"),
             (admissible_group_orders, (12.0, NSP), "N must be an integer, got 12.0"),
             (surveyed_group_orders, (12.0,), "N must be an integer, got 12.0"),
-            (GridBounds.defaults, (10.0, 2), "target_dim must be an integer, got 10.0"),
-            (GridBounds.defaults, (10, 2.0), "group_order must be an integer, got 2.0"),
-            (GridBounds.defaults, (10, 0), "group_order must be positive"),
+            (FeasibilityProblem, (10.0, 2), "target_dim must be an integer, got 10.0"),
+            (FeasibilityProblem, (10, 2.0), "group_order must be an integer, got 2.0"),
+            (FeasibilityProblem, (10, 0), "group_order must be positive"),
             # node_cap and jobs, checked before any answer: (7, 2) and
             # admissible_group_orders(7, ...) answer without a search
             (functools.partial(solve, node_cap=True), (FeasibilityProblem(8, 2),),
@@ -367,10 +341,9 @@ class TestValueTypes:
         [
             ((6, 2, "NSP"), "flags must be a ModeFlags, got 'NSP'"),
             ((6, 2, None), "flags must be a ModeFlags, got None"),
-            ((6, 2, PLAIN, (1, 2)), "bounds must be a GridBounds or None, got (1, 2)"),
         ],
     )
-    def test_problem_rejects_ill_typed_flags_and_bounds(self, args, message):
+    def test_problem_rejects_ill_typed_flags(self, args, message):
         with pytest.raises(ValueError) as info:
             FeasibilityProblem(*args)
         assert str(info.value) == message
