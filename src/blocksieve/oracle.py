@@ -44,19 +44,19 @@ class OracleCapError(ValueError):
 
 
 def _grid(N: int, r: int) -> tuple[int, int]:
-    """(max_level, max_d), refused past STEP_CAP cells; a grid has at least
-    max_level cells, so one of more levels is refused before the d loop."""
+    """(max_level, max_d), refused past STEP_CAP cells.  The cells only grow
+    with max_d, so the d loop stops once they pass the cap; a grid has at
+    least max_level cells, so one of more levels never enters the loop."""
     max_level = max(N // r - 1, 0)
-    max_d = 1
-    if max_level <= STEP_CAP:
-        d = 2
-        while d * d <= N:
-            if math.lcm(d * d, r) <= N - r:
-                max_d = d
-            d += 1
-    cells = (max_d - 1) + max_level * max_d**2
+    max_d = d = 1
+    cells = max_level
+    while (d + 1) ** 2 <= N and cells <= STEP_CAP:
+        d += 1
+        if math.lcm(d * d, r) <= N - r:
+            max_d = d
+            cells = (max_d - 1) + max_level * max_d**2
     if cells > STEP_CAP:
-        least = "at least " if max_level > STEP_CAP else ""
+        least = "at least " if (d + 1) ** 2 <= N else ""
         raise OracleCapError(f"oracle refused: N={N}, r={r} has a grid of {least}{cells} "
                              f"cells, past the step cap of {STEP_CAP}")
     return max_level, max_d

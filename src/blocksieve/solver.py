@@ -13,8 +13,9 @@ search runs in two phases:
   phase 2 assigns dimensions to a surviving support: every entry is a
   positive multiple of its forced divisor, off-diagonal mirror pairs share a
   value, the top pointed block is pinned to exactly r, and the total must be
-  exactly N.  Reachable-sum bitsets decide feasibility and a greedy pass
-  extracts the lexicographically least assignment.
+  exactly N.  Reachable-sum bitsets, one per distinct cost, decide
+  feasibility, and a greedy pass extracts the lexicographically least
+  assignment.
 
 Feasible answers carry the lexicographically least witness over the whole
 search space (the support space is exhausted even after a hit, so the result
@@ -32,17 +33,17 @@ R4 verdict of every group within budget once per entry into a level (it
 reads the levels below only, and stops at the first split without a
 witness, rules.chain_gap), and the R5 state as the open rows of the levels
 below, folded one level at a time (rules.escalate), so a stop tests whether
-any row is left open.  The groups within a level entry's slack, in
-decreasing index, are listed once per search for each number of groups a
-slack admits (a bisection on the sorted costs) and shared by the entries.
-An include step walks the groups within its budget slack once, counting
-each closed one under its reason (R7, R11, R4) and collecting the open ones
-to try, and closes the groups over budget in one count.  Phase 2 reads the
-free groups off the placement stack and builds its reach bitsets over the
-slack left once every group has its least value, doubling runs of
-multiples.  None of this changes which nodes are visited, in what order, or
-why each one closes, so the stats, witnesses and refutation traces of a
-certificate are those of a node-by-node count.
+any row is left open.  The R11 and R4 verdicts are group bitmasks, and so
+are the groups that fit a slack: the cheapest ones, one mask per count,
+found by bisection on the sorted costs.  An include step masks the groups
+from its index on within its slack, counts each rule's closes and the
+groups over budget by popcount, and visits only the open groups.  Phase 2
+reads the free groups off the placement stack and builds its reach bitsets,
+in units of r, over the slack left once every group has its least value,
+once per distinct cost within that slack, doubling runs of multiples.  None
+of this changes which nodes are visited, in what order, or why each one
+closes, so the stats, witnesses and refutation traces of a certificate are
+those of a node-by-node count.
 """
 
 from __future__ import annotations
@@ -160,17 +161,24 @@ def _grid(N: int, r: int) -> tuple[int, int]:
     Levels 0..n_max each cost at least r (group divisibility plus level
     contiguity), so n_max <= N/r - 1.  Any d used anywhere forces a
     coradical block of at least lcm(d^2, r) next to the grouplike block,
-    so lcm(d^2, r) <= N - r.  The level cap is tested before the d loop.
+    so lcm(d^2, r) <= N - r.  The level cap is tested before the d loop,
+    and the group cap as max_d grows, since max_d never shrinks.
     """
     max_level = max(N // r - 1, 0)
     if max_level > LEVEL_CAP:
         raise BoundsError(f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}")
-    max_d = 1
-    d = 2
-    while d * d <= N:
+    max_d = d = 1
+    while (d + 1) ** 2 <= N and max_d * (max_d + 1) // 2 <= GROUP_CAP:
+        d += 1
         if math.lcm(d * d, r) <= N - r:
             max_d = d
-        d += 1
+    groups = max_d * (max_d + 1) // 2
+    if groups > GROUP_CAP:
+        least = "at least " if (d + 1) ** 2 <= N else ""
+        raise BoundsError(
+            f"N={N}, r={r} has max_d {least}{max_d}, so {least}{groups} branching "
+            f"units per level, above the group cap of {GROUP_CAP}"
+        )
     return max_level, max_d
 
 
@@ -237,7 +245,10 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
 
     The search runs over the extra multiples j_i = k_i - 1 >= 0, which must
     sum j_i * costs[i] to the slack budget - sum(costs).  A unit costing more
-    than the slack keeps j_i = 0, so the reach bitsets cover only the others.
+    than the slack keeps j_i = 0.  So does a unit whose cost recurs later in
+    the list: its extra multiples can move to that later unit, which keeps
+    the sum and makes the vector smaller.  So the reach bitsets cover only
+    the last unit of each cost within the slack.
     """
     slack = budget - sum(costs)
     if slack < 0:
@@ -245,7 +256,8 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
     ks = [1] * len(costs)
     if not slack:
         return tuple(ks)
-    cheap = [i for i, c in enumerate(costs) if c <= slack]
+    last = {c: i for i, c in enumerate(costs) if c <= slack}
+    cheap = sorted(last.values())
     mask = (1 << (slack + 1)) - 1
     # reach[t] = bitset of extra totals achievable by the last t cheap units
     # with each j >= 0
@@ -267,7 +279,7 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
     if not (acc >> slack) & 1:
         return None
     rem = slack
-    for t, i in zip(range(len(cheap) - 1, -1, -1), cheap):
+    for t, i in zip(range(len(cheap) - 1, 0, -1), cheap):
         # the later units reach rem - j * c for some j >= 0; take the least
         after = reach[t]
         c, j = costs[i], 0
@@ -275,6 +287,8 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
             j += 1
         ks[i] += j
         rem -= j * c
+    # nothing comes after the last unit, so it takes all that is left
+    ks[cheap[-1]] += rem // costs[cheap[-1]]
     return tuple(ks)
 
 
@@ -295,16 +309,15 @@ class _Search:
         diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, max_d + 1))
         self.diag_groups = [g for g in diag if g.cost <= N - r]
         self.groups = _level_groups(max_d, r)
-        # Group indices by cost, so that a level entry finds the groups
-        # within its slack by bisection.
-        self.by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
-        self.sorted_costs = [self.groups[j].cost for j in self.by_cost]
-        self.costs = [g.cost for g in self.groups]
+        # Group indices by cost, so that the groups within a slack are found
+        # by bisection: fit_masks[k] has bit j set for the k cheapest groups,
+        # by_cost[:k].
+        by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
+        self.sorted_costs = [self.groups[j].cost for j in by_cost]
         self.firsts = [g.first for g in self.groups]
-        # fits[k] lists the k cheapest groups, by_cost[:k], in decreasing
-        # index: the groups that fit a level entry whose slack admits k of
-        # them.  Each list is built on first use and shared by every entry.
-        self.fits: list[list[int] | None] = [None] * (len(self.groups) + 1)
+        self.fit_masks = [0]
+        for j in by_cost:
+            self.fit_masks.append(self.fit_masks[-1] | 1 << j)
         # support[level] holds the occupied (d1, d2) cells of each occupied
         # level; level 0 always holds the grouplike cell (1, 1).  This is the
         # table shape the support predicates of rules.py read.  stack lists
@@ -315,8 +328,8 @@ class _Search:
         self.support: dict[int, set[tuple[int, int]]] = {}
         self.stack: list[tuple[int, _Group]] = []
         self.pointed: list[int] = []
-        # R11 verdict of each group, fixed by the coradical case.
-        self.backed: list[bool] = []
+        # Bit j set when group j is closed by R11, fixed by the coradical case.
+        self.unbacked = 0
         self._case_found = False
 
     # -- bookkeeping ------------------------------------------------------
@@ -365,8 +378,9 @@ class _Search:
         self._case_found = False
         start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
-        self.backed = [backed(self.support, g.first) for g in self.groups]
-        self._subset_dfs(1, 0, min_cost, {}, None, [])
+        self.unbacked = sum(1 << j for j, first in enumerate(self.firsts)
+                            if not backed(self.support, first))
+        self._subset_dfs(1, 0, min_cost, {}, None)
         if not self._case_found and len(self.trace) <= _TRACE_CAP:
             if len(self.trace) == _TRACE_CAP:
                 self.trace.append("... further cases elided")
@@ -386,16 +400,13 @@ class _Search:
                 self._level0_dfs(j + 1, min_cost + g.cost)
                 self._unplace(0, g)
 
-    def _subset_dfs(
-        self, level: int, gi: int, min_cost: int, open_rows: dict, why: list | None, cands: list
-    ):
+    def _subset_dfs(self, level: int, gi: int, min_cost: int, open_rows: dict,
+                    shut: tuple | None):
         """Choose the support of a positive level from groups[gi:], then stop or go deeper.
 
         open_rows is the R5 fold of the levels below (rules.escalate).  A
-        level is entered with gi = 0 and why None; the entry computes why,
-        the close reason of each group at this level, and the include
-        recursion hands it down with cands, the groups from gi on that fit
-        the parent step's slack, in decreasing index.
+        level is entered with gi = 0 and shut None; the entry computes shut
+        (_level_closes), which the include recursion hands down.
         """
         if level > self.max_level:
             # The grid ends here; the support below is a complete candidate.
@@ -409,64 +420,55 @@ class _Search:
         else:
             above = dict(open_rows)
             escalate(above, level, cells)
-            self._subset_dfs(level + 1, 0, min_cost, above, None, [])
-        # Include branches, in one pass over the candidates: each group the
-        # fixed lower levels close is counted under its reason, the open ones
-        # are kept to try, and the groups over budget are closed in one count.
-        if why is None:
-            why, cands = self._level_closes(level, min_cost)
-        slack = self.N - min_cost
-        cost = self.costs
+            self._subset_dfs(level + 1, 0, min_cost, above, None)
+        # Include branches: the groups from gi on within this step's slack,
+        # each closed one counted under its reason by popcount, the groups
+        # over budget in one count, and the open ones tried from the last.
+        fit = self.fit_masks[bisect_right(self.sorted_costs, self.N - min_cost)]
+        if shut is None:
+            shut = self._level_closes(level, fit)
+        live, closes = shut
+        cand = fit >> gi << gi
         closed = self.closed
-        fit: list[int] = []
-        tries: list[int] = []
-        for j in cands:
-            if cost[j] <= slack:
-                reason = why[j]
-                if reason is None:
-                    tries.append(len(fit))
-                else:
-                    closed[reason] = closed.get(reason, 0) + 1
-                fit.append(j)
-        over = len(groups) - gi - len(fit)
+        over = len(groups) - gi - cand.bit_count()
         if over:
-            self._close("budget", over)
-        for i in tries:
-            j = fit[i]
+            closed["budget"] = closed.get("budget", 0) + over
+        for reason, mask in closes:
+            n = (cand & mask).bit_count()
+            if n:
+                closed[reason] = closed.get(reason, 0) + n
+        tries = cand & live
+        while tries:
+            j = tries.bit_length() - 1
+            tries ^= 1 << j
             g = groups[j]
             self._place(level, g)
-            # fit[:i] are the groups after j that fit this step's slack
-            self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, why, fit[:i])
+            self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, shut)
             self._unplace(level, g)
 
-    def _level_closes(self, level: int, min_cost: int) -> tuple[list, list]:
-        """Close reasons at a newly entered level, and the groups that fit its slack.
+    def _level_closes(self, level: int, fit: int) -> tuple[int, tuple]:
+        """(live, closes) at a newly entered level whose slack fits the groups of fit.
 
-        why[j] is R7, R11 or R4 when an include step at this level closes
-        group j, None when it is tried.  Only the groups within the entry's
-        slack are set, since every include step of the level has less; they
-        come back in decreasing index, in a list shared through self.fits
-        that no caller changes.  R11 reads level 0 and R4 the levels below
-        this one, all fixed until the level is left.
+        closes pairs R11, R4 and R7 with the mask of the groups each closes
+        here, live masks the groups tried; each mask lies within fit, since
+        every include step of the level has less slack.  R11 reads level 0
+        and R4 the levels below this one, all fixed until the level is left.
         """
-        why: list = [None] * len(self.groups)
-        k = bisect_right(self.sorted_costs, self.N - min_cost)
-        fit = self.fits[k]
-        if fit is None:
-            fit = self.fits[k] = sorted(self.by_cost[:k], reverse=True)
-        is_backed, firsts, support = self.backed, self.firsts, self.support
-        for j in fit:
-            if not is_backed[j]:
-                why[j] = "R11"
+        # B(1,1,1) is group 0 and always backed.
+        r7 = fit & 1 if self.nsp and level == 1 else 0
+        r4 = 0
+        firsts, support = self.firsts, self.support
+        todo = fit & ~(self.unbacked | r7)
+        while todo:
+            j = todo.bit_length() - 1
+            todo ^= 1 << j
             # Witnesses lie strictly below this level.  The mirror cell's
             # condition is the same with i and n-i swapped, so one
             # representative suffices on symmetric supports.
-            elif chain_gap(support, level, *firsts[j]):
-                why[j] = "R4"
-        if self.nsp and level == 1:
-            # B(1,1,1) is group 0 and always backed.
-            why[0] = "R7"
-        return why, fit
+            if chain_gap(support, level, *firsts[j]):
+                r4 |= 1 << j
+        closes = (("R11", self.unbacked & fit), ("R4", r4), ("R7", r7))
+        return fit & ~(self.unbacked | r4 | r7), closes
 
     # -- stop checks + phase 2 ---------------------------------------------
 
@@ -515,9 +517,12 @@ class _Search:
             free = self.stack[1:p] + self.stack[p + 1:]
         else:
             free = self.stack[1:]
-        # a list, not tuple(generator): that grows its tuple by resizing, which
-        # fills the interpreter's per-length tuple free lists on every call
-        ks = _multipliers([g.cost for _, g in free], self.N - self.r * len(fixed))
+        # Every cost and the budget are multiples of r, so they are counted
+        # in units of r: a reach bitset has at most N/r bits however large r
+        # is.  A list, not tuple(generator): that grows its tuple by resizing,
+        # which fills the interpreter's per-length tuple free lists each call.
+        r = self.r
+        ks = _multipliers([g.cost // r for _, g in free], self.N // r - len(fixed))
         if ks is None:
             return None
         out = fixed
@@ -560,12 +565,6 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
             refutation_summary=(f"R1 forces r | N: {r} does not divide {N}",),
         )
     max_level, max_d = _grid(N, r)
-    groups = max_d * (max_d + 1) // 2
-    if groups > GROUP_CAP:
-        raise BoundsError(
-            f"bounds max_d={max_d} give {groups} branching units per level, "
-            f"above the group cap of {GROUP_CAP}"
-        )
     cap = node_cap if node_cap is not None else DEFAULT_NODE_CAP
     search = _Search(N, r, nsp, ncss, max_level, max_d, cap)
     # Phase 1 nests one frame per placed block and one per positive level;

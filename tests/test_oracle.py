@@ -77,6 +77,14 @@ class TestStepCap:
             oracle_solve(10**14, 1, PLAIN)
         assert time.perf_counter() - t0 < 0.05
 
+    def test_huge_r_is_refused_without_looping_to_sqrt_n(self):
+        # one level, so the cells pass the cap once max_d does; the d loop
+        # would run to sqrt(N) = 1.4 million
+        t0 = time.perf_counter()
+        with pytest.raises(OracleCapError, match=r"r=10{12} has a grid of at least"):
+            oracle_solve(2 * 10**12, 10**12, PLAIN)
+        assert time.perf_counter() - t0 < 0.05
+
 
 class TestArguments:
     # N and r are ints (not bools) and positive, flags a ModeFlags, as the solver asks

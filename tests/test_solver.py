@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -125,11 +126,19 @@ class TestGrid:
 
     def test_group_cap_refuses_wide_grid_before_building_it(self):
         # max_d = 1000 means 500,500 branching units per level; building them
-        # would take seconds and hundreds of MB before the first node.
+        # would take seconds and hundreds of MB before the first node.  The d
+        # loop stops at d = 100, the first max_d past the cap.
         start = time.perf_counter()
-        with pytest.raises(BoundsError, match="500500 branching units"):
+        with pytest.raises(BoundsError, match="at least 5050 branching units"):
             solve(FeasibilityProblem(2_000_000, 1_000_000), node_cap=10)
         assert time.perf_counter() - start < 0.2
+
+    def test_group_cap_refuses_huge_r_without_looping_to_sqrt_n(self):
+        # the d loop would run to sqrt(N) = 1.4 million
+        start = time.perf_counter()
+        with pytest.raises(BoundsError, match="at least 5050 branching units"):
+            solve(FeasibilityProblem(2 * 10**12, 10**12))
+        assert time.perf_counter() - start < 0.05
 
     def test_group_cap_boundary(self):
         # at N = 2r, max_d is the largest d with d*d | r: 99 * 100 / 2 = 4950
@@ -424,6 +433,39 @@ class TestMultipliers:
                     budget = sum(costs) + extra
                     assert _multipliers(costs, budget) == least_multipliers(costs, budget), (
                         costs, budget)
+
+    def test_r1_tower_shapes(self):
+        # phase 2 at r = 1: many units over a few distinct costs
+        rng = random.Random(27)
+        for _ in range(2000):
+            pool = rng.sample((1, 2, 3, 4, 9), rng.randint(1, 3))
+            costs = tuple(rng.choice(pool) for _ in range(rng.randint(6, 10)))
+            budget = rng.randint(0, sum(costs) + 12)
+            assert _multipliers(costs, budget) == least_multipliers(costs, budget), (
+                costs, budget)
+
+    def test_recurring_cost_keeps_one_multiple(self):
+        # its extra multiples could move to the later unit of the same cost
+        for size in range(5):
+            for costs in itertools.product(range(1, 5), repeat=size):
+                for budget in range(13):
+                    ks = _multipliers(costs, budget)
+                    if ks is not None:
+                        assert all(k == 1 for i, k in enumerate(ks)
+                                   if costs[i] in costs[i + 1:]), (costs, budget)
+
+    def test_phase_2_counts_in_units_of_r(self):
+        # the solver's costs and budgets are multiples of r, so a bitset has
+        # at most N/r bits; counted in units of 1 it had 2r bits at (3r, r)
+        r = 100_000_007
+        tracemalloc.start()
+        try:
+            cert = solve(FeasibilityProblem(3 * r, r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.feasible
+        assert peak < 1024 * 1024, peak
 
     def test_every_cost_above_the_slack(self):
         # no unit can take a second multiple: all ones at slack 0, else none

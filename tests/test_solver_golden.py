@@ -18,7 +18,15 @@ and most of the solver's time goes: r = 1 for 33 <= N <= 46 and r = 2 for
 verdicts were hoisted out of the per-node work and phase 2 was rewritten
 over the slack.
 
-`python tests/test_solver_golden.py` prints both tables as Python source,
+A third table, WIDE_DIGESTS, pins wide grids: (600, 30) and (800, 40) under
+NON_COSEMISIMPLE and NSP, and (900, 30) under NSP.  With max_d 15 to 20
+each level has 120 to 210 branching units, most of them closed at every
+include step, which is where counting closes by group bitmask departs most
+from walking the groups one by one.  Its digests were recorded before the
+include steps counted their closes by bitmask and phase 2 ran once per
+distinct cost.
+
+`python tests/test_solver_golden.py` prints the three tables as Python source,
 so that new points can be recorded on a chosen commit (from a checkout
 without installing, `PYTHONPATH=src python tests/test_solver_golden.py`).
 """
@@ -52,6 +60,13 @@ def slack_points() -> dict[str, list[tuple[int, int]]]:
     for N, r in sorted(points):
         groups.setdefault(f"NON_COSEMISIMPLE:{N}", []).append((N, r))
     return groups
+
+
+def wide_points() -> dict[str, list[tuple[int, int]]]:
+    """'REGIME:N' -> the wide-grid points of WIDE_DIGESTS, in increasing r."""
+    points = [("NON_COSEMISIMPLE", 600, 30), ("NON_COSEMISIMPLE", 800, 40),
+              ("NSP", 600, 30), ("NSP", 800, 40), ("NSP", 900, 30)]
+    return {f"{name}:{N}": [(N, r)] for name, N, r in points}
 
 
 def digests(groups: dict[str, list[tuple[int, int]]]) -> dict[str, str]:
@@ -223,12 +238,25 @@ SLACK_DIGESTS = {
 }
 
 
+WIDE_DIGESTS = {
+    "NON_COSEMISIMPLE:600": "3a65ea87f9ff67e4baa4f1d2e393e9cc9f00fe24c7c37f032a6c1703a0ac8878",
+    "NON_COSEMISIMPLE:800": "6f651aef68ac40ac4ad3310735ae7374f03a6b5141f4a73c4decbb44c604c3f0",
+    "NSP:600": "34c33b8184519f1af3476dffe1636d88ddbedb03b6dfbdc8adf569c789c4e5d2",
+    "NSP:800": "28310ac5071e0df14645a2a0453b402869fea5956684caf1348d4d78b6143512",
+    "NSP:900": "a3dcbd8b259f2546de1257fe99ce733d312bba760a0917aa5522b83a9eec7a7e",
+}
+
+
 def test_solve_output_matches_recorded_digests():
     assert digests(golden_points()) == DIGESTS
 
 
 def test_small_group_orders_match_recorded_digests():
     assert digests(slack_points()) == SLACK_DIGESTS
+
+
+def test_wide_grids_match_recorded_digests():
+    assert digests(wide_points()) == WIDE_DIGESTS
 
 
 def test_non_cosemisimple_traces_name_the_rnc_close():
@@ -257,3 +285,5 @@ if __name__ == "__main__":
     _print_table("DIGESTS", digests(golden_points()))
     print()
     _print_table("SLACK_DIGESTS", digests(slack_points()))
+    print()
+    _print_table("WIDE_DIGESTS", digests(wide_points()))
