@@ -15,14 +15,15 @@ search runs in two phases:
   value, the top pointed block is pinned to exactly r, and the total must be
   exactly N.  Reachable-sum bitsets, one per distinct cost, decide
   feasibility, and a greedy pass extracts the lexicographically least
-  assignment.
+  assignment, only where it can beat the best witness so far (see _stop).
 
 Feasible answers carry the lexicographically least witness over the whole
 search space (the support space is exhausted even after a hit, so the result
-is independent of traversal scheduling).  Infeasible answers mean the whole
-grid was exhausted; the certificate keeps a bounded trace of the top-level
-case split: per coradical case, its node count and the close of its level-0
-leaf, RNC (see _level0_dfs).
+is independent of traversal scheduling).  The coradical cases come in
+witness order, each after the cases that extend it.  Infeasible answers mean
+the whole grid was exhausted; the certificate keeps a bounded trace of the
+first _TRACE_CAP refuted cases in the reverse order, largest d first: per
+case, its node count and the close of its level-0 leaf, RNC (see _level0_dfs).
 
 Nodes and closes are counted in bulk.  The exclude run of a level, one node
 per remaining group plus the exclude-all leaf, is one tick, which raises
@@ -38,10 +39,12 @@ are the groups that fit a slack: the cheapest ones, one mask per count,
 found by bisection on the sorted costs.  An include step masks the groups
 from its index on within its slack, counts each rule's closes and the
 groups over budget by popcount, and visits only the open groups.  Phase 2
-reads the free groups off the placement stack and builds its reach bitsets,
-in units of r, over the slack left once every group has its least value,
-once per distinct cost within that slack, doubling runs of multiples.  None
-of this changes which nodes are visited, in what order, or why each one
+counts in units of r.  Feasibility reads the slack left once every group
+has its least value, and the set of placed costs that placing a group
+updates, and memoizes a reach bitset per set of costs within the slack.
+Extraction reads the free groups off the placement stack and builds its
+reach bitsets once per distinct cost within the slack, doubling runs of
+multiples.  None of this changes which nodes are visited or why each one
 closes, so the stats, witnesses and refutation traces of a certificate are
 those of a node-by-node count.
 """
@@ -75,6 +78,8 @@ LEVEL_CAP = 200
 GROUP_CAP = 5_000
 DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
+# Most reach bitsets a search memoizes for phase 2; past it the memo starts over.
+_MEMO_CAP = 1024
 
 
 class BoundsError(ValueError):
@@ -216,14 +221,15 @@ class _Group:
     the support, not a field.
     """
 
-    __slots__ = ("first", "members", "divisor", "cost")
+    __slots__ = ("first", "members", "divisor", "cost", "units")
 
     def __init__(self, first: tuple[int, int], members: tuple[tuple[int, int], ...],
-                 divisor: int):
+                 divisor: int, r: int):
         self.first = first            # canonical (d1, d2) of the first index
         self.members = members        # the grid entries that share the value
         self.divisor = divisor
         self.cost = len(members) * divisor  # least total the unit adds
+        self.units = self.cost // r   # the same in units of r, which divides it
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
@@ -234,10 +240,40 @@ def _level_groups(max_d: int, r: int) -> list[_Group]:
     """
     return [
         _Group((d1, d2), ((d1, d2),) if d1 == d2 else ((d1, d2), (d2, d1)),
-               d2 * r if d1 == 1 else math.lcm(d1 * d2, r))
+               d2 * r if d1 == 1 else math.lcm(d1 * d2, r), r)
         for d1 in range(1, max_d + 1)
         for d2 in range(d1, max_d + 1)
     ]
+
+
+def _case_bound(r: int, ds: list[int]) -> tuple:
+    """Lower bound on the sorted entries of the case (0,1,1), (0,d,d) for d in ds (see _stop).
+
+    The sentinel (1,) sorts below every entry above level 0.
+    """
+    return ((0, 1, 1, r), *((0, d, d, math.lcm(d * d, r)) for d in ds), (1,))
+
+
+def _spread(acc: int, c: int, slack: int) -> int:
+    """acc or-ed with its shifts by c, ..., (slack // c) * c, in doubling runs, cut at slack."""
+    most = slack // c
+    run = 1
+    while 2 * run <= most + 1:
+        acc |= acc << (run * c)
+        run *= 2
+    if run <= most:
+        acc |= acc << ((most + 1 - run) * c)
+    return acc & ((2 << slack) - 1)
+
+
+def _reach(costs: int, most: int) -> int:
+    """Bitset of the sums up to most of multiples (each >= 0) of the costs whose bits are set."""
+    acc = 1
+    while costs:
+        c = costs.bit_length() - 1
+        costs ^= 1 << c
+        acc = _spread(acc, c, most)
+    return acc
 
 
 def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
@@ -258,23 +294,12 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
         return tuple(ks)
     last = {c: i for i, c in enumerate(costs) if c <= slack}
     cheap = sorted(last.values())
-    mask = (1 << (slack + 1)) - 1
     # reach[t] = bitset of extra totals achievable by the last t cheap units
     # with each j >= 0
     reach = [1]
     acc = 1
     for i in reversed(cheap):
-        c = costs[i]
-        most = slack // c
-        # shifted by 0, c, ..., most * c, doubling the run of multiples
-        # covered at each step
-        run = 1
-        while 2 * run <= most + 1:
-            acc |= acc << (run * c)
-            run *= 2
-        if run <= most:
-            acc |= acc << ((most + 1 - run) * c)
-        acc &= mask
+        acc = _spread(acc, costs[i], slack)
         reach.append(acc)
     if not (acc >> slack) & 1:
         return None
@@ -305,8 +330,10 @@ class _Search:
         self.supports = 0
         self.closed: dict[str, int] = {}
         self.best: tuple | None = None           # sorted entry tuple of the best witness
+        # The last _TRACE_CAP refuted cases, and how many were refuted.
         self.trace: list[str] = []
-        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r)) for d in range(2, max_d + 1))
+        self.refuted = 0
+        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r), r) for d in range(2, max_d + 1))
         self.diag_groups = [g for g in diag if g.cost <= N - r]
         self.groups = _level_groups(max_d, r)
         # Group indices by cost, so that the groups within a slack are found
@@ -331,6 +358,12 @@ class _Search:
         # Bit j set when group j is closed by R11, fixed by the coradical case.
         self.unbacked = 0
         self._case_found = False
+        self.bound: tuple = ()                   # the case's _case_bound
+        # Kept by _place and _unplace: the groups placed per unit cost, and
+        # a bitmask of the unit costs placed.
+        self.unit_counts: dict[int, int] = {}
+        self.unit_mask = 0
+        self.reach: dict[int, int] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -351,6 +384,9 @@ class _Search:
         if level and g.first == (1, 1):
             self.pointed.append(len(self.stack))
         self.stack.append((level, g))
+        u = g.units
+        self.unit_counts[u] = self.unit_counts.get(u, 0) + 1
+        self.unit_mask |= 1 << u
 
     def _unplace(self, level: int, g: _Group):
         cells = self.support[level]
@@ -360,45 +396,55 @@ class _Search:
         if level and g.first == (1, 1):
             self.pointed.pop()
         self.stack.pop()
+        u = g.units
+        self.unit_counts[u] -= 1
+        if not self.unit_counts[u]:
+            self.unit_mask ^= 1 << u
 
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
-        self._place(0, _Group((1, 1), ((1, 1),), self.r))
+        self._place(0, _Group((1, 1), ((1, 1),), self.r, self.r))
         self._level0_dfs(0, self.r)
 
-    # Both searches below visit the exclude-everything branch first and then
-    # the includes from the last group down, the order an exclude-first
-    # recursion takes, but nest one frame per included group only.  The
+    # _subset_dfs visits the exclude-everything branch first and then the
+    # includes from the last group down, the order an exclude-first
+    # recursion takes, but nests one frame per included group only.  The
     # exclude run of a level is one node per remaining group plus the
     # exclude-all leaf, counted in one tick.
 
     def _level0_dfs(self, i: int, min_cost: int):
+        """Search the coradical case on the stack after every case that extends it.
+
+        Extensions go by next d ascending, so the cases come in increasing
+        _case_bound order, the reverse of a pre-order with the largest d first.
+        """
         self._tick(len(self.diag_groups) + 1 - i)
+        for j in range(i, len(self.diag_groups)):
+            g = self.diag_groups[j]
+            if min_cost + g.cost <= self.N:
+                self._place(0, g)
+                self._level0_dfs(j + 1, min_cost + g.cost)
+                self._unplace(0, g)
+        self.bound = _case_bound(self.r, [g.first[0] for _, g in self.stack[1:]])
         self._case_found = False
         start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
         self.unbacked = sum(1 << j for j, first in enumerate(self.firsts)
                             if not backed(self.support, first))
         self._subset_dfs(1, 0, min_cost, {}, None)
-        if not self._case_found and len(self.trace) <= _TRACE_CAP:
-            if len(self.trace) == _TRACE_CAP:
-                self.trace.append("... further cases elided")
-            else:
-                # The close named is that of the case's first event, level 1
-                # found empty, which is RNC: only NCSS problems are refuted,
-                # since a PLAIN one has the pointed chain (n,1,1) = r.
-                case = "".join(f", (0,{g.first[0]},{g.first[1]})" for _, g in self.stack[1:])
-                self.trace.append(
-                    f"coradical support {{(0,1,1){case}}}: closed by RNC "
-                    f"({self.nodes - start} nodes)"
-                )
-        for j in range(len(self.diag_groups) - 1, i - 1, -1):
-            g = self.diag_groups[j]
-            if min_cost + g.cost <= self.N:
-                self._place(0, g)
-                self._level0_dfs(j + 1, min_cost + g.cost)
-                self._unplace(0, g)
+        if not self._case_found:
+            self.refuted += 1
+            # The close named is that of the case's first event, level 1
+            # found empty, which is RNC: only NCSS problems are refuted,
+            # since a PLAIN one has the pointed chain (n,1,1) = r.
+            case = "".join(f", (0,{g.first[0]},{g.first[1]})" for _, g in self.stack[1:])
+            self.trace.append(
+                f"coradical support {{(0,1,1){case}}}: closed by RNC "
+                f"({self.nodes - start} nodes)"
+            )
+            if len(self.trace) > _TRACE_CAP:
+                del self.trace[0]
 
     def _subset_dfs(self, level: int, gi: int, min_cost: int, open_rows: dict,
                     shut: tuple | None):
@@ -410,13 +456,13 @@ class _Search:
         """
         if level > self.max_level:
             # The grid ends here; the support below is a complete candidate.
-            self._stop(level - 1, open_rows)
+            self._stop(level - 1, open_rows, min_cost)
             return
         groups = self.groups
         self._tick(len(groups) + 1 - gi)
         cells = self.support.get(level)
         if cells is None:
-            self._stop(level - 1, open_rows)
+            self._stop(level - 1, open_rows, min_cost)
         else:
             above = dict(open_rows)
             escalate(above, level, cells)
@@ -472,8 +518,15 @@ class _Search:
 
     # -- stop checks + phase 2 ---------------------------------------------
 
-    def _stop(self, n_max: int, open_rows: dict):
-        """Check a complete support; every include fit its slack, so its cost is within N."""
+    def _stop(self, n_max: int, open_rows: dict, cost: int):
+        """Check a complete support of least total cost; every include fit, so cost <= N.
+
+        Each support that passes the rules gets a feasibility verdict, so the
+        partition count is exact, but only one whose case bound lies below
+        the best witness is assigned and sorted.  The skip is sound: a system
+        with an entry above level 0 sorts above its bound, and the one without
+        (a PLAIN case's leaf) sums to N, so it is no proper prefix of a witness.
+        """
         self._tick()
         if self.ncss and n_max < 1:
             self._close("RNC")
@@ -492,23 +545,45 @@ class _Search:
                 self._close("R8")
                 return
         self.supports += 1
-        entries = self._assign(top)
-        if entries is None:
+        if not self._feasible(top, cost):
             self._close("partition")
             return
-        candidate = tuple(sorted(entries))
-        if self.best is None or candidate < self.best:
-            self.best = candidate
         self._case_found = True
+        if self.best is None or self.bound < self.best:
+            candidate = tuple(sorted(self._assign(top)))
+            if self.best is None or candidate < self.best:
+                self.best = candidate
 
-    def _assign(self, top: int) -> list[tuple[int, int, int, int]] | None:
-        """Phase 2: lexicographically least dimension assignment, or None.
+    def _feasible(self, top: int, cost: int) -> bool:
+        """Whether phase 2 can assign the support on the stack, of least total cost.
+
+        The free groups' extra multiples must fill the slack exactly, which
+        depends only on which unit costs within it occur, so each set of
+        costs has one reach bitset per search.  The grouplike block and the
+        pinned (top, 1, 1) cost 1 unit but are not free.
+        """
+        slack = (self.N - cost) // self.r
+        if slack <= 0:
+            return not slack
+        if self.unit_counts[1] > 1 + (top > 0):
+            return True  # a free unit-1 cost fills any slack
+        costs = self.unit_mask & ((2 << slack) - 4)
+        reach = self.reach.get(costs)
+        if reach is None:
+            if len(self.reach) >= _MEMO_CAP:
+                self.reach.clear()
+            reach = self.reach[costs] = _reach(costs, self.N // self.r)
+        return bool(reach >> slack & 1)
+
+    def _assign(self, top: int) -> list[tuple[int, int, int, int]]:
+        """Phase 2: the lexicographically least dimension assignment of a feasible support.
 
         Entries are (level, d1, d2, dim).  The grouplike block and the block
         (top, 1, 1) of the top pointed level are pinned to exactly r; every
         free group contributes k * cost (k * divisor per member) for some
         k >= 1, and the multipliers k are least in (level, first cell) order
-        of the groups, which is the order of the placement stack.
+        of the groups, which is the order of the placement stack.  _stop
+        calls it only where _feasible holds and the support may win.
         """
         fixed = [(0, 1, 1, self.r)]
         if top:
@@ -521,10 +596,7 @@ class _Search:
         # in units of r: a reach bitset has at most N/r bits however large r
         # is.  A list, not tuple(generator): that grows its tuple by resizing,
         # which fills the interpreter's per-length tuple free lists each call.
-        r = self.r
-        ks = _multipliers([g.cost // r for _, g in free], self.N // r - len(fixed))
-        if ks is None:
-            return None
+        ks = _multipliers([g.units for _, g in free], self.N // self.r - len(fixed))
         out = fixed
         for (level, g), k in zip(free, ks):
             value = k * g.divisor
@@ -584,7 +656,9 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
         "bounds": {"max_level": max_level, "max_d": max_d},
     }
     if search.best is None:
-        return Certificate(INFEASIBLE, stats=stats, refutation_summary=tuple(search.trace))
+        more = ("... further cases elided",) if search.refuted > _TRACE_CAP else ()
+        trace = (*reversed(search.trace), *more)
+        return Certificate(INFEASIBLE, stats=stats, refutation_summary=trace)
     witness = BlockSystem(r, {(n, a, b): v for (n, a, b, v) in search.best})
     eff_flags = ModeFlags(non_cosemisimple=ncss, no_skew_primitives=nsp)
     if total_dim(witness) != N or check(witness, eff_flags):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,16 @@ from blocksieve.blocks import (
     ModeFlags,
     total_dim,
 )
+from blocksieve.oracle import oracle_enumerate
 from blocksieve.rules import check
 from blocksieve.solver import (
     BoundsError,
     FeasibilityProblem,
     SearchCapExceeded,
+    _case_bound,
+    _Group,
     _multipliers,
+    _Search,
     admissible_group_orders,
     basic_block_dim,
     lower_bound,
@@ -480,6 +485,60 @@ class TestMultipliers:
                     expected = (1,) * size if extra == 0 else None
                     assert least_multipliers(costs, budget) == expected
                     assert _multipliers(costs, budget) == expected, (costs, budget)
+
+
+class TestPhase2Skip:
+    @staticmethod
+    def oracle_points():
+        """Divisor pairs with N <= 24 within the oracle's step cap: r = 1 only to N = 12."""
+        return [(n, r) for n in range(1, 25) for r in range(1, n + 1)
+                if n % r == 0 and (r > 1 or n <= 12)]
+
+    def test_case_bound_lies_below_every_system_of_its_case(self):
+        for flags in (PLAIN, NON_COSEMISIMPLE, NSP):
+            for n, r in self.oracle_points():
+                systems = sorted(s.entries() for s in oracle_enumerate(n, r, flags))
+                for entries in systems:
+                    ds = [d for (level, d, _, _) in entries if level == 0 and d > 1]
+                    bound = _case_bound(r, ds)
+                    level0 = tuple(e for e in entries if e[0] == 0)
+                    assert level0 >= bound[:-1], (n, r, entries)
+                    if len(level0) < len(entries):
+                        assert entries > bound, (n, r, entries)
+                    # so skipping a support whose bound exceeds the best
+                    # witness so far never skips a better one, even a
+                    # level-0-only system that sorts below its bound
+                    below = bisect_left(systems, bound)
+                    if below:
+                        assert entries >= systems[below - 1], (n, r, entries)
+
+    def test_memoized_feasibility_matches_multipliers(self):
+        # the unit counts and cost mask kept by _place and _unplace, against
+        # phase 2's own answer on the free costs
+        rng = random.Random(28)
+        for _ in range(300):
+            r = rng.choice((1, 3))
+            pool = rng.sample((1, 2, 3, 4, 6, 9), rng.randint(1, 3))
+            costs = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+            top = rng.choice((0, 2))
+            fixed = 2 if top else 1
+            budget = rng.randint(0, sum(costs) + 12)
+            search = _Search((budget + fixed) * r, r, False, True, 2, 1, 1)
+            search._place(0, _Group((1, 1), ((1, 1),), r, r))
+            if top:
+                search._place(top, _Group((1, 1), ((1, 1),), r, r))
+            free = [_Group((d, d), ((d, d),), c * r, r) for d, c in enumerate(costs, start=2)]
+            for k, g in enumerate(free, start=1):
+                search._place(1, g)
+                expected = _multipliers(costs[:k], budget) is not None
+                cost = (fixed + sum(costs[:k])) * r
+                assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
+            for k in range(len(free), 0, -1):
+                expected = _multipliers(costs[:k], budget) is not None
+                cost = (fixed + sum(costs[:k])) * r
+                assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
+                search._unplace(1, free[k - 1])
+            assert search.unit_mask == 2
 
 
 class TestSolveProperties:

@@ -26,7 +26,12 @@ from walking the groups one by one.  Its digests were recorded before the
 include steps counted their closes by bitmask and phase 2 ran once per
 distinct cost.
 
-`python tests/test_solver_golden.py` prints the three tables as Python source,
+A fourth table, TRACE_DIGESTS, pins the order of refutation traces: NSP
+(330, 30) and (399, 21), infeasible with 14 and 12 refuted coradical cases.
+Its digests were recorded before the search took the cases in witness
+order, the reverse of the order the trace lists them in.
+
+`python tests/test_solver_golden.py` prints the four tables as Python source,
 so that new points can be recorded on a chosen commit (from a checkout
 without installing, `PYTHONPATH=src python tests/test_solver_golden.py`).
 """
@@ -34,6 +39,7 @@ without installing, `PYTHONPATH=src python tests/test_solver_golden.py`).
 import hashlib
 import json
 
+from blocksieve import solver
 from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN
 from blocksieve.solver import FeasibilityProblem, solve
 
@@ -67,6 +73,11 @@ def wide_points() -> dict[str, list[tuple[int, int]]]:
     points = [("NON_COSEMISIMPLE", 600, 30), ("NON_COSEMISIMPLE", 800, 40),
               ("NSP", 600, 30), ("NSP", 800, 40), ("NSP", 900, 30)]
     return {f"{name}:{N}": [(N, r)] for name, N, r in points}
+
+
+def trace_points() -> dict[str, list[tuple[int, int]]]:
+    """'NSP:N' -> the infeasible points of TRACE_DIGESTS."""
+    return {"NSP:330": [(330, 30)], "NSP:399": [(399, 21)]}
 
 
 def digests(groups: dict[str, list[tuple[int, int]]]) -> dict[str, str]:
@@ -247,6 +258,12 @@ WIDE_DIGESTS = {
 }
 
 
+TRACE_DIGESTS = {
+    "NSP:330": "28612e06760ff822a4a4e2751ade484b1b59fd66ff62610b3fbf8e9ed20b4fed",
+    "NSP:399": "1ab1cc96b64ed47e5e239cfeb95cb99baa1e9bcbe1a81e4b5ff4f88da3223c08",
+}
+
+
 def test_solve_output_matches_recorded_digests():
     assert digests(golden_points()) == DIGESTS
 
@@ -257,6 +274,33 @@ def test_small_group_orders_match_recorded_digests():
 
 def test_wide_grids_match_recorded_digests():
     assert digests(wide_points()) == WIDE_DIGESTS
+
+
+def test_refutation_traces_match_recorded_digests():
+    assert digests(trace_points()) == TRACE_DIGESTS
+
+
+def test_trace_cap_keeps_the_first_cases(monkeypatch):
+    # the first refuted cases, the largest d first, then one marker line
+    monkeypatch.setattr(solver, "_TRACE_CAP", 4)
+    assert solve(FeasibilityProblem(330, 30, NSP)).refutation_summary == (
+        "coradical support {(0,1,1)}: closed by RNC (57 nodes)",
+        "coradical support {(0,1,1), (0,10,10)}: closed by RNC (57 nodes)",
+        "coradical support {(0,1,1), (0,6,6)}: closed by RNC (57 nodes)",
+        "coradical support {(0,1,1), (0,5,5)}: closed by RNC (135 nodes)",
+        "... further cases elided",
+    )
+
+
+def test_trace_marker_only_past_the_cap(monkeypatch):
+    # (330, 30) refutes 14 cases: all fit a cap of 14, one is elided at 13
+    full = solve(FeasibilityProblem(330, 30, NSP)).refutation_summary
+    assert len(full) == 14
+    monkeypatch.setattr(solver, "_TRACE_CAP", 14)
+    assert solve(FeasibilityProblem(330, 30, NSP)).refutation_summary == full
+    monkeypatch.setattr(solver, "_TRACE_CAP", 13)
+    assert solve(FeasibilityProblem(330, 30, NSP)).refutation_summary == (
+        *full[:13], "... further cases elided")
 
 
 def test_non_cosemisimple_traces_name_the_rnc_close():
@@ -287,3 +331,5 @@ if __name__ == "__main__":
     _print_table("SLACK_DIGESTS", digests(slack_points()))
     print()
     _print_table("WIDE_DIGESTS", digests(wide_points()))
+    print()
+    _print_table("TRACE_DIGESTS", digests(trace_points()))
