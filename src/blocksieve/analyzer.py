@@ -23,16 +23,17 @@ projectors on canonically defined quotients, so a change of basis of the
 input coalgebra never changes them.
 
 The kernels touch only nonzero structure constants, in integers.  Delta
-is scaled once per coalgebra by the lcm D of its denominators
-(Coalgebra.integral_delta), and validate, the dual algebra and the hit
-maps read that one table: the dual's product is D times the convolution
-product and its unit the counit over D, which changes no kernel, rank,
-trace sign or echelon form.  So the radical's trace form (one pass over
-pairs of constants) and the filtration's products run on integers, and
-A/J is projected term by term, scaled by the lcm of the radical's
-echelon pivots.  Its primitive central idempotents, each one positive
-denominator times a sparse integer vector, are the center's basis
-rescaled when that passes a certificate at one product per vector
+is scaled once per coalgebra, at construction, by the lcm D of its
+denominators (Coalgebra.integral_delta), and validate, the dual algebra
+and the hit maps read that one table: the dual's product is D times the
+convolution product and its unit the counit over D, which changes no
+kernel, rank, trace sign or echelon form.  So the radical's trace form
+(one pass over the constants, weighted by the regular traces, since
+trace(L_x L_y) = trace(L_{xy})) and the filtration's products run on
+integers, and A/J is projected term by term, scaled by the lcm of the
+radical's echelon pivots.  Its primitive central idempotents, each one
+positive denominator times a sparse integer vector, are the center's
+basis rescaled when that passes a certificate at one product per vector
 (_certified_idempotents); otherwise {1} is refined by fraction-free
 Krylov sequences, and a central element that cannot split an idempotent
 is detected on that idempotent's support alone.  From there the work
@@ -88,26 +89,27 @@ def radical(a: Algebra) -> list[list[int]]:
 
     In characteristic 0 the radical of a finite-dimensional algebra equals
     the radical of the bilinear form (x, y) -> trace(L_x L_y), one exact
-    kernel computation.  With c(i, j, k) the coefficient of e_i in e_j * e_k,
-    trace(L_x L_y) = sum over u, v of c(u, x, v) * c(v, y, u), so the form is
-    one pass over pairs of nonzero constants, taken as they are given: the
-    dual algebra's are ints, and scaling the product by D scales the form
-    by D^2, which leaves its kernel unchanged.  The kernel comes back as
-    linalg.echelon's rows, so the filtration and A/J read J's pivots off it.
+    kernel computation.  In an associative algebra L_x L_y = L_{xy}, so with
+    c(i; j, k) the coefficient of e_i in e_j * e_k and tau = _regular_traces(a),
+    trace(L_x L_y) = trace(L_{xy}) = sum over i of c(i; x, y) * tau_i: one
+    pass over the nonzero constants, taken as they are given.  The dual
+    algebra's are ints, and scaling the product by D scales L by D, so the
+    form by D^2, which leaves its kernel unchanged.  The kernel comes back
+    as linalg.echelon's rows, so the filtration and A/J read J's pivots off it.
     """
     n = a.dim
-    by_out_right: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for j, row in enumerate(a.mult):
-        for k, terms in row.items():
-            for i, cst in terms:
-                by_out_right.setdefault((i, k), []).append((j, cst))
+    tau = _regular_traces(a)
     gram = [[0] * n for _ in range(n)]
     for x, row in enumerate(a.mult):
-        for v, terms in row.items():
-            for u, cx in terms:
-                for y, cy in by_out_right.get((v, u), ()):
-                    gram[x][y] += cx * cy
+        g = gram[x]
+        for y, terms in row.items():
+            g[y] = sum(cst * tau[i] for i, cst in terms)
     return linalg.echelon(linalg.nullspace(*linalg.echelon(gram), n))[0]
+
+
+def _regular_traces(a: Algebra) -> list:
+    """trace(L_{e_j}) for each basis vector: the sum over k of c(k; j, k)."""
+    return [sum(x for k, terms in row.items() for i, x in terms if i == k) for row in a.mult]
 
 
 def _pivots(ech: list[list[int]]) -> list[int]:
@@ -425,11 +427,6 @@ def _refined_idempotents(a: Algebra, center: list[list[int]]) -> list[tuple[int,
                 )
         idempotents = refined
     return idempotents
-
-
-def _regular_traces(a: Algebra) -> list:
-    """trace(L_{e_j}) for each basis vector: the sum over k of c(k; j, k)."""
-    return [sum(x for k, terms in row.items() for i, x in terms if i == k) for row in a.mult]
 
 
 def _hit_maps(c: Coalgebra, functionals) -> list[tuple[list, list, int]]:

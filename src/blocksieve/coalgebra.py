@@ -8,9 +8,9 @@ transposing the comultiplication constants; that duality is how the analyzer
 reaches the coradical.
 
 Both tables stay sparse: the dual algebra keeps exactly the nonzero entries
-of delta.  A coalgebra scales delta to integers once, by the lcm D of its
-denominators (Coalgebra.integral_delta), and every stage that works in
-integers reads that one table.  The dual algebra is built from it, with
+of delta.  A coalgebra scales delta to integers once, at construction, by
+the lcm D of its denominators (Coalgebra.integral_delta), and every stage
+that works in integers reads that one table.  The dual algebra is built from it, with
 product D times the convolution product and unit the counit over D.
 validate checks both axioms on it and on the counit scaled by the lcm E
 of its own denominators, so the sides of the counit law scale by D * E.
@@ -20,19 +20,17 @@ unchanged.  Coassociativity packs each slice
 dense basis vector costs O(n^3) packed products, not O(n^4) scalar ones
 (see validate for the digit bound that keeps the packed test exact).
 
-Ingestion costs a few C-level operations per delta entry: parse_coalgebra
-tests the entries in one bulk pass over their columns and converts each
-distinct coefficient string once, through a dict local to the call, and
-Coalgebra(...) tests ranges, duplicates and zero constants in bulk.  Each
-falls back to an entry-by-entry scan only when a test fails, to name the
-first bad entry in the message.
+Ingestion reads each delta constant once: Coalgebra(...) tests the raw
+entries (parse_coalgebra hands over the JSON lists as they are) in one bulk
+pass over their columns, converts each distinct constant once, and builds
+delta and integral_delta from those values by dict lookups.  Only a failed
+test runs an entry-by-entry scan, to name the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import echelon, integral
@@ -85,18 +83,28 @@ class Coalgebra:
     """dim, basis labels, sparse comultiplication constants, counit values.
 
     delta holds quadruples (i, j, k, c) meaning Delta(e_i) contains c*e_j(x)e_k.
-    Construction normalizes coefficients to Fraction, refusing a float or a
-    bool, and sorts the table; it does not verify the coalgebra axioms, that
-    is validate()'s job.  A table of int-indexed Fraction tuples is checked
-    in bulk (ranges, duplicates, zero constants); anything else, and any
-    table failing a bulk test, goes through the entry scan, which converts
+    Construction is the one place delta is checked and scaled: it normalizes
+    coefficients to Fraction (from Fractions, ints or strings, refusing a
+    float or a bool), sorts the table and sets integral_delta; it does not
+    verify the coalgebra axioms, that is validate()'s job.  One bulk pass
+    over the columns tests entry shapes, index types and ranges, duplicates
+    and constant types, and converts and zero-tests each distinct constant
+    once (a string through _rational); both tables are then built by dict
+    lookups from those values.  A table failing a bulk test, or holding
+    constants of another type, goes through the entry scan, which converts
     constants and raises for the first bad entry.
+
+    integral_delta is (D, delta with each constant times D), D the lcm of
+    delta's denominators: the one table for every stage that needs delta
+    in integers.  It is derived from delta, so equality and repr skip it.
     """
 
     dim: int
     basis: tuple[str, ...]
     delta: tuple[tuple[int, int, int, Fraction], ...]
     counit: tuple[Fraction, ...]
+    integral_delta: tuple[int, tuple[tuple[int, int, int, int], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.dim) is not int:
@@ -112,43 +120,50 @@ class Coalgebra:
             x if isinstance(x, Fraction) else _exact(x, f"counit entry {i}")
             for i, x in enumerate(self.counit)
         ))
-        delta = tuple(self.delta)
-        if delta and set(map(type, delta)) == {tuple} and set(map(len, delta)) == {4}:
-            ii, jj, kk, cs = zip(*delta)
+        entries = tuple(self.delta)
+        value = None
+        if entries and set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) == {4}:
+            ii, jj, kk, cs = zip(*entries)
             idx = ii + jj + kk
             if (set(map(type, idx)) == {int} and 0 <= min(idx) <= max(idx) < self.dim
-                    and len(set(zip(ii, jj, kk))) == len(delta)
-                    and set(map(type, cs)) == {Fraction} and all(cs)):
-                object.__setattr__(self, "delta", tuple(sorted(delta)))
-                return
-        # the scan below names the first bad entry (or converts non-Fraction
-        # constants); an input passing the bulk test above never reaches it
-        seen = set()
-        norm = []
-        for (i, j, k, c) in delta:
-            if not all(type(t) is int for t in (i, j, k)):
-                raise ValueError(f"delta entry ({i},{j},{k}) has a non-int index")
-            if not all(0 <= t < self.dim for t in (i, j, k)):
-                raise ValueError(f"delta entry ({i},{j},{k}) out of range")
-            if (i, j, k) in seen:
-                raise ValueError(f"duplicate delta entry ({i},{j},{k})")
-            seen.add((i, j, k))
-            if not isinstance(c, Fraction):
-                c = _exact(c, f"delta entry ({i},{j},{k})")
-            if c == 0:
-                raise ValueError(f"zero coefficient at delta entry ({i},{j},{k})")
-            norm.append((i, j, k, c))
-        object.__setattr__(self, "delta", tuple(sorted(norm)))
-
-    @cached_property
-    def integral_delta(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """(D, delta with each constant times D), D the lcm of delta's denominators.
-
-        Built once per coalgebra, on first use, for every stage that needs
-        delta in integers.
-        """
-        den, xs = integral([x for (_i, _j, _k, x) in self.delta])
-        return den, tuple((i, j, k, x) for (i, j, k, _x), x in zip(self.delta, xs))
+                    and len(set(zip(ii, jj, kk))) == len(entries)
+                    and set(map(type, cs)) <= {Fraction, int, str}):
+                # each constant stands for the position of its first occurrence:
+                # one hash per entry (a Fraction's is slow), one conversion per
+                # distinct constant, and int keys for the lookups below
+                first: dict = {}
+                pos = list(map(first.setdefault, cs, range(len(cs))))
+                try:
+                    value = {p: _rational(x) if type(x) is str else Fraction(x)
+                             for x, p in first.items()}
+                except (ValueError, ZeroDivisionError):
+                    pass
+        if value is None or not all(value.values()):
+            # the scan below names the first bad entry (or converts constants
+            # of other types); an input passing the bulk tests never reaches it
+            seen = set()
+            norm = []
+            for (i, j, k, c) in entries:
+                if not all(type(t) is int for t in (i, j, k)):
+                    raise ValueError(f"delta entry ({i},{j},{k}) has a non-int index")
+                if not all(0 <= t < self.dim for t in (i, j, k)):
+                    raise ValueError(f"delta entry ({i},{j},{k}) out of range")
+                if (i, j, k) in seen:
+                    raise ValueError(f"duplicate delta entry ({i},{j},{k})")
+                seen.add((i, j, k))
+                if not isinstance(c, Fraction):
+                    c = _exact(c, f"delta entry ({i},{j},{k})")
+                if c == 0:
+                    raise ValueError(f"zero coefficient at delta entry ({i},{j},{k})")
+                norm.append((i, j, k, c))
+            ii, jj, kk, cs = zip(*norm) if norm else ((),) * 4
+            pos, value = range(len(norm)), dict(enumerate(cs))
+        den, ints = integral(list(value.values()))
+        scaled = dict(zip(value, ints))
+        ii, jj, kk, pos = zip(*sorted(zip(ii, jj, kk, pos))) if value else ((),) * 4
+        object.__setattr__(self, "delta", tuple(zip(ii, jj, kk, map(value.__getitem__, pos))))
+        object.__setattr__(self, "integral_delta",
+                           (den, tuple(zip(ii, jj, kk, map(scaled.__getitem__, pos)))))
 
 
 def validate(c: Coalgebra) -> list[str]:
@@ -386,39 +401,27 @@ def parse_coalgebra(text: bytes | str) -> Coalgebra:
     raw_delta = obj["delta"]
     if not isinstance(raw_delta, list):
         raise CoalgebraParseError("delta must be a list")
-    delta = _delta_entries(raw_delta, dim)
     raw_counit = obj["counit"]
-    if not isinstance(raw_counit, list) or len(raw_counit) != dim:
-        raise CoalgebraParseError("counit must be a list of dim rationals")
-    counit = tuple(_frac(x, f"counit[{i}]") for i, x in enumerate(raw_counit))
     try:
-        return Coalgebra(dim, tuple(basis), tuple(delta), counit)
-    except ValueError as exc:
+        if not isinstance(raw_counit, list) or len(raw_counit) != dim:
+            raise CoalgebraParseError("counit must be a list of dim rationals")
+        counit = tuple(_frac(x, f"counit[{i}]") for i, x in enumerate(raw_counit))
+        return Coalgebra(dim, tuple(basis), raw_delta, counit)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        # a malformed delta entry is named first, then a counit fault, then
+        # the table's own (a duplicate or a zero)
+        _delta_entries(raw_delta, dim)
+        if isinstance(exc, CoalgebraParseError):
+            raise
         raise CoalgebraParseError(str(exc)) from exc
 
 
-def _delta_entries(raw: list, dim: int) -> list[tuple[int, int, int, Fraction]]:
-    """The entries [i, j, k, coeff] of a parsed delta list as (i, j, k, Fraction) tuples.
+def _delta_entries(raw: list, dim: int) -> None:
+    """Raise CoalgebraParseError naming the first malformed entry [i, j, k, coeff] of a parsed delta list.
 
-    One pass of bulk tests over the columns checks every entry: exact types
-    (type(t) is int, so a bool index is rejected), one chained range test on
-    all indices, and each distinct coefficient converted once through a
-    dict local to the call.  An empty list, or one failing a test, goes
-    through the entry scan below, which raises the error naming the first
-    bad entry.
+    parse_coalgebra runs this entry scan only once Coalgebra(...) has refused
+    the raw entries, so that the message names the entry by its position.
     """
-    if raw and set(map(type, raw)) == {list} and set(map(len, raw)) == {4}:
-        ii, jj, kk, xs = zip(*raw)
-        idx = ii + jj + kk
-        if (set(map(type, idx)) == {int} and 0 <= min(idx) <= max(idx) < dim
-                and set(map(type, xs)) <= {str, int}):
-            try:
-                value = {x: _frac(x, "") for x in set(xs)}
-            except CoalgebraParseError:
-                pass
-            else:
-                return list(zip(ii, jj, kk, map(value.__getitem__, xs)))
-    delta = []
     for pos, entry in enumerate(raw):
         where = f"delta[{pos}]"
         if not isinstance(entry, list) or len(entry) != 4:
@@ -427,8 +430,7 @@ def _delta_entries(raw: list, dim: int) -> list[tuple[int, int, int, Fraction]]:
         for t in (i, j, k):
             if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < dim:
                 raise CoalgebraParseError(f"{where}: index {t!r} out of range")
-        delta.append((i, j, k, _frac(coeff, where)))
-    return delta
+        _frac(coeff, where)
 
 
 def serialize_coalgebra(c: Coalgebra) -> bytes:

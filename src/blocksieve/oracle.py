@@ -46,12 +46,28 @@ class OracleCapError(ValueError):
 def _grid(N: int, r: int) -> tuple[int, int]:
     """(max_level, max_d), refused past STEP_CAP cells.  The cells only grow
     with max_d, so the d loop stops once they pass the cap; a grid has at
-    least max_level cells, so one of more levels never enters the loop."""
+    least max_level cells, so one of more levels never enters the loop.
+
+    A d with lcm(d^2, r) <= N - r is g * e, g = gcd(d, r), with e^2 * r <=
+    lcm(d^2, r), so e^2 <= max_level, and r * g / h = lcm(g^2, r) <= N - r,
+    h = gcd(g, r/g) with h^2 | r: d is at most max_level * isqrt(max_level)
+    times the root of r's largest square divisor.  The loop divides r by
+    each d it passes and knows that root, so it stops at the bound, once
+    the cofactor left is below d^3 and has at most two prime factors."""
     max_level = max(N // r - 1, 0)
     max_d = d = 1
     cells = max_level
-    while (d + 1) ** 2 <= N and cells <= STEP_CAP:
+    cofactor, root, last = r, 1, None
+    while (d + 1) ** 2 <= N and cells <= STEP_CAP and (last is None or d < last):
         d += 1
+        if last is None:
+            e = 0
+            while cofactor % d == 0:
+                cofactor, e = cofactor // d, e + 1
+            root *= d ** (e // 2)
+            if d * d * d > cofactor:
+                q = math.isqrt(cofactor)
+                last = max_level * math.isqrt(max_level) * root * (q if q * q == cofactor else 1)
         if math.lcm(d * d, r) <= N - r:
             max_d = d
             cells = (max_d - 1) + max_level * max_d**2

@@ -168,13 +168,32 @@ def _grid(N: int, r: int) -> tuple[int, int]:
     coradical block of at least lcm(d^2, r) next to the grouplike block,
     so lcm(d^2, r) <= N - r.  The level cap is tested before the d loop,
     and the group cap as max_d grows, since max_d never shrinks.
+
+    No d above n_max * isqrt(n_max) * s passes, s the largest integer whose
+    square divides r: with g = gcd(d, r), (d/g)^2 * r <= lcm(d^2, r) as
+    gcd(d^2, r) <= g^2, and r * g / h = lcm(g^2, r) <= N - r with
+    h = gcd(g, r/g), whose square divides r, so d/g <= isqrt(n_max) and
+    g <= n_max * h <= n_max * s.  The loop divides r by each d it passes;
+    at the first d whose cube exceeds what is left, s is known, and the
+    loop stops at that bound: a huge prime r stops at its cube root, not at
+    sqrt(N), and no input visits a d the unbounded loop would not.
     """
     max_level = max(N // r - 1, 0)
     if max_level > LEVEL_CAP:
         raise BoundsError(f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}")
     max_d = d = 1
-    while (d + 1) ** 2 <= N and max_d * (max_d + 1) // 2 <= GROUP_CAP:
+    # rest is r without its primes up to d, s * s the square they held
+    rest, s, top = r, 1, None
+    while ((d + 1) ** 2 <= N and max_d * (max_d + 1) // 2 <= GROUP_CAP
+           and (top is None or d < top)):
         d += 1
+        if top is None:
+            while rest % (d * d) == 0:
+                rest, s = rest // (d * d), s * d
+            rest //= d if rest % d == 0 else 1
+            if d ** 3 > rest:  # rest has at most two prime factors, both above d
+                q = math.isqrt(rest)
+                top = max_level * math.isqrt(max_level) * (s * q if q * q == rest else s)
         if math.lcm(d * d, r) <= N - r:
             max_d = d
     groups = max_d * (max_d + 1) // 2

@@ -64,6 +64,29 @@ def assert_value_type(value, fields: dict, repr_text: str):
         assert repr(twin) == repr_text
 
 
+def grid_points(rng: random.Random, count: int, max_t: int) -> list[tuple[int, int]]:
+    """(N, r) pairs with r composite, a prime power or square-full, and r <= N < (max_t + 1) * r.
+
+    N/r is small (1 to 3) in half the pairs, where r's square part decides
+    max_d, and up to max_t in the rest; N is a multiple of r in half of them.
+    """
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    points = []
+    while len(points) < count:
+        kind = rng.choice(("composite", "prime power", "square-full"))
+        if kind == "prime power":
+            p = rng.choice(primes)
+            r = p ** rng.randint(1, max(1, int(math.log(100_000, p))))
+        else:
+            low = 2 if kind == "square-full" else 1
+            r = math.prod(p ** rng.randint(low, 3) for p in rng.sample(primes[:8], rng.randint(1, 3)))
+        if not 1 < r <= 100_000:
+            continue
+        t = rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(1, max_t)
+        points.append((t * r + (rng.randrange(r) if rng.random() < 0.5 else 0), r))
+    return points
+
+
 def random_change_of_basis(rng: random.Random, n: int):
     """Invertible rational matrix: a product of elementary shears."""
     P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import blocksieve.coalgebra
 from blocksieve.coalgebra import (
     Coalgebra,
     CoalgebraParseError,
     _frac,
+    _frac_str,
     change_basis,
     dual_algebra,
     parse_coalgebra,
@@ -762,3 +764,94 @@ class TestDirectConstruction:
         entries = [(1, 1, 1, Fraction(1)), (0, 0, 0, Fraction(1))]
         c = Coalgebra(2, ("e0", "e1"), (e for e in entries), (Fraction(1),) * 2)
         assert c.delta == tuple(sorted(entries))
+
+
+def _reference_ingestion(entries) -> tuple[tuple, tuple]:
+    """Reference: (delta, integral_delta) with each constant converted on its own.
+
+    Every entry becomes (i, j, k, Fraction(c)), the table is sorted, and
+    integral() scales the whole column, one value per entry.
+    """
+    delta = tuple(sorted((i, j, k, Fraction(x)) for i, j, k, x in entries))
+    den, xs = integral([x for *_t, x in delta])
+    return delta, (den, tuple((i, j, k, x) for (i, j, k, _x), x in zip(delta, xs)))
+
+
+class TestIngestion:
+    """Construction converts each distinct constant once and scales delta once."""
+
+    # non-canonical strings Fraction accepts, and denominators whose lcm is large
+    ODD_TEXTS = ["2/4", "-6/4", "+3", " 1", "1 ", "007", "-0012/0018"]
+    PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
+
+    def _constant(self, rng):
+        """A random nonzero constant as a Python value: a Fraction, an int or a string."""
+        roll = rng.random()
+        if roll < 0.2:
+            return rng.choice(self.ODD_TEXTS)
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50),
+                     rng.choice((1, 2, 3, 4, 6)) * rng.choice([1] + self.PRIMES))
+        if roll < 0.35 and x.denominator == 1:
+            return int(x)
+        if roll < 0.6:
+            return f"{x.numerator}/{x.denominator}"
+        # a Fraction object of its own, equal to others in the table
+        return Fraction(x.numerator, x.denominator)
+
+    def _entries(self, rng):
+        n = rng.randint(1, 5)
+        keys = rng.sample([(i, j, k) for i in range(n) for j in range(n) for k in range(n)],
+                          rng.randint(0, min(n**3, 40)))
+        # a small pool repeats constants; fresh draws keep others unique
+        pool = [self._constant(rng) for _ in range(rng.randint(1, 4))]
+        return n, [[*key, rng.choice(pool) if rng.random() < 0.5 else self._constant(rng)]
+                   for key in keys]
+
+    def test_parse_and_construction_match_per_entry_ingestion(self):
+        rng = random.Random(29)
+        large_lcm = 0
+        for _ in range(400):
+            n, entries = self._entries(rng)
+            delta, scaled = _reference_ingestion(entries)
+            large_lcm += scaled[0] > 10**6
+            basis = tuple(f"e{i}" for i in range(n))
+            built = Coalgebra(n, basis, [tuple(e) for e in entries], (Fraction(1),) * n)
+            json_entries = [[i, j, k, x if type(x) in (int, str) else _frac_str(x)]
+                            for i, j, k, x in entries]
+            text = json.dumps({"dim": n, "basis": list(basis), "delta": json_entries,
+                               "counit": ["1"] * n, "field": "Q"})
+            parsed = parse_coalgebra(text)
+            for c in (built, parsed):
+                assert c.delta == delta
+                assert c.integral_delta == scaled
+                assert all(type(x) is Fraction for *_t, x in c.delta)
+                assert all(type(x) is int for *_t, x in c.integral_delta[1])
+            assert built == parsed
+        assert large_lcm > 20
+
+    def test_each_distinct_string_is_converted_once(self, monkeypatch):
+        # 64 entries over 3 distinct strings, plus the 4 counit strings
+        calls = []
+        original = blocksieve.coalgebra._rational
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(blocksieve.coalgebra, "_rational", counting)
+        texts = ["-6/4", "1/3", "-6/4", "5"]
+        delta = ", ".join(f'[{i}, {j}, {k}, "{texts[(i + j + k) % 4]}"]'
+                          for i in range(4) for j in range(4) for k in range(4))
+        c = parse_coalgebra(_doc(f"[{delta}]", counit=json.dumps(["1"] * 4), dim=4))
+        assert len(c.delta) == 64
+        assert sorted(calls) == sorted(["-6/4", "1/3", "5"] + ["1"] * 4)
+
+    def test_equal_constants_as_distinct_fraction_objects(self):
+        # a Python-built table whose equal constants are distinct objects
+        for build in (sweedler_coalgebra, s3_dual_coalgebra, sweedler_tensor_square):
+            c = build()
+            fresh = [(i, j, k, Fraction(x.numerator, x.denominator)) for i, j, k, x in c.delta]
+            assert len({id(x) for *_t, x in fresh}) == len(fresh)
+            rebuilt = Coalgebra(c.dim, c.basis, fresh[::-1], c.counit)
+            assert (rebuilt.delta, rebuilt.integral_delta) == _reference_ingestion(fresh)
+            assert rebuilt == c and rebuilt.integral_delta == c.integral_delta

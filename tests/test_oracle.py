@@ -1,3 +1,5 @@
+import math
+import random
 import time
 import tracemalloc
 
@@ -8,6 +10,8 @@ from blocksieve.blocks import NON_COSEMISIMPLE, NSP, PLAIN, BlockSystem, total_d
 from blocksieve.oracle import OracleCapError, oracle_enumerate, oracle_solve
 from blocksieve.rules import check
 from blocksieve.solver import FeasibilityProblem, minimal_form, solve
+
+from conftest import grid_points
 
 
 class TestOracleSolve:
@@ -84,6 +88,48 @@ class TestStepCap:
         with pytest.raises(OracleCapError, match=r"r=10{12} has a grid of at least"):
             oracle_solve(2 * 10**12, 10**12, PLAIN)
         assert time.perf_counter() - t0 < 0.05
+
+    def test_huge_prime_r_stops_at_its_cube_root(self):
+        # r is prime, so max_d is 1: the loop stops at d = 10**4, where it
+        # knows r's square part, not at sqrt(N) = 1.4 million
+        r = 999_999_999_989
+        t0 = time.perf_counter()
+        assert oracle._grid(2 * r, r) == (1, 1)
+        assert time.perf_counter() - t0 < 0.05
+
+    def test_grid_is_the_loop_to_sqrt_n(self):
+        # the bounded d loop gives the grid, or the refusal, of a loop over
+        # every d up to sqrt(N)
+        def outcome(grid, n, r):
+            try:
+                return grid(n, r)
+            except OracleCapError as exc:
+                return str(exc)
+
+        points = grid_points(random.Random(31), 1000, 400)
+        outcomes = [outcome(oracle._grid, n, r) for n, r in points]
+        assert outcomes == [outcome(_grid_to_sqrt_n, n, r) for n, r in points]
+        # N < 4r is where r's square part sets max_d; many grids are refused
+        assert sum(type(x) is tuple and x[1] > 1 and n < 4 * r
+                   for x, (n, r) in zip(outcomes, points)) > 100
+        assert sum(type(x) is str for x in outcomes) > 100
+
+
+def _grid_to_sqrt_n(n: int, r: int) -> tuple[int, int]:
+    """Reference: oracle._grid as it was before its d loop was bounded by r's square part."""
+    max_level = max(n // r - 1, 0)
+    max_d = d = 1
+    cells = max_level
+    while (d + 1) ** 2 <= n and cells <= oracle.STEP_CAP:
+        d += 1
+        if math.lcm(d * d, r) <= n - r:
+            max_d = d
+            cells = (max_d - 1) + max_level * max_d**2
+    if cells > oracle.STEP_CAP:
+        least = "at least " if (d + 1) ** 2 <= n else ""
+        raise OracleCapError(f"oracle refused: N={n}, r={r} has a grid of {least}{cells} "
+                             f"cells, past the step cap of {oracle.STEP_CAP}")
+    return max_level, max_d
 
 
 class TestArguments:

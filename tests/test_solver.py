@@ -25,10 +25,13 @@ from blocksieve.blocks import (
 from blocksieve.oracle import oracle_enumerate
 from blocksieve.rules import check
 from blocksieve.solver import (
+    GROUP_CAP,
+    LEVEL_CAP,
     BoundsError,
     FeasibilityProblem,
     SearchCapExceeded,
     _case_bound,
+    _grid,
     _Group,
     _multipliers,
     _Search,
@@ -41,7 +44,7 @@ from blocksieve.solver import (
     surveyed_group_orders,
 )
 
-from conftest import assert_value_type
+from conftest import assert_value_type, grid_points
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -153,6 +156,51 @@ class TestGrid:
         assert cert.stats["bounds"] == {"max_level": 1, "max_d": 99}
         with pytest.raises(BoundsError, match="group cap"):
             solve(FeasibilityProblem(20_000, 10_000))
+
+    def test_huge_prime_r_stops_at_its_cube_root(self):
+        # r is prime, so max_d is 1: the loop stops at d = 10**4, where it
+        # knows r's square part, not at sqrt(N) = 1.4 million
+        r = 999_999_999_989
+        start = time.perf_counter()
+        assert _grid(2 * r, r) == (1, 1)
+        assert time.perf_counter() - start < 0.05
+
+    def test_grid_is_the_loop_to_sqrt_n(self):
+        # the bounded d loop gives the grid, or the refusal, of a loop over
+        # every d up to sqrt(N)
+        def outcome(grid, N, r):
+            try:
+                return grid(N, r)
+            except BoundsError as exc:
+                return str(exc)
+
+        points = grid_points(random.Random(29), 1000, LEVEL_CAP + 1)
+        outcomes = [outcome(_grid, N, r) for N, r in points]
+        assert outcomes == [outcome(_grid_to_sqrt_n, N, r) for N, r in points]
+        # N < 4r is where r's square part sets max_d; many grids are refused
+        assert sum(type(x) is tuple and x[1] > 1 and N < 4 * r
+                   for x, (N, r) in zip(outcomes, points)) > 100
+        assert sum(type(x) is str for x in outcomes) > 100
+
+
+def _grid_to_sqrt_n(N: int, r: int) -> tuple[int, int]:
+    """Reference: _grid as it was before its d loop was bounded by r's square part."""
+    max_level = max(N // r - 1, 0)
+    if max_level > LEVEL_CAP:
+        raise BoundsError(f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}")
+    max_d = d = 1
+    while (d + 1) ** 2 <= N and max_d * (max_d + 1) // 2 <= GROUP_CAP:
+        d += 1
+        if math.lcm(d * d, r) <= N - r:
+            max_d = d
+    groups = max_d * (max_d + 1) // 2
+    if groups > GROUP_CAP:
+        least = "at least " if (d + 1) ** 2 <= N else ""
+        raise BoundsError(
+            f"N={N}, r={r} has max_d {least}{max_d}, so {least}{groups} branching "
+            f"units per level, above the group cap of {GROUP_CAP}"
+        )
+    return max_level, max_d
 
 
 class TestSolve:
