@@ -225,10 +225,11 @@ def transpose(s: BlockSystem) -> BlockSystem:
 _TOP_KEYS = {"group_order", "blocks"}
 _ENTRY_KEYS = {"level", "d1", "d2", "dim"}
 
-# Deepest block level parse_block_system accepts.  The rule check costs work
-# per level up to the deepest one, so a level of 10^8 would run for hours;
-# analyze (dimension <= 256) and solve (grids of <= 200 levels) never
-# produce a level near this one.
+# Deepest block level parse_block_system accepts and rules.check checks.  The
+# rule check costs work per level up to the deepest one, two violations per
+# missing level, so a level of 10^8 would run for hours; analyze (dimension
+# <= 256) and solve (grids of <= 200 levels) never produce a level near this
+# one.
 MAX_BLOCK_LEVEL = 10_000
 
 

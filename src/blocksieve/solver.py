@@ -13,9 +13,9 @@ search runs in two phases:
   phase 2 assigns dimensions to a surviving support: every entry is a
   positive multiple of its forced divisor, off-diagonal mirror pairs share a
   value, the top pointed block is pinned to exactly r, and the total must be
-  exactly N.  Reachable-sum bitsets, one per distinct cost, decide
-  feasibility, and a greedy pass extracts the lexicographically least
-  assignment, only where it can beat the best witness so far (see _stop).
+  exactly N.  Reachable-sum bitsets decide feasibility, and a greedy pass
+  extracts the lexicographically least assignment, only where it can beat
+  the best witness so far (see _stop).
 
 Feasible answers carry the lexicographically least witness over the whole
 search space (the support space is exhausted even after a hit, so the result
@@ -39,11 +39,10 @@ are the groups that fit a slack: the cheapest ones, one mask per count,
 found by bisection on the sorted costs.  An include step masks the groups
 from its index on within its slack, counts each rule's closes and the
 groups over budget by popcount, and visits only the open groups.  Phase 2
-counts in units of r.  Feasibility reads the slack left once every group
-has its least value, and the set of placed costs that placing a group
-updates, and memoizes a reach bitset per set of costs within the slack.
-Extraction reads the free groups off the placement stack and builds its
-reach bitsets once per distinct cost within the slack, doubling runs of
+counts in units of r and reads the free groups off the placement stack.
+Feasibility reads the slack left once every group has its least value and
+the set of free costs within it, and memoizes a reach bitset per set of
+costs.  Extraction builds one reach bitset per free group, doubling runs of
 multiples.  None of this changes which nodes are visited or why each one
 closes, so the stats, witnesses and refutation traces of a certificate are
 those of a node-by-node count.
@@ -299,40 +298,27 @@ def _multipliers(costs: list[int], budget: int) -> tuple[int, ...] | None:
     """Lexicographically least k_1, k_2, ... >= 1 with sum k_i * costs[i] = budget, or None.
 
     The search runs over the extra multiples j_i = k_i - 1 >= 0, which must
-    sum j_i * costs[i] to the slack budget - sum(costs).  A unit costing more
-    than the slack keeps j_i = 0.  So does a unit whose cost recurs later in
-    the list: its extra multiples can move to that later unit, which keeps
-    the sum and makes the vector smaller.  So the reach bitsets cover only
-    the last unit of each cost within the slack.
+    sum j_i * costs[i] to the slack budget - sum(costs).  Each unit in turn
+    takes the least j_i that the units after it can complete.
     """
     slack = budget - sum(costs)
     if slack < 0:
         return None
-    ks = [1] * len(costs)
-    if not slack:
-        return tuple(ks)
-    last = {c: i for i, c in enumerate(costs) if c <= slack}
-    cheap = sorted(last.values())
-    # reach[t] = bitset of extra totals achievable by the last t cheap units
-    # with each j >= 0
-    reach = [1]
-    acc = 1
-    for i in reversed(cheap):
-        acc = _spread(acc, costs[i], slack)
-        reach.append(acc)
-    if not (acc >> slack) & 1:
+    # reach[i] = bitset of extra totals achievable by units i, i+1, ... with
+    # each j >= 0
+    reach = [1] * (len(costs) + 1)
+    for i in range(len(costs) - 1, -1, -1):
+        reach[i] = _spread(reach[i + 1], costs[i], slack)
+    if not (reach[0] >> slack) & 1:
         return None
+    ks = []
     rem = slack
-    for t, i in zip(range(len(cheap) - 1, 0, -1), cheap):
-        # the later units reach rem - j * c for some j >= 0; take the least
-        after = reach[t]
-        c, j = costs[i], 0
+    for c, after in zip(costs, reach[1:]):
+        j = 0
         while not (after >> (rem - j * c)) & 1:
             j += 1
-        ks[i] += j
+        ks.append(1 + j)
         rem -= j * c
-    # nothing comes after the last unit, so it takes all that is left
-    ks[cheap[-1]] += rem // costs[cheap[-1]]
     return tuple(ks)
 
 
@@ -378,10 +364,7 @@ class _Search:
         self.unbacked = 0
         self._case_found = False
         self.bound: tuple = ()                   # the case's _case_bound
-        # Kept by _place and _unplace: the groups placed per unit cost, and
-        # a bitmask of the unit costs placed.
-        self.unit_counts: dict[int, int] = {}
-        self.unit_mask = 0
+        # _feasible's reach bitsets, keyed by the bitmask of free unit costs.
         self.reach: dict[int, int] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -403,9 +386,6 @@ class _Search:
         if level and g.first == (1, 1):
             self.pointed.append(len(self.stack))
         self.stack.append((level, g))
-        u = g.units
-        self.unit_counts[u] = self.unit_counts.get(u, 0) + 1
-        self.unit_mask |= 1 << u
 
     def _unplace(self, level: int, g: _Group):
         cells = self.support[level]
@@ -415,10 +395,6 @@ class _Search:
         if level and g.first == (1, 1):
             self.pointed.pop()
         self.stack.pop()
-        u = g.units
-        self.unit_counts[u] -= 1
-        if not self.unit_counts[u]:
-            self.unit_mask ^= 1 << u
 
     # -- phase 1: support enumeration --------------------------------------
 
@@ -573,20 +549,31 @@ class _Search:
             if self.best is None or candidate < self.best:
                 self.best = candidate
 
+    def _free(self, top: int) -> list[tuple[int, _Group]]:
+        """The placed (level, group) pairs phase 2 sizes, in stack order.
+
+        That is every placed group but the grouplike block and, at a top
+        pointed level top > 0, the block (top, 1, 1): both are pinned to r.
+        """
+        if top:
+            p = self.pointed[-1]
+            return self.stack[1:p] + self.stack[p + 1:]
+        return self.stack[1:]
+
     def _feasible(self, top: int, cost: int) -> bool:
         """Whether phase 2 can assign the support on the stack, of least total cost.
 
         The free groups' extra multiples must fill the slack exactly, which
-        depends only on which unit costs within it occur, so each set of
-        costs has one reach bitset per search.  The grouplike block and the
-        pinned (top, 1, 1) cost 1 unit but are not free.
+        depends only on which of their unit costs lie within it, so each set
+        of costs has one reach bitset per search.
         """
         slack = (self.N - cost) // self.r
         if slack <= 0:
             return not slack
-        if self.unit_counts[1] > 1 + (top > 0):
-            return True  # a free unit-1 cost fills any slack
-        costs = self.unit_mask & ((2 << slack) - 4)
+        costs = 0
+        for _, g in self._free(top):
+            costs |= 1 << g.units
+        costs &= (2 << slack) - 1
         reach = self.reach.get(costs)
         if reach is None:
             if len(self.reach) >= _MEMO_CAP:
@@ -599,18 +586,15 @@ class _Search:
 
         Entries are (level, d1, d2, dim).  The grouplike block and the block
         (top, 1, 1) of the top pointed level are pinned to exactly r; every
-        free group contributes k * cost (k * divisor per member) for some
-        k >= 1, and the multipliers k are least in (level, first cell) order
-        of the groups, which is the order of the placement stack.  _stop
-        calls it only where _feasible holds and the support may win.
+        free group (_free) contributes k * cost (k * divisor per member) for
+        some k >= 1, and the multipliers k are least in (level, first cell)
+        order of the groups, which is the order of the placement stack.
+        _stop calls it only where _feasible holds and the support may win.
         """
         fixed = [(0, 1, 1, self.r)]
         if top:
             fixed.append((top, 1, 1, self.r))
-            p = self.pointed[-1]
-            free = self.stack[1:p] + self.stack[p + 1:]
-        else:
-            free = self.stack[1:]
+        free = self._free(top)
         # Every cost and the budget are multiples of r, so they are counted
         # in units of r: a reach bitset has at most N/r bits however large r
         # is.  A list, not tuple(generator): that grows its tuple by resizing,
@@ -715,21 +699,31 @@ def scan(
     """Feasibility of N = t*r for t = 1..t_max; entries are (t, verdict, certificate).
 
     jobs > 1 solves the points in that many worker processes; the result does
-    not depend on it.
+    not depend on it.  Raises BoundsError before any solve when the grid of
+    the last point, N = t_max * r, passes a cap, since solving it would.
     """
     if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
     if _require_int(t_max, "t_max") < 1:
         raise ValueError("t_max must be positive")
+    _grid(t_max * r, r)
     problems = [FeasibilityProblem(t * r, r, flags) for t in range(1, t_max + 1)]
     certs = _solve_all(problems, node_cap, jobs)
     return [(t, cert.verdict, cert) for t, cert in enumerate(certs, start=1)]
 
 
 def surveyed_group_orders(N: int) -> list[int]:
-    """The divisors 1 < r < N of N, ascending: the group orders admissible_group_orders surveys."""
-    _require_int(N, "N")
-    return [r for r in range(2, N) if N % r == 0]
+    """The divisors 1 < r < N of N, ascending: the group orders admissible_group_orders surveys.
+
+    Each divisor d <= sqrt(N) pairs with N / d, so the loop stops at sqrt(N).
+    """
+    small, large = [], []
+    for d in range(2, math.isqrt(max(_require_int(N, "N"), 0)) + 1):
+        if N % d == 0:
+            small.append(d)
+            if d * d != N:
+                large.append(N // d)
+    return small + large[::-1]
 
 
 def admissible_group_orders(

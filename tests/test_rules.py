@@ -6,6 +6,7 @@ import time
 import pytest
 
 from blocksieve.blocks import (
+    MAX_BLOCK_LEVEL,
     NON_COSEMISIMPLE,
     NSP,
     PLAIN,
@@ -366,6 +367,24 @@ class TestOnePassCheck:
             for flags in ALL_FLAGS:
                 assert [v for v in check(s, flags) if v.rule in ruled] == expected
         assert seen == ruled
+
+
+
+class TestLevelBound:
+    def test_level_above_the_bound_refused_before_any_violation(self):
+        # two violations per missing level (R4 and R9) would be built otherwise
+        deep = BlockSystem(1, {(MAX_BLOCK_LEVEL + 1, 1, 1): 1})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"top level {MAX_BLOCK_LEVEL + 1} .*"
+                                             rf"MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}"):
+            check(deep, PLAIN)
+        assert time.perf_counter() - start < 0.01
+
+    def test_tower_at_the_bound_still_checks(self):
+        violations = check(BlockSystem(1, {(MAX_BLOCK_LEVEL, 1, 1): 1}), PLAIN)
+        counts = {rule: sum(v.rule == rule for v in violations) for rule in ("R4", "R9")}
+        assert counts == {"R4": MAX_BLOCK_LEVEL - 1, "R9": MAX_BLOCK_LEVEL - 1}
+        assert len(violations) == 2 * (MAX_BLOCK_LEVEL - 1)
 
 
 class TestChainGap:

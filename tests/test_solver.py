@@ -561,8 +561,8 @@ class TestPhase2Skip:
                         assert entries >= systems[below - 1], (n, r, entries)
 
     def test_memoized_feasibility_matches_multipliers(self):
-        # the unit counts and cost mask kept by _place and _unplace, against
-        # phase 2's own answer on the free costs
+        # the memoized verdict on the free costs read off the placement
+        # stack, against phase 2's own answer on them
         rng = random.Random(28)
         for _ in range(300):
             r = rng.choice((1, 3))
@@ -586,7 +586,6 @@ class TestPhase2Skip:
                 cost = (fixed + sum(costs[:k])) * r
                 assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
                 search._unplace(1, free[k - 1])
-            assert search.unit_mask == 2
 
 
 class TestSolveProperties:
@@ -683,8 +682,44 @@ class TestScan:
             with pytest.raises(ValueError, match="jobs must be positive"):
                 admissible_group_orders(12, NSP, jobs=jobs)
 
+    def test_last_point_past_the_level_cap_refused_before_any_solve(self):
+        # a scan building every problem first held about 96 bytes per point
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(BoundsError, match=f"exceeds the level cap {LEVEL_CAP}"):
+                scan(3, 10**9, NSP)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05, elapsed
+        assert peak < 64 * 1024, peak
+
+    def test_refusal_starts_no_worker(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(BoundsError):
+            scan(3, 10**9, NSP, jobs=2)
+        # a scan that the node cap would end is refused at its last point
+        with pytest.raises(BoundsError):
+            scan(7, 300, NSP, jobs=2)
+
 
 class TestAdmissibleGroupOrders:
+    def test_surveyed_orders_are_the_proper_divisors(self):
+        for n in range(-3, 2001):
+            assert surveyed_group_orders(n) == [r for r in range(2, n) if n % r == 0], n
+
+    def test_surveyed_orders_of_a_large_prime_in_square_root_time(self):
+        start = time.process_time()
+        assert surveyed_group_orders(10**12 + 39) == []
+        assert time.process_time() - start < 1
+
     def test_dimension_30_empty(self):
         assert admissible_group_orders(30, NSP) == set()
 
