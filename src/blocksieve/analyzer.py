@@ -72,11 +72,11 @@ class CoalgebraInvalidError(ValueError):
     """The input fails a coalgebra axiom; carries validate()'s messages."""
 
 
-# Largest input dimension analyze accepts.  The filtration echelons
-# |J^n| * |J| dense product rows of length dim, which grows as dim^3:
-# Sweedler^{(x)4} (dim 256) takes about 2.6 s of CPU time and 136 MB of
-# peak RSS (Python 3.11, shared 2-vCPU x86-64 host), while dim 1024 would
-# need about 10^9 row entries.
+# Largest input dimension analyze accepts.  The filtration forms |J^n| * |J|
+# dense products of length dim, which grows as dim^3, reducing each as it is
+# formed: Sweedler^{(x)4} (dim 256) takes about 1.3-1.6 s of CPU time and
+# 19 MB of peak RSS (Python 3.11, shared 2-vCPU x86-64 host), while dim 1024
+# would form about 10^9 product entries.
 MAX_ANALYZE_DIM = 256
 
 
@@ -137,9 +137,9 @@ def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChai
     j_basis is radical(a), J's reduced echelon basis.  J^{n+1} is spanned by
     the products of J^n's echelon basis with J's, in integers when a's
     constants are; a product scaled by a's D spans the same space.  Each
-    power is eliminated once: its echelon form gives the level's nullspace
-    basis and the next power's products, so L levels cost L - 1 echelon
-    calls, J's being radical's.
+    nonzero product is reduced as it is formed, so none is held, and one
+    linalg.reduced per power gives the level's nullspace basis and the next
+    power's products: L levels cost L - 1 reductions, J's being radical's.
     """
     bases: list[tuple[tuple[int, ...], ...]] = []
     power, pivots = j_basis, _pivots(j_basis)
@@ -150,7 +150,11 @@ def coradical_filtration(a: Algebra, j_basis: list[list[int]]) -> FiltrationChai
             break
         if len(bases) > 1 and len(level) <= len(bases[-2]):
             raise AssertionError("coradical filtration failed to grow strictly")
-        power, pivots = linalg.echelon([a.multiply(x, y) for x in power for y in j_basis])
+        ech, pivots = [], []
+        for v in (a.multiply(x, y) for x in power for y in j_basis):
+            if any(v):
+                linalg.extend_echelon(ech, pivots, v)
+        power, pivots = linalg.reduced(ech, pivots)
     return FiltrationChain(tuple(bases))
 
 
@@ -496,8 +500,7 @@ def _component_subspaces(lefts, sizes, c0_basis) -> list[list[list[int]]]:
             linalg.extend_echelon(ech, pivots, _mat_apply(left, c0_basis[n]))
         if len(ech) != size:
             raise AssertionError("component subspace rank mismatch")
-        # one row from extend_echelon is already primitive with a positive lead
-        subspaces.append(ech if size == 1 else linalg.echelon(ech)[0])
+        subspaces.append(linalg.reduced(ech, pivots)[0])
     return subspaces
 
 

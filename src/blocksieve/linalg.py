@@ -4,16 +4,17 @@ A rational row is one positive integer scale times a primitive integer row
 (content 1, first nonzero entry positive): integral() finds the scale and
 primitive() the row, and no other module makes that decision.  Elimination,
 kernels, coordinates and inverses then run on integers only, by
-cross-multiplication.  Pivot selection takes the lowest row index with a
-nonzero entry in the current column, and each result has a unique normal
-form, so outputs are deterministic and equal to those of rational
-arithmetic.  Each subspace is eliminated once: nullspace reads its kernel
-basis off the caller's echelon form, and a kernel vector's own coordinate,
-the one no other basis vector uses, is its last nonzero one.  The
-polynomial toolkit below is integral too: the rational roots of a
-squarefree polynomial come from Hensel lifting, so that fully split
-polynomials never require factoring their (potentially huge) constant
-terms.  Fraction appears only in the roots it returns.
+cross-multiplication, in one elimination loop, residue()'s: echelon folds
+its rows into extend_echelon one at a time and reduced() orders and clears
+the result once.  The primitive reduced echelon form of a row space does
+not depend on the order its rows arrive in, so outputs are deterministic
+and equal to those of rational arithmetic.  Each subspace is eliminated
+once: nullspace reads its kernel basis off the caller's echelon form, and
+a kernel vector's own coordinate, the one no other basis vector uses, is
+its last nonzero one.  The polynomial toolkit below is integral too: the
+rational roots of a squarefree polynomial come from Hensel lifting, so
+that fully split polynomials never require factoring their (potentially
+huge) constant terms.  Fraction appears only in the roots it returns.
 """
 
 from __future__ import annotations
@@ -53,59 +54,30 @@ def primitive(row: list[int]) -> list[int]:
 
 
 def echelon(rows) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.
+    """Fraction-free row echelon form: extend_echelon over the rows, then reduced().
 
     Returns (reduced rows, pivot column indices).  Zero rows are dropped, each
     surviving row is primitive with positive leading entry, and entries above
     pivots are eliminated too, so the result is a canonical basis of the row
-    space.  Rows are sequences of ints and Fractions.
+    space, whatever the rows' order.  Rows are sequences of ints and Fractions.
     """
-    # Rows of ints, such as products of integer vectors, need no scaling.
-    work = [
-        primitive(list(r) if all(type(x) is int for x in r) else integral(r)[1])
-        for r in rows if any(r)
-    ]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    out: list[list[int]] = []
+    ech: list[list[int]] = []
     pivots: list[int] = []
-    for col in range(ncols):
-        src = None
-        for i, r in enumerate(work):
-            if r[col] != 0:
-                src = i
-                break
-        if src is None:
-            continue
-        piv = work.pop(src)
-        rest = []
-        for r in work:
-            if r[col] != 0:
-                r = primitive([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
-                if not any(r):
-                    continue
-            rest.append(r)
-        work = rest
-        # eliminate this column from the rows already in echelon position
-        for k, r in enumerate(out):
-            if r[col] != 0:
-                out[k] = primitive([piv[col] * r[j] - r[col] * piv[j] for j in range(ncols)])
-        out.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
+    for r in rows:
+        # rows of ints, such as products of integer vectors, need no scaling
+        extend_echelon(ech, pivots, list(r) if all(type(x) is int for x in r) else integral(r)[1])
+    return reduced(ech, pivots)
 
 
 def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
     """Residual of an integer v after eliminating every pivot coordinate.
 
     ech is an echelon form whose rows are zero at the pivots before their
-    own.  Each step is v -> (p/g) * v - (v_p/g) * row with p the row's
-    positive pivot entry and g = gcd(p, v_p), so the result is a positive
-    multiple of the rational residual: the same zero pattern and span,
-    without a fraction.
+    own, as extend_echelon builds it.  Each step is
+    v -> (p/g) * v - (v_p/g) * row with p the row's positive pivot entry and
+    g = gcd(p, v_p), so the result is a positive multiple of the rational
+    residual: the same zero pattern and span, without a fraction.  This is
+    the module's one elimination loop.
     """
     for r, col in zip(ech, pivots):
         x = v[col]
@@ -119,9 +91,9 @@ def residue(v, ech: list[list[int]], pivots: list[int]) -> list[int]:
 def extend_echelon(ech: list[list[int]], pivots: list[int], v) -> bool:
     """Append the residue of the integer v to ech if it is nonzero; return whether it was.
 
-    The appended row is primitive and zero at every earlier pivot, so ech
-    and pivots stay in the form residue() needs, and a False return means v
-    lies in the span of the rows.
+    The appended row is primitive, zero at every earlier pivot and pivoted
+    at its first nonzero column, so ech and pivots stay in the form residue()
+    needs, in arrival order, and a False return means v lies in their span.
     """
     row = residue(v, ech, pivots)
     if not any(row):
@@ -129,6 +101,21 @@ def extend_echelon(ech: list[list[int]], pivots: list[int], v) -> bool:
     ech.append(primitive(row))
     pivots.append(next(col for col, x in enumerate(row) if x))
     return True
+
+
+def reduced(ech: list[list[int]], pivots: list[int]) -> tuple[list[list[int]], list[int]]:
+    """echelon()'s form of the rows extend_echelon built, as new (rows, pivots).
+
+    The rows are ordered by pivot and each pivot column is cleared from the
+    rows above it, bottom-up: a row's residue against the reduced rows below
+    it is a positive multiple of its reduced form, so its primitive part.
+    """
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    rows = [ech[i] for i in order]
+    cols = [pivots[i] for i in order]
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] = primitive(residue(rows[k], rows[k + 1:], cols[k + 1:]))
+    return rows, cols
 
 
 def nullspace(ech: list[list[int]], pivots: list[int], n: int) -> list[list[int]]:

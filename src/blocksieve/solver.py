@@ -734,11 +734,14 @@ def admissible_group_orders(
     The trivial group order r = 1 is excluded from the survey: the block-level
     rules alone never refute it (a padded minimal form over the trivial group
     realizes every admissible total above the r = 1 lower bound), so listing
-    it would carry no information about N.  jobs is as in scan.
+    it would carry no information about N.  jobs is as in scan, and as there
+    a grid past a cap, here the smallest order's, the deepest, is refused first.
     """
     if _require_int(N, "N") < 1:
         raise ValueError("N must be positive")
     divisors = surveyed_group_orders(N)
+    if divisors:
+        _grid(N, divisors[0])
     problems = [FeasibilityProblem(N, r, flags) for r in divisors]
     certs = _solve_all(problems, node_cap, jobs)
     return {r for r, cert in zip(divisors, certs) if cert.feasible}

@@ -179,6 +179,69 @@ class TestIntegerNormalForms:
         assert solve_coords([], [0, 1]) is None
 
 
+def _primitive_ref(rows, ncols):
+    """_ref_rref with each row scaled to a primitive integer row, and its pivots."""
+    rref, pivots = _ref_rref(rows, ncols)
+    out = []
+    for r in rref:
+        den = math.lcm(*(x.denominator for x in r))
+        ints = [int(x * den) for x in r]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return out, pivots
+
+
+def _product_like(seed):
+    """Many rows of rank at most 3, as products give: repeats, zeros and Fractions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(10):
+        n, k = rng.randint(4, 9), rng.randint(1, 3)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(40, 60)):
+            roll = rng.random()
+            if roll < 0.2:
+                rows.append([0] * n)
+            elif roll < 0.4 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                cs = [rng.randint(-2, 2) for _ in gens]
+                row = [sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n)]
+                if rng.random() < 0.3:
+                    den = rng.randint(2, 5)
+                    row = [Fraction(x, den) for x in row]
+                rows.append(row)
+        out.append((rows, n))
+    return out
+
+
+class TestOneElimination:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_echelon_is_the_primitive_form_of_the_reference(self, seed):
+        for rows, n in _random_matrices(seed) + _product_like(seed):
+            assert linalg.echelon(rows) == _primitive_ref(rows, n)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_echelon_does_not_depend_on_row_order(self, seed):
+        rng = random.Random(200 + seed)
+        for rows, _n in _random_matrices(seed) + _product_like(seed):
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert linalg.echelon(shuffled) == linalg.echelon(rows)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reduced_extend_echelon_rows_are_echelon(self, seed):
+        for rows, _n in _random_matrices(seed) + _product_like(seed):
+            ints = [linalg.integral(r)[1] for r in rows]
+            ech, pivots = [], []
+            for v in ints:
+                linalg.extend_echelon(ech, pivots, v)
+            built = ([list(r) for r in ech], list(pivots))
+            assert linalg.reduced(ech, pivots) == linalg.echelon(rows)
+            assert (ech, pivots) == built
+
+
 class TestRationalRoots:
     @pytest.mark.parametrize(
         "poly,roots,split",

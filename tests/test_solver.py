@@ -711,6 +711,17 @@ class TestScan:
 
 
 class TestAdmissibleGroupOrders:
+    def test_refusal_starts_no_worker(self, monkeypatch):
+        # a survey is refused at its smallest group order, whose grid is deepest
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(BoundsError):
+            admissible_group_orders(10**12, NSP, jobs=2)
+
     def test_surveyed_orders_are_the_proper_divisors(self):
         for n in range(-3, 2001):
             assert surveyed_group_orders(n) == [r for r in range(2, n) if n % r == 0], n
