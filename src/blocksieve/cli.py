@@ -4,9 +4,9 @@ Subcommands: bound, check, solve, scan, orders, analyze.  Exit codes follow
 one contract everywhere: 0 for feasible / all rules pass, 1 for infeasible /
 violations found, 2 for usage or input errors (including search-cap refusals).
 Only solve, scan and orders search, so only they read BLOCKSIEVE_NODE_CAP.
-Output is byte-identical across runs for the same inputs, format, and any
-parallelism degree.  Only analyze reads coalgebras, so only it imports the
-analyzer stack; every other command loads the package's core alone.
+Output is byte-identical across runs for the same inputs and format.  Only
+analyze reads coalgebras, so only it imports the analyzer stack; every other
+command loads the package's core alone.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _closing_summary(cert) -> str:
 def _cmd_scan(ns, out) -> int:
     node_cap = _node_cap()
     r = ns.group_order
-    rows = scan(r, ns.t_max, _flags_from(ns), node_cap=node_cap, jobs=ns.jobs)
+    rows = scan(r, ns.t_max, _flags_from(ns), node_cap=node_cap)
     if ns.fmt == "json":
         payload = [
             {"t": t, "N": t * r, "verdict": verdict, "summary": _closing_summary(cert)}
@@ -135,7 +135,7 @@ def _cmd_orders(ns, out) -> int:
     node_cap = _node_cap()
     N = ns.dim
     divisors = surveyed_group_orders(N)
-    feasible = admissible_group_orders(N, _flags_from(ns), node_cap=node_cap, jobs=ns.jobs)
+    feasible = admissible_group_orders(N, _flags_from(ns), node_cap=node_cap)
     if ns.fmt == "json":
         out.write(
             json.dumps(
@@ -151,7 +151,8 @@ def _cmd_orders(ns, out) -> int:
         (str(r), "feasible" if r in feasible else "infeasible") for r in divisors
     ]
     _write_table(out, header, table, ns.fmt)
-    if not feasible:
+    # csv and markdown hold only the table, whose rows already give every verdict
+    if not feasible and ns.fmt == "text":
         out.write(f"no admissible group order 1 < r < {N} divides {N}\n")
     return 0
 
@@ -265,12 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="feasibility of N = t*r for t = 1..t_max")
     p.add_argument("--group-order", type=int, required=True)
     p.add_argument("--t-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     add_flags(p, tables=True)
 
     p = sub.add_parser("orders", help="survey group orders 1 < r < N dividing N")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     add_flags(p, tables=True)
 
     p = sub.add_parser("check", help="run the rule engine on a block-system JSON file")

@@ -50,7 +50,6 @@ those of a node-by-node count.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 
@@ -669,46 +668,23 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     return Certificate(FEASIBLE, witness=witness, stats=stats)
 
 
-def _solve_all(
-    problems: list[FeasibilityProblem], node_cap: int | None, jobs: int
-) -> list[Certificate]:
-    """Certificates in problem order; jobs > 1 spreads them over processes.
-
-    node_cap is checked here as in solve, so a survey that searches nothing
-    (every point answered by R1, or no point at all) still refuses it.
-    """
-    if _require_int(jobs, "jobs") < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    _check_node_cap(node_cap)
-    run = functools.partial(solve, node_cap=node_cap)
-    if jobs > 1:
-        # imported here so that importing blocksieve stays cheap
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawned, not forked: the caller's process may hold threads
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            return list(pool.map(run, problems))
-    return [run(p) for p in problems]
-
-
 def scan(
-    r: int, t_max: int, flags: ModeFlags, *, node_cap: int | None = None, jobs: int = 1
+    r: int, t_max: int, flags: ModeFlags, *, node_cap: int | None = None
 ) -> list[tuple[int, str, Certificate]]:
     """Feasibility of N = t*r for t = 1..t_max; entries are (t, verdict, certificate).
 
-    jobs > 1 solves the points in that many worker processes; the result does
-    not depend on it.  Raises BoundsError before any solve when the grid of
-    the last point, N = t_max * r, passes a cap, since solving it would.
+    Raises BoundsError before any solve when the grid of the last point,
+    N = t_max * r, passes a cap, since solving it would; then checks node_cap
+    as solve does, so a scan that searches nothing still refuses it.
     """
     if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
     if _require_int(t_max, "t_max") < 1:
         raise ValueError("t_max must be positive")
     _grid(t_max * r, r)
-    problems = [FeasibilityProblem(t * r, r, flags) for t in range(1, t_max + 1)]
-    certs = _solve_all(problems, node_cap, jobs)
+    _check_node_cap(node_cap)
+    certs = (solve(FeasibilityProblem(t * r, r, flags), node_cap=node_cap)
+             for t in range(1, t_max + 1))
     return [(t, cert.verdict, cert) for t, cert in enumerate(certs, start=1)]
 
 
@@ -727,21 +703,24 @@ def surveyed_group_orders(N: int) -> list[int]:
 
 
 def admissible_group_orders(
-    N: int, flags: ModeFlags, *, node_cap: int | None = None, jobs: int = 1
+    N: int, flags: ModeFlags, *, node_cap: int | None = None
 ) -> set[int]:
     """Group orders 1 < r < N dividing N for which a rule-satisfying system exists.
 
     The trivial group order r = 1 is excluded from the survey: the block-level
     rules alone never refute it (a padded minimal form over the trivial group
     realizes every admissible total above the r = 1 lower bound), so listing
-    it would carry no information about N.  jobs is as in scan, and as there
-    a grid past a cap, here the smallest order's, the deepest, is refused first.
+    it would carry no information about N.  As in scan, a grid past a cap,
+    here the smallest order's, the deepest, is refused before any solve, and
+    then node_cap, even where every order is answered by R1.
     """
     if _require_int(N, "N") < 1:
         raise ValueError("N must be positive")
     divisors = surveyed_group_orders(N)
     if divisors:
         _grid(N, divisors[0])
-    problems = [FeasibilityProblem(N, r, flags) for r in divisors]
-    certs = _solve_all(problems, node_cap, jobs)
-    return {r for r, cert in zip(divisors, certs) if cert.feasible}
+    _check_node_cap(node_cap)
+    return {
+        r for r in divisors
+        if solve(FeasibilityProblem(N, r, flags), node_cap=node_cap).feasible
+    }

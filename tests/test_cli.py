@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -145,16 +147,14 @@ class TestRejectedOptions:
             assert "unrecognized arguments: --auto-nsp" in capsys.readouterr().err
 
     def test_no_explicit_grid_options(self, capsys):
-        # every search covers the grid that holds every rule-satisfying system
-        for option in ("--max-level", "--max-d"):
-            assert main(["solve", "--dim", "42", "--group-order", "3", option, "3"]) == 2
-            assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
-
-    def test_nonpositive_jobs_exit_two(self, capsys):
-        assert main(["scan", "--group-order", "3", "--t-max", "2", "--jobs", "0"]) == 2
-        assert "jobs must be positive, got 0" in capsys.readouterr().err
-        assert main(["orders", "--dim", "12", "--jobs", "-1"]) == 2
-        assert "jobs must be positive, got -1" in capsys.readouterr().err
+        # removed options: every search covers the grid that holds every
+        # rule-satisfying system, and the surveys solve their points in turn
+        solve_args = ["solve", "--dim", "42", "--group-order", "3"]
+        for args, option in ((solve_args, "--max-level 3"), (solve_args, "--max-d 3"),
+                             (["scan", "--group-order", "3", "--t-max", "2"], "--jobs 2"),
+                             (["orders", "--dim", "12"], "--jobs 2")):
+            assert main(args + option.split()) == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestScan:
@@ -171,17 +171,8 @@ class TestScan:
         }
         assert excluded == {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15}
 
-    def test_jobs_byte_identical(self, capsys):
-        assert main(["scan", "--group-order", "3", "--t-max", "14",
-                     "--no-skew-primitives", "--format", "csv"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["scan", "--group-order", "3", "--t-max", "14",
-                     "--no-skew-primitives", "--format", "csv", "--jobs", "3"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
-    def test_parallel_rejects_nonpositive_t_max(self, capsys):
-        assert main(["scan", "--group-order", "3", "--t-max", "0", "--jobs", "2"]) == 2
+    def test_rejects_nonpositive_t_max(self, capsys):
+        assert main(["scan", "--group-order", "3", "--t-max", "0"]) == 2
         assert "t_max must be positive" in capsys.readouterr().err
 
     def test_markdown(self, capsys):
@@ -204,15 +195,21 @@ class TestOrders:
         assert payload["admissible_group_orders"] == []
         assert payload["surveyed"] == [2, 3, 5, 6, 10, 15]
 
-    def test_jobs_byte_identical(self, capsys):
-        assert main(["orders", "--dim", "42", "--no-skew-primitives"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["orders", "--dim", "42", "--no-skew-primitives", "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_parallel_rejects_nonpositive_dim(self, capsys):
-        assert main(["orders", "--dim", "0", "--jobs", "2"]) == 2
+    def test_rejects_nonpositive_dim(self, capsys):
+        assert main(["orders", "--dim", "0"]) == 2
         assert "N must be positive" in capsys.readouterr().err
+
+    def test_tables_hold_only_the_surveyed_rows(self, capsys):
+        # N = 45 has no admissible order under NSP, and N = 7 surveys none
+        for dim, surveyed in (("45", ["3", "5", "9", "15"]), ("7", [])):
+            args = ["orders", "--dim", dim, "--no-skew-primitives", "--format"]
+            assert main(args + ["csv"]) == 0
+            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert rows == [{"r": r, "verdict": "infeasible"} for r in surveyed]
+            assert main(args + ["markdown"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 2 + len(surveyed)
+            assert all(line.startswith("|") and line.endswith("|") for line in lines)
 
 
 class TestCheck:

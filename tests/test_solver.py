@@ -374,7 +374,7 @@ class TestValueTypes:
             (FeasibilityProblem, (10.0, 2), "target_dim must be an integer, got 10.0"),
             (FeasibilityProblem, (10, 2.0), "group_order must be an integer, got 2.0"),
             (FeasibilityProblem, (10, 0), "group_order must be positive"),
-            # node_cap and jobs, checked before any answer: (7, 2) and
+            # node_cap, checked before any answer: (7, 2) and
             # admissible_group_orders(7, ...) answer without a search
             (functools.partial(solve, node_cap=True), (FeasibilityProblem(8, 2),),
              "node_cap must be an integer, got True"),
@@ -388,9 +388,6 @@ class TestValueTypes:
              "node_cap must be an integer, got False"),
             (functools.partial(scan, node_cap=2.5), (2, 1, NSP),
              "node_cap must be an integer, got 2.5"),
-            (functools.partial(scan, jobs=1.0), (2, 2, NSP), "jobs must be an integer, got 1.0"),
-            (functools.partial(admissible_group_orders, jobs=True), (12, NSP),
-             "jobs must be an integer, got True"),
         ],
     )
     def test_functions_reject_non_integer_arguments_by_their_own_name(self, call, args, message):
@@ -665,6 +662,10 @@ class TestSolveProperties:
             assert cert.witness.entries() <= s.entries(), s
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a point was solved")
+
+
 class TestScan:
     def test_corollary_list_for_group_order_two(self):
         rows = scan(2, 16, NSP)
@@ -674,13 +675,6 @@ class TestScan:
             if verdict == "feasible":
                 assert check(cert.witness, NSP) == []
                 assert total_dim(cert.witness) == 2 * t
-
-    def test_nonpositive_jobs_refused(self):
-        for jobs in (0, -2):
-            with pytest.raises(ValueError, match="jobs must be positive"):
-                scan(2, 3, NSP, jobs=jobs)
-            with pytest.raises(ValueError, match="jobs must be positive"):
-                admissible_group_orders(12, NSP, jobs=jobs)
 
     def test_last_point_past_the_level_cap_refused_before_any_solve(self):
         # a scan building every problem first held about 96 bytes per point
@@ -696,31 +690,21 @@ class TestScan:
         assert elapsed < 0.05, elapsed
         assert peak < 64 * 1024, peak
 
-    def test_refusal_starts_no_worker(self, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr("blocksieve.solver.solve", _no_solve)
         with pytest.raises(BoundsError):
-            scan(3, 10**9, NSP, jobs=2)
+            scan(3, 10**9, NSP)
         # a scan that the node cap would end is refused at its last point
         with pytest.raises(BoundsError):
-            scan(7, 300, NSP, jobs=2)
+            scan(7, 300, NSP)
 
 
 class TestAdmissibleGroupOrders:
-    def test_refusal_starts_no_worker(self, monkeypatch):
+    def test_refused_before_any_solve(self, monkeypatch):
         # a survey is refused at its smallest group order, whose grid is deepest
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("blocksieve.solver.solve", _no_solve)
         with pytest.raises(BoundsError):
-            admissible_group_orders(10**12, NSP, jobs=2)
+            admissible_group_orders(10**12, NSP)
 
     def test_surveyed_orders_are_the_proper_divisors(self):
         for n in range(-3, 2001):
