@@ -199,17 +199,21 @@ class TestOrders:
         assert main(["orders", "--dim", "0"]) == 2
         assert "N must be positive" in capsys.readouterr().err
 
-    def test_tables_hold_only_the_surveyed_rows(self, capsys):
-        # N = 45 has no admissible order under NSP, and N = 7 surveys none
-        for dim, surveyed in (("45", ["3", "5", "9", "15"]), ("7", [])):
-            args = ["orders", "--dim", dim, "--no-skew-primitives", "--format"]
-            assert main(args + ["csv"]) == 0
-            rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-            assert rows == [{"r": r, "verdict": "infeasible"} for r in surveyed]
-            assert main(args + ["markdown"]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            assert len(lines) == 2 + len(surveyed)
-            assert all(line.startswith("|") and line.endswith("|") for line in lines)
+    # N = 45 has no admissible order under NSP, and N = 7 surveys none
+    @pytest.mark.parametrize("dim, surveyed", [("45", ["3", "5", "9", "15"]), ("7", [])])
+    def test_csv_holds_only_the_surveyed_rows(self, capsys, dim, surveyed):
+        assert main(["orders", "--dim", dim, "--no-skew-primitives", "--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [{"r": r, "verdict": "infeasible"} for r in surveyed]
+
+    @pytest.mark.parametrize("dim, surveyed", [("45", ["3", "5", "9", "15"]), ("7", [])])
+    def test_markdown_holds_only_the_surveyed_rows(self, capsys, dim, surveyed):
+        assert main(["orders", "--dim", dim, "--no-skew-primitives",
+                     "--format", "markdown"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 + len(surveyed)
+        assert all(line.startswith("|") and line.endswith("|") for line in lines)
+        assert [line.split("|")[1].strip() for line in lines[2:]] == surveyed
 
 
 class TestCheck:

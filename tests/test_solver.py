@@ -666,6 +666,18 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a point was solved")
 
 
+def _recording_solve(monkeypatch):
+    """Patch the solver's solve to record each problem it is given, in turn."""
+    solved = []
+
+    def record(p, **kwargs):
+        solved.append((p.target_dim, p.group_order))
+        return solve(p, **kwargs)
+
+    monkeypatch.setattr("blocksieve.solver.solve", record)
+    return solved
+
+
 class TestScan:
     def test_corollary_list_for_group_order_two(self):
         rows = scan(2, 16, NSP)
@@ -698,6 +710,20 @@ class TestScan:
         with pytest.raises(BoundsError):
             scan(7, 300, NSP)
 
+    def test_points_solved_in_turn(self, monkeypatch):
+        solved = _recording_solve(monkeypatch)
+        rows = scan(3, 14, NSP)
+        assert solved == [(3 * t, 3) for t in range(1, 15)]
+        for t, verdict, cert in rows:
+            assert verdict == solve(FeasibilityProblem(3 * t, 3, NSP)).verdict == cert.verdict
+
+    def test_surveys_take_no_jobs(self):
+        # each survey solves its points in the calling process
+        with pytest.raises(TypeError, match="jobs"):
+            scan(2, 2, NSP, jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            admissible_group_orders(12, NSP, jobs=2)
+
 
 class TestAdmissibleGroupOrders:
     def test_refused_before_any_solve(self, monkeypatch):
@@ -705,6 +731,14 @@ class TestAdmissibleGroupOrders:
         monkeypatch.setattr("blocksieve.solver.solve", _no_solve)
         with pytest.raises(BoundsError):
             admissible_group_orders(10**12, NSP)
+
+    def test_each_order_solved_in_turn(self, monkeypatch):
+        solved = _recording_solve(monkeypatch)
+        feasible = admissible_group_orders(42, NSP)
+        assert solved == [(42, r) for r in surveyed_group_orders(42)]
+        assert feasible == {
+            r for r in surveyed_group_orders(42) if solve(FeasibilityProblem(42, r, NSP)).feasible
+        }
 
     def test_surveyed_orders_are_the_proper_divisors(self):
         for n in range(-3, 2001):
