@@ -186,9 +186,6 @@ class BlockSystem(_Frozen):
         """Stored entries as (level, d1, d2, dim), canonically sorted."""
         return tuple(sorted((i.level, i.d1, i.d2, v) for i, v in self.blocks.items()))
 
-    def max_level(self) -> int:
-        return max((i.level for i in self.blocks), default=0)
-
     def __repr__(self):
         body = ", ".join(f"({i.level},{i.d1},{i.d2}):{v}" for i, v in sorted(self.blocks.items()))
         return f"BlockSystem(r={self.group_order}, {{{body}}})"

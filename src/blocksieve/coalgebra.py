@@ -20,11 +20,12 @@ unchanged.  Coassociativity packs each slice
 dense basis vector costs O(n^3) packed products, not O(n^4) scalar ones
 (see validate for the digit bound that keeps the packed test exact).
 
-Ingestion reads each delta constant once: Coalgebra(...) tests the raw
-entries (parse_coalgebra hands over the JSON lists as they are) in one bulk
-pass over their columns, converts each distinct constant once, and builds
-delta and integral_delta from those values by dict lookups.  Only a failed
-test runs an entry-by-entry scan, to name the first bad entry.
+Ingestion is checked in one place, Coalgebra(...); parse_coalgebra checks
+the document and hands over the JSON lists as they are.  One bulk pass over
+delta's columns tests the raw entries, converts each distinct constant once
+and builds delta and integral_delta by dict lookups.  Only a failed test
+runs the entry scan, which names the first bad entry in input order by its
+position ("delta[3]: ..."); the counit is checked before it ("counit[1]: ...").
 """
 
 from __future__ import annotations
@@ -40,21 +41,6 @@ class CoalgebraParseError(ValueError):
     """Malformed coalgebra JSON."""
 
 
-def _frac(x, where: str) -> Fraction:
-    if isinstance(x, bool):
-        raise CoalgebraParseError(f"{where}: coefficients must be rationals, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return _rational(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CoalgebraParseError(f"{where}: bad rational {x!r}: {exc}") from exc
-    raise CoalgebraParseError(
-        f"{where}: coefficients must be 'p/q' strings or integers, got {type(x).__name__}"
-    )
-
-
 def _rational(x: str) -> Fraction:
     """x as a Fraction; a canonical "-?p" or "-?p/q" of decimal digits skips Fraction's regex.
 
@@ -67,11 +53,29 @@ def _rational(x: str) -> Fraction:
     return Fraction(x)
 
 
-def _exact(x, where: str) -> Fraction:
-    """Fraction(x); a float (read at its binary value) or a bool is refused, as in JSON input."""
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"{where} has a non-rational coefficient {x!r}")
-    return Fraction(x)
+def _coefficient(x, where: str) -> Fraction:
+    """x as a Fraction, or a ValueError naming where.
+
+    A Fraction is kept as it is and a string goes through _rational.  A bool
+    is refused, and so is a float, which Fraction would read at its binary
+    value; anything else is Fraction(x), if Fraction takes it.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        try:
+            return _rational(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}: bad rational {x!r}: {exc}") from exc
+    if isinstance(x, bool):
+        raise ValueError(f"{where}: coefficients must be rationals, got {x!r}")
+    if not isinstance(x, float):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise ValueError(
+        f"{where}: coefficients must be 'p/q' strings or integers, got {type(x).__name__}")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -83,16 +87,16 @@ class Coalgebra:
     """dim, basis labels, sparse comultiplication constants, counit values.
 
     delta holds quadruples (i, j, k, c) meaning Delta(e_i) contains c*e_j(x)e_k.
-    Construction is the one place delta is checked and scaled: it normalizes
-    coefficients to Fraction (from Fractions, ints or strings, refusing a
-    float or a bool), sorts the table and sets integral_delta; it does not
-    verify the coalgebra axioms, that is validate()'s job.  One bulk pass
-    over the columns tests entry shapes, index types and ranges, duplicates
-    and constant types, and converts and zero-tests each distinct constant
-    once (a string through _rational); both tables are then built by dict
-    lookups from those values.  A table failing a bulk test, or holding
-    constants of another type, goes through the entry scan, which converts
-    constants and raises for the first bad entry.
+    Construction is the one place delta and the counit are checked and
+    delta is scaled: it converts values with _coefficient (counit first),
+    sorts the table and sets integral_delta; it does not verify the
+    coalgebra axioms, that is validate()'s job.  One bulk pass over the
+    columns tests entry shapes, index types and ranges, duplicates and
+    constant types, and converts and zero-tests each distinct constant once;
+    both tables are then built by dict lookups from those values.  A table
+    failing a bulk test, or holding constants of another type, goes through
+    the entry scan, which converts constants and raises for the first bad
+    entry, named by its position ("delta[pos]: ...").
 
     integral_delta is (D, delta with each constant times D), D the lcm of
     delta's denominators: the one table for every stage that needs delta
@@ -117,9 +121,7 @@ class Coalgebra:
             raise ValueError("counit vector must match dim")
         object.__setattr__(self, "basis", tuple(str(s) for s in self.basis))
         object.__setattr__(self, "counit", tuple(
-            x if isinstance(x, Fraction) else _exact(x, f"counit entry {i}")
-            for i, x in enumerate(self.counit)
-        ))
+            _coefficient(x, f"counit[{i}]") for i, x in enumerate(self.counit)))
         entries = tuple(self.delta)
         value = None
         if entries and set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) == {4}:
@@ -143,18 +145,20 @@ class Coalgebra:
             # of other types); an input passing the bulk tests never reaches it
             seen = set()
             norm = []
-            for (i, j, k, c) in entries:
-                if not all(type(t) is int for t in (i, j, k)):
-                    raise ValueError(f"delta entry ({i},{j},{k}) has a non-int index")
-                if not all(0 <= t < self.dim for t in (i, j, k)):
-                    raise ValueError(f"delta entry ({i},{j},{k}) out of range")
+            for pos, entry in enumerate(entries):
+                where = f"delta[{pos}]"
+                if not isinstance(entry, (tuple, list)) or len(entry) != 4:
+                    raise ValueError(f"{where}: entries are [i, j, k, coeff]")
+                i, j, k, c = entry
+                for t in (i, j, k):
+                    if type(t) is not int or not 0 <= t < self.dim:
+                        raise ValueError(f"{where}: index {t!r} out of range")
+                c = _coefficient(c, where)
                 if (i, j, k) in seen:
-                    raise ValueError(f"duplicate delta entry ({i},{j},{k})")
+                    raise ValueError(f"{where}: duplicate delta entry ({i},{j},{k})")
                 seen.add((i, j, k))
-                if not isinstance(c, Fraction):
-                    c = _exact(c, f"delta entry ({i},{j},{k})")
                 if c == 0:
-                    raise ValueError(f"zero coefficient at delta entry ({i},{j},{k})")
+                    raise ValueError(f"{where}: zero coefficient at delta entry ({i},{j},{k})")
                 norm.append((i, j, k, c))
             ii, jj, kk, cs = zip(*norm) if norm else ((),) * 4
             pos, value = range(len(norm)), dict(enumerate(cs))
@@ -328,7 +332,7 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
     d_k > 0, so the inverse needs no fraction until the constants are summed.
     """
     n = c.dim
-    P = [[_exact(x, f"change-of-basis entry ({i},{j})") for j, x in enumerate(row)]
+    P = [[_coefficient(x, f"change-of-basis entry ({i},{j})") for j, x in enumerate(row)]
          for i, row in enumerate(p_rows)]
     if len(P) != n or any(len(row) != n for row in P):
         raise ValueError("change-of-basis matrix must be square of size dim")
@@ -370,9 +374,12 @@ _TOP_KEYS = {"dim", "basis", "delta", "counit", "field"}
 def parse_coalgebra(text: bytes | str) -> Coalgebra:
     """Parse coalgebra JSON: {"dim", "basis", "delta", "counit", "field": "Q"}.
 
-    delta entries are [i, j, k, "p/q"] with 0-based indices; rationals are
-    decimal-free "p/q" strings (plain integers are accepted).  Unknown fields
-    are rejected.
+    delta entries are [i, j, k, "p/q"] with 0-based indices.  A rational is
+    a JSON integer or any string Fraction(str) reads ("3/4", "-2", "2.5",
+    "1e2", " 1"); a float or a bool is refused.  Unknown fields are
+    rejected.  This checks the document's shape; the entries are checked by
+    Coalgebra(...), whose ValueError, naming the first bad entry in input
+    order by position, is raised again as CoalgebraParseError.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -402,35 +409,12 @@ def parse_coalgebra(text: bytes | str) -> Coalgebra:
     if not isinstance(raw_delta, list):
         raise CoalgebraParseError("delta must be a list")
     raw_counit = obj["counit"]
+    if not isinstance(raw_counit, list) or len(raw_counit) != dim:
+        raise CoalgebraParseError("counit must be a list of dim rationals")
     try:
-        if not isinstance(raw_counit, list) or len(raw_counit) != dim:
-            raise CoalgebraParseError("counit must be a list of dim rationals")
-        counit = tuple(_frac(x, f"counit[{i}]") for i, x in enumerate(raw_counit))
-        return Coalgebra(dim, tuple(basis), raw_delta, counit)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        # a malformed delta entry is named first, then a counit fault, then
-        # the table's own (a duplicate or a zero)
-        _delta_entries(raw_delta, dim)
-        if isinstance(exc, CoalgebraParseError):
-            raise
+        return Coalgebra(dim, tuple(basis), raw_delta, raw_counit)
+    except ValueError as exc:
         raise CoalgebraParseError(str(exc)) from exc
-
-
-def _delta_entries(raw: list, dim: int) -> None:
-    """Raise CoalgebraParseError naming the first malformed entry [i, j, k, coeff] of a parsed delta list.
-
-    parse_coalgebra runs this entry scan only once Coalgebra(...) has refused
-    the raw entries, so that the message names the entry by its position.
-    """
-    for pos, entry in enumerate(raw):
-        where = f"delta[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise CoalgebraParseError(f"{where}: entries are [i, j, k, coeff]")
-        i, j, k, coeff = entry
-        for t in (i, j, k):
-            if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < dim:
-                raise CoalgebraParseError(f"{where}: index {t!r} out of range")
-        _frac(coeff, where)
 
 
 def serialize_coalgebra(c: Coalgebra) -> bytes:

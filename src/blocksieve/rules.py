@@ -199,7 +199,6 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     r = _require(s, BlockSystem, "s").group_order
     _require(flags, ModeFlags, "flags")
     nsp = flags.no_skew_primitives
-    ncss = flags.non_cosemisimple or nsp
 
     # Effective table: stored entries plus the implicit (0,1,1) = r.
     eff: dict[BlockIndex, int] = dict(s.blocks)
@@ -351,8 +350,8 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                 f"{_fmt(first)} uses d={d} with no coradical block B(0,{d},{d})",
             )
 
-    # RNC: the coalgebra is declared non-cosemisimple.
-    if ncss and n_max < 1:
+    # RNC: the coalgebra is declared non-cosemisimple (ModeFlags folds NSP in).
+    if flags.non_cosemisimple and n_max < 1:
         violate("RNC", [], "cosemisimple: no block above level 0")
 
     return [v for rid in RULE_ORDER for v in out[rid]]

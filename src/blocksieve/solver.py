@@ -712,7 +712,8 @@ def admissible_group_orders(
     realizes every admissible total above the r = 1 lower bound), so listing
     it would carry no information about N.  As in scan, a grid past a cap,
     here the smallest order's, the deepest, is refused before any solve, and
-    then node_cap, even where every order is answered by R1.
+    then node_cap, even where the survey is empty and nothing is solved (a
+    prime N such as 7).
     """
     if _require_int(N, "N") < 1:
         raise ValueError("N must be positive")

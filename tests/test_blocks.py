@@ -327,7 +327,7 @@ class TestSerialization:
     def test_level_at_the_bound_parses(self):
         text = json.dumps({"group_order": 1, "blocks": [
             {"level": MAX_BLOCK_LEVEL, "d1": 1, "d2": 1, "dim": 1}]})
-        assert parse_block_system(text).max_level() == MAX_BLOCK_LEVEL
+        assert [i.level for i in parse_block_system(text).blocks] == [MAX_BLOCK_LEVEL]
 
     def test_level_above_the_bound_is_refused(self):
         text = json.dumps({"group_order": 1, "blocks": [

@@ -8,7 +8,7 @@ import blocksieve.coalgebra
 from blocksieve.coalgebra import (
     Coalgebra,
     CoalgebraParseError,
-    _frac,
+    _coefficient,
     _frac_str,
     change_basis,
     dual_algebra,
@@ -499,8 +499,9 @@ class TestChangeBasis:
                 assert (back.delta, back.counit) == (c.delta, c.counit)
 
     @pytest.mark.parametrize("P, message", [
-        ([[0.1]], "change-of-basis entry (0,0) has a non-rational coefficient 0.1"),
-        ([[True]], "change-of-basis entry (0,0) has a non-rational coefficient True"),
+        ([[0.1]], "change-of-basis entry (0,0): coefficients must be 'p/q' strings or "
+                  "integers, got float"),
+        ([[True]], "change-of-basis entry (0,0): coefficients must be rationals, got True"),
     ])
     def test_rejects_inexact_entries(self, P, message):
         with pytest.raises(ValueError) as info:
@@ -583,7 +584,7 @@ class TestSerialization:
         def outcome(parse):
             try:
                 x = parse()
-            except CoalgebraParseError as exc:
+            except ValueError as exc:
                 return "error", str(exc)
             return type(x), x
 
@@ -591,12 +592,13 @@ class TestSerialization:
             try:
                 return Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
-                raise CoalgebraParseError(f"delta[0]: bad rational {text!r}: {exc}") from exc
+                raise ValueError(f"delta[0]: bad rational {text!r}: {exc}") from exc
 
         for text in texts:
-            assert outcome(lambda: _frac(text, "delta[0]")) == outcome(lambda: reference(text))
-        assert _frac("-12/18", "w") == Fraction(-2, 3)
-        assert "bad rational" in outcome(lambda: _frac("--3", "w"))[1]
+            assert outcome(lambda: _coefficient(text, "delta[0]")) == outcome(
+                lambda: reference(text))
+        assert _coefficient("-12/18", "w") == Fraction(-2, 3)
+        assert "bad rational" in outcome(lambda: _coefficient("--3", "w"))[1]
 
     def test_accepts_integer_coefficients(self):
         c = parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,0,1]], '
@@ -625,48 +627,76 @@ def _parse_error(text) -> str:
     return str(info.value)
 
 
+def _both_errors(entries, counit=("1", "1")) -> tuple[str, str]:
+    """The messages parse_coalgebra (entries as JSON) and Coalgebra(...) (as tuples) raise."""
+    text = json.dumps({"dim": 2, "basis": ["e0", "e1"], "delta": entries,
+                       "counit": list(counit), "field": "Q"})
+    with pytest.raises(CoalgebraParseError) as parsed:
+        parse_coalgebra(text)
+    with pytest.raises(ValueError) as built:
+        Coalgebra(2, ("e0", "e1"), [tuple(e) if type(e) is list else e for e in entries],
+                  counit)
+    assert type(built.value) is ValueError
+    return str(parsed.value), str(built.value)
+
+
 GOOD = '[0, 0, 0, "1"], [1, 1, 1, "1"]'
 
 
 class TestParseChecks:
-    """Every delta entry is checked once, in bulk; messages name the first bad entry."""
+    """parse_coalgebra and Coalgebra(...) name the first bad entry by position, in one message."""
 
     @pytest.mark.parametrize("bad, message", [
-        ('[0, true, 0, "1"]', "delta[1]: index True out of range"),
-        ('[0, 0, 2, "1"]', "delta[1]: index 2 out of range"),
-        ('[-1, 0, 0, "1"]', "delta[1]: index -1 out of range"),
-        ('[0, 0, 1.0, "1"]', "delta[1]: index 1.0 out of range"),
-        ('"0,0,0,1"', "delta[1]: entries are [i, j, k, coeff]"),
-        ('[0, 0, "1"]', "delta[1]: entries are [i, j, k, coeff]"),
-        ('[0, 1, 0, 0.5]',
-         "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
-        ('[0, 1, 0, false]', "delta[1]: coefficients must be rationals, got False"),
-        ('[0, 1, 0, "1/0"]',
-         "delta[1]: bad rational '1/0': Fraction(1, 0)"),
+        ("0,0,0,1", "delta[1]: entries are [i, j, k, coeff]"),
+        ([0, 0, "1"], "delta[1]: entries are [i, j, k, coeff]"),
+        ([0, 1.0, 0, "1"], "delta[1]: index 1.0 out of range"),
+        ([0, "1", 0, "1"], "delta[1]: index '1' out of range"),
+        ([True, 0, 0, "1"], "delta[1]: index True out of range"),
+        ([0, 0, 2, "1"], "delta[1]: index 2 out of range"),
+        ([-1, 0, 0, "1"], "delta[1]: index -1 out of range"),
+        ([0, 1, 0, 0.5], "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ([0, 1, 0, None],
+         "delta[1]: coefficients must be 'p/q' strings or integers, got NoneType"),
+        ([0, 1, 0, False], "delta[1]: coefficients must be rationals, got False"),
+        ([0, 1, 0, "x"], "delta[1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        ([0, 1, 0, "1/0"], "delta[1]: bad rational '1/0': Fraction(1, 0)"),
+        ([0, 0, 0, "2"], "delta[1]: duplicate delta entry (0,0,0)"),
+        ([0, 1, 1, "0/7"], "delta[1]: zero coefficient at delta entry (0,1,1)"),
+        ([0, 1, 1, 0], "delta[1]: zero coefficient at delta entry (0,1,1)"),
     ])
     def test_entry_messages(self, bad, message):
-        text = _doc(f'[[0, 0, 0, "1"], {bad}, [1, 1, 1, "1"]]')
-        assert _parse_error(text) == message
+        assert _both_errors([[0, 0, 0, "1"], bad, [1, 1, 1, "1"]]) == (message, message)
 
     @pytest.mark.parametrize("coeff", ['"0"', '"0/7"', '"-0"', "0"])
     def test_zero_coefficient(self, coeff):
         text = _doc(f'[[0, 0, 0, "1"], [0, 1, 1, {coeff}], [1, 1, 1, "1"]]')
-        assert _parse_error(text) == "zero coefficient at delta entry (0,1,1)"
+        assert _parse_error(text) == "delta[1]: zero coefficient at delta entry (0,1,1)"
 
     def test_duplicate_entry(self):
         text = _doc('[[0, 0, 0, "1"], [1, 1, 1, "1"], [0, 0, 0, "2"]]')
-        assert _parse_error(text) == "duplicate delta entry (0,0,0)"
+        assert _parse_error(text) == "delta[2]: duplicate delta entry (0,0,0)"
 
-    def test_first_bad_entry_is_named(self):
-        # a bad coefficient in entry 1 is reported before a bad index in entry 2,
-        # and a bad index in entry 1 before a bad coefficient in entry 2
-        assert _parse_error(_doc('[[0, 0, 0, "1"], [0, 1, 1, "x"], [0, 0, 9, "1"]]')) == (
-            "delta[1]: bad rational 'x': Invalid literal for Fraction: 'x'")
-        assert _parse_error(_doc('[[0, 0, 0, "1"], [0, 0, 9, "1"], [0, 1, 1, "x"]]')) == (
-            "delta[1]: index 9 out of range")
-        # a zero or duplicate is a table error, raised once every entry parses
-        assert _parse_error(_doc('[[0, 0, 0, "0"], [0, 0, 9, "1"]]')) == (
-            "delta[1]: index 9 out of range")
+    @pytest.mark.parametrize("entries, counit, message", [
+        # a zero in entry 0 is named ahead of a bad index in entry 1
+        ([[0, 0, 0, "0"], [0, 0, 9, "1"]], ("1", "1"),
+         "delta[0]: zero coefficient at delta entry (0,0,0)"),
+        ([[0, 0, 0, "1"], [0, 0, 0, "1"], [0, 0, 9, "1"]], ("1", "1"),
+         "delta[1]: duplicate delta entry (0,0,0)"),
+        ([[0, 0, 0, "1"], [1, 1, 1, "0"], [0, 0, 0, 0.5]], ("1", "1"),
+         "delta[1]: zero coefficient at delta entry (1,1,1)"),
+        ([[0, 0, 0, "1"], [0, 1, 1, "x"], [0, 0, 9, "1"]], ("1", "1"),
+         "delta[1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+        ([[0, 0, 9, "1"], [0, 1, 1, "x"]], ("1", "1"), "delta[0]: index 9 out of range"),
+        ([[1, 1, 1, "1"], [0, 0], [0, 0, 0, "0"]], ("1", "1"),
+         "delta[1]: entries are [i, j, k, coeff]"),
+        # the counit is checked before any delta entry
+        ([[0, 0, 9, "1"]], ("1", 0.5),
+         "counit[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ([[0, 0, 0, "0"]], (True, "1"), "counit[0]: coefficients must be rationals, got True"),
+        ([[0, 0, 0, "1"]], ("1", "1/0"), "counit[1]: bad rational '1/0': Fraction(1, 0)"),
+    ])
+    def test_first_bad_entry_is_named(self, entries, counit, message):
+        assert _both_errors(entries, counit) == (message, message)
 
     def test_non_canonical_strings_give_what_fraction_gives(self):
         texts = ["2/4", "+3", " 1", "1 ", "-6/-4", "007", "3/-4", "2.5", "1e2", "1_0"]
@@ -704,7 +734,7 @@ class TestParseChecks:
 
 
 class TestDirectConstruction:
-    """Coalgebra(...) checks ranges, duplicates and zeros in bulk, messages as before."""
+    """Coalgebra(...) checks ranges, duplicates and zeros in bulk; the scan names the entry."""
 
     @staticmethod
     def _make(delta, dim=2):
@@ -712,26 +742,27 @@ class TestDirectConstruction:
                          (Fraction(1),) * dim)
 
     @pytest.mark.parametrize("delta, message", [
-        ([(0, 0, 0, Fraction(1)), (0, 0, 2, Fraction(1))], "delta entry (0,0,2) out of range"),
-        ([(0, 0, 0, Fraction(1)), (-1, 0, 0, Fraction(1))], "delta entry (-1,0,0) out of range"),
-        ([(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(2))], "duplicate delta entry (0,0,0)"),
+        ([(0, 0, 0, Fraction(1)), (0, 0, 2, Fraction(1))], "delta[1]: index 2 out of range"),
+        ([(0, 0, 0, Fraction(1)), (-1, 0, 0, Fraction(1))], "delta[1]: index -1 out of range"),
+        ([(0, 0, 0, Fraction(1)), (0, 0, 0, Fraction(2))],
+         "delta[1]: duplicate delta entry (0,0,0)"),
         ([(0, 0, 0, Fraction(1)), (1, 1, 1, Fraction(0))],
-         "zero coefficient at delta entry (1,1,1)"),
-        ([(0, 0, 0, 1), (1, 1, 1, 0)], "zero coefficient at delta entry (1,1,1)"),
+         "delta[1]: zero coefficient at delta entry (1,1,1)"),
+        ([(0, 0, 0, 1), (1, 1, 1, 0)], "delta[1]: zero coefficient at delta entry (1,1,1)"),
         # the first bad entry in input order is the one named
         ([(1, 1, 1, Fraction(0)), (0, 0, 5, Fraction(1))],
-         "zero coefficient at delta entry (1,1,1)"),
-        ([(0, 0, 5, Fraction(1)), (1, 1, 1, Fraction(0))], "delta entry (0,0,5) out of range"),
-        ([(0, 0, 0, Fraction(1)), (0, 0, 0)], "not enough values to unpack (expected 4, got 3)"),
+         "delta[0]: zero coefficient at delta entry (1,1,1)"),
+        ([(0, 0, 5, Fraction(1)), (1, 1, 1, Fraction(0))], "delta[0]: index 5 out of range"),
+        ([(0, 0, 0, Fraction(1)), (0, 0, 0)], "delta[1]: entries are [i, j, k, coeff]"),
         # an index must be an int: a float or a bool passes the range test
-        ([(0, 1.0, 0, Fraction(1))], "delta entry (0,1.0,0) has a non-int index"),
+        ([(0, 1.0, 0, Fraction(1))], "delta[0]: index 1.0 out of range"),
         ([(0, 0, 0, Fraction(1)), (True, 0, 1, Fraction(1))],
-         "delta entry (True,0,1) has a non-int index"),
-        ([(0, 0, 0, 1), (1, 1, False, 1)], "delta entry (1,1,False) has a non-int index"),
+         "delta[1]: index True out of range"),
+        ([(0, 0, 0, 1), (1, 1, False, 1)], "delta[1]: index False out of range"),
         # a constant must be exact: Fraction() would take a float's binary value
         ([(0, 0, 0, Fraction(1)), (1, 1, 1, 0.5)],
-         "delta entry (1,1,1) has a non-rational coefficient 0.5"),
-        ([(0, 0, 0, True)], "delta entry (0,0,0) has a non-rational coefficient True"),
+         "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ([(0, 0, 0, True)], "delta[0]: coefficients must be rationals, got True"),
     ])
     def test_messages(self, delta, message):
         with pytest.raises(ValueError) as info:
@@ -739,8 +770,9 @@ class TestDirectConstruction:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("counit, message", [
-        ((Fraction(1), 0.1), "counit entry 1 has a non-rational coefficient 0.1"),
-        ((True, Fraction(1)), "counit entry 0 has a non-rational coefficient True"),
+        ((Fraction(1), 0.1),
+         "counit[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ((True, Fraction(1)), "counit[0]: coefficients must be rationals, got True"),
     ])
     def test_counit_must_be_exact(self, counit, message):
         with pytest.raises(ValueError) as info:

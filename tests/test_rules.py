@@ -229,7 +229,7 @@ class TestRuleSetProperties:
             if any(v.rule in ("R1", "R9", "R0") for v in report):
                 continue
             tried += 1
-            n_max = s.max_level()
+            n_max = max((i.level for i in s.blocks), default=0)
             assert total_dim(s) >= (n_max + 1) * s.group_order
         assert tried > 5
 
