@@ -16,9 +16,17 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Mapping
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+
+# Deepest block level a BlockIndex accepts, so no BlockSystem, parsed or built
+# in code, reaches rules.check with a deeper one.  The rule check costs work
+# per level up to the deepest one, two violations per missing level, so a
+# level of 10^8 would run for hours; analyze (dimension <= 256) and solve
+# (grids of <= 200 levels) never produce a level near this one.
+MAX_BLOCK_LEVEL = 10_000
 
 
 class BlockSystemParseError(ValueError):
@@ -72,7 +80,9 @@ class _Frozen:
 class BlockIndex(_Frozen):
     """Index (level, d1, d2) of one block.
 
-    Level-0 blocks are diagonal by definition, so d1 != d2 is rejected there.
+    Every field is an int, the level at most MAX_BLOCK_LEVEL and both
+    dimensions positive.  Level-0 blocks are diagonal by definition, so
+    d1 != d2 is rejected there.
     Field order gives the canonical lexicographic ordering used everywhere:
     __lt__ states it and functools.total_ordering derives <=, > and >=.
     """
@@ -82,12 +92,13 @@ class BlockIndex(_Frozen):
     def __init__(self, level: int, d1: int, d2: int):
         if type(level) is not int or type(d1) is not int or type(d2) is not int:
             raise ValueError(f"block index fields must be ints, got ({level!r}, {d1!r}, {d2!r})")
-        if level < 0:
-            raise ValueError(f"block level must be >= 0, got {level}")
+        if not 0 <= level <= MAX_BLOCK_LEVEL:
+            raise ValueError(
+                f"block level must be in 0..MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}, got {level}")
         if d1 < 1 or d2 < 1:
             raise ValueError(f"comodule dimensions must be >= 1, got ({d1}, {d2})")
         if level == 0 and d1 != d2:
-            raise ValueError("level-0 block must be diagonal")
+            raise ValueError(f"level-0 block must be diagonal, got ({level}, {d1}, {d2})")
         _set_level(self, level)
         _set_d1(self, d1)
         _set_d2(self, d2)
@@ -149,6 +160,25 @@ NON_COSEMISIMPLE = ModeFlags(non_cosemisimple=True)
 PLAIN = ModeFlags()
 
 
+def _entry(idx, dim) -> tuple[BlockIndex, int]:
+    """The block-table entry (idx, dim) as (BlockIndex, dim), or a ValueError.
+
+    idx is a BlockIndex or a (level, d1, d2) tuple that BlockIndex accepts,
+    and dim a positive int (zero blocks are not stored).  BlockSystem checks
+    each entry here, and parse_block_system each entry of its document.
+    """
+    if not isinstance(idx, BlockIndex):
+        if not isinstance(idx, tuple) or len(idx) != 3:
+            raise ValueError(f"block index must be a (level, d1, d2) tuple, got {idx!r}")
+        idx = BlockIndex(*idx)
+    if type(dim) is not int or dim <= 0:
+        raise ValueError(
+            f"block dimension at {tuple(idx)} must be a positive integer, got {dim!r}; "
+            "zero blocks must be omitted"
+        )
+    return idx, dim
+
+
 class BlockSystem(_Frozen):
     """A sparse block-dimension table together with the group order r.
 
@@ -160,7 +190,9 @@ class BlockSystem(_Frozen):
     group_order 0 is permitted so the analyzer can represent coalgebras with
     no grouplikes at all; such systems fail the rule check, as they must.
 
-    blocks is a dict, so a BlockSystem is unhashable.
+    blocks is a dict, so a BlockSystem is unhashable.  Each of its entries
+    is checked by _entry, so a level above MAX_BLOCK_LEVEL, a malformed
+    index or a dimension that is not a positive int raises ValueError here.
     """
 
     __slots__ = ("group_order", "blocks")
@@ -170,17 +202,8 @@ class BlockSystem(_Frozen):
             raise ValueError(f"group order must be an int, got {group_order!r}")
         if group_order < 0:
             raise ValueError(f"group order must be >= 0, got {group_order}")
-        normalized: dict[BlockIndex, int] = {}
-        for idx, dim in (blocks or {}).items():
-            if not isinstance(idx, BlockIndex):
-                idx = BlockIndex(*idx)
-            if type(dim) is not int or dim <= 0:
-                raise ValueError(
-                    f"block dimension at {tuple(idx)} must be a positive integer; "
-                    "zero blocks must be omitted"
-                )
-            normalized[idx] = dim
-        super().__init__(group_order, normalized)
+        blocks = _require(blocks or {}, Mapping, "blocks")
+        super().__init__(group_order, dict(_entry(idx, dim) for idx, dim in blocks.items()))
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Stored entries as (level, d1, d2, dim), canonically sorted."""
@@ -219,21 +242,14 @@ def transpose(s: BlockSystem) -> BlockSystem:
     )
 
 
-_TOP_KEYS = {"group_order", "blocks"}
-_ENTRY_KEYS = {"level", "d1", "d2", "dim"}
-
-# Deepest block level parse_block_system accepts and rules.check checks.  The
-# rule check costs work per level up to the deepest one, two violations per
-# missing level, so a level of 10^8 would run for hours; analyze (dimension
-# <= 256) and solve (grids of <= 200 levels) never produce a level near this
-# one.
-MAX_BLOCK_LEVEL = 10_000
+_TOP_KEYS = frozenset({"group_order", "blocks"})
+_ENTRY_KEYS = frozenset({"level", "d1", "d2", "dim"})
 
 
-def _require_int(value, what: str, error: type[ValueError] = ValueError) -> int:
-    """value if it is an int and not a bool; else error("<what> must be an integer, ...")."""
+def _require_int(value, what: str) -> int:
+    """value if it is an int and not a bool; else ValueError("<what> must be an integer, ...")."""
     if type(value) is not int:
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -244,66 +260,59 @@ def _require(value, cls: type, what: str):
     return value
 
 
+def _json_object(doc, fields: frozenset, error: type[ValueError], where: str = ""):
+    """doc as a JSON object holding exactly the given fields, or error(message).
+
+    Without where, doc is a whole document, UTF-8 bytes or text, and is
+    decoded and parsed here; with it, doc is a value read from one and
+    where ("blocks[3]") starts each message.  Unknown fields are named
+    before missing ones.  parse_block_system and parse_coalgebra read their
+    documents, and parse_block_system its entries, through this one check.
+    """
+    if not where:
+        try:
+            doc = json.loads(doc.decode("utf-8") if isinstance(doc, bytes) else doc)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{where or 'top level'} must be a JSON object")
+    at = f"{where}: " if where else ""
+    unknown = doc.keys() - fields
+    if unknown:
+        raise error(f"{at}unknown fields rejected: {sorted(unknown)}")
+    missing = fields - doc.keys()
+    if missing:
+        raise error(f"{at}missing fields: {sorted(missing)}")
+    return doc
+
+
 def parse_block_system(text: bytes | str) -> BlockSystem:
     """Parse the block-system JSON interchange format.
 
     Schema: {"group_order": r, "blocks": [{"level": n, "d1": a, "d2": b,
-    "dim": v}, ...]}.  Field order is free; unknown fields, duplicate indices,
-    non-positive dimensions, level-0 off-diagonal entries and levels above
-    MAX_BLOCK_LEVEL are rejected with a message naming the offending entry.
+    "dim": v}, ...]}.  Field order is free.  This checks the document: its
+    fields, a positive int group_order, blocks as a list of objects with
+    the four fields, and no index twice.  Each entry is checked as
+    BlockSystem checks it, so a level above MAX_BLOCK_LEVEL is refused
+    there; its ValueError is raised again as BlockSystemParseError, prefixed
+    by the entry's position ("blocks[3]: ...").
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BlockSystemParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise BlockSystemParseError("top level must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise BlockSystemParseError(f"unknown fields rejected: {sorted(unknown)}")
-    if "group_order" not in obj or "blocks" not in obj:
-        raise BlockSystemParseError("fields 'group_order' and 'blocks' are required")
-    r = _require_int(obj["group_order"], "top level: group_order", BlockSystemParseError)
-    if r < 1:
-        raise BlockSystemParseError(f"group_order must be positive, got {r}")
-    raw_blocks = obj["blocks"]
-    if not isinstance(raw_blocks, list):
+    obj = _json_object(text, _TOP_KEYS, BlockSystemParseError)
+    r = obj["group_order"]
+    if type(r) is not int or r < 1:
+        raise BlockSystemParseError(f"group_order must be a positive integer, got {r!r}")
+    if not isinstance(obj["blocks"], list):
         raise BlockSystemParseError("'blocks' must be a list")
     blocks: dict[BlockIndex, int] = {}
-    for k, entry in enumerate(raw_blocks):
+    for k, entry in enumerate(obj["blocks"]):
         where = f"blocks[{k}]"
-        if not isinstance(entry, dict):
-            raise BlockSystemParseError(f"{where}: entries must be objects")
-        bad = set(entry) - _ENTRY_KEYS
-        if bad:
-            raise BlockSystemParseError(f"{where}: unknown fields rejected: {sorted(bad)}")
-        if set(entry) != _ENTRY_KEYS:
-            raise BlockSystemParseError(f"{where}: fields level, d1, d2, dim are required")
-        n, a, b, v = (_require_int(entry[key], f"{where}: {key}", BlockSystemParseError)
-                      for key in ("level", "d1", "d2", "dim"))
-        if n > MAX_BLOCK_LEVEL:
-            raise BlockSystemParseError(
-                f"{where} (level={n}, d1={a}, d2={b}): level above the bound "
-                f"MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}"
-            )
-        if v == 0:
-            raise BlockSystemParseError(
-                f"{where} (level={n}, d1={a}, d2={b}): zero blocks must be omitted"
-            )
-        if v < 0:
-            raise BlockSystemParseError(
-                f"{where} (level={n}, d1={a}, d2={b}): block dimension must be positive"
-            )
+        entry = _json_object(entry, _ENTRY_KEYS, BlockSystemParseError, where)
         try:
-            idx = BlockIndex(n, a, b)
+            idx, v = _entry((entry["level"], entry["d1"], entry["d2"]), entry["dim"])
         except ValueError as exc:
-            raise BlockSystemParseError(f"{where} (level={n}, d1={a}, d2={b}): {exc}") from exc
+            raise BlockSystemParseError(f"{where}: {exc}") from exc
         if idx in blocks:
-            raise BlockSystemParseError(
-                f"{where} (level={n}, d1={a}, d2={b}): duplicate index"
-            )
+            raise BlockSystemParseError(f"{where}: duplicate index {tuple(idx)}")
         blocks[idx] = v
     return BlockSystem(r, blocks)
 

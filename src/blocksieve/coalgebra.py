@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .blocks import _json_object
 from .linalg import echelon, integral
 
 
@@ -58,7 +59,8 @@ def _coefficient(x, where: str) -> Fraction:
 
     A Fraction is kept as it is and a string goes through _rational.  A bool
     is refused, and so is a float, which Fraction would read at its binary
-    value; anything else is Fraction(x), if Fraction takes it.
+    value; anything else is Fraction(x), if Fraction takes it.  Every
+    refusal but a bad string's has one message, whoever the caller.
     """
     if isinstance(x, Fraction):
         return x
@@ -67,15 +69,13 @@ def _coefficient(x, where: str) -> Fraction:
             return _rational(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: bad rational {x!r}: {exc}") from exc
-    if isinstance(x, bool):
-        raise ValueError(f"{where}: coefficients must be rationals, got {x!r}")
-    if not isinstance(x, float):
+    if not isinstance(x, (bool, float)):
         try:
             return Fraction(x)
         except (TypeError, ValueError, ArithmeticError):
             pass
-    raise ValueError(
-        f"{where}: coefficients must be 'p/q' strings or integers, got {type(x).__name__}")
+    raise ValueError(f"{where}: coefficients must be exact rationals (integers, "
+                     f"Fractions or 'p/q' strings), got {type(x).__name__}")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -368,7 +368,7 @@ def change_basis(c: Coalgebra, p_rows: list[list]) -> Coalgebra:
     return Coalgebra(n, tuple(f"f{i}" for i in range(n)), tuple(delta), counit)
 
 
-_TOP_KEYS = {"dim", "basis", "delta", "counit", "field"}
+_TOP_KEYS = frozenset({"dim", "basis", "delta", "counit", "field"})
 
 
 def parse_coalgebra(text: bytes | str) -> Coalgebra:
@@ -377,24 +377,13 @@ def parse_coalgebra(text: bytes | str) -> Coalgebra:
     delta entries are [i, j, k, "p/q"] with 0-based indices.  A rational is
     a JSON integer or any string Fraction(str) reads ("3/4", "-2", "2.5",
     "1e2", " 1"); a float or a bool is refused.  Unknown fields are
-    rejected.  This checks the document's shape; the entries are checked by
+    rejected.  This checks the document's shape, through the JSON-document
+    check parse_block_system also uses (so bytes that are not UTF-8 are
+    refused as not valid JSON); the entries are checked by
     Coalgebra(...), whose ValueError, naming the first bad entry in input
     order by position, is raised again as CoalgebraParseError.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CoalgebraParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CoalgebraParseError("top level must be a JSON object")
-    unknown = set(obj) - _TOP_KEYS
-    if unknown:
-        raise CoalgebraParseError(f"unknown fields rejected: {sorted(unknown)}")
-    missing = _TOP_KEYS - set(obj)
-    if missing:
-        raise CoalgebraParseError(f"missing fields: {sorted(missing)}")
+    obj = _json_object(text, _TOP_KEYS, CoalgebraParseError)
     if obj["field"] != "Q":
         raise CoalgebraParseError(f"only field 'Q' is supported, got {obj['field']!r}")
     dim = obj["dim"]

@@ -13,8 +13,7 @@ that an absent (0,1,1) entry counts as r.
 
 from __future__ import annotations
 
-from .blocks import (MAX_BLOCK_LEVEL, BlockIndex, BlockSystem, ModeFlags, _Frozen, _require,
-                     pointed_levels)
+from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, _require, pointed_levels
 
 # Rule ids in report order.  R7 and R8 are active only with the
 # no-skew-primitives flag; RNC only with the non-cosemisimple flag.
@@ -193,8 +192,8 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
 
     Violations are data, not errors, and come back sorted by rule id (in
     RULE_ORDER) and then by index.  Raises ValueError unless s is a
-    BlockSystem and flags a ModeFlags, and when s has a level above
-    MAX_BLOCK_LEVEL, before any violation is built.
+    BlockSystem and flags a ModeFlags.  The work grows with s's deepest
+    level, which BlockIndex bounds by MAX_BLOCK_LEVEL where s is built.
     """
     r = _require(s, BlockSystem, "s").group_order
     _require(flags, ModeFlags, "flags")
@@ -209,8 +208,6 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     for idx, v in eff.items():
         by_level.setdefault(idx.level, {})[(idx.d1, idx.d2)] = v
     n_max = max(by_level, default=0)
-    if n_max > MAX_BLOCK_LEVEL:
-        raise ValueError(f"top level {n_max} is above the bound MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}")
     out: dict[str, list[RuleViolation]] = {rid: [] for rid in RULE_ORDER}
 
     def violate(rule, indices, message, missing=None):
@@ -225,8 +222,9 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
             [BlockIndex(0, 1, 1)],
             f"dim B(0,1,1)={stored_011} but group order is {r}",
         )
-    for (a, b), v in sorted(by_level.get(0, {}).items()):
-        if a == b and a > 1 and v % (a * a) != 0:
+    # level-0 cells are diagonal (BlockIndex), so a == b
+    for (a, _b), v in sorted(by_level.get(0, {}).items()):
+        if a > 1 and v % (a * a) != 0:
             violate(
                 "R0",
                 [BlockIndex(0, a, a)],

@@ -401,12 +401,6 @@ class _Search:
         self._place(0, _Group((1, 1), ((1, 1),), self.r, self.r))
         self._level0_dfs(0, self.r)
 
-    # _subset_dfs visits the exclude-everything branch first and then the
-    # includes from the last group down, the order an exclude-first
-    # recursion takes, but nests one frame per included group only.  The
-    # exclude run of a level is one node per remaining group plus the
-    # exclude-all leaf, counted in one tick.
-
     def _level0_dfs(self, i: int, min_cost: int):
         """Search the coradical case on the stack after every case that extends it.
 
@@ -447,6 +441,12 @@ class _Search:
         open_rows is the R5 fold of the levels below (rules.escalate).  A
         level is entered with gi = 0 and shut None; the entry computes shut
         (_level_closes), which the include recursion hands down.
+
+        It visits the exclude-everything branch first and then the includes
+        from the last group down, the order an exclude-first recursion
+        takes, but nests one frame per included group only.  The exclude
+        run of a level is one node per remaining group plus the exclude-all
+        leaf, counted in one tick.
         """
         if level > self.max_level:
             # The grid ends here; the support below is a complete candidate.

@@ -154,11 +154,12 @@ class TestIntegerFields:
 
     @pytest.mark.parametrize("text, message", [
         ('{"group_order": true, "blocks": []}',
-         "top level: group_order must be an integer, got True"),
+         "group_order must be a positive integer, got True"),
         ('{"group_order": 1, "blocks": [{"level": 1.5, "d1": 1, "d2": 1, "dim": 1}]}',
-         "blocks[0]: level must be an integer, got 1.5"),
+         "blocks[0]: block index fields must be ints, got (1.5, 1, 1)"),
         ('{"group_order": 1, "blocks": [{"level": 1, "d1": 1, "d2": 1, "dim": "1"}]}',
-         "blocks[0]: dim must be an integer, got '1'"),
+         "blocks[0]: block dimension at (1, 1, 1) must be a positive integer, got '1'; "
+         "zero blocks must be omitted"),
     ])
     def test_parse_messages(self, text, message):
         with pytest.raises(BlockSystemParseError) as info:
@@ -179,6 +180,69 @@ class TestBlockSystem:
         # rule checks flag it; construction must not normalize it away
         s = BlockSystem(3, {(0, 1, 1): 5})
         assert s.blocks[BlockIndex(0, 1, 1)] == 5
+
+
+BUILT = {
+    (1.5, 1, 1, 2): "block index fields must be ints, got (1.5, 1, 1)",
+    (1, True, 1, 2): "block index fields must be ints, got (1, True, 1)",
+    (-1, 1, 1, 1): f"block level must be in 0..MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}, got -1",
+    (MAX_BLOCK_LEVEL + 1, 1, 1, 1):
+        f"block level must be in 0..MAX_BLOCK_LEVEL = {MAX_BLOCK_LEVEL}, got {MAX_BLOCK_LEVEL + 1}",
+    (1, 0, 1, 1): "comodule dimensions must be >= 1, got (0, 1)",
+    (0, 2, 1, 4): "level-0 block must be diagonal, got (0, 2, 1)",
+    (1, 1, 2, 0): "block dimension at (1, 1, 2) must be a positive integer, got 0; "
+                  "zero blocks must be omitted",
+    (1, 1, 2, -4): "block dimension at (1, 1, 2) must be a positive integer, got -4; "
+                   "zero blocks must be omitted",
+    (1, 1, 2, "1"): "block dimension at (1, 1, 2) must be a positive integer, got '1'; "
+                    "zero blocks must be omitted",
+}
+
+
+class TestEntryCheck:
+    """BlockSystem(...) checks each entry; parse_block_system names it by position."""
+
+    @pytest.mark.parametrize("entry", list(BUILT), ids=repr)
+    def test_one_message_on_both_paths(self, entry):
+        level, d1, d2, dim = entry
+        text = json.dumps({"group_order": 1, "blocks": [
+            {"level": 1, "d1": 1, "d2": 1, "dim": 1},
+            {"level": level, "d1": d1, "d2": d2, "dim": dim}]})
+        with pytest.raises(BlockSystemParseError) as parsed:
+            parse_block_system(text)
+        with pytest.raises(ValueError) as built:
+            BlockSystem(1, {(level, d1, d2): dim})
+        assert type(built.value) is ValueError
+        assert str(built.value) == BUILT[entry]
+        assert str(parsed.value) == f"blocks[1]: {BUILT[entry]}"
+
+    @pytest.mark.parametrize("blocks, message", [
+        ({(1, 2): 3}, "block index must be a (level, d1, d2) tuple, got (1, 2)"),
+        ({5: 3}, "block index must be a (level, d1, d2) tuple, got 5"),
+        ([((1, 1, 1), 3)], "blocks must be a Mapping, got [((1, 1, 1), 3)]"),
+    ])
+    def test_malformed_blocks_raise_value_error(self, blocks, message):
+        with pytest.raises(ValueError) as info:
+            BlockSystem(1, blocks)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"group_order": 1, "blocks": [\xff]}', "not valid JSON: 'utf-8' codec can't decode"),
+        ('[1]', "top level must be a JSON object"),
+        ('{"group_order": 1}', "missing fields: ['blocks']"),
+        ('{"group_order": 0, "blocks": []}', "group_order must be a positive integer, got 0"),
+        ('{"group_order": 1, "blocks": {}}', "'blocks' must be a list"),
+        ('{"group_order": 1, "blocks": [[1, 1, 1, 1]]}', "blocks[0] must be a JSON object"),
+        ('{"group_order": 1, "blocks": [{"level": 1, "d1": 1, "d2": 1}]}',
+         "blocks[0]: missing fields: ['dim']"),
+        ('{"group_order": 1, "blocks": [{"level": 1, "d1": 1, "d2": 1, "dim": 1}, '
+         '{"dim": 1, "d2": 1, "d1": 1, "level": 1}]}', "blocks[1]: duplicate index (1, 1, 1)"),
+    ])
+    def test_document_messages(self, text, message):
+        with pytest.raises(BlockSystemParseError) as info:
+            parse_block_system(text)
+        assert str(info.value).startswith(message)
 
 
 class TestTotalDim:
@@ -317,7 +381,8 @@ class TestSerialization:
             '{"level": 1, "d1": 1, "d2": 1, "dim": 2},'
             '{"level": 0, "d1": 3, "d2": 1, "dim": 9}]}'
         )
-        with pytest.raises(BlockSystemParseError, match=r"blocks\[1\].*level=0, d1=3, d2=1"):
+        with pytest.raises(BlockSystemParseError,
+                           match=r"blocks\[1\]: level-0 block must be diagonal, got \(0, 3, 1\)"):
             parse_block_system(text)
 
     def test_level_bound_admits_every_analyzed_or_default_solved_table(self):

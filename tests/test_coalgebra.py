@@ -31,6 +31,8 @@ from blocksieve.linalg import integral
 
 from conftest import coassociativity_failure, random_change_of_basis
 
+# the one message for a constant that is not an exact rational, from any caller
+INEXACT = "coefficients must be exact rationals (integers, Fractions or 'p/q' strings), got "
 
 def _ref_validate(c: Coalgebra) -> list[str]:
     """Reference: coassociativity on integer-scaled delta, the counit law in Fractions.
@@ -499,9 +501,8 @@ class TestChangeBasis:
                 assert (back.delta, back.counit) == (c.delta, c.counit)
 
     @pytest.mark.parametrize("P, message", [
-        ([[0.1]], "change-of-basis entry (0,0): coefficients must be 'p/q' strings or "
-                  "integers, got float"),
-        ([[True]], "change-of-basis entry (0,0): coefficients must be rationals, got True"),
+        ([[0.1]], f"change-of-basis entry (0,0): {INEXACT}float"),
+        ([[True]], f"change-of-basis entry (0,0): {INEXACT}bool"),
     ])
     def test_rejects_inexact_entries(self, P, message):
         with pytest.raises(ValueError) as info:
@@ -564,8 +565,14 @@ class TestSerialization:
             parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,0,"1"]], '
                             '"counit": ["1"], "field": "R"}')
 
+    def test_rejects_bytes_that_are_not_utf8(self):
+        # the JSON-document check parse_block_system also uses decodes first
+        with pytest.raises(CoalgebraParseError, match="^not valid JSON: 'utf-8' codec"):
+            parse_coalgebra(b'{"dim": 1, "basis": ["\xff"], "delta": [[0,0,0,"1"]], '
+                            b'"counit": ["1"], "field": "Q"}')
+
     def test_rejects_float_coefficients(self):
-        with pytest.raises(CoalgebraParseError, match="strings or integers"):
+        with pytest.raises(CoalgebraParseError, match="must be exact rationals"):
             parse_coalgebra('{"dim": 1, "basis": ["g"], "delta": [[0,0,0,0.5]], '
                             '"counit": ["1"], "field": "Q"}')
 
@@ -654,10 +661,10 @@ class TestParseChecks:
         ([True, 0, 0, "1"], "delta[1]: index True out of range"),
         ([0, 0, 2, "1"], "delta[1]: index 2 out of range"),
         ([-1, 0, 0, "1"], "delta[1]: index -1 out of range"),
-        ([0, 1, 0, 0.5], "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
+        ([0, 1, 0, 0.5], f"delta[1]: {INEXACT}float"),
         ([0, 1, 0, None],
-         "delta[1]: coefficients must be 'p/q' strings or integers, got NoneType"),
-        ([0, 1, 0, False], "delta[1]: coefficients must be rationals, got False"),
+         f"delta[1]: {INEXACT}NoneType"),
+        ([0, 1, 0, False], f"delta[1]: {INEXACT}bool"),
         ([0, 1, 0, "x"], "delta[1]: bad rational 'x': Invalid literal for Fraction: 'x'"),
         ([0, 1, 0, "1/0"], "delta[1]: bad rational '1/0': Fraction(1, 0)"),
         ([0, 0, 0, "2"], "delta[1]: duplicate delta entry (0,0,0)"),
@@ -691,8 +698,8 @@ class TestParseChecks:
          "delta[1]: entries are [i, j, k, coeff]"),
         # the counit is checked before any delta entry
         ([[0, 0, 9, "1"]], ("1", 0.5),
-         "counit[1]: coefficients must be 'p/q' strings or integers, got float"),
-        ([[0, 0, 0, "0"]], (True, "1"), "counit[0]: coefficients must be rationals, got True"),
+         f"counit[1]: {INEXACT}float"),
+        ([[0, 0, 0, "0"]], (True, "1"), f"counit[0]: {INEXACT}bool"),
         ([[0, 0, 0, "1"]], ("1", "1/0"), "counit[1]: bad rational '1/0': Fraction(1, 0)"),
     ])
     def test_first_bad_entry_is_named(self, entries, counit, message):
@@ -761,8 +768,8 @@ class TestDirectConstruction:
         ([(0, 0, 0, 1), (1, 1, False, 1)], "delta[1]: index False out of range"),
         # a constant must be exact: Fraction() would take a float's binary value
         ([(0, 0, 0, Fraction(1)), (1, 1, 1, 0.5)],
-         "delta[1]: coefficients must be 'p/q' strings or integers, got float"),
-        ([(0, 0, 0, True)], "delta[0]: coefficients must be rationals, got True"),
+         f"delta[1]: {INEXACT}float"),
+        ([(0, 0, 0, True)], f"delta[0]: {INEXACT}bool"),
     ])
     def test_messages(self, delta, message):
         with pytest.raises(ValueError) as info:
@@ -771,8 +778,8 @@ class TestDirectConstruction:
 
     @pytest.mark.parametrize("counit, message", [
         ((Fraction(1), 0.1),
-         "counit[1]: coefficients must be 'p/q' strings or integers, got float"),
-        ((True, Fraction(1)), "counit[0]: coefficients must be rationals, got True"),
+         f"counit[1]: {INEXACT}float"),
+        ((True, Fraction(1)), f"counit[0]: {INEXACT}bool"),
     ])
     def test_counit_must_be_exact(self, counit, message):
         with pytest.raises(ValueError) as info:
