@@ -192,7 +192,8 @@ class BlockSystem(_Frozen):
 
     blocks is a dict, so a BlockSystem is unhashable.  Each of its entries
     is checked by _entry, so a level above MAX_BLOCK_LEVEL, a malformed
-    index or a dimension that is not a positive int raises ValueError here.
+    index, a dimension that is not a positive int or an index given twice
+    (as a tuple and as a BlockIndex) raises ValueError here.
     """
 
     __slots__ = ("group_order", "blocks")
@@ -203,7 +204,13 @@ class BlockSystem(_Frozen):
         if group_order < 0:
             raise ValueError(f"group order must be >= 0, got {group_order}")
         blocks = _require(blocks or {}, Mapping, "blocks")
-        super().__init__(group_order, dict(_entry(idx, dim) for idx, dim in blocks.items()))
+        table: dict[BlockIndex, int] = {}
+        for idx, dim in blocks.items():
+            idx, dim = _entry(idx, dim)
+            if idx in table:
+                raise ValueError(f"duplicate index {tuple(idx)}")
+            table[idx] = dim
+        super().__init__(group_order, table)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """Stored entries as (level, d1, d2, dim), canonically sorted."""

@@ -93,76 +93,111 @@ def _fmt(idx) -> str:
 
 # -- support predicates --------------------------------------------------------
 #
-# The existential rules depend only on which cells are occupied.  levels maps
-# a level n to its occupied (d1, d2) cells; check passes its block table and
-# the solver its partial support, so each rule is stated here once.
+# The existential rules depend only on which cells are occupied.  A Support
+# holds them as integer bitmasks per level, over keys that stand for the
+# dimensions d in their order, key 1 for d = 1 (so a mask & ~3 keeps the
+# d > 1): rows[n][a] has bit b set when cell (n, a, b) is occupied and
+# cols[n][b] bit a; present[n] masks the rows of level n and offdiag[n] those
+# holding an off-diagonal cell.  check builds one from its block table, each
+# d keyed by its rank, and the solver keeps one keyed by d itself, updated in
+# place as it searches, so each rule is stated here once.
 
 
-def chain_gap(levels, n: int, d1: int, d2: int, start: int = 1) -> int:
+class _Masks(dict):
+    """A row or column table of a sparse Support: an absent key reads as the empty mask."""
+
+    def __missing__(self, key):
+        return 0
+
+
+class Support:
+    """The occupied cells of levels 0..levels-1 as bitmasks (see above).
+
+    With width, rows and cols are lists over the keys 0..width; without,
+    dicts over any int keys, so memory follows the cells.
+    """
+
+    __slots__ = ("rows", "cols", "present", "offdiag")
+
+    def __init__(self, levels: int, width: int | None = None, cells=()):
+        def blank():
+            return _Masks() if width is None else [0] * (width + 1)
+        self.rows = [blank() for _ in range(levels)]
+        self.cols = [blank() for _ in range(levels)]
+        self.present = [0] * levels
+        self.offdiag = [0] * levels
+        for (n, a, b) in cells:
+            self.rows[n][a] |= 1 << b
+            self.cols[n][b] |= 1 << a
+            self.present[n] |= 1 << a
+            if a != b:
+                self.offdiag[n] |= 1 << a
+
+
+def _bits(mask: int):
+    """The positions of mask's set bits, highest first."""
+    while mask:
+        yield (k := mask.bit_length() - 1)
+        mask ^= 1 << k
+
+
+def chain_gap(t: Support, n: int, d1: int, d2: int, start: int = 1) -> int:
     """R4: the first split i, start <= i < n, with no b such that (i,d1,b) and
     (n-i,b,d2) are occupied; 0 when every such split has a witness."""
+    rows, cols = t.rows, t.cols
     for i in range(start, n):
-        second_leg = levels.get(n - i, ())
-        for (a, b) in levels.get(i, ()):
-            if a == d1 and (b, d2) in second_leg:
-                break
-        else:
+        if not rows[i][d1] & cols[n - i][d2]:
             return i
     return 0
 
 
-def escalate(open_rows: dict, n: int, cells) -> None:
-    """R5 fold step: lay level n >= 1, holding cells, on the levels folded into open_rows.
+def escalate(t: Support, open_rows: int, n: int) -> int:
+    """R5 fold step: the open rows once level n >= 1 is laid on the levels folded into open_rows.
 
-    open_rows maps a row d1 to its open cells: the off-diagonal cells
-    (m, d1, d2) of the folded levels whose row is empty at every folded
-    level above m.  A cell of level n continues the open cells of its row,
-    and each off-diagonal cell of level n opens.  open_rows is updated in
-    place; the rows level n holds get new lists and no other list is
-    touched, so folding a shallow copy leaves the original as it was.
+    A row is open when the highest folded level that holds it holds an
+    off-diagonal cell of it: level n closes the rows it holds, then opens
+    those it holds an off-diagonal cell of.
     """
-    for (a, _b) in cells:
-        open_rows.pop(a, None)
-    for (a, b) in cells:
-        if a != b:
-            open_rows.setdefault(a, []).append((n, a, b))
+    return open_rows & ~t.present[n] | t.offdiag[n]
 
 
-def stranded(levels) -> list[tuple[int, int, int]]:
+def stranded(t: Support) -> list[tuple[int, int, int]]:
     """R5: each off-diagonal cell (n, d1, d2), n >= 1, with row d1 empty at every higher level.
 
-    The positive levels are folded bottom up with escalate; the cells still
-    open after the top level are the stranded ones, in no particular order.
+    The positive levels are folded bottom up with escalate; each row still
+    open is stranded at its highest level.  Cells come top level first.
     """
-    open_rows: dict = {}
-    for n in sorted(levels):
-        if n >= 1:
-            escalate(open_rows, n, levels[n])
-    return [cell for held in open_rows.values() for cell in held]
+    open_rows = 0
+    for n in range(1, len(t.present)):
+        open_rows = escalate(t, open_rows, n)
+    out = []
+    for n in range(len(t.present) - 1, 0, -1):
+        here = open_rows & t.present[n]
+        open_rows ^= here
+        out += [(n, a, b) for a in _bits(here) for b in _bits(t.rows[n][a] & ~(1 << a))]
+    return out
 
 
-def backed(levels, cell: tuple[int, int]) -> bool:
+def backed(t: Support, cell: tuple[int, int]) -> bool:
     """R11: both dimensions of cell (d1, d2) have their coradical blocks (0, d, d)."""
-    level0 = levels.get(0, ())
     d1, d2 = cell
-    return (d1, d1) in level0 and (d2, d2) in level0
+    return bool(t.present[0] >> d1 & t.present[0] >> d2 & 1)
 
 
-def has_nsp_core(levels) -> bool:
-    """R7: some d > 1 with (1,d,1), (1,1,d) and some (k,d,d), k > 1, occupied.
+def has_nsp_core(t: Support, n_max: int) -> bool:
+    """R7: some d > 1 with (1,d,1), (1,1,d) and some (k,d,d), 1 < k <= n_max, occupied.
 
-    Driven by the occupied level-1 cells, so the cost does not grow with d.
+    Driven by the level-1 edge cells, so the cost does not grow with d.
     """
-    lvl1 = levels.get(1, ())
-    return any(
-        b == 1 < a and (1, a) in lvl1
-        and any((a, a) in cells for k, cells in levels.items() if k > 1)
-        for (a, b) in lvl1
-    )
+    if n_max < 2:
+        return False
+    rows = t.rows
+    core = rows[1][1] & t.cols[1][1] & ~3
+    return any(rows[k][a] >> a & 1 for a in _bits(core) for k in range(2, n_max + 1))
 
 
-def nsp_forcing_ok(levels, l: int | None, m: int) -> bool:
-    """R8 for least and greatest positive pointed levels l and m.
+def nsp_forcing_ok(t: Support, l: int | None, m: int, n_max: int) -> bool:
+    """R8 for least and greatest positive pointed levels l and m, n_max the highest level.
 
     Holds when l < m fails, or when l > 1 and some level l' > l occupies an
     edge cell (l',d1,1) with (l'-1,d1,d3) occupied and an edge cell (l',1,d2)
@@ -172,19 +207,12 @@ def nsp_forcing_ok(levels, l: int | None, m: int) -> bool:
         return True
     if l == 1:
         return False
-    for lp, row in levels.items():
-        if lp <= l:
-            continue
-        below = levels.get(lp - 1, ())
-        left = any(
-            b == 1 < a and any(x == a and y > 1 for (x, y) in below) for (a, b) in row
-        )
-        right = any(
-            a == 1 < b and any(y == b and x > 1 for (x, y) in below) for (a, b) in row
-        )
-        if left and right:
-            return True
-    return False
+    rows, cols = t.rows, t.cols
+    return any(
+        any(rows[lp - 1][a] & ~3 for a in _bits(cols[lp][1] & ~3))
+        and any(cols[lp - 1][b] & ~3 for b in _bits(rows[lp][1] & ~3))
+        for lp in range(l + 1, n_max + 1)
+    )
 
 
 def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
@@ -204,10 +232,12 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     stored_011 = s.blocks.get(BlockIndex(0, 1, 1))
     if stored_011 is None and r > 0:
         eff[BlockIndex(0, 1, 1)] = r
-    by_level: dict[int, dict[tuple[int, int], int]] = {}
-    for idx, v in eff.items():
-        by_level.setdefault(idx.level, {})[(idx.d1, idx.d2)] = v
-    n_max = max(by_level, default=0)
+    n_max = max((idx.level for idx in eff), default=0)
+    # The support table keys each d by its rank, d = 1 by 1, so its masks
+    # have one bit per distinct d however large the d are.
+    ds = sorted({1, *(d for idx in eff for d in (idx.d1, idx.d2))})
+    key = {d: k for k, d in enumerate(ds, 1)}
+    t = Support(n_max + 1, cells=((n, key[d1], key[d2]) for n, d1, d2 in eff))
     out: dict[str, list[RuleViolation]] = {rid: [] for rid in RULE_ORDER}
 
     def violate(rule, indices, message, missing=None):
@@ -217,136 +247,91 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     if r < 1:
         violate("R0", [], f"group order is {r}; a Hopf-algebra candidate needs at least the unit grouplike")
     if stored_011 is not None and stored_011 != r:
-        violate(
-            "R0",
-            [BlockIndex(0, 1, 1)],
-            f"dim B(0,1,1)={stored_011} but group order is {r}",
-        )
-    # level-0 cells are diagonal (BlockIndex), so a == b
-    for (a, _b), v in sorted(by_level.get(0, {}).items()):
-        if a > 1 and v % (a * a) != 0:
-            violate(
-                "R0",
-                [BlockIndex(0, a, a)],
-                f"dim B(0,{a},{a})={v} is not a positive multiple of {a * a}",
-            )
+        violate("R0", [BlockIndex(0, 1, 1)], f"dim B(0,1,1)={stored_011} but group order is {r}")
 
-    # R1, R2, R3, R4 and R12 read each entry on its own, so one pass over the
-    # sorted table serves them all; each rule's violations stay in index order.
+    # R0 on level-0 entries, R1, R2, R3, R4 and R12 read each entry on its
+    # own, so one pass over the sorted table serves them all; each rule's
+    # violations stay in index order.
     for idx, v in sorted(eff.items()):
         n, d1, d2 = idx
+        at = f"dim {_fmt(idx)}={v}"
+        # level-0 cells are diagonal (BlockIndex), so d1 == d2
+        if n == 0 and d1 > 1 and v % (d1 * d1) != 0:
+            violate("R0", [idx], f"{at} is not a positive multiple of {d1 * d1}")
         # R1: the group order divides every block dimension.
         if r >= 1 and v % r != 0:
-            violate("R1", [idx], f"dim {_fmt(idx)}={v} is not a multiple of |G(H)|={r}")
+            violate("R1", [idx], f"{at} is not a multiple of |G(H)|={r}")
         if n >= 1:
             # R2: edge blocks at positive levels are multiples of d*r.
-            if r >= 1 and min(d1, d2) == 1:
-                d = max(d1, d2)
-                if v % (d * r) != 0:
-                    violate(
-                        "R2", [idx],
-                        f"dim {_fmt(idx)}={v} is not a multiple of {d}*|G(H)|={d * r}",
-                    )
+            d = max(d1, d2)
+            if r >= 1 and min(d1, d2) == 1 and v % (d * r) != 0:
+                violate("R2", [idx], f"{at} is not a multiple of {d}*|G(H)|={d * r}")
             # R3: dim B(n,d1,d2) = dim B(n,d2,d1); absent counts as 0.  A pair
             # is compared at its first index in the table: the one with
             # d1 < d2, or a mirror whose partner is absent.
             if d1 != d2:
                 mirror = BlockIndex(n, d2, d1)
-                if d1 < d2 or mirror not in eff:
-                    w = eff.get(mirror, 0)
-                    if v != w:
-                        big, small = (idx, mirror) if v > w else (mirror, idx)
-                        violate(
-                            "R3",
-                            [big, small],
-                            f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}",
-                        )
+                w = eff.get(mirror, 0)
+                if (d1 < d2 or not w) and v != w:
+                    big, small = (idx, mirror) if v > w else (mirror, idx)
+                    violate("R3", [big, small],
+                            f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}")
             # R12: the bicomodule constituents have dimension d1*d2.
             if v % (d1 * d2) != 0:
-                violate(
-                    "R12", [idx],
-                    f"dim {_fmt(idx)}={v} is not a multiple of d1*d2={d1 * d2}",
-                )
+                violate("R12", [idx], f"{at} is not a multiple of d1*d2={d1 * d2}")
         # R4: chain condition through every intermediate level.
-        i = chain_gap(by_level, n, d1, d2)
+        i = chain_gap(t, n, key[d1], key[d2])
         while i:
-            violate(
-                "R4", [idx],
-                f"dim {_fmt(idx)}={v} has no chain witness at split {i}+{n - i}",
-                missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero",
-            )
-            i = chain_gap(by_level, n, d1, d2, i + 1)
+            violate("R4", [idx], f"{at} has no chain witness at split {i}+{n - i}",
+                    missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
+            i = chain_gap(t, n, key[d1], key[d2], i + 1)
 
     # R5: off-diagonal blocks escalate to a strictly higher level in the same row.
-    for n, d1, d2 in sorted(stranded(by_level)):
-        idx = BlockIndex(n, d1, d2)
-        violate(
-            "R5", [idx],
-            f"dim {_fmt(idx)}={eff[idx]} with {d1}!={d2} escalates nowhere",
-            missing=f"no d3 and n2>{n} with B(n2,{d1},d3) nonzero",
-        )
+    for n, a, b in sorted(stranded(t)):
+        idx = BlockIndex(n, ds[a - 1], ds[b - 1])
+        violate("R5", [idx],
+                f"dim {_fmt(idx)}={eff[idx]} with {idx.d1}!={idx.d2} escalates nowhere",
+                missing=f"no d3 and n2>{n} with B(n2,{idx.d1},d3) nonzero")
 
     # R6: the top pointed block has dimension exactly r.
     l, m = pointed_levels(s)
-    if r >= 1:
-        top = eff.get(BlockIndex(m, 1, 1), 0)
-        if top != r:
-            violate(
-                "R6",
-                [BlockIndex(m, 1, 1)],
-                f"top pointed block must satisfy dim B({m},1,1) = |G(H)| = {r}, got {top}",
-            )
+    top = eff.get(BlockIndex(m, 1, 1), 0)
+    if r >= 1 and top != r:
+        violate("R6", [BlockIndex(m, 1, 1)],
+                f"top pointed block must satisfy dim B({m},1,1) = |G(H)| = {r}, got {top}")
 
     if nsp:
         # R7: no skew-primitive level-1 pointed block, and the six necessary
         # blocks exist for a common d > 1.
-        lvl1 = by_level.get(1, {})
-        if (1, 1) in lvl1:
-            violate(
-                "R7",
-                [BlockIndex(1, 1, 1)],
-                f"B(1,1,1) must be absent without nontrivial skew-primitives, got dim {lvl1[(1, 1)]}",
-            )
-        if not has_nsp_core(by_level):
-            violate(
-                "R7", [],
-                "no d>1 with B(1,d,1), B(1,1,d), and B(k,d,d) (k>1) all nonzero",
-                missing="necessary blocks B(1,d,1), B(1,1,d), B(k,d,d) with k>1",
-            )
+        skew = eff.get(BlockIndex(1, 1, 1))
+        if skew is not None:
+            violate("R7", [BlockIndex(1, 1, 1)],
+                    f"B(1,1,1) must be absent without nontrivial skew-primitives, got dim {skew}")
+        if not has_nsp_core(t, n_max):
+            violate("R7", [], "no d>1 with B(1,d,1), B(1,1,d), and B(k,d,d) (k>1) all nonzero",
+                    missing="necessary blocks B(1,d,1), B(1,1,d), B(k,d,d) with k>1")
         if m <= 1:
-            violate(
-                "R7", [],
-                "no pointed block B(m,1,1) with m>1",
-                missing="a pointed block above level 1",
-            )
+            violate("R7", [], "no pointed block B(m,1,1) with m>1",
+                    missing="a pointed block above level 1")
 
         # R8: an intermediate pointed level forces edge blocks higher up.
-        if not nsp_forcing_ok(by_level, l, m):
-            violate(
-                "R8",
-                [BlockIndex(l, 1, 1), BlockIndex(m, 1, 1)],
-                f"pointed levels l={l} < m={m} force more structure; none found",
-                missing=(
-                    f"l'>l>1 and d1,d2,d3,d4>1 with B(l',d1,1), B(l',1,d2), "
-                    f"B(l'-1,d1,d3), B(l'-1,d4,d2) nonzero"
-                ),
-            )
+        if not nsp_forcing_ok(t, l, m, n_max):
+            violate("R8", [BlockIndex(l, 1, 1), BlockIndex(m, 1, 1)],
+                    f"pointed levels l={l} < m={m} force more structure; none found",
+                    missing="l'>l>1 and d1,d2,d3,d4>1 with B(l',d1,1), B(l',1,d2), "
+                            "B(l'-1,d1,d3), B(l'-1,d4,d2) nonzero")
 
     # R9: no gaps below the top occupied level.
     for n in range(1, n_max + 1):
-        if not by_level.get(n):
+        if not t.present[n]:
             violate("R9", [], f"level {n} is empty but level {n_max} is occupied")
 
     # R11: every d used above level 0 is backed by a coradical block.
-    used = sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)})
-    for d in used:
-        if not backed(by_level, (d, d)):
+    for d in sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)}):
+        if not backed(t, (key[d], key[d])):
             first = min(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
-            violate(
-                "R11",
-                [first],
-                f"{_fmt(first)} uses d={d} with no coradical block B(0,{d},{d})",
-            )
+            violate("R11", [first],
+                    f"{_fmt(first)} uses d={d} with no coradical block B(0,{d},{d})")
 
     # RNC: the coalgebra is declared non-cosemisimple (ModeFlags folds NSP in).
     if flags.non_cosemisimple and n_max < 1:

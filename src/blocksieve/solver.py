@@ -25,27 +25,25 @@ the whole grid was exhausted; the certificate keeps a bounded trace of the
 first _TRACE_CAP refuted cases in the reverse order, largest d first: per
 case, its node count and the close of its level-0 leaf, RNC (see _level0_dfs).
 
-Nodes and closes are counted in bulk.  The exclude run of a level, one node
-per remaining group plus the exclude-all leaf, is one tick, which raises
-exactly when the count passes the node cap, as counting node by node would.
-Each fact a node reads is computed once, where it becomes fixed: the R11
-verdict of every group once per coradical case (it reads level 0 only), the
-R4 verdict of every group within budget once per entry into a level (it
-reads the levels below only, and stops at the first split without a
-witness, rules.chain_gap), and the R5 state as the open rows of the levels
-below, folded one level at a time (rules.escalate), so a stop tests whether
-any row is left open.  The R11 and R4 verdicts are group bitmasks, and so
-are the groups that fit a slack: the cheapest ones, one mask per count,
-found by bisection on the sorted costs.  An include step masks the groups
-from its index on within its slack, counts each rule's closes and the
-groups over budget by popcount, and visits only the open groups.  Phase 2
-counts in units of r and reads the free groups off the placement stack.
-Feasibility reads the slack left once every group has its least value and
-the set of free costs within it, and memoizes a reach bitset per set of
-costs.  Extraction builds one reach bitset per free group, doubling runs of
-multiples.  None of this changes which nodes are visited or why each one
-closes, so the stats, witnesses and refutation traces of a certificate are
-those of a node-by-node count.
+Phase 1 holds its support in one rules.Support keyed by d: per level, a row
+and a column bitmask per d and the masks of the rows present and of those
+with an off-diagonal cell.  An include step sets its group's bits in place
+and restores them once its subtree is searched.  Each fact a node reads is
+computed once, where it becomes fixed: the R11 verdict of every group once
+per coradical case, the R4 verdict of every group within budget once per
+entry into a level (one AND of a row and a column mask per split, up to the
+first without a witness, rules.chain_gap), and the R5 state as a mask of
+open rows, folded one level at a time (rules.escalate).  The verdicts are
+group bitmasks, and so are the groups that fit a slack, found by bisection
+on the sorted costs; an include step counts each rule's closes and the
+groups over budget by popcount and visits only the open groups.  Nodes are
+counted in bulk: the exclude run of a level, one node per remaining group
+plus the exclude-all leaf, is one tick, which raises exactly when the count
+passes the node cap.  Phase 2 counts in units of r, reads the free groups
+off the placement stack and memoizes a reach bitset per set of free costs;
+extraction builds one per free group, doubling runs of multiples.  None of
+this changes which nodes are visited or why each one closes, so the stats,
+witnesses and refutation traces are those of a node-by-node count.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from .blocks import (
     _require_int,
     total_dim,
 )
-from .rules import backed, chain_gap, check, escalate, has_nsp_core, nsp_forcing_ok
+from .rules import Support, backed, chain_gap, check, escalate, has_nsp_core, nsp_forcing_ok
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -238,7 +236,7 @@ class _Group:
     the support, not a field.
     """
 
-    __slots__ = ("first", "members", "divisor", "cost", "units")
+    __slots__ = ("first", "members", "divisor", "cost", "units", "rows", "offdiag")
 
     def __init__(self, first: tuple[int, int], members: tuple[tuple[int, int], ...],
                  divisor: int, r: int):
@@ -247,6 +245,9 @@ class _Group:
         self.divisor = divisor
         self.cost = len(members) * divisor  # least total the unit adds
         self.units = self.cost // r   # the same in units of r, which divides it
+        a, b = first                  # the rows the unit occupies, and its off-diagonal ones
+        self.rows = 1 << a | 1 << b
+        self.offdiag = self.rows if a != b else 0
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
@@ -349,14 +350,11 @@ class _Search:
         self.fit_masks = [0]
         for j in by_cost:
             self.fit_masks.append(self.fit_masks[-1] | 1 << j)
-        # support[level] holds the occupied (d1, d2) cells of each occupied
-        # level; level 0 always holds the grouplike cell (1, 1).  This is the
-        # table shape the support predicates of rules.py read.  stack lists
-        # the placed (level, group) pairs in placement order: level 0 first,
-        # then level by level, each level in canonical order (increasing
-        # first cell).  pointed holds the stack positions of the (1, 1)
-        # groups at positive levels, lowest level first.
-        self.support: dict[int, set[tuple[int, int]]] = {}
+        # table holds the placed cells, level 0 always the grouplike cell
+        # (1, 1); stack the placed (level, group) pairs, level by level, each
+        # level in canonical order (increasing first cell); pointed the stack
+        # positions of the (1, 1) groups at positive levels, lowest first.
+        self.table = Support(max_level + 1, max_d, [(0, 1, 1)])
         self.stack: list[tuple[int, _Group]] = []
         self.pointed: list[int] = []
         # Bit j set when group j is closed by R11, fixed by the coradical case.
@@ -380,25 +378,10 @@ class _Search:
     def _close(self, reason: str, n: int = 1):
         self.closed[reason] = self.closed.get(reason, 0) + n
 
-    def _place(self, level: int, g: _Group):
-        self.support.setdefault(level, set()).update(g.members)
-        if level and g.first == (1, 1):
-            self.pointed.append(len(self.stack))
-        self.stack.append((level, g))
-
-    def _unplace(self, level: int, g: _Group):
-        cells = self.support[level]
-        cells.difference_update(g.members)
-        if not cells:
-            del self.support[level]
-        if level and g.first == (1, 1):
-            self.pointed.pop()
-        self.stack.pop()
-
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
-        self._place(0, _Group((1, 1), ((1, 1),), self.r, self.r))
+        self.stack.append((0, _Group((1, 1), ((1, 1),), self.r, self.r)))
         self._level0_dfs(0, self.r)
 
     def _level0_dfs(self, i: int, min_cost: int):
@@ -408,19 +391,25 @@ class _Search:
         _case_bound order, the reverse of a pre-order with the largest d first.
         """
         self._tick(len(self.diag_groups) + 1 - i)
+        table, stack = self.table, self.stack
         for j in range(i, len(self.diag_groups)):
             g = self.diag_groups[j]
             if min_cost + g.cost <= self.N:
-                self._place(0, g)
+                d = g.first[0]
+                table.rows[0][d] = table.cols[0][d] = 1 << d
+                table.present[0] |= 1 << d
+                stack.append((0, g))
                 self._level0_dfs(j + 1, min_cost + g.cost)
-                self._unplace(0, g)
+                stack.pop()
+                table.rows[0][d] = table.cols[0][d] = 0
+                table.present[0] ^= 1 << d
         self.bound = _case_bound(self.r, [g.first[0] for _, g in self.stack[1:]])
         self._case_found = False
         start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
         self.unbacked = sum(1 << j for j, first in enumerate(self.firsts)
-                            if not backed(self.support, first))
-        self._subset_dfs(1, 0, min_cost, {}, None)
+                            if not backed(table, first))
+        self._subset_dfs(1, 0, min_cost, 0, None)
         if not self._case_found:
             self.refuted += 1
             # The close named is that of the case's first event, level 1
@@ -434,7 +423,7 @@ class _Search:
             if len(self.trace) > _TRACE_CAP:
                 del self.trace[0]
 
-    def _subset_dfs(self, level: int, gi: int, min_cost: int, open_rows: dict,
+    def _subset_dfs(self, level: int, gi: int, min_cost: int, open_rows: int,
                     shut: tuple | None):
         """Choose the support of a positive level from groups[gi:], then stop or go deeper.
 
@@ -452,15 +441,12 @@ class _Search:
             # The grid ends here; the support below is a complete candidate.
             self._stop(level - 1, open_rows, min_cost)
             return
-        groups = self.groups
+        groups, table = self.groups, self.table
         self._tick(len(groups) + 1 - gi)
-        cells = self.support.get(level)
-        if cells is None:
-            self._stop(level - 1, open_rows, min_cost)
+        if table.present[level]:
+            self._subset_dfs(level + 1, 0, min_cost, escalate(table, open_rows, level), None)
         else:
-            above = dict(open_rows)
-            escalate(above, level, cells)
-            self._subset_dfs(level + 1, 0, min_cost, above, None)
+            self._stop(level - 1, open_rows, min_cost)
         # Include branches: the groups from gi on within this step's slack,
         # each closed one counted under its reason by popcount, the groups
         # over budget in one count, and the open ones tried from the last.
@@ -478,13 +464,31 @@ class _Search:
             if n:
                 closed[reason] = closed.get(reason, 0) + n
         tries = cand & live
+        if not tries:
+            return
+        row, col = table.rows[level], table.cols[level]
+        present, offdiag = table.present, table.offdiag
+        was_present, was_offdiag = present[level], offdiag[level]
+        stack, pointed = self.stack, self.pointed
         while tries:
             j = tries.bit_length() - 1
             tries ^= 1 << j
             g = groups[j]
-            self._place(level, g)
+            a, b = g.first
+            was = row[a], row[b], col[a], col[b]
+            row[a], col[b] = row[a] | 1 << b, col[b] | 1 << a
+            row[b], col[a] = row[b] | 1 << a, col[a] | 1 << b
+            present[level] = was_present | g.rows
+            offdiag[level] = was_offdiag | g.offdiag
+            if not j:  # group 0 is the pointed cell (1, 1)
+                pointed.append(len(stack))
+            stack.append((level, g))
             self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, shut)
-            self._unplace(level, g)
+            stack.pop()
+            if not j:
+                pointed.pop()
+            row[a], row[b], col[a], col[b] = was
+        present[level], offdiag[level] = was_present, was_offdiag
 
     def _level_closes(self, level: int, fit: int) -> tuple[int, tuple]:
         """(live, closes) at a newly entered level whose slack fits the groups of fit.
@@ -497,7 +501,7 @@ class _Search:
         # B(1,1,1) is group 0 and always backed.
         r7 = fit & 1 if self.nsp and level == 1 else 0
         r4 = 0
-        firsts, support = self.firsts, self.support
+        firsts, table = self.firsts, self.table
         todo = fit & ~(self.unbacked | r7)
         while todo:
             j = todo.bit_length() - 1
@@ -505,14 +509,14 @@ class _Search:
             # Witnesses lie strictly below this level.  The mirror cell's
             # condition is the same with i and n-i swapped, so one
             # representative suffices on symmetric supports.
-            if chain_gap(support, level, *firsts[j]):
+            if chain_gap(table, level, *firsts[j]):
                 r4 |= 1 << j
         closes = (("R11", self.unbacked & fit), ("R4", r4), ("R7", r7))
         return fit & ~(self.unbacked | r4 | r7), closes
 
     # -- stop checks + phase 2 ---------------------------------------------
 
-    def _stop(self, n_max: int, open_rows: dict, cost: int):
+    def _stop(self, n_max: int, open_rows: int, cost: int):
         """Check a complete support of least total cost; every include fit, so cost <= N.
 
         Each support that passes the rules gets a feasibility verdict, so the
@@ -532,10 +536,10 @@ class _Search:
         top = self.stack[pointed[-1]][0] if pointed else 0
         if self.nsp:
             # R7: the six necessary blocks; B(1,1,1) was closed by the include steps.
-            if top <= 1 or not has_nsp_core(self.support):
+            if top <= 1 or not has_nsp_core(self.table, n_max):
                 self._close("R7")
                 return
-            if not nsp_forcing_ok(self.support, self.stack[pointed[0]][0], top):
+            if not nsp_forcing_ok(self.table, self.stack[pointed[0]][0], top, n_max):
                 self._close("R8")
                 return
         self.supports += 1

@@ -227,6 +227,19 @@ class TestEntryCheck:
         assert type(info.value) is ValueError
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("blocks", [
+        {(1, 1, 1): 2, BlockIndex(1, 1, 1): 3},
+        {BlockIndex(1, 1, 1): 3, (1, 1, 1): 2},
+    ], ids=["tuple first", "BlockIndex first"])
+    def test_index_given_twice_is_refused(self, blocks):
+        # a tuple key and the equal BlockIndex are distinct dict keys, so
+        # neither dimension may silently win; the parser refuses the same
+        # duplicate in JSON in the same words
+        with pytest.raises(ValueError) as info:
+            BlockSystem(1, blocks)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "duplicate index (1, 1, 1)"
+
     @pytest.mark.parametrize("text, message", [
         (b'{"group_order": 1, "blocks": [\xff]}', "not valid JSON: 'utf-8' codec can't decode"),
         ('[1]', "top level must be a JSON object"),

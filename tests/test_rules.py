@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,11 +20,14 @@ from blocksieve.rules import (
     RULE_NAMES,
     RULE_ORDER,
     RuleViolation,
+    Support,
     backed,
     chain_gap,
     check,
     escalate,
     explain,
+    has_nsp_core,
+    nsp_forcing_ok,
     stranded,
 )
 from blocksieve.solver import minimal_form
@@ -283,16 +287,14 @@ def per_rule_reference(s: BlockSystem) -> list[RuleViolation]:
     """R1, R2, R3, R4, R11 and R12 as separate loops, each over its own sort of the table.
 
     The loops are the ones check ran before it read the sorted table once,
-    except R4's, which is read off the rule's statement and shares no code
-    with check; the differential test below holds the one-pass check to them.
+    except R4's and R11's, which are read off the rules' statements and share
+    no code with check; the differential test below holds the one-pass check
+    to them.
     """
     r = s.group_order
     eff = dict(s.blocks)
     if BlockIndex(0, 1, 1) not in eff and r > 0:
         eff[BlockIndex(0, 1, 1)] = r
-    by_level: dict = {}
-    for idx, v in eff.items():
-        by_level.setdefault(idx.level, {})[(idx.d1, idx.d2)] = v
     out = []
 
     def violate(rule, indices, message, missing=None):
@@ -331,7 +333,7 @@ def per_rule_reference(s: BlockSystem) -> list[RuleViolation]:
                     missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
     used = sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)})
     for d in used:
-        if not backed(by_level, (d, d)):
+        if BlockIndex(0, d, d) not in eff:
             witnesses = sorted(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
             violate("R11", witnesses[:1],
                     f"{_fmt(witnesses[0])} uses d={d} with no coradical block B(0,{d},{d})")
@@ -385,6 +387,12 @@ class TestLevelBound:
         assert len(violations) == 2 * (MAX_BLOCK_LEVEL - 1)
 
 
+def tables(cells, levels: int = 7, width: int = 3) -> tuple[Support, Support]:
+    """The Support of cells, (level, d1, d2) triples with every d <= width, in both shapes:
+    lists over the keys 0..width, as the solver keeps it, and dicts, as check builds it."""
+    return Support(levels, width, cells), Support(levels, cells=cells)
+
+
 class TestChainGap:
     def test_first_gap_and_reported_gaps_match_every_split(self):
         # levels 0..5 so that n <= 1 (no split) and start past n both occur
@@ -393,13 +401,11 @@ class TestChainGap:
         for _ in range(600):
             cells = {(rng.randint(0, 5), rng.randint(1, 3), rng.randint(1, 3))
                      for _ in range(rng.randint(0, 14))}
-            levels: dict = {}
-            for (n, a, b) in cells:
-                levels.setdefault(n, set()).add((a, b))
             n, d1, d2 = rng.randint(0, 6), rng.randint(1, 3), rng.randint(1, 3)
             for start in range(1, 7):
                 gaps = chain_gap_splits(cells, n, d1, d2, start)
-                assert chain_gap(levels, n, d1, d2, start) == (gaps[0] if gaps else 0)
+                for t in tables(cells):
+                    assert chain_gap(t, n, d1, d2, start) == (gaps[0] if gaps else 0)
                 seen_gap_after_start |= start > 1 and bool(gaps)
             # check reports every gap of every positive-level block, in split order
             s = BlockSystem(1, {c: 1 for c in cells if c[0] >= 1 or c[1] == c[2]})
@@ -416,19 +422,26 @@ class TestChainGap:
 
 
 def support_levels(s: BlockSystem) -> dict[int, set[tuple[int, int]]]:
-    """The occupied (d1, d2) cells of each level, the table shape the support predicates read."""
+    """The occupied (d1, d2) cells of each level."""
     levels: dict[int, set[tuple[int, int]]] = {}
     for i in s.blocks:
         levels.setdefault(i.level, set()).add((i.d1, i.d2))
     return levels
 
 
-def fold(levels, top: int):
-    """escalate applied to levels 1..top in turn, as the solver carries it up its search."""
-    open_rows: dict = {}
+def table_of(levels, width: int | None = None) -> Support:
+    """The Support of levels, a map from each level to its cells, over levels 0..top."""
+    cells = [(n, a, b) for n, held in levels.items() for (a, b) in held]
+    return Support(max(levels, default=0) + 1, width, cells)
+
+
+def fold(levels, top: int) -> set[int]:
+    """The open rows once escalate has laid levels 1..top in turn, as the solver carries it up its search."""
+    t = table_of(levels)
+    open_rows = 0
     for n in range(1, top + 1):
-        escalate(open_rows, n, levels.get(n, set()))
-    return {cell for held in open_rows.values() for cell in held}
+        open_rows = escalate(t, open_rows, n)
+    return {a for a in range(open_rows.bit_length()) if open_rows >> a & 1}
 
 
 def escalates_nowhere(levels) -> set[tuple[int, int, int]]:
@@ -448,35 +461,162 @@ class TestEscalationFold:
             levels = support_levels(random_system(rng, symmetric=rng.random() < 0.5))
             top = max(levels, default=0)
             expected = escalates_nowhere(levels)
-            assert fold(levels, top) == expected
-            assert set(stranded(levels)) == expected
-            assert len(stranded(levels)) == len(expected)
+            assert fold(levels, top) == {a for (_n, a, _b) in expected}
+            for width in (None, 3):
+                got = stranded(table_of(levels, width))
+                assert set(got) == expected
+                assert len(got) == len(expected)
 
     def test_empty_level_keeps_the_open_cells(self):
         levels = {0: {(1, 1), (2, 2)}, 1: {(2, 1)}, 2: set()}
-        assert fold(levels, 1) == fold(levels, 2) == {(1, 2, 1)}
-        assert set(stranded(levels)) == {(1, 2, 1)}
+        assert fold(levels, 1) == fold(levels, 2) == {2}
+        assert set(stranded(table_of(levels))) == {(1, 2, 1)}
 
     def test_diagonal_only_level_continues_its_rows_and_opens_none(self):
         levels = {0: {(1, 1), (2, 2), (3, 3)}, 1: {(2, 1), (3, 1)}, 2: {(2, 2), (1, 1)}}
-        assert fold(levels, 1) == {(1, 2, 1), (1, 3, 1)}
-        assert fold(levels, 2) == {(1, 3, 1)}
-        assert set(stranded(levels)) == {(1, 3, 1)}
+        assert fold(levels, 1) == {2, 3}
+        assert fold(levels, 2) == {3}
+        assert set(stranded(table_of(levels))) == {(1, 3, 1)}
 
     def test_mirror_pair_needs_both_rows_continued(self):
         levels = {0: {(1, 1), (2, 2)}, 1: {(1, 2), (2, 1)}, 2: {(1, 1)}}
-        assert fold(levels, 1) == {(1, 1, 2), (1, 2, 1)}
-        assert fold(levels, 2) == {(1, 2, 1)}
+        assert fold(levels, 1) == {1, 2}
+        assert fold(levels, 2) == {2}
         levels[3] = {(2, 2)}
         assert fold(levels, 3) == set()
-        assert list(stranded(levels)) == []
+        assert stranded(table_of(levels)) == []
 
-    def test_folding_a_shallow_copy_leaves_the_original(self):
-        # the solver folds a copy of the open rows into each new level
-        open_rows: dict = {}
-        escalate(open_rows, 1, {(1, 2), (2, 1), (3, 1)})
-        snapshot = {a: list(held) for a, held in open_rows.items()}
-        above = dict(open_rows)
-        escalate(above, 2, {(1, 3), (2, 2)})
-        assert open_rows == snapshot
-        assert above == {1: [(2, 1, 3)], 3: [(1, 3, 1)]}
+    def test_fold_step_matches_its_statement(self):
+        # a row stays open when level n leaves it empty, and opens when
+        # level n holds an off-diagonal cell of it
+        rng = random.Random(26)
+        for _ in range(300):
+            cells = {(1, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(0, 8))}
+            open_rows = rng.getrandbits(6) & ~1
+            expected = {a for a in range(1, 6)
+                        if open_rows >> a & 1 and not any(x == a for (_, x, _) in cells)}
+            expected |= {a for (_, a, b) in cells if a != b}
+            for t in tables(cells, 2, 5):
+                after = escalate(t, open_rows, 1)
+                assert {a for a in range(6) if after >> a & 1} == expected
+
+
+def nsp_core_reference(cells) -> bool:
+    """R7's core read off its statement: some d > 1 with (1,d,1), (1,1,d) and some (k,d,d), k > 1."""
+    return any(
+        (1, d, 1) in cells and (1, 1, d) in cells and any((k, d, d) in cells for (k, _, _) in cells if k > 1)
+        for (_, d, _) in cells if d > 1
+    )
+
+
+def nsp_forcing_reference(cells, l, m) -> bool:
+    """R8 read off its statement, for least and greatest positive pointed levels l and m."""
+    if l is None or l >= m:
+        return True
+    if l == 1:
+        return False
+    for lp in {k for (k, _, _) in cells if k > l}:
+        below = {(x, y) for (k, x, y) in cells if k == lp - 1}
+        left = any(k == lp and b == 1 < a and any(x == a and y > 1 for (x, y) in below)
+                   for (k, a, b) in cells)
+        right = any(k == lp and a == 1 < b and any(y == b and x > 1 for (x, y) in below)
+                    for (k, a, b) in cells)
+        if left and right:
+            return True
+    return False
+
+
+class TestSupportPredicates:
+    """R7, R8 and R11 on the support table, in both of its shapes, against their statements."""
+
+    def test_nsp_rules_and_backing_on_random_tables(self):
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(2000):
+            p = rng.uniform(0.15, 0.6)
+            grid = [(0, d, d) for d in (1, 2, 3)]
+            grid += [(n, a, b) for n in range(1, 5) for a in (1, 2, 3) for b in (1, 2, 3)]
+            cells = {c for c in grid if rng.random() < p}
+            n_max = max((n for (n, _, _) in cells), default=0)
+            pointed = sorted(n for (n, a, b) in cells if n >= 1 and a == b == 1)
+            l, m = (pointed[0], pointed[-1]) if pointed else (None, 0)
+            core = nsp_core_reference(cells)
+            forcing = nsp_forcing_reference(cells, l, m)
+            seen |= {("core", core), ("forcing", forcing)}
+            for t in tables(cells, n_max + 1):
+                assert has_nsp_core(t, n_max) == core, cells
+                assert nsp_forcing_ok(t, l, m, n_max) == forcing, cells
+                for a in (1, 2, 3):
+                    for b in (1, 2, 3):
+                        assert backed(t, (a, b)) == ((0, a, a) in cells and (0, b, b) in cells)
+        assert seen == {(rule, held) for rule in ("core", "forcing") for held in (True, False)}
+
+
+def relabel(s: BlockSystem, d_of) -> BlockSystem:
+    """s with each d replaced by d_of(d)."""
+    return BlockSystem(s.group_order, {(n, d_of(a), d_of(b)): v for (n, a, b), v in s.blocks.items()})
+
+
+def violated(s: BlockSystem, flags, d_back) -> list:
+    """check's report as (rule, indices), each index's d mapped through d_back."""
+    return [
+        (v.rule, [(i.level, d_back(i.d1), d_back(i.d2)) for i in v.indices])
+        for v in check(s, flags)
+    ]
+
+
+class TestRankedSupport:
+    """check keys each d by its rank, so a support mask has one bit per distinct d.
+
+    With r = 1 and every dimension 1, each rule's verdict depends only on
+    which cells are occupied and on the order of the d, so an order-keeping
+    relabelling of the d must give the same report.
+    """
+
+    def test_huge_d_give_the_small_d_violations(self):
+        rng = random.Random(35)
+        big = {1: 1, 2: 10**12, 3: 10**12 + 1, 4: 3 * 10**12}
+        back = {v: k for k, v in big.items()}
+        seen = set()
+        start = time.perf_counter()
+        for _ in range(300):
+            cells = {(n, d1, d1 if n == 0 else rng.randint(1, 4))
+                     for n, d1 in ((rng.randint(0, 4), rng.randint(1, 4))
+                                   for _ in range(rng.randint(0, 12)))}
+            small = BlockSystem(1, {c: 1 for c in cells})
+            for flags in ALL_FLAGS:
+                expected = violated(small, flags, int)
+                seen.update(rule for rule, _ in expected)
+                assert violated(relabel(small, big.get), flags, back.get) == expected
+        assert time.perf_counter() - start < 10.0
+        assert {"R4", "R5", "R7", "R8", "R9", "R11"} <= seen
+
+    def test_two_hundred_distinct_d_in_bounded_time_and_memory(self):
+        # each d with its coradical block, level-1 edge pair and level-2
+        # diagonal block, and a level-3 cell to the next d that escalates
+        # nowhere; the d lie 5,000 apart, so a mask with a bit per d value
+        # would take about 125 KB, and the hundreds of them would pass the
+        # memory bound many times over
+        def tower(ds):
+            blocks = {(2, 1, 1): 1}
+            for d, e in zip(ds, ds[1:] + ds[:1]):
+                blocks.update({(0, d, d): 1, (1, d, 1): 1, (1, 1, d): 1, (2, d, d): 1, (3, d, e): 1})
+            return BlockSystem(1, blocks)
+
+        small = list(range(2, 202))
+        huge = [5_000 * k for k in small]
+        expected = violated(tower(small), NSP, int)
+        # R7's core is found, R4 and R5 report the level-3 cells
+        rules = {rule for rule, _ in expected}
+        assert {"R4", "R5"} <= rules and "R7" not in rules
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            got = violated(tower(huge), NSP, lambda d: d // 5_000 if d > 1 else d)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert elapsed < 5.0
+        assert peak < 8 * 2**20, peak

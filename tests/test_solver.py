@@ -569,12 +569,15 @@ class TestPhase2Skip:
             fixed = 2 if top else 1
             budget = rng.randint(0, sum(costs) + 12)
             search = _Search((budget + fixed) * r, r, False, True, 2, 1, 1)
-            search._place(0, _Group((1, 1), ((1, 1),), r, r))
+            # the placement stack as the search leaves it: the grouplike
+            # block, then the pinned top pointed block, then the free groups
+            search.stack.append((0, _Group((1, 1), ((1, 1),), r, r)))
             if top:
-                search._place(top, _Group((1, 1), ((1, 1),), r, r))
+                search.pointed.append(len(search.stack))
+                search.stack.append((top, _Group((1, 1), ((1, 1),), r, r)))
             free = [_Group((d, d), ((d, d),), c * r, r) for d, c in enumerate(costs, start=2)]
             for k, g in enumerate(free, start=1):
-                search._place(1, g)
+                search.stack.append((1, g))
                 expected = _multipliers(costs[:k], budget) is not None
                 cost = (fixed + sum(costs[:k])) * r
                 assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
@@ -582,7 +585,7 @@ class TestPhase2Skip:
                 expected = _multipliers(costs[:k], budget) is not None
                 cost = (fixed + sum(costs[:k])) * r
                 assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
-                search._unplace(1, free[k - 1])
+                search.stack.pop()
 
 
 class TestSolveProperties:
