@@ -40,7 +40,6 @@ from .solver import (
     FeasibilityProblem,
     SearchCapExceeded,
     admissible_group_orders,
-    basic_block_dim,
     lower_bound,
     minimal_form,
     scan,
@@ -73,7 +72,7 @@ __all__ = [
     "serialize_block_system", "total_dim", "transpose",
     "RULE_ANCHORS", "RULE_NAMES", "RULE_ORDER", "RuleViolation", "check", "explain",
     "BoundsError", "FeasibilityProblem", "SearchCapExceeded",
-    "admissible_group_orders", "basic_block_dim", "lower_bound", "minimal_form",
+    "admissible_group_orders", "lower_bound", "minimal_form",
     "scan", "solve", "surveyed_group_orders",
     *_OWNER,
 ]

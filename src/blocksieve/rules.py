@@ -13,7 +13,10 @@ that an absent (0,1,1) entry counts as r.
 
 from __future__ import annotations
 
-from .blocks import BlockIndex, BlockSystem, ModeFlags, _Frozen, _require, pointed_levels
+import math
+
+from .blocks import (BlockIndex, BlockSystem, ModeFlags, _Frozen, _require, _require_int,
+                     pointed_levels)
 
 # Rule ids in report order.  R7 and R8 are active only with the
 # no-skew-primitives flag; RNC only with the non-cosemisimple flag.
@@ -91,7 +94,12 @@ def _fmt(idx) -> str:
     return f"B({n},{a},{b})"
 
 
-# -- support predicates --------------------------------------------------------
+# -- rule statements -----------------------------------------------------------
+#
+# Each rule that check and the solver share is stated here once.  The
+# divisibility rules R0, R1, R2 and R12 read a block's indices only:
+# divisibility lists them for check, and least_dim gives the solver every
+# least block dimension.
 #
 # The existential rules depend only on which cells are occupied.  A Support
 # holds them as integer bitmasks per level, over keys that stand for the
@@ -100,7 +108,33 @@ def _fmt(idx) -> str:
 # cols[n][b] bit a; present[n] masks the rows of level n and offdiag[n] those
 # holding an off-diagonal cell.  check builds one from its block table, each
 # d keyed by its rank, and the solver keeps one keyed by d itself, updated in
-# place as it searches, so each rule is stated here once.
+# place as it searches.
+
+
+def divisibility(r: int, n: int, d1: int, d2: int) -> list[tuple[str, int, str]]:
+    """(rule, modulus, words) for each of R0, R1, R2 and R12 that applies to B(n,d1,d2):
+    its dimension must be a multiple of modulus, and check says it "is not {words}{modulus}"."""
+    out = []
+    if n == 0 and d1 > 1:  # level-0 cells are diagonal (BlockIndex), so d1 == d2
+        out.append(("R0", d1 * d1, "a positive multiple of "))
+    if r >= 1:
+        out.append(("R1", r, "a multiple of |G(H)|="))
+        if n >= 1 and min(d1, d2) == 1:  # an edge block, whose d is d1 * d2
+            out.append(("R2", d1 * d2 * r, f"a multiple of {d1 * d2}*|G(H)|="))
+    if n >= 1:
+        out.append(("R12", d1 * d2, "a multiple of d1*d2="))
+    return out
+
+
+def least_dim(r: int, d1: int, d2: int) -> int:
+    """The least dimension of a block B(n,d1,d2) over group order r, the lcm of its moduli.
+
+    It is the same at every level: a diagonal block's R0 modulus at level 0,
+    d*d, is its R12 modulus above, and R2 adds nothing to R1 on (1, 1).
+    """
+    if min(_require_int(r, "r"), _require_int(d1, "d1"), _require_int(d2, "d2")) < 1:
+        raise ValueError("r, d1, d2 must be positive")
+    return math.lcm(*[m for _, m, _ in divisibility(r, 1, d1, d2)])
 
 
 class _Masks(dict):
@@ -249,23 +283,19 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     if stored_011 is not None and stored_011 != r:
         violate("R0", [BlockIndex(0, 1, 1)], f"dim B(0,1,1)={stored_011} but group order is {r}")
 
-    # R0 on level-0 entries, R1, R2, R3, R4 and R12 read each entry on its
-    # own, so one pass over the sorted table serves them all; each rule's
-    # violations stay in index order.
+    # The divisibility rules, R3 and R4 read each entry on its own, so one
+    # pass over the sorted table serves them all, and finds the entry above
+    # level 0 that first uses each d (R11); violations stay in index order.
+    first_use: dict[int, BlockIndex] = {}
     for idx, v in sorted(eff.items()):
         n, d1, d2 = idx
         at = f"dim {_fmt(idx)}={v}"
-        # level-0 cells are diagonal (BlockIndex), so d1 == d2
-        if n == 0 and d1 > 1 and v % (d1 * d1) != 0:
-            violate("R0", [idx], f"{at} is not a positive multiple of {d1 * d1}")
-        # R1: the group order divides every block dimension.
-        if r >= 1 and v % r != 0:
-            violate("R1", [idx], f"{at} is not a multiple of |G(H)|={r}")
+        for rule, modulus, words in divisibility(r, n, d1, d2):
+            if v % modulus:
+                violate(rule, [idx], f"{at} is not {words}{modulus}")
         if n >= 1:
-            # R2: edge blocks at positive levels are multiples of d*r.
-            d = max(d1, d2)
-            if r >= 1 and min(d1, d2) == 1 and v % (d * r) != 0:
-                violate("R2", [idx], f"{at} is not a multiple of {d}*|G(H)|={d * r}")
+            first_use.setdefault(d1, idx)
+            first_use.setdefault(d2, idx)
             # R3: dim B(n,d1,d2) = dim B(n,d2,d1); absent counts as 0.  A pair
             # is compared at its first index in the table: the one with
             # d1 < d2, or a mirror whose partner is absent.
@@ -276,9 +306,6 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
                     big, small = (idx, mirror) if v > w else (mirror, idx)
                     violate("R3", [big, small],
                             f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}")
-            # R12: the bicomodule constituents have dimension d1*d2.
-            if v % (d1 * d2) != 0:
-                violate("R12", [idx], f"{at} is not a multiple of d1*d2={d1 * d2}")
         # R4: chain condition through every intermediate level.
         i = chain_gap(t, n, key[d1], key[d2])
         while i:
@@ -327,9 +354,8 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
             violate("R9", [], f"level {n} is empty but level {n_max} is occupied")
 
     # R11: every d used above level 0 is backed by a coradical block.
-    for d in sorted({d for idx in eff if idx.level >= 1 for d in (idx.d1, idx.d2)}):
+    for d, first in sorted(first_use.items()):
         if not backed(t, (key[d], key[d])):
-            first = min(idx for idx in eff if idx.level >= 1 and d in (idx.d1, idx.d2))
             violate("R11", [first],
                     f"{_fmt(first)} uses d={d} with no coradical block B(0,{d},{d})")
 

@@ -11,7 +11,8 @@ search runs in two phases:
   skew-primitive rules) and by a running minimum-cost bound;
 
   phase 2 assigns dimensions to a surviving support: every entry is a
-  positive multiple of its forced divisor, off-diagonal mirror pairs share a
+  positive multiple of its least dimension (rules.least_dim, from the one
+  statement of the divisibility rules), off-diagonal mirror pairs share a
   value, the top pointed block is pinned to exactly r, and the total must be
   exactly N.  Reachable-sum bitsets decide feasibility, and a greedy pass
   extracts the lexicographically least assignment, only where it can beat
@@ -63,7 +64,8 @@ from .blocks import (
     _require_int,
     total_dim,
 )
-from .rules import Support, backed, chain_gap, check, escalate, has_nsp_core, nsp_forcing_ok
+from .rules import (Support, backed, chain_gap, check, escalate, has_nsp_core, least_dim,
+                    nsp_forcing_ok)
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -87,25 +89,6 @@ class SearchCapExceeded(RuntimeError):
     """Raised when the search would pass the node cap; never a silent truncation."""
 
 
-def basic_block_dim(r: int, d1: int, d2: int) -> int:
-    """Least possible dimension of the blocks indexed by (d1, d2) over group order r.
-
-    Edge shapes (exactly one of d1, d2 equal to 1) count the forced symmetric
-    pair B(n,d,1) + B(n,1,d) together, hence the factor 2.
-    """
-    for value, name in ((r, "r"), (d1, "d1"), (d2, "d2")):
-        _require_int(value, name)
-    if r < 1 or d1 < 1 or d2 < 1:
-        raise ValueError("r, d1, d2 must be positive")
-    if d1 == 1 and d2 == 1:
-        return r
-    if d1 == 1:
-        return 2 * d2 * r
-    if d2 == 1:
-        return 2 * d1 * r
-    return math.lcm(d1 * d2, r)
-
-
 def lower_bound(r: int) -> tuple[int, frozenset[int]]:
     """Minimum over d > 1 of (2d+2)r + 2*lcm(d^2, r), with every minimizing d.
 
@@ -115,16 +98,12 @@ def lower_bound(r: int) -> tuple[int, frozenset[int]]:
     """
     if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
-    best: int | None = None
-    argmin: set[int] = set()
-    d = 2
-    while True:
-        if best is not None and (2 * d + 2) * r + 2 * d * d > best:
-            break
-        value = (2 * d + 2) * r + 2 * math.lcm(d * d, r)
-        if best is None or value < best:
-            best, argmin = value, {d}
-        elif value == best:
+    best, argmin, d = total_dim(minimal_form(r, 2)), {2}, 3
+    while (2 * d + 2) * r + 2 * d * d <= best:
+        value = total_dim(minimal_form(r, d))
+        if value < best:
+            best, argmin = value, set()
+        if value == best:
             argmin.add(d)
         d += 1
     return best, frozenset(argmin)
@@ -135,35 +114,29 @@ def minimal_form(r: int, d: int) -> BlockSystem:
 
     Coradical blocks (0,1,1) = r and (0,d,d) = lcm(d^2, r), the level-1 edge
     pair of d*r each, a top pointed block (2,1,1) = r and a level-2 diagonal
-    block of lcm(d^2, r).  Passes the full rule check in the
-    no-skew-primitives regime.
+    block of lcm(d^2, r): each block not pointed is of its rules.least_dim.
+    Passes the full rule check in the no-skew-primitives regime.
     """
     if _require_int(r, "r") < 1:
         raise ValueError("r must be positive")
     if _require_int(d, "d") < 2:
         raise ValueError("d must be at least 2")
-    big = math.lcm(d * d, r)
-    return BlockSystem(
-        r,
-        {
-            (0, 1, 1): r,
-            (0, d, d): big,
-            (1, d, 1): d * r,
-            (1, 1, d): d * r,
-            (2, 1, 1): r,
-            (2, d, d): big,
-        },
-    )
+    big, edge = least_dim(r, d, d), least_dim(r, d, 1)
+    return BlockSystem(r, {
+        (0, 1, 1): r, (0, d, d): big,
+        (1, d, 1): edge, (1, 1, d): edge,
+        (2, 1, 1): r, (2, d, d): big,
+    })
 
 
 def _grid(N: int, r: int) -> tuple[int, int]:
     """(max_level, max_d) of a grid that holds every rule-satisfying system.
 
     Levels 0..n_max each cost at least r (group divisibility plus level
-    contiguity), so n_max <= N/r - 1.  Any d used anywhere forces a
-    coradical block of at least lcm(d^2, r) next to the grouplike block,
-    so lcm(d^2, r) <= N - r.  The level cap is tested before the d loop,
-    and the group cap as max_d grows, since max_d never shrinks.
+    contiguity), so n_max <= N/r - 1.  Any d used anywhere forces a block
+    (0,d,d) next to the grouplike one, so least_dim(r, d, d) <= N - r.  The
+    level cap is tested before the d loop, and the group cap as max_d
+    grows, since max_d never shrinks.
 
     No d above n_max * isqrt(n_max) * s passes, s the largest integer whose
     square divides r: with g = gcd(d, r), (d/g)^2 * r <= lcm(d^2, r) as
@@ -190,7 +163,7 @@ def _grid(N: int, r: int) -> tuple[int, int]:
             if d ** 3 > rest:  # rest has at most two prime factors, both above d
                 q = math.isqrt(rest)
                 top = max_level * math.isqrt(max_level) * (s * q if q * q == rest else s)
-        if math.lcm(d * d, r) <= N - r:
+        if least_dim(r, d, d) <= N - r:
             max_d = d
     groups = max_d * (max_d + 1) // 2
     if groups > GROUP_CAP:
@@ -251,25 +224,22 @@ class _Group:
 
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
-    """Canonically ordered branching units at one positive level.
-
-    An edge unit (1, d2) costs d2 * r per member (R2), every other one
-    lcm(d1 * d2, r) (R1, R12); for (1, 1) both read r.
-    """
+    """Canonically ordered branching units, each member of its least dimension
+    (rules.least_dim); the diagonal ones past (1, 1) also serve level 0."""
     return [
         _Group((d1, d2), ((d1, d2),) if d1 == d2 else ((d1, d2), (d2, d1)),
-               d2 * r if d1 == 1 else math.lcm(d1 * d2, r), r)
+               least_dim(r, d1, d2), r)
         for d1 in range(1, max_d + 1)
         for d2 in range(d1, max_d + 1)
     ]
 
 
-def _case_bound(r: int, ds: list[int]) -> tuple:
-    """Lower bound on the sorted entries of the case (0,1,1), (0,d,d) for d in ds (see _stop).
+def _case_bound(r: int, groups: list[_Group]) -> tuple:
+    """Lower bound on the sorted entries of the case of (0,1,1) and the level-0 groups (see _stop).
 
     The sentinel (1,) sorts below every entry above level 0.
     """
-    return ((0, 1, 1, r), *((0, d, d, math.lcm(d * d, r)) for d in ds), (1,))
+    return ((0, 1, 1, r), *((0, *g.first, g.divisor) for g in groups), (1,))
 
 
 def _spread(acc: int, c: int, slack: int) -> int:
@@ -338,9 +308,8 @@ class _Search:
         # The last _TRACE_CAP refuted cases, and how many were refuted.
         self.trace: list[str] = []
         self.refuted = 0
-        diag = (_Group((d, d), ((d, d),), math.lcm(d * d, r), r) for d in range(2, max_d + 1))
-        self.diag_groups = [g for g in diag if g.cost <= N - r]
         self.groups = _level_groups(max_d, r)
+        self.diag_groups = [g for g in self.groups[1:] if g.offdiag == 0 and g.cost <= N - r]
         # Group indices by cost, so that the groups within a slack are found
         # by bisection: fit_masks[k] has bit j set for the k cheapest groups,
         # by_cost[:k].
@@ -403,7 +372,7 @@ class _Search:
                 stack.pop()
                 table.rows[0][d] = table.cols[0][d] = 0
                 table.present[0] ^= 1 << d
-        self.bound = _case_bound(self.r, [g.first[0] for _, g in self.stack[1:]])
+        self.bound = _case_bound(self.r, [g for _, g in self.stack[1:]])
         self._case_found = False
         start = self.nodes
         # The mirror cell uses the same two dimensions, so one call per group.
@@ -697,8 +666,10 @@ def surveyed_group_orders(N: int) -> list[int]:
 
     Each divisor d <= sqrt(N) pairs with N / d, so the loop stops at sqrt(N).
     """
+    if _require_int(N, "N") < 1:
+        raise ValueError("N must be positive")
     small, large = [], []
-    for d in range(2, math.isqrt(max(_require_int(N, "N"), 0)) + 1):
+    for d in range(2, math.isqrt(N) + 1):
         if N % d == 0:
             small.append(d)
             if d * d != N:
@@ -719,8 +690,6 @@ def admissible_group_orders(
     then node_cap, even where the survey is empty and nothing is solved (a
     prime N such as 7).
     """
-    if _require_int(N, "N") < 1:
-        raise ValueError("N must be positive")
     divisors = surveyed_group_orders(N)
     if divisors:
         _grid(N, divisors[0])

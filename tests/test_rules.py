@@ -27,9 +27,11 @@ from blocksieve.rules import (
     escalate,
     explain,
     has_nsp_core,
+    least_dim,
     nsp_forcing_ok,
     stranded,
 )
+from blocksieve.oracle import _divisor
 from blocksieve.solver import minimal_form
 
 from conftest import assert_value_type, random_system
@@ -103,6 +105,12 @@ class TestIndividualRules:
     def test_r0_level0_multiple_of_d_squared(self):
         s = BlockSystem(1, {(0, 1, 1): 1, (0, 2, 2): 6})
         assert "R0" in rules_of(check(s, PLAIN))
+
+    def test_r0_level0_message(self):
+        s = BlockSystem(3, {(0, 2, 2): 6})
+        assert [v.message for v in check(s, PLAIN) if v.rule == "R0"] == [
+            "dim B(0,2,2)=6 is not a positive multiple of 4"
+        ]
 
     def test_r1_group_divisibility(self):
         s = BlockSystem(3, {(0, 1, 1): 3, (1, 1, 1): 4, (2, 1, 1): 3})
@@ -190,6 +198,43 @@ class TestIndividualRules:
     def test_group_order_zero_flagged(self):
         s = BlockSystem(0, {(0, 2, 2): 4})
         assert "R0" in rules_of(check(s, PLAIN))
+
+
+class TestLeastDim:
+    @pytest.mark.parametrize(
+        "r,d1,d2,expected",
+        [
+            (3, 1, 1, 3),
+            (3, 2, 1, 6),
+            (3, 1, 2, 6),
+            (3, 2, 2, 12),
+            (2, 3, 3, 18),
+            (5, 2, 2, 20),
+            (6, 2, 3, 6),
+        ],
+    )
+    def test_table(self, r, d1, d2, expected):
+        assert least_dim(r, d1, d2) == expected
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 1, 1), "r, d1, d2 must be positive"),
+        ((2, 1, 0), "r, d1, d2 must be positive"),
+        ((2, 1.5, 1), "d1 must be an integer, got 1.5"),
+        ((2.0, 1, 1), "r must be an integer, got 2.0"),
+    ])
+    def test_refusals(self, args, message):
+        with pytest.raises(ValueError) as info:
+            least_dim(*args)
+        assert str(info.value) == message
+
+    def test_matches_the_oracle_divisor_at_every_level(self):
+        # the oracle states the divisors on its own; level 0 holds diagonal blocks only
+        for r in range(1, 13):
+            for d1 in range(1, 13):
+                assert least_dim(r, d1, d1) == _divisor((0, d1, d1), r)
+                for d2 in range(1, 13):
+                    for n in (1, 2):
+                        assert least_dim(r, d1, d2) == _divisor((n, d1, d2), r)
 
 
 class TestRuleSetProperties:
@@ -370,6 +415,22 @@ class TestOnePassCheck:
                 assert [v for v in check(s, flags) if v.rule in ruled] == expected
         assert seen == ruled
 
+    def test_r11_at_scale_matches_the_per_rule_loops(self):
+        # 2,000 level-1 diagonal blocks over d = 2..2001, every tenth d backed;
+        # the unbacked d = 5 mod 50 also have an edge pair, which sorts first
+        # and so is the block R11 names, and every seventh diagonal block
+        # breaks R12
+        blocks = {(1, d, d): d if d % 7 == 0 else d * d for d in range(2, 2002)}
+        blocks.update({(0, d, d): d * d for d in range(10, 2002, 10)})
+        blocks.update({(1, a, b): d for d in range(5, 2002, 50) for a, b in ((d, 1), (1, d))})
+        s = BlockSystem(1, blocks)
+        expected = per_rule_reference(s)
+        assert {v.rule for v in expected} == {"R11", "R12"}
+        named = [v.indices[0] for v in expected if v.rule == "R11"]
+        assert len(named) == 2000 - 200
+        assert BlockIndex(1, 1, 55) in named and BlockIndex(1, 3, 3) in named
+        ruled = {"R1", "R2", "R3", "R4", "R11", "R12"}
+        assert [v for v in check(s, PLAIN) if v.rule in ruled] == expected
 
 
 class TestLevelBound:

@@ -23,7 +23,7 @@ from blocksieve.blocks import (
     total_dim,
 )
 from blocksieve.oracle import oracle_enumerate
-from blocksieve.rules import check
+from blocksieve.rules import check, least_dim
 from blocksieve.solver import (
     GROUP_CAP,
     LEVEL_CAP,
@@ -33,10 +33,10 @@ from blocksieve.solver import (
     _case_bound,
     _grid,
     _Group,
+    _level_groups,
     _multipliers,
     _Search,
     admissible_group_orders,
-    basic_block_dim,
     lower_bound,
     minimal_form,
     scan,
@@ -52,27 +52,6 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def lcm(a, b):
     return a * b // math.gcd(a, b)
-
-
-class TestBasicBlockDim:
-    @pytest.mark.parametrize(
-        "r,d1,d2,expected",
-        [
-            (3, 1, 1, 3),
-            (3, 2, 1, 12),
-            (3, 1, 2, 12),
-            (3, 2, 2, 12),
-            (2, 3, 3, 18),
-            (5, 2, 2, 20),
-            (6, 2, 3, 6),
-        ],
-    )
-    def test_table(self, r, d1, d2, expected):
-        assert basic_block_dim(r, d1, d2) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            basic_block_dim(0, 1, 1)
 
 
 class TestLowerBound:
@@ -116,6 +95,24 @@ class TestMinimalForm:
                 s = minimal_form(r, d)
                 assert check(s, NSP) == []
                 assert total_dim(s) == (2 * d + 2) * r + 2 * lcm(d * d, r)
+
+
+class TestLevelGroups:
+    def test_each_unit_costs_its_members_least_dimensions(self):
+        for r in range(1, 13):
+            groups = _level_groups(6, r)
+            assert [g.first for g in groups] == [(a, b) for a in range(1, 7) for b in range(a, 7)]
+            for g in groups:
+                a, b = g.first
+                assert g.members == (((a, b),) if a == b else ((a, b), (b, a)))
+                assert g.cost == len(g.members) * least_dim(r, *g.first) == g.units * r
+
+    def test_coradical_units_cost_their_least_dimensions(self):
+        for r in range(1, 13):
+            search = _Search(30 * r, r, False, True, 2, 6, 1)
+            assert [(g.first, g.cost) for g in search.diag_groups] == [
+                ((d, d), least_dim(r, d, d)) for d in range(2, 7) if least_dim(r, d, d) <= 29 * r
+            ]
 
 
 class TestGrid:
@@ -360,8 +357,6 @@ class TestValueTypes:
     @pytest.mark.parametrize(
         "call,args,message",
         [
-            (basic_block_dim, (2, 1.5, 1), "d1 must be an integer, got 1.5"),
-            (basic_block_dim, (2.0, 1, 1), "r must be an integer, got 2.0"),
             (lower_bound, (True,), "r must be an integer, got True"),
             (lower_bound, (2.0,), "r must be an integer, got 2.0"),
             (minimal_form, (2.0, 2), "r must be an integer, got 2.0"),
@@ -371,6 +366,8 @@ class TestValueTypes:
             (scan, (0, 3, NSP), "r must be positive"),
             (admissible_group_orders, (12.0, NSP), "N must be an integer, got 12.0"),
             (surveyed_group_orders, (12.0,), "N must be an integer, got 12.0"),
+            (surveyed_group_orders, (0,), "N must be positive"),
+            (surveyed_group_orders, (-12,), "N must be positive"),
             (FeasibilityProblem, (10.0, 2), "target_dim must be an integer, got 10.0"),
             (FeasibilityProblem, (10, 2.0), "group_order must be an integer, got 2.0"),
             (FeasibilityProblem, (10, 0), "group_order must be positive"),
@@ -545,7 +542,8 @@ class TestPhase2Skip:
                 systems = sorted(s.entries() for s in oracle_enumerate(n, r, flags))
                 for entries in systems:
                     ds = [d for (level, d, _, _) in entries if level == 0 and d > 1]
-                    bound = _case_bound(r, ds)
+                    bound = _case_bound(r, [_Group((d, d), ((d, d),), least_dim(r, d, d), r)
+                                            for d in ds])
                     level0 = tuple(e for e in entries if e[0] == 0)
                     assert level0 >= bound[:-1], (n, r, entries)
                     if len(level0) < len(entries):
@@ -744,7 +742,7 @@ class TestAdmissibleGroupOrders:
         }
 
     def test_surveyed_orders_are_the_proper_divisors(self):
-        for n in range(-3, 2001):
+        for n in range(1, 2001):
             assert surveyed_group_orders(n) == [r for r in range(2, n) if n % r == 0], n
 
     def test_surveyed_orders_of_a_large_prime_in_square_root_time(self):
