@@ -31,21 +31,23 @@ kernel, rank, trace sign or echelon form.  So the radical's trace form
 (one pass over the constants, weighted by the regular traces, since
 trace(L_x L_y) = trace(L_{xy})) and the filtration's products run on
 integers, and A/J is projected term by term, scaled by the lcm of the
-radical's echelon pivots.  Its primitive central idempotents, each one
-positive denominator times a sparse integer vector, are the center's
-basis rescaled when that passes a certificate at one product per vector
+radical's echelon pivots; with J = 0 it is A itself.  A commutative A/J
+is its own center, so only a noncommutative one eliminates a commutator
+system.  The primitive central idempotents of A/J, each one positive
+denominator times a sparse integer vector, are the center's basis
+rescaled when that passes a certificate at one product per vector
 (_certified_idempotents); otherwise {1} is refined by fraction-free
 Krylov sequences, and a central element that cannot split an idempotent
 is detected on that idempotent's support alone.  From there the work
 follows supports rather than dim per component: one pass over delta
-builds every component's hit maps, with their scales; a component's
-subspace is the one-sided hit of its idempotent on the C_0 vectors that
-an index from coordinates finds on the map's domain; its dimension is a
-trace; and a grouplike and its label come from one echelon row's
-nonzeros.  q_table reuses the maps and counts each isotypic dimension as
-a difference of traces on consecutive levels, each level's traces taken
-once.  Fraction appears only in scalars and in the stored idempotents and
-grouplikes.
+builds every component's hit maps from the idempotents in that form,
+with their scales; a component's subspace is the one-sided hit of its
+idempotent on the C_0 vectors that an index from coordinates finds on
+the map's domain; its dimension is a trace; and a grouplike and its
+label come from one echelon row's nonzeros.  q_table reuses the maps
+and counts each isotypic dimension as a difference of traces on
+consecutive levels, each level's traces taken once.  Fraction appears
+only in scalars and in the stored idempotents and grouplikes.
 """
 
 from __future__ import annotations
@@ -195,9 +197,14 @@ def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[
     product x o y = L * (x * y) on A/J.  It is isomorphic to A/J through
     x -> x / L: its unit is u / L, its idempotents are those of A/J divided
     by L, and its center, regular traces of idempotents and ideals are
-    those of A/J.  With J = 0, L = 1 and the constants pass through
-    unchanged.  Returns the algebra, L and the kept coordinates.
+    those of A/J.  Returns the algebra, L and the kept coordinates.
+
+    With J = 0 there is nothing to project: L is 1 and every image would be
+    a's own term tuple, which dual_algebra builds sorted with no repeats, so
+    a itself is returned with every coordinate kept.
     """
+    if not j_basis:
+        return a, 1, list(range(a.dim))
     pivots = _pivots(j_basis)
     lcm = math.lcm(*(r[col] for r, col in zip(j_basis, pivots)))
     pivot_rows = {
@@ -240,11 +247,22 @@ def _quotient(a: Algebra, j_basis: list[list[int]]) -> tuple[Algebra, int, list[
 def _center(a: Algebra) -> list[list[int]]:
     """Basis of {z : z * e_t = e_t * z for every t}, from the nonzero constants.
 
-    Row (t, i) holds coordinate i of z * e_t - e_t * z as a function of z.
-    The rows are built sparse and each is kept once up to a scalar, since a
-    repeat adds nothing to the kernel: the comatrix dual M_d gives about
-    2d^3 nonzero rows, of which 3d(d-1)/2 are distinct.
+    A commutative a is its own center, and its basis is the identity one,
+    the nullspace of a system with no nonzero row.  a is taken to be
+    commutative when each stored product e_s * e_t has the same term tuple
+    as e_t * e_s: dual_algebra and _quotient store every product sorted,
+    so equal products compare equal, and any other a that fails the test
+    only takes the general path.  There row (t, i) holds coordinate i of
+    z * e_t - e_t * z as a function of z.  The rows are built sparse and
+    each is kept once up to a scalar, since a repeat adds nothing to the
+    kernel: the comatrix dual M_d gives about 2d^3 nonzero rows, of which
+    3d(d-1)/2 are distinct.
     """
+    if all(a.mult[t].get(s) == terms for s, row in enumerate(a.mult) for t, terms in row.items()):
+        basis = [[0] * a.dim for _ in range(a.dim)]
+        for f, z in enumerate(basis):
+            z[f] = 1
+        return basis
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for s, row in enumerate(a.mult):
         for t, terms in row.items():
@@ -434,22 +452,22 @@ def _refined_idempotents(a: Algebra, center: list[list[int]]) -> list[tuple[int,
 
 
 def _hit_maps(c: Coalgebra, functionals) -> list[tuple[list, list, int]]:
-    """The left and right hit actions of each functional {j: Fraction} on c, in integers.
+    """The left and right hit actions of each functional (den, {j: int}) on c, in integers.
 
-    v -> f applied to the left, respectively right, tensorand of Delta v.
-    A map lists (i, image) for each basis vector e_i with a nonzero image,
-    the image as its nonzero (index, value) pairs.  Each functional is
-    scaled to integers by linalg.integral and indexed by coordinate, so
-    one pass over c.integral_delta builds every map: the exact map times
-    that scale times delta's D, returned with it.
+    The functional is the sparse integer vector divided by the positive
+    den, and its action is v -> f applied to the left, respectively right,
+    tensorand of Delta v.  A map lists (i, image) for each basis vector e_i
+    with a nonzero image, the image as its nonzero (index, value) pairs.
+    The functionals are indexed by coordinate, so one pass over
+    c.integral_delta builds every map: the exact map times den times
+    delta's D, returned with it.
     """
     dd, delta = c.integral_delta
     by_coord: list[list[tuple[int, int]]] = [[] for _ in range(c.dim)]
     scales = []
-    for m, f in enumerate(functionals):
-        df, values = linalg.integral(f.values())
+    for m, (df, f) in enumerate(functionals):
         scales.append(df)
-        for j, y in zip(f, values):
+        for j, y in f.items():
             by_coord[j].append((m, y))
     lefts: list[dict] = [{} for _ in scales]
     rights: list[dict] = [{} for _ in scales]
@@ -541,17 +559,20 @@ def simple_components(
                 "non-split coradical; extend scalars (a simple component has "
                 f"dimension {ideal_rank}, not a perfect square)"
             )
-        # the idempotent of A/J is scale * e_bar / den, lifted by zeros at J's pivots
-        found.append((d, {keep[t]: Fraction(scale * x, den) for t, x in e_bar.items()}))
+        # the idempotent of A/J is scale * e_bar / den, lifted by zeros at J's
+        # pivots; gcd(den, e_bar) = 1, so dividing den and scale by their gcd
+        # leaves it in lowest terms
+        g = math.gcd(den, scale)
+        found.append((d, (den // g, {keep[t]: scale // g * x for t, x in e_bar.items()})))
     if sum(d * d for d, _e in found) != len(c0_basis):
         raise AssertionError("central idempotents do not fill the coradical")
     maps = _hit_maps(c, [e for _d, e in found])
     subspaces = _component_subspaces([h[0] for h in maps], [d * d for d, _e in found], c0_basis)
     raw = []
-    for (d, e), hits, subspace in zip(found, maps, subspaces):
+    for (d, (den, e)), hits, subspace in zip(found, maps, subspaces):
         idempotent = [ZERO] * c.dim
         for j, x in e.items():
-            idempotent[j] = x
+            idempotent[j] = Fraction(x, den)
         grouplike = named = None
         if d == 1:
             v = subspace[0]

@@ -145,11 +145,15 @@ def _grid(N: int, r: int) -> tuple[int, int]:
     g <= n_max * h <= n_max * s.  The loop divides r by each d it passes;
     at the first d whose cube exceeds what is left, s is known, and the
     loop stops at that bound: a huge prime r stops at its cube root, not at
-    sqrt(N), and no input visits a d the unbounded loop would not.
+    sqrt(N), and no input visits a d the unbounded loop would not.  The
+    same argument screens each d before least_dim is asked: d is h * f with
+    h | s and f <= n_max * isqrt(n_max), so d / gcd(d, m) is at most that
+    for every multiple m of s, and s times what is left of r is one.
     """
     max_level = max(N // r - 1, 0)
     if max_level > LEVEL_CAP:
         raise BoundsError(f"default max_level {max_level} exceeds the level cap {LEVEL_CAP}")
+    per = max_level * math.isqrt(max_level)
     max_d = d = 1
     # rest is r without its primes up to d, s * s the square they held
     rest, s, top = r, 1, None
@@ -162,8 +166,9 @@ def _grid(N: int, r: int) -> tuple[int, int]:
             rest //= d if rest % d == 0 else 1
             if d ** 3 > rest:  # rest has at most two prime factors, both above d
                 q = math.isqrt(rest)
-                top = max_level * math.isqrt(max_level) * (s * q if q * q == rest else s)
-        if least_dim(r, d, d) <= N - r:
+                top = per * (s * q if q * q == rest else s)
+        # a d that passes is h * f, h | s and f <= per, and s divides s * rest
+        if d // math.gcd(d, s * rest) <= per and least_dim(r, d, d) <= N - r:
             max_d = d
     groups = max_d * (max_d + 1) // 2
     if groups > GROUP_CAP:

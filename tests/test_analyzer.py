@@ -144,8 +144,10 @@ def _dense_hit(c, f, left):
 
 
 def sparse(f):
-    """A dense functional as _hit_maps takes it: {coordinate: nonzero value}."""
-    return {j: x for j, x in enumerate(f) if x}
+    """A dense rational functional as _hit_maps takes it: (den, {coordinate: den * value}),
+    den the least positive integer making every value integral, zeros left out."""
+    den, ints = linalg.integral(f)
+    return den, {j: x for j, x in enumerate(ints) if x}
 
 
 def sparse_tensor_products(corpus_dir):
@@ -201,8 +203,10 @@ class TestHitMaps:
             functionals = [sparse(s.idempotent) for s in analyze(c, PLAIN).components]
             for _ in range(3):
                 support = rng.sample(range(c.dim), rng.randint(1, c.dim))
-                functionals.append({j: F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
-                                    for j in support})
+                f = [F(0)] * c.dim
+                for j in support:
+                    f[j] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+                functionals.append(sparse(f))
             together = _hit_maps(c, functionals)
             assert together == [_hit_maps(c, [f])[0] for f in functionals]
             assert _hit_maps(c, []) == []
@@ -447,6 +451,80 @@ def semisimple_quotient(c):
     """A/J with its constants scaled to integers, as simple_components builds it."""
     a = dual_algebra(c)
     return _quotient(a, radical(a))[0]
+
+
+def is_commutative(a):
+    """Dense reference: e_s * e_t == e_t * e_s for every pair of basis vectors."""
+    units = [[int(t == s) for t in range(a.dim)] for s in range(a.dim)]
+    return all(a.multiply(x, y) == a.multiply(y, x) for x in units for y in units)
+
+
+def center_by_commutators(a):
+    """Reference: _center as it was before a commutative algebra was its own center."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for s, row in enumerate(a.mult):
+        for t, terms in row.items():
+            for i, x in terms:
+                left = rows.setdefault((t, i), {})
+                left[s] = left.get(s, 0) + x
+                right = rows.setdefault((s, i), {})
+                right[t] = right.get(t, 0) - x
+    distinct = set()
+    for row in rows.values():
+        support = sorted(k for k, x in row.items() if x)
+        if support:
+            distinct.add(tuple(zip(support, linalg.primitive([row[k] for k in support]))))
+    dense = []
+    for row in sorted(distinct):
+        v = [0] * a.dim
+        for k, x in row:
+            v[k] = x
+        dense.append(v)
+    return linalg.nullspace(*linalg.echelon(dense), a.dim)
+
+
+class TestQuotient:
+    def test_no_radical_leaves_the_dual_as_it_is(self, corpus_dir):
+        # with J = 0 the projection would copy a term by term: lcm 1, every
+        # coordinate kept, each product a's own sorted term tuple
+        cosemisimple = 0
+        for c in corpus_and_variants(corpus_dir):
+            a = dual_algebra(c)
+            if radical(a):
+                continue
+            cosemisimple += 1
+            quotient, lcm, keep = _quotient(a, [])
+            assert quotient is a
+            assert lcm == 1 and keep == list(range(a.dim))
+        # grouplike_c3, grouplike_c4, matrix2 and s3_dual, each in 3 bases
+        assert cosemisimple == 12
+
+
+class TestCenter:
+    def test_equals_the_commutator_system_on_every_quotient(self, corpus_dir, monkeypatch):
+        # a commutative quotient is its own center and eliminates nothing; a
+        # noncommutative one gives the commutator system's nullspace as before
+        eliminations = 0
+        original = linalg.echelon
+
+        def counting(rows):
+            nonlocal eliminations
+            eliminations += 1
+            return original(rows)
+
+        kinds = {True: 0, False: 0}
+        for c in corpus_and_variants(corpus_dir):
+            q = semisimple_quotient(c)
+            commutative = is_commutative(q)
+            kinds[commutative] += 1
+            eliminations = 0
+            monkeypatch.setattr(blocksieve.linalg, "echelon", counting)
+            got = _center(q)
+            monkeypatch.setattr(blocksieve.linalg, "echelon", original)
+            assert got == center_by_commutators(q)
+            assert eliminations == (0 if commutative else 1)
+        # the grouplike and Sweedler quotients against matrix2's and S3's
+        assert kinds == {True: 12, False: 6}
 
 
 def unit_vectors(n):
@@ -877,14 +955,15 @@ class TestComputeOnce:
         assert calls == levels - 1
 
     @pytest.mark.parametrize("build, calls_expected", [
-        (sweedler_coalgebra, 6), (sweedler_tensor_square, 9), (s3_dual_coalgebra, 6),
+        (sweedler_coalgebra, 5), (sweedler_tensor_square, 8), (s3_dual_coalgebra, 6),
     ])
     def test_analyze_eliminates_j_once(self, monkeypatch, build, calls_expected):
         # every elimination ends in one reduction: the trace form and J once
-        # each in radical, the powers past J in the filtration, then the
-        # center and one subspace per component (2, 4 and 3 of them): A/J
-        # reads its pivots off radical's echelon form instead of eliminating
-        # J again
+        # each in radical, the powers past J in the filtration, the center of
+        # a noncommutative A/J (kS3's; Sweedler's A/J is commutative, so its
+        # own center), and one subspace per component (2, 4 and 3 of them):
+        # A/J reads its pivots off radical's echelon form instead of
+        # eliminating J again
         c = build()
         original = linalg.reduced
         calls = 0
