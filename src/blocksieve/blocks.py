@@ -203,7 +203,7 @@ class BlockSystem(_Frozen):
             raise ValueError(f"group order must be an int, got {group_order!r}")
         if group_order < 0:
             raise ValueError(f"group order must be >= 0, got {group_order}")
-        blocks = _require(blocks or {}, Mapping, "blocks")
+        blocks = _require({} if blocks is None else blocks, Mapping, "blocks")
         table: dict[BlockIndex, int] = {}
         for idx, dim in blocks.items():
             idx, dim = _entry(idx, dim)

@@ -21,11 +21,11 @@ dense basis vector costs O(n^3) packed products, not O(n^4) scalar ones
 (see validate for the digit bound that keeps the packed test exact).
 
 Ingestion is checked in one place, Coalgebra(...); parse_coalgebra checks
-the document and hands over the JSON lists as they are.  One bulk pass over
-delta's columns tests the raw entries, converts each distinct constant once
-and builds delta and integral_delta by dict lookups.  Only a failed test
-runs the entry scan, which names the first bad entry in input order by its
+the document and hands over the JSON lists as they are.  One scan over
+delta in input order checks each entry and names the first bad one by its
 position ("delta[3]: ..."); the counit is checked before it ("counit[1]: ...").
+The scan converts each distinct constant once, and one sort and one
+integral call then build delta and integral_delta.
 """
 
 from __future__ import annotations
@@ -90,13 +90,11 @@ class Coalgebra:
     Construction is the one place delta and the counit are checked and
     delta is scaled: it converts values with _coefficient (counit first),
     sorts the table and sets integral_delta; it does not verify the
-    coalgebra axioms, that is validate()'s job.  One bulk pass over the
-    columns tests entry shapes, index types and ranges, duplicates and
-    constant types, and converts and zero-tests each distinct constant once;
-    both tables are then built by dict lookups from those values.  A table
-    failing a bulk test, or holding constants of another type, goes through
-    the entry scan, which converts constants and raises for the first bad
-    entry, named by its position ("delta[pos]: ...").
+    coalgebra axioms, that is validate()'s job.  One scan checks the entries
+    in input order (shape, indices, constant, duplicate, zero) and raises for
+    the first bad one, named by its position ("delta[pos]: ...").  It
+    converts each distinct str, int or Fraction constant once, and a
+    constant of any other type at each entry.
 
     integral_delta is (D, delta with each constant times D), D the lcm of
     delta's denominators: the one table for every stage that needs delta
@@ -122,52 +120,41 @@ class Coalgebra:
         object.__setattr__(self, "basis", tuple(str(s) for s in self.basis))
         object.__setattr__(self, "counit", tuple(
             _coefficient(x, f"counit[{i}]") for i, x in enumerate(self.counit)))
-        entries = tuple(self.delta)
-        value = None
-        if entries and set(map(type, entries)) <= {tuple, list} and set(map(len, entries)) == {4}:
-            ii, jj, kk, cs = zip(*entries)
-            idx = ii + jj + kk
-            if (set(map(type, idx)) == {int} and 0 <= min(idx) <= max(idx) < self.dim
-                    and len(set(zip(ii, jj, kk))) == len(entries)
-                    and set(map(type, cs)) <= {Fraction, int, str}):
-                # each constant stands for the position of its first occurrence:
-                # one hash per entry (a Fraction's is slow), one conversion per
-                # distinct constant, and int keys for the lookups below
-                first: dict = {}
-                pos = list(map(first.setdefault, cs, range(len(cs))))
-                try:
-                    value = {p: _rational(x) if type(x) is str else Fraction(x)
-                             for x, p in first.items()}
-                except (ValueError, ZeroDivisionError):
-                    pass
-        if value is None or not all(value.values()):
-            # the scan below names the first bad entry (or converts constants
-            # of other types); an input passing the bulk tests never reaches it
-            seen = set()
-            norm = []
-            for pos, entry in enumerate(entries):
-                where = f"delta[{pos}]"
-                if not isinstance(entry, (tuple, list)) or len(entry) != 4:
-                    raise ValueError(f"{where}: entries are [i, j, k, coeff]")
-                i, j, k, c = entry
-                for t in (i, j, k):
-                    if type(t) is not int or not 0 <= t < self.dim:
-                        raise ValueError(f"{where}: index {t!r} out of range")
-                c = _coefficient(c, where)
-                if (i, j, k) in seen:
-                    raise ValueError(f"{where}: duplicate delta entry ({i},{j},{k})")
-                seen.add((i, j, k))
-                if c == 0:
-                    raise ValueError(f"{where}: zero coefficient at delta entry ({i},{j},{k})")
-                norm.append((i, j, k, c))
-            ii, jj, kk, cs = zip(*norm) if norm else ((),) * 4
-            pos, value = range(len(norm)), dict(enumerate(cs))
-        den, ints = integral(list(value.values()))
-        scaled = dict(zip(value, ints))
-        ii, jj, kk, pos = zip(*sorted(zip(ii, jj, kk, pos))) if value else ((),) * 4
-        object.__setattr__(self, "delta", tuple(zip(ii, jj, kk, map(value.__getitem__, pos))))
+        # One scan in input order names the first bad entry.  A constant of
+        # exact type str, int or Fraction is converted once per distinct value,
+        # in a memo per type (True == 1); any other type entry by entry.
+        n = self.dim
+        memos = {str: {}, int: {}, Fraction: {}}
+        values: list[Fraction] = []
+        seen = set()
+        rows = []  # (i, j, k, index of the constant in values)
+        for pos, entry in enumerate(self.delta):
+            if not isinstance(entry, (tuple, list)) or len(entry) != 4:
+                raise ValueError(f"delta[{pos}]: entries are [i, j, k, coeff]")
+            i, j, k, c = entry
+            for t in (i, j, k):
+                if type(t) is not int or not 0 <= t < n:
+                    raise ValueError(f"delta[{pos}]: index {t!r} out of range")
+            memo = memos.get(type(c))
+            p = None if memo is None else memo.get(c)
+            if p is None:
+                p = len(values)
+                values.append(_coefficient(c, f"delta[{pos}]"))
+                if memo is not None:
+                    memo[c] = p
+            key = (i, j, k)
+            if key in seen:
+                raise ValueError(f"delta[{pos}]: duplicate delta entry ({i},{j},{k})")
+            if not values[p]:
+                raise ValueError(f"delta[{pos}]: zero coefficient at delta entry ({i},{j},{k})")
+            seen.add(key)
+            rows.append((i, j, k, p))
+        den, ints = integral(values)
+        rows.sort()
+        ii, jj, kk, ps = zip(*rows) if rows else ((),) * 4
+        object.__setattr__(self, "delta", tuple(zip(ii, jj, kk, map(values.__getitem__, ps))))
         object.__setattr__(self, "integral_delta",
-                           (den, tuple(zip(ii, jj, kk, map(scaled.__getitem__, pos)))))
+                           (den, tuple(zip(ii, jj, kk, map(ints.__getitem__, ps)))))
 
 
 def validate(c: Coalgebra) -> list[str]:

@@ -27,9 +27,11 @@ first _TRACE_CAP refuted cases in the reverse order, largest d first: per
 case, its node count and the close of its level-0 leaf, RNC (see _level0_dfs).
 
 Phase 1 holds its support in one rules.Support keyed by d: per level, a row
-and a column bitmask per d and the masks of the rows present and of those
-with an off-diagonal cell.  An include step sets its group's bits in place
-and restores them once its subtree is searched.  Each fact a node reads is
+bitmask per d and the masks of the rows present and of those with an
+off-diagonal cell.  Each group places a cell with its mirror, so every level
+is symmetric and its row masks also serve as its column masks.  An include
+step sets its group's bits in place and restores them once its subtree is
+searched.  Each fact a node reads is
 computed once, where it becomes fixed: the R11 verdict of every group once
 per coradical case, the R4 verdict of every group within budget once per
 entry into a level (one AND of a row and a column mask per split, up to the
@@ -329,6 +331,7 @@ class _Search:
         # level in canonical order (increasing first cell); pointed the stack
         # positions of the (1, 1) groups at positive levels, lowest first.
         self.table = Support(max_level + 1, max_d, [(0, 1, 1)])
+        self.table.cols = self.table.rows    # every level is symmetric (see above)
         self.stack: list[tuple[int, _Group]] = []
         self.pointed: list[int] = []
         # Bit j set when group j is closed by R11, fixed by the coradical case.
@@ -370,12 +373,12 @@ class _Search:
             g = self.diag_groups[j]
             if min_cost + g.cost <= self.N:
                 d = g.first[0]
-                table.rows[0][d] = table.cols[0][d] = 1 << d
+                table.rows[0][d] = 1 << d
                 table.present[0] |= 1 << d
                 stack.append((0, g))
                 self._level0_dfs(j + 1, min_cost + g.cost)
                 stack.pop()
-                table.rows[0][d] = table.cols[0][d] = 0
+                table.rows[0][d] = 0
                 table.present[0] ^= 1 << d
         self.bound = _case_bound(self.r, [g for _, g in self.stack[1:]])
         self._case_found = False
@@ -440,7 +443,7 @@ class _Search:
         tries = cand & live
         if not tries:
             return
-        row, col = table.rows[level], table.cols[level]
+        row = table.rows[level]
         present, offdiag = table.present, table.offdiag
         was_present, was_offdiag = present[level], offdiag[level]
         stack, pointed = self.stack, self.pointed
@@ -449,9 +452,9 @@ class _Search:
             tries ^= 1 << j
             g = groups[j]
             a, b = g.first
-            was = row[a], row[b], col[a], col[b]
-            row[a], col[b] = row[a] | 1 << b, col[b] | 1 << a
-            row[b], col[a] = row[b] | 1 << a, col[a] | 1 << b
+            was = row[a], row[b]
+            row[a] |= 1 << b
+            row[b] |= 1 << a
             present[level] = was_present | g.rows
             offdiag[level] = was_offdiag | g.offdiag
             if not j:  # group 0 is the pointed cell (1, 1)
@@ -461,7 +464,7 @@ class _Search:
             stack.pop()
             if not j:
                 pointed.pop()
-            row[a], row[b], col[a], col[b] = was
+            row[a], row[b] = was
         present[level], offdiag[level] = was_present, was_offdiag
 
     def _level_closes(self, level: int, fit: int) -> tuple[int, tuple]:

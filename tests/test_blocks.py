@@ -220,6 +220,13 @@ class TestEntryCheck:
         ({(1, 2): 3}, "block index must be a (level, d1, d2) tuple, got (1, 2)"),
         ({5: 3}, "block index must be a (level, d1, d2) tuple, got 5"),
         ([((1, 1, 1), 3)], "blocks must be a Mapping, got [((1, 1, 1), 3)]"),
+        # only None means no blocks: a falsy non-Mapping is refused too
+        ([], "blocks must be a Mapping, got []"),
+        (0, "blocks must be a Mapping, got 0"),
+        ("", "blocks must be a Mapping, got ''"),
+        (False, "blocks must be a Mapping, got False"),
+        ((), "blocks must be a Mapping, got ()"),
+        (set(), "blocks must be a Mapping, got set()"),
     ])
     def test_malformed_blocks_raise_value_error(self, blocks, message):
         with pytest.raises(ValueError) as info:

@@ -1,5 +1,7 @@
 import json
 import random
+from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -803,6 +805,22 @@ class TestDirectConstruction:
         entries = [(1, 1, 1, Fraction(1)), (0, 0, 0, Fraction(1))]
         c = Coalgebra(2, ("e0", "e1"), (e for e in entries), (Fraction(1),) * 2)
         assert c.delta == tuple(sorted(entries))
+
+    def test_true_after_an_equal_int_is_refused(self):
+        # True == 1 and hash(True) == hash(1): a constant seen before must match in type too
+        with pytest.raises(ValueError) as info:
+            self._make([(0, 0, 0, 1), (1, 1, 1, True)])
+        assert str(info.value) == f"delta[1]: {INEXACT}bool"
+        assert _parse_error(_doc("[[0, 0, 0, 1], [1, 1, 1, true]]")) == f"delta[1]: {INEXACT}bool"
+
+    def test_other_exact_types_convert_as_fraction_does(self):
+        Entry = namedtuple("Entry", "i j k c")
+        delta = [Entry(1, 1, 1, Decimal("2.5")), Entry(0, 0, 0, Decimal("-0.125")),
+                 (0, 1, 1, Decimal("2.5"))]
+        c = self._make(delta)
+        assert c.delta == tuple(sorted((i, j, k, Fraction(x)) for i, j, k, x in delta))
+        assert all(type(e) is tuple and type(e[3]) is Fraction for e in c.delta)
+        assert c.integral_delta == (8, ((0, 0, 0, -1), (0, 1, 1, 20), (1, 1, 1, 20)))
 
 
 def _reference_ingestion(entries) -> tuple[tuple, tuple]:

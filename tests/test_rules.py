@@ -613,6 +613,49 @@ class TestSupportPredicates:
         assert seen == {(rule, held) for rule in ("core", "forcing") for held in (True, False)}
 
 
+
+class TestSymmetricSupport:
+    """A support of mirror pairs is symmetric, so its row masks can serve as its column masks."""
+
+    def test_aliased_columns_give_the_same_answers(self):
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(500):
+            p = rng.uniform(0.15, 0.6)
+            pairs = [(0, d, d) for d in (2, 3, 4) if rng.random() < p]
+            pairs += [(n, a, b) for n in range(1, 5) for a in range(1, 5) for b in range(a, 5)
+                      if rng.random() < p]
+            cells = {(0, 1, 1)} | {c for n, a, b in pairs for c in ((n, a, b), (n, b, a))}
+            levels = max(n for n, _, _ in cells) + 1
+            built = Support(levels, 4, cells)
+            # as the solver places them: one row mask per cell, the columns aliased
+            aliased = Support(levels, 4, [(0, 1, 1)])
+            aliased.cols = aliased.rows
+            for n, a, b in pairs:
+                aliased.rows[n][a] |= 1 << b
+                aliased.rows[n][b] |= 1 << a
+                aliased.present[n] |= 1 << a | 1 << b
+                if a != b:
+                    aliased.offdiag[n] |= 1 << a | 1 << b
+            assert (aliased.present, aliased.offdiag) == (built.present, built.offdiag)
+            pointed = sorted(n for (n, a, b) in cells if n >= 1 and a == b == 1)
+            l, m = (pointed[0], pointed[-1]) if pointed else (None, 0)
+            for n_max in range(levels):
+                core = has_nsp_core(built, n_max)
+                forcing = nsp_forcing_ok(built, l, m, n_max)
+                assert has_nsp_core(aliased, n_max) == core, cells
+                assert nsp_forcing_ok(aliased, l, m, n_max) == forcing, cells
+                seen |= {("core", core), ("forcing", forcing)}
+            for n in range(levels + 1):
+                for d1 in range(1, 5):
+                    for d2 in range(1, 5):
+                        for start in range(1, n + 1):
+                            gap = chain_gap(built, n, d1, d2, start)
+                            assert chain_gap(aliased, n, d1, d2, start) == gap, cells
+                            seen.add(("gap", bool(gap)))
+        assert seen == {(rule, held) for rule in ("core", "forcing", "gap")
+                        for held in (True, False)}
+
 def relabel(s: BlockSystem, d_of) -> BlockSystem:
     """s with each d replaced by d_of(d)."""
     return BlockSystem(s.group_order, {(n, d_of(a), d_of(b)): v for (n, a, b), v in s.blocks.items()})
