@@ -98,7 +98,7 @@ def _fmt(idx) -> str:
 #
 # Each rule that check and the solver share is stated here once.  The
 # divisibility rules R0, R1, R2 and R12 read a block's indices only:
-# divisibility lists them for check, and least_dim gives the solver every
+# divisibility lists them for check, and _least_dim gives the solver every
 # least block dimension.
 #
 # The existential rules depend only on which cells are occupied.  A Support
@@ -113,17 +113,23 @@ def _fmt(idx) -> str:
 
 def divisibility(r: int, n: int, d1: int, d2: int) -> list[tuple[str, int, str]]:
     """(rule, modulus, words) for each of R0, R1, R2 and R12 that applies to B(n,d1,d2):
-    its dimension must be a multiple of modulus, and check says it "is not {words}{modulus}"."""
+    its dimension must be a multiple of modulus, and check says it "is not
+    {words}{modulus}", words formatted with d1 * d2.  The ints are not checked."""
     out = []
     if n == 0 and d1 > 1:  # level-0 cells are diagonal (BlockIndex), so d1 == d2
         out.append(("R0", d1 * d1, "a positive multiple of "))
     if r >= 1:
         out.append(("R1", r, "a multiple of |G(H)|="))
-        if n >= 1 and min(d1, d2) == 1:  # an edge block, whose d is d1 * d2
-            out.append(("R2", d1 * d2 * r, f"a multiple of {d1 * d2}*|G(H)|="))
+        if n >= 1 and (d1 == 1 or d2 == 1):  # an edge block, whose d is d1 * d2
+            out.append(("R2", d1 * d2 * r, "a multiple of {}*|G(H)|="))
     if n >= 1:
         out.append(("R12", d1 * d2, "a multiple of d1*d2="))
     return out
+
+
+def _least_dim(r: int, d1: int, d2: int) -> int:
+    """least_dim for positive ints the caller has checked."""
+    return math.lcm(*[m for _, m, _ in divisibility(r, 1, d1, d2)])
 
 
 def least_dim(r: int, d1: int, d2: int) -> int:
@@ -134,7 +140,7 @@ def least_dim(r: int, d1: int, d2: int) -> int:
     """
     if min(_require_int(r, "r"), _require_int(d1, "d1"), _require_int(d2, "d2")) < 1:
         raise ValueError("r, d1, d2 must be positive")
-    return math.lcm(*[m for _, m, _ in divisibility(r, 1, d1, d2)])
+    return _least_dim(r, d1, d2)
 
 
 class _Masks(dict):
@@ -148,16 +154,17 @@ class Support:
     """The occupied cells of levels 0..levels-1 as bitmasks (see above).
 
     With width, rows and cols are lists over the keys 0..width; without,
-    dicts over any int keys, so memory follows the cells.
+    dicts over any int keys, so memory follows the cells.  A symmetric one,
+    whose cells come with their mirrors, uses rows as cols.
     """
 
     __slots__ = ("rows", "cols", "present", "offdiag")
 
-    def __init__(self, levels: int, width: int | None = None, cells=()):
+    def __init__(self, levels: int, width: int | None = None, cells=(), symmetric: bool = False):
         def blank():
             return _Masks() if width is None else [0] * (width + 1)
         self.rows = [blank() for _ in range(levels)]
-        self.cols = [blank() for _ in range(levels)]
+        self.cols = self.rows if symmetric else [blank() for _ in range(levels)]
         self.present = [0] * levels
         self.offdiag = [0] * levels
         for (n, a, b) in cells:
@@ -212,10 +219,20 @@ def stranded(t: Support) -> list[tuple[int, int, int]]:
     return out
 
 
+def unbacked(t: Support, uses: dict[int, int]) -> int:
+    """R11: the OR of the masks uses[d] of the cells using d over each d whose
+    coradical block (0, d, d) is absent."""
+    coradical, out = t.present[0], 0
+    for d, cells in uses.items():
+        if not coradical >> d & 1:
+            out |= cells
+    return out
+
+
 def backed(t: Support, cell: tuple[int, int]) -> bool:
-    """R11: both dimensions of cell (d1, d2) have their coradical blocks (0, d, d)."""
+    """R11 for one cell (d1, d2): both its dimensions have their coradical blocks."""
     d1, d2 = cell
-    return bool(t.present[0] >> d1 & t.present[0] >> d2 & 1)
+    return not unbacked(t, {d1: 1, d2: 1})
 
 
 def has_nsp_core(t: Support, n_max: int) -> bool:
@@ -286,13 +303,14 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     # The divisibility rules, R3 and R4 read each entry on its own, so one
     # pass over the sorted table serves them all, and finds the entry above
     # level 0 that first uses each d (R11); violations stay in index order.
+    # Messages are formatted only for the rules that fail.
     first_use: dict[int, BlockIndex] = {}
     for idx, v in sorted(eff.items()):
         n, d1, d2 = idx
-        at = f"dim {_fmt(idx)}={v}"
         for rule, modulus, words in divisibility(r, n, d1, d2):
             if v % modulus:
-                violate(rule, [idx], f"{at} is not {words}{modulus}")
+                violate(rule, [idx],
+                        f"dim {_fmt(idx)}={v} is not {words.format(d1 * d2)}{modulus}")
         if n >= 1:
             first_use.setdefault(d1, idx)
             first_use.setdefault(d2, idx)
@@ -309,7 +327,7 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
         # R4: chain condition through every intermediate level.
         i = chain_gap(t, n, key[d1], key[d2])
         while i:
-            violate("R4", [idx], f"{at} has no chain witness at split {i}+{n - i}",
+            violate("R4", [idx], f"dim {_fmt(idx)}={v} has no chain witness at split {i}+{n - i}",
                     missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
             i = chain_gap(t, n, key[d1], key[d2], i + 1)
 

@@ -24,7 +24,7 @@ is independent of traversal scheduling).  The coradical cases come in
 witness order, each after the cases that extend it.  Infeasible answers mean
 the whole grid was exhausted; the certificate keeps a bounded trace of the
 first _TRACE_CAP refuted cases in the reverse order, largest d first: per
-case, its node count and the close of its level-0 leaf, RNC (see _level0_dfs).
+case, its node count and the close of its level-0 leaf, RNC (_trace_line).
 
 Phase 1 holds its support in one rules.Support keyed by d: per level, a row
 bitmask per d and the masks of the rows present and of those with an
@@ -33,9 +33,10 @@ is symmetric and its row masks also serve as its column masks.  An include
 step sets its group's bits in place and restores them once its subtree is
 searched.  Each fact a node reads is
 computed once, where it becomes fixed: the R11 verdict of every group once
-per coradical case, the R4 verdict of every group within budget once per
-entry into a level (one AND of a row and a column mask per split, up to the
-first without a witness, rules.chain_gap), and the R5 state as a mask of
+per coradical case (the OR of per-d group masks, rules.unbacked), the R4
+verdict of every group within budget once per entry into a level above 1
+(one AND of a row and a column mask per split, up to the first without a
+witness, rules.chain_gap), and the R5 state as a mask of
 open rows, folded one level at a time (rules.escalate).  The verdicts are
 group bitmasks, and so are the groups that fit a slack, found by bisection
 on the sorted costs; an include step counts each rule's closes and the
@@ -66,8 +67,8 @@ from .blocks import (
     _require_int,
     total_dim,
 )
-from .rules import (Support, backed, chain_gap, check, escalate, has_nsp_core, least_dim,
-                    nsp_forcing_ok)
+from .rules import (Support, _least_dim, chain_gap, check, escalate, has_nsp_core,
+                    nsp_forcing_ok, unbacked)
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -123,7 +124,7 @@ def minimal_form(r: int, d: int) -> BlockSystem:
         raise ValueError("r must be positive")
     if _require_int(d, "d") < 2:
         raise ValueError("d must be at least 2")
-    big, edge = least_dim(r, d, d), least_dim(r, d, 1)
+    big, edge = _least_dim(r, d, d), _least_dim(r, d, 1)
     return BlockSystem(r, {
         (0, 1, 1): r, (0, d, d): big,
         (1, d, 1): edge, (1, 1, d): edge,
@@ -170,7 +171,7 @@ def _grid(N: int, r: int) -> tuple[int, int]:
                 q = math.isqrt(rest)
                 top = per * (s * q if q * q == rest else s)
         # a d that passes is h * f, h | s and f <= per, and s divides s * rest
-        if d // math.gcd(d, s * rest) <= per and least_dim(r, d, d) <= N - r:
+        if d // math.gcd(d, s * rest) <= per and _least_dim(r, d, d) <= N - r:
             max_d = d
     groups = max_d * (max_d + 1) // 2
     if groups > GROUP_CAP:
@@ -232,10 +233,10 @@ class _Group:
 
 def _level_groups(max_d: int, r: int) -> list[_Group]:
     """Canonically ordered branching units, each member of its least dimension
-    (rules.least_dim); the diagonal ones past (1, 1) also serve level 0."""
+    (rules._least_dim); the diagonal ones past (1, 1) also serve level 0."""
     return [
         _Group((d1, d2), ((d1, d2),) if d1 == d2 else ((d1, d2), (d2, d1)),
-               least_dim(r, d1, d2), r)
+               _least_dim(r, d1, d2), r)
         for d1 in range(1, max_d + 1)
         for d2 in range(d1, max_d + 1)
     ]
@@ -312,8 +313,9 @@ class _Search:
         self.supports = 0
         self.closed: dict[str, int] = {}
         self.best: tuple | None = None           # sorted entry tuple of the best witness
-        # The last _TRACE_CAP refuted cases, and how many were refuted.
-        self.trace: list[str] = []
+        # The d tuple and node count of the last _TRACE_CAP refuted cases,
+        # and how many were refuted.
+        self.trace: list[tuple[tuple[int, ...], int]] = []
         self.refuted = 0
         self.groups = _level_groups(max_d, r)
         self.diag_groups = [g for g in self.groups[1:] if g.offdiag == 0 and g.cost <= N - r]
@@ -323,6 +325,11 @@ class _Search:
         by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
         self.sorted_costs = [self.groups[j].cost for j in by_cost]
         self.firsts = [g.first for g in self.groups]
+        # uses[d] has bit j set when group j uses d (rules.unbacked).
+        self.uses: dict[int, int] = {}
+        for j, first in enumerate(self.firsts):
+            for d in first:
+                self.uses[d] = self.uses.get(d, 0) | 1 << j
         self.fit_masks = [0]
         for j in by_cost:
             self.fit_masks.append(self.fit_masks[-1] | 1 << j)
@@ -330,8 +337,7 @@ class _Search:
         # (1, 1); stack the placed (level, group) pairs, level by level, each
         # level in canonical order (increasing first cell); pointed the stack
         # positions of the (1, 1) groups at positive levels, lowest first.
-        self.table = Support(max_level + 1, max_d, [(0, 1, 1)])
-        self.table.cols = self.table.rows    # every level is symmetric (see above)
+        self.table = Support(max_level + 1, max_d, [(0, 1, 1)], symmetric=True)
         self.stack: list[tuple[int, _Group]] = []
         self.pointed: list[int] = []
         # Bit j set when group j is closed by R11, fixed by the coradical case.
@@ -366,6 +372,7 @@ class _Search:
 
         Extensions go by next d ascending, so the cases come in increasing
         _case_bound order, the reverse of a pre-order with the largest d first.
+        A refuted case is kept as its d and node count, for _trace_line.
         """
         self._tick(len(self.diag_groups) + 1 - i)
         table, stack = self.table, self.stack
@@ -383,20 +390,12 @@ class _Search:
         self.bound = _case_bound(self.r, [g for _, g in self.stack[1:]])
         self._case_found = False
         start = self.nodes
-        # The mirror cell uses the same two dimensions, so one call per group.
-        self.unbacked = sum(1 << j for j, first in enumerate(self.firsts)
-                            if not backed(table, first))
+        # The mirror cell uses the same two dimensions, so its group's mask covers it.
+        self.unbacked = unbacked(table, self.uses)
         self._subset_dfs(1, 0, min_cost, 0, None)
         if not self._case_found:
             self.refuted += 1
-            # The close named is that of the case's first event, level 1
-            # found empty, which is RNC: only NCSS problems are refuted,
-            # since a PLAIN one has the pointed chain (n,1,1) = r.
-            case = "".join(f", (0,{g.first[0]},{g.first[1]})" for _, g in self.stack[1:])
-            self.trace.append(
-                f"coradical support {{(0,1,1){case}}}: closed by RNC "
-                f"({self.nodes - start} nodes)"
-            )
+            self.trace.append((tuple(g.first[0] for _, g in stack[1:]), self.nodes - start))
             if len(self.trace) > _TRACE_CAP:
                 del self.trace[0]
 
@@ -479,7 +478,8 @@ class _Search:
         r7 = fit & 1 if self.nsp and level == 1 else 0
         r4 = 0
         firsts, table = self.firsts, self.table
-        todo = fit & ~(self.unbacked | r7)
+        # Nothing lies below level 1, so R4 closes nothing there.
+        todo = fit & ~(self.unbacked | r7) if level > 1 else 0
         while todo:
             j = todo.bit_length() - 1
             todo ^= 1 << j
@@ -588,6 +588,18 @@ class _Search:
         return out
 
 
+def _trace_line(case: tuple[tuple[int, ...], int]) -> str:
+    """The trace line of a refuted coradical case: its d past 1 and its node count.
+
+    The close named is that of the case's first event, level 1 found empty,
+    which is RNC: only NCSS problems are refuted, since a PLAIN one has the
+    pointed chain (n,1,1) = r.
+    """
+    ds, nodes = case
+    blocks = "".join(f", (0,{d},{d})" for d in ds)
+    return f"coradical support {{(0,1,1){blocks}}}: closed by RNC ({nodes} nodes)"
+
+
 def _check_node_cap(node_cap: int | None):
     if node_cap is not None and _require_int(node_cap, "node_cap") < 1:
         raise ValueError(f"node_cap must be positive, got {node_cap}")
@@ -640,7 +652,7 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
     }
     if search.best is None:
         more = ("... further cases elided",) if search.refuted > _TRACE_CAP else ()
-        trace = (*reversed(search.trace), *more)
+        trace = (*map(_trace_line, reversed(search.trace)), *more)
         return Certificate(INFEASIBLE, stats=stats, refutation_summary=trace)
     witness = BlockSystem(r, {(n, a, b): v for (n, a, b, v) in search.best})
     eff_flags = ModeFlags(non_cosemisimple=ncss, no_skew_primitives=nsp)

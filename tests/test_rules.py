@@ -31,8 +31,9 @@ from blocksieve.rules import (
     nsp_forcing_ok,
     stranded,
 )
+from blocksieve import rules
 from blocksieve.oracle import _divisor
-from blocksieve.solver import minimal_form
+from blocksieve.solver import FeasibilityProblem, minimal_form, solve
 
 from conftest import assert_value_type, random_system
 
@@ -433,6 +434,35 @@ class TestOnePassCheck:
         assert [v for v in check(s, PLAIN) if v.rule in ruled] == expected
 
 
+class TestMessagesOnFailure:
+    """check formats a message only for a rule that fails."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        fmt = rules._fmt
+        monkeypatch.setattr(rules, "_fmt", lambda idx: calls.append(idx) or fmt(idx))
+        return calls
+
+    def test_passing_tables_format_nothing(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        passing = [minimal_form(r, d) for r in (1, 2, 3, 7) for d in (2, 3, 5)]
+        passing.append(solve(FeasibilityProblem(161, 7, NSP)).witness)
+        for s in passing:
+            assert check(s, NSP) == []
+        assert calls == []
+
+    def test_violating_tables_keep_the_reference_messages(self, monkeypatch):
+        # violations compare every field, message and missing witness included
+        calls = self.counted(monkeypatch)
+        rng = random.Random(39)
+        ruled = {"R1", "R2", "R3", "R4", "R11", "R12"}
+        for _ in range(300):
+            s = random_system(rng, symmetric=rng.random() < 0.5)
+            assert [v for v in check(s, PLAIN) if v.rule in ruled] == per_rule_reference(s)
+        assert calls
+
+
 class TestLevelBound:
     def test_level_above_the_bound_refused_before_any_violation(self):
         # two violations per missing level (R4 and R9) would be built otherwise;
@@ -629,8 +659,11 @@ class TestSymmetricSupport:
             levels = max(n for n, _, _ in cells) + 1
             built = Support(levels, 4, cells)
             # as the solver places them: one row mask per cell, the columns aliased
-            aliased = Support(levels, 4, [(0, 1, 1)])
-            aliased.cols = aliased.rows
+            symmetric = Support(levels, 4, cells, symmetric=True)
+            assert symmetric.cols is symmetric.rows
+            assert (symmetric.rows, symmetric.present, symmetric.offdiag) == (
+                built.rows, built.present, built.offdiag)
+            aliased = Support(levels, 4, [(0, 1, 1)], symmetric=True)
             for n, a, b in pairs:
                 aliased.rows[n][a] |= 1 << b
                 aliased.rows[n][b] |= 1 << a

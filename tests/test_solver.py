@@ -23,7 +23,7 @@ from blocksieve.blocks import (
     total_dim,
 )
 from blocksieve.oracle import oracle_enumerate
-from blocksieve.rules import check, least_dim
+from blocksieve.rules import backed, check, least_dim, unbacked
 from blocksieve.solver import (
     GROUP_CAP,
     LEVEL_CAP,
@@ -113,6 +113,29 @@ class TestLevelGroups:
             assert [(g.first, g.cost) for g in search.diag_groups] == [
                 ((d, d), least_dim(r, d, d)) for d in range(2, 7) if least_dim(r, d, d) <= 29 * r
             ]
+
+
+class TestR11Masks:
+    def test_case_masks_agree_with_backed_on_random_coradical_supports(self):
+        # a case's R11 mask, the OR of the group masks of the d level 0
+        # lacks, closes exactly the groups that rules.backed refuses and the
+        # rule's statement names: those with a d whose (0, d, d) is absent
+        rng = random.Random(39)
+        seen = set()
+        for _ in range(500):
+            max_d = rng.randint(2, 9)
+            search = _Search(10_000, 1, False, True, 2, max_d, 1)
+            table = search.table
+            coradical = {1} | {d for d in range(2, max_d + 1) if rng.random() < 0.5}
+            for d in coradical - {1}:
+                table.rows[0][d] = 1 << d
+                table.present[0] |= 1 << d
+            mask = unbacked(table, search.uses)
+            for j, (a, b) in enumerate(search.firsts):
+                closed = bool(mask >> j & 1)
+                assert closed == (not backed(table, (a, b))) == (not {a, b} <= coradical)
+                seen.add(closed)
+        assert seen == {True, False}
 
 
 class TestGrid:
