@@ -134,8 +134,9 @@ def _cmd_scan(ns, out) -> int:
 def _cmd_orders(ns, out) -> int:
     node_cap = _node_cap()
     N = ns.dim
-    divisors = surveyed_group_orders(N)
+    # the library refuses a survey before it lists the divisors
     feasible = admissible_group_orders(N, _flags_from(ns), node_cap=node_cap)
+    divisors = surveyed_group_orders(N)
     if ns.fmt == "json":
         out.write(
             json.dumps(

@@ -38,22 +38,23 @@ verdict of every group within budget once per entry into a level above 1
 (one AND of a row and a column mask per split, up to the first without a
 witness, rules.chain_gap), and the R5 state as a mask of
 open rows, folded one level at a time (rules.escalate).  The verdicts are
-group bitmasks, and so are the groups that fit a slack, found by bisection
-on the sorted costs; an include step counts each rule's closes and the
-groups over budget by popcount and visits only the open groups.  Nodes are
-counted in bulk: the exclude run of a level, one node per remaining group
-plus the exclude-all leaf, is one tick, which raises exactly when the count
-passes the node cap.  Phase 2 counts in units of r, reads the free groups
-off the placement stack and memoizes a reach bitset per set of free costs;
-extraction builds one per free group, doubling runs of multiples.  None of
-this changes which nodes are visited or why each one closes, so the stats,
-witnesses and refutation traces are those of a node-by-node count.
+group bitmasks, and so are the groups that fit a slack: the search carries
+its slack in units of r, at most N/r, and looks its fit mask up by it.  An
+include step adds each rule's closes and the groups over budget by popcount
+to the reason's int slot (_REASONS) and visits only the open groups.  Nodes
+are counted in bulk: the exclude run of a level, one node per remaining
+group plus the exclude-all leaf, is one addition, and the count raises
+exactly when it passes the node cap.  Phase 2 counts in units of r, reads
+the free groups off the placement stack and memoizes a reach bitset per set
+of free costs; extraction builds one per free group, doubling runs of
+multiples.  None of this changes which nodes are visited or why each one
+closes, so the stats, witnesses and refutation traces are those of a
+node-by-node count.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 from .blocks import (
     FEASIBLE,
@@ -81,6 +82,9 @@ DEFAULT_NODE_CAP = 20_000_000
 _TRACE_CAP = 64
 # Most reach bitsets a search memoizes for phase 2; past it the memo starts over.
 _MEMO_CAP = 1024
+# The close reasons in the order of _Search.closed's slots: those of the
+# include steps, then those of _stop but R7, which both count.
+_REASONS = ("budget", "R11", "R4", "R7", "RNC", "R5", "R8", "partition")
 
 
 class BoundsError(ValueError):
@@ -311,7 +315,7 @@ class _Search:
         self.node_cap = node_cap
         self.nodes = 0
         self.supports = 0
-        self.closed: dict[str, int] = {}
+        self.closed = [0] * len(_REASONS)        # a count per reason, in _REASONS order
         self.best: tuple | None = None           # sorted entry tuple of the best witness
         # The d tuple and node count of the last _TRACE_CAP refuted cases,
         # and how many were refuted.
@@ -319,20 +323,19 @@ class _Search:
         self.refuted = 0
         self.groups = _level_groups(max_d, r)
         self.diag_groups = [g for g in self.groups[1:] if g.offdiag == 0 and g.cost <= N - r]
-        # Group indices by cost, so that the groups within a slack are found
-        # by bisection: fit_masks[k] has bit j set for the k cheapest groups,
-        # by_cost[:k].
-        by_cost = sorted(range(len(self.groups)), key=lambda j: self.groups[j].cost)
-        self.sorted_costs = [self.groups[j].cost for j in by_cost]
         self.firsts = [g.first for g in self.groups]
         # uses[d] has bit j set when group j uses d (rules.unbacked).
         self.uses: dict[int, int] = {}
-        for j, first in enumerate(self.firsts):
-            for d in first:
+        # fits[s] has bit j set when group j fits a slack of s units of r;
+        # every slack is a whole number of them, at most N/r.
+        self.fits = [0] * (N // r + 1)
+        for j, g in enumerate(self.groups):
+            for d in g.first:
                 self.uses[d] = self.uses.get(d, 0) | 1 << j
-        self.fit_masks = [0]
-        for j in by_cost:
-            self.fit_masks.append(self.fit_masks[-1] | 1 << j)
+            if g.units < len(self.fits):
+                self.fits[g.units] |= 1 << j
+        for s in range(1, len(self.fits)):
+            self.fits[s] |= self.fits[s - 1]
         # table holds the placed cells, level 0 always the grouplike cell
         # (1, 1); stack the placed (level, group) pairs, level by level, each
         # level in canonical order (increasing first cell); pointed the stack
@@ -349,41 +352,40 @@ class _Search:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _tick(self, n: int = 1):
-        """Count n nodes at once; raises exactly when the count passes the cap."""
-        self.nodes += n
-        if self.nodes > self.node_cap:
-            raise SearchCapExceeded(
-                f"search exceeded the node cap of {self.node_cap} nodes; "
-                "raise the cap to search this grid exhaustively"
-            )
-
-    def _close(self, reason: str, n: int = 1):
-        self.closed[reason] = self.closed.get(reason, 0) + n
+    def _over_cap(self):
+        """Refuse the search; called where nodes are counted, once the count passes the cap."""
+        raise SearchCapExceeded(
+            f"search exceeded the node cap of {self.node_cap} nodes; "
+            "raise the cap to search this grid exhaustively"
+        )
 
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
         self.stack.append((0, _Group((1, 1), ((1, 1),), self.r, self.r)))
-        self._level0_dfs(0, self.r)
+        self._level0_dfs(0, self.N // self.r - 1)
 
-    def _level0_dfs(self, i: int, min_cost: int):
+    def _level0_dfs(self, i: int, slack: int):
         """Search the coradical case on the stack after every case that extends it.
 
         Extensions go by next d ascending, so the cases come in increasing
         _case_bound order, the reverse of a pre-order with the largest d first.
         A refuted case is kept as its d and node count, for _trace_line.
+        slack is what is left of N once every placed block has its least
+        value, in units of r, as in _subset_dfs.
         """
-        self._tick(len(self.diag_groups) + 1 - i)
+        self.nodes += len(self.diag_groups) + 1 - i
+        if self.nodes > self.node_cap:
+            self._over_cap()
         table, stack = self.table, self.stack
         for j in range(i, len(self.diag_groups)):
             g = self.diag_groups[j]
-            if min_cost + g.cost <= self.N:
+            if g.units <= slack:
                 d = g.first[0]
                 table.rows[0][d] = 1 << d
                 table.present[0] |= 1 << d
                 stack.append((0, g))
-                self._level0_dfs(j + 1, min_cost + g.cost)
+                self._level0_dfs(j + 1, slack - g.units)
                 stack.pop()
                 table.rows[0][d] = 0
                 table.present[0] ^= 1 << d
@@ -392,17 +394,19 @@ class _Search:
         start = self.nodes
         # The mirror cell uses the same two dimensions, so its group's mask covers it.
         self.unbacked = unbacked(table, self.uses)
-        self._subset_dfs(1, 0, min_cost, 0, None)
+        self._subset_dfs(1, 0, slack, 0, None)
         if not self._case_found:
             self.refuted += 1
             self.trace.append((tuple(g.first[0] for _, g in stack[1:]), self.nodes - start))
             if len(self.trace) > _TRACE_CAP:
                 del self.trace[0]
 
-    def _subset_dfs(self, level: int, gi: int, min_cost: int, open_rows: int,
+    def _subset_dfs(self, level: int, gi: int, slack: int, open_rows: int,
                     shut: tuple | None):
         """Choose the support of a positive level from groups[gi:], then stop or go deeper.
 
+        slack is what is left of N once every placed block has its least
+        value, in units of r; the groups that fit it are fits[slack].
         open_rows is the R5 fold of the levels below (rules.escalate).  A
         level is entered with gi = 0 and shut None; the entry computes shut
         (_level_closes), which the include recursion hands down.
@@ -411,34 +415,34 @@ class _Search:
         from the last group down, the order an exclude-first recursion
         takes, but nests one frame per included group only.  The exclude
         run of a level is one node per remaining group plus the exclude-all
-        leaf, counted in one tick.
+        leaf, added to the count at once.
         """
         if level > self.max_level:
             # The grid ends here; the support below is a complete candidate.
-            self._stop(level - 1, open_rows, min_cost)
+            self._stop(level - 1, open_rows, slack)
             return
         groups, table = self.groups, self.table
-        self._tick(len(groups) + 1 - gi)
+        nodes = self.nodes = self.nodes + len(groups) + 1 - gi
+        if nodes > self.node_cap:
+            self._over_cap()
         if table.present[level]:
-            self._subset_dfs(level + 1, 0, min_cost, escalate(table, open_rows, level), None)
+            self._subset_dfs(level + 1, 0, slack, escalate(table, open_rows, level), None)
         else:
-            self._stop(level - 1, open_rows, min_cost)
+            self._stop(level - 1, open_rows, slack)
         # Include branches: the groups from gi on within this step's slack,
-        # each closed one counted under its reason by popcount, the groups
-        # over budget in one count, and the open ones tried from the last.
-        fit = self.fit_masks[bisect_right(self.sorted_costs, self.N - min_cost)]
+        # each closed one counted in its reason's slot by popcount (budget,
+        # R11, R4, R7: slots 0-3 of _REASONS), and the open ones tried from
+        # the last.
+        fit = self.fits[slack]
         if shut is None:
             shut = self._level_closes(level, fit)
-        live, closes = shut
+        live, r11, r4, r7 = shut
         cand = fit >> gi << gi
         closed = self.closed
-        over = len(groups) - gi - cand.bit_count()
-        if over:
-            closed["budget"] = closed.get("budget", 0) + over
-        for reason, mask in closes:
-            n = (cand & mask).bit_count()
-            if n:
-                closed[reason] = closed.get(reason, 0) + n
+        closed[0] += len(groups) - gi - cand.bit_count()
+        closed[1] += (cand & r11).bit_count()
+        closed[2] += (cand & r4).bit_count()
+        closed[3] += (cand & r7).bit_count()
         tries = cand & live
         if not tries:
             return
@@ -459,20 +463,20 @@ class _Search:
             if not j:  # group 0 is the pointed cell (1, 1)
                 pointed.append(len(stack))
             stack.append((level, g))
-            self._subset_dfs(level, j + 1, min_cost + g.cost, open_rows, shut)
+            self._subset_dfs(level, j + 1, slack - g.units, open_rows, shut)
             stack.pop()
             if not j:
                 pointed.pop()
             row[a], row[b] = was
         present[level], offdiag[level] = was_present, was_offdiag
 
-    def _level_closes(self, level: int, fit: int) -> tuple[int, tuple]:
-        """(live, closes) at a newly entered level whose slack fits the groups of fit.
+    def _level_closes(self, level: int, fit: int) -> tuple[int, int, int, int]:
+        """(live, r11, r4, r7) at a newly entered level whose slack fits the groups of fit.
 
-        closes pairs R11, R4 and R7 with the mask of the groups each closes
-        here, live masks the groups tried; each mask lies within fit, since
-        every include step of the level has less slack.  R11 reads level 0
-        and R4 the levels below this one, all fixed until the level is left.
+        r11, r4 and r7 mask the groups each rule closes here, live the groups
+        tried; each mask lies within fit, since every include step of the
+        level has less slack.  R11 reads level 0 and R4 the levels below this
+        one, all fixed until the level is left.
         """
         # B(1,1,1) is group 0 and always backed.
         r7 = fit & 1 if self.nsp and level == 1 else 0
@@ -488,13 +492,12 @@ class _Search:
             # representative suffices on symmetric supports.
             if chain_gap(table, level, *firsts[j]):
                 r4 |= 1 << j
-        closes = (("R11", self.unbacked & fit), ("R4", r4), ("R7", r7))
-        return fit & ~(self.unbacked | r4 | r7), closes
+        return fit & ~(self.unbacked | r4 | r7), self.unbacked & fit, r4, r7
 
     # -- stop checks + phase 2 ---------------------------------------------
 
-    def _stop(self, n_max: int, open_rows: int, cost: int):
-        """Check a complete support of least total cost; every include fit, so cost <= N.
+    def _stop(self, n_max: int, open_rows: int, slack: int):
+        """Check a complete support that leaves slack >= 0 units of r past its least total.
 
         Each support that passes the rules gets a feasibility verdict, so the
         partition count is exact, but only one whose case bound lies below
@@ -502,26 +505,28 @@ class _Search:
         with an entry above level 0 sorts above its bound, and the one without
         (a PLAIN case's leaf) sums to N, so it is no proper prefix of a witness.
         """
-        self._tick()
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            self._over_cap()
         if self.ncss and n_max < 1:
-            self._close("RNC")
+            self.closed[4] += 1  # RNC
             return
         if open_rows:
-            self._close("R5")
+            self.closed[5] += 1  # R5
             return
         pointed = self.pointed
         top = self.stack[pointed[-1]][0] if pointed else 0
         if self.nsp:
             # R7: the six necessary blocks; B(1,1,1) was closed by the include steps.
             if top <= 1 or not has_nsp_core(self.table, n_max):
-                self._close("R7")
+                self.closed[3] += 1  # R7
                 return
             if not nsp_forcing_ok(self.table, self.stack[pointed[0]][0], top, n_max):
-                self._close("R8")
+                self.closed[6] += 1  # R8
                 return
         self.supports += 1
-        if not self._feasible(top, cost):
-            self._close("partition")
+        if not self._feasible(top, slack):
+            self.closed[7] += 1  # partition
             return
         self._case_found = True
         if self.best is None or self.bound < self.best:
@@ -540,14 +545,13 @@ class _Search:
             return self.stack[1:p] + self.stack[p + 1:]
         return self.stack[1:]
 
-    def _feasible(self, top: int, cost: int) -> bool:
-        """Whether phase 2 can assign the support on the stack, of least total cost.
+    def _feasible(self, top: int, slack: int) -> bool:
+        """Whether phase 2 can assign the support on the stack, slack units of r past its least total.
 
         The free groups' extra multiples must fill the slack exactly, which
         depends only on which of their unit costs lie within it, so each set
         of costs has one reach bitset per search.
         """
-        slack = (self.N - cost) // self.r
         if slack <= 0:
             return not slack
         costs = 0
@@ -645,7 +649,7 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
         ) from None
     stats = {
         "nodes": search.nodes,
-        "closed": dict(sorted(search.closed.items())),
+        "closed": dict(sorted((k, n) for k, n in zip(_REASONS, search.closed) if n)),
         "supports_checked": search.supports,
         "regime": regime,
         "bounds": {"max_level": max_level, "max_d": max_d},
@@ -708,13 +712,16 @@ def admissible_group_orders(
     it would carry no information about N.  As in scan, a grid past a cap,
     here the smallest order's, the deepest, is refused before any solve, and
     then node_cap, even where the survey is empty and nothing is solved (a
-    prime N such as 7).
+    prime N such as 7).  The smallest order is found by trial division up to
+    its first hit, so a refused survey never lists the other divisors.
     """
-    divisors = surveyed_group_orders(N)
-    if divisors:
-        _grid(N, divisors[0])
+    if _require_int(N, "N") < 1:
+        raise ValueError("N must be positive")
+    least = next((d for d in range(2, math.isqrt(N) + 1) if N % d == 0), N)
+    if least < N:
+        _grid(N, least)
     _check_node_cap(node_cap)
     return {
-        r for r in divisors
+        r for r in (surveyed_group_orders(N) if least < N else ())
         if solve(FeasibilityProblem(N, r, flags), node_cap=node_cap).feasible
     }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +176,32 @@ class TestScan:
         assert main(["scan", "--group-order", "3", "--t-max", "0"]) == 2
         assert "t_max must be positive" in capsys.readouterr().err
 
+    def test_closing_summaries(self, capsys):
+        # the paper's r = 3 exclusions: each infeasible row lists its closes
+        # by reason, sorted, with their node counts
+        assert main(["scan", "--group-order", "3", "--t-max", "20",
+                     "--no-skew-primitives", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {row["t"]: row["summary"] for row in rows if row["verdict"] == "infeasible"} == {
+            1: "RNC:1",
+            2: "R7:1 RNC:1",
+            3: "R7:1 RNC:1",
+            4: "R11:1 R7:1 RNC:2 budget:10",
+            5: "R11:4 R7:2 RNC:3 budget:12",
+            6: "R11:4 R7:3 RNC:3 budget:11",
+            7: "R11:5 R7:4 RNC:3 budget:15",
+            8: "R11:9 R4:1 R7:4 RNC:4 budget:16",
+            9: "R11:10 R4:1 R5:1 R7:6 RNC:4 budget:30",
+            10: "R11:10 R4:2 R5:3 R7:7 RNC:4 budget:52",
+            11: "R11:14 R4:4 R5:4 R7:8 RNC:4 budget:61",
+            12: "R11:18 R4:6 R5:6 R7:9 RNC:4 budget:77",
+            13: "R11:38 R4:11 R5:11 R7:11 RNC:5 budget:665",
+            15: "R11:65 R4:30 R5:18 R7:14 RNC:5 budget:984 partition:2",
+            16: "R11:80 R4:45 R5:25 R7:16 RNC:6 budget:1275 partition:2",
+            19: "R11:179 R4:119 R5:56 R7:26 RNC:8 budget:2554 partition:6",
+        }
+        assert {row["summary"] for row in rows if row["verdict"] == "feasible"} == {"witness found"}
+
     def test_markdown(self, capsys):
         assert main(["scan", "--group-order", "2", "--t-max", "3",
                      "--no-skew-primitives", "--format", "markdown"]) == 0
@@ -198,6 +225,15 @@ class TestOrders:
     def test_rejects_nonpositive_dim(self, capsys):
         assert main(["orders", "--dim", "0"]) == 2
         assert "N must be positive" in capsys.readouterr().err
+
+    def test_refused_past_the_level_cap_without_listing_divisors(self, capsys):
+        # its least divisor 2 decides the refusal; listing all 289 takes a loop to 10^8
+        start = time.process_time()
+        assert main(["orders", "--dim", str(10**16)]) == 2
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the level cap" in captured.err
 
     # N = 45 has no admissible order under NSP, and N = 7 surveys none
     @pytest.mark.parametrize("dim, surveyed", [("45", ["3", "5", "9", "15"]), ("7", [])])

@@ -439,6 +439,8 @@ class TestNodeCap:
             (24, 2, NSP),
             (40, 2, NON_COSEMISIMPLE),
             (45, 3, NSP),
+            # closes by all eight reasons, 604,473 nodes
+            (120, 3, NSP),
         ],
     )
     def test_cap_at_the_node_count_is_the_boundary(self, n, r, flags):
@@ -449,6 +451,40 @@ class TestNodeCap:
         assert solve(p, node_cap=nodes).as_json_dict() == full.as_json_dict()
         with pytest.raises(SearchCapExceeded):
             solve(p, node_cap=nodes - 1)
+
+
+class TestClosedTable:
+    # stats["closed"] holds each reason that closed a node, with its count,
+    # keys sorted; a reason that closed nothing is left out
+    @pytest.mark.parametrize(
+        "n,r,flags,closed",
+        [
+            (45, 3, NSP, {"R11": 65, "R4": 30, "R5": 18, "R7": 14, "RNC": 5, "budget": 984,
+                          "partition": 2}),
+            (24, 2, NSP, {"R11": 19, "R4": 18, "R5": 6, "R7": 9, "RNC": 6, "budget": 197}),
+            (30, 3, PLAIN, {"R11": 76, "R4": 9, "R5": 4, "budget": 238, "partition": 8}),
+            (20, 1, PLAIN, {"R11": 315, "R4": 164, "R5": 70, "budget": 2388, "partition": 20}),
+            (120, 3, NSP, {"R11": 20588, "R4": 18798, "R5": 6521, "R7": 310, "R8": 104,
+                           "RNC": 26, "budget": 535428, "partition": 161}),
+        ],
+    )
+    def test_pinned(self, n, r, flags, closed):
+        got = solve(FeasibilityProblem(n, r, flags)).stats["closed"]
+        assert got == closed
+        assert list(got) == list(closed)
+
+    @pytest.mark.parametrize("flags", [PLAIN, NON_COSEMISIMPLE, NSP])
+    def test_shape_in_each_regime(self, flags):
+        for r in (1, 2, 3, 5):
+            for t in range(1, 13):
+                closed = solve(FeasibilityProblem(t * r, r, flags)).stats["closed"]
+                assert list(closed) == sorted(closed), (t, r)
+                assert all(type(v) is int and v > 0 for v in closed.values()), (t, r, closed)
+                assert set(closed) <= {"budget", "R11", "R4", "R5", "R7", "R8", "RNC", "partition"}
+                if flags is not NSP:
+                    assert not {"R7", "R8"} & set(closed), (t, r, closed)
+                if flags is PLAIN:
+                    assert "RNC" not in closed, (t, r, closed)
 
 
 def test_repeated_solves_do_not_grow_the_heap():
@@ -600,12 +636,12 @@ class TestPhase2Skip:
             for k, g in enumerate(free, start=1):
                 search.stack.append((1, g))
                 expected = _multipliers(costs[:k], budget) is not None
-                cost = (fixed + sum(costs[:k])) * r
-                assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
+                slack = budget - sum(costs[:k])
+                assert search._feasible(top, slack) == expected, (r, costs[:k], top, budget)
             for k in range(len(free), 0, -1):
                 expected = _multipliers(costs[:k], budget) is not None
-                cost = (fixed + sum(costs[:k])) * r
-                assert search._feasible(top, cost) == expected, (r, costs[:k], top, budget)
+                slack = budget - sum(costs[:k])
+                assert search._feasible(top, slack) == expected, (r, costs[:k], top, budget)
                 search.stack.pop()
 
 
@@ -755,6 +791,15 @@ class TestAdmissibleGroupOrders:
         monkeypatch.setattr("blocksieve.solver.solve", _no_solve)
         with pytest.raises(BoundsError):
             admissible_group_orders(10**12, NSP)
+
+    def test_refused_at_the_least_divisor_without_listing_the_rest(self, monkeypatch):
+        # 10^16 has 289 divisors, found by a loop to 10^8; its least, 2, decides
+        monkeypatch.setattr("blocksieve.solver.solve", _no_solve)
+        monkeypatch.setattr("blocksieve.solver.surveyed_group_orders", _no_solve)
+        start = time.process_time()
+        with pytest.raises(BoundsError, match="level cap"):
+            admissible_group_orders(10**16, NSP)
+        assert time.process_time() - start < 1
 
     def test_each_order_solved_in_turn(self, monkeypatch):
         solved = _recording_solve(monkeypatch)
