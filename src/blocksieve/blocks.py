@@ -207,9 +207,10 @@ class BlockSystem(_Frozen):
         table: dict[BlockIndex, int] = {}
         for idx, dim in blocks.items():
             idx, dim = _entry(idx, dim)
-            if idx in table:
-                raise ValueError(f"duplicate index {tuple(idx)}")
+            size = len(table)
             table[idx] = dim
+            if len(table) == size:  # one hash per entry
+                raise ValueError(f"duplicate index {tuple(idx)}")
         super().__init__(group_order, table)
 
     def entries(self) -> tuple[tuple[int, int, int, int], ...]:

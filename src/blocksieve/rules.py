@@ -98,8 +98,8 @@ def _fmt(idx) -> str:
 #
 # Each rule that check and the solver share is stated here once.  The
 # divisibility rules R0, R1, R2 and R12 read a block's indices only:
-# divisibility lists them for check, and _least_dim gives the solver every
-# least block dimension.
+# divisibility gives their moduli for check, and least_dim their lcm for the
+# solver.
 #
 # The existential rules depend only on which cells are occupied.  A Support
 # holds them as integer bitmasks per level, over keys that stand for the
@@ -110,26 +110,25 @@ def _fmt(idx) -> str:
 # d keyed by its rank, and the solver keeps one keyed by d itself, updated in
 # place as it searches.
 
+# The divisibility rules in divisibility's order, with check's words: a
+# failing block "is not {words}{modulus}", words formatted with d1 * d2.
+_DIVISIBILITY = (("R0", "a positive multiple of "), ("R1", "a multiple of |G(H)|="),
+                 ("R2", "a multiple of {}*|G(H)|="), ("R12", "a multiple of d1*d2="))
 
-def divisibility(r: int, n: int, d1: int, d2: int) -> list[tuple[str, int, str]]:
-    """(rule, modulus, words) for each of R0, R1, R2 and R12 that applies to B(n,d1,d2):
-    its dimension must be a multiple of modulus, and check says it "is not
-    {words}{modulus}", words formatted with d1 * d2.  The ints are not checked."""
-    out = []
-    if n == 0 and d1 > 1:  # level-0 cells are diagonal (BlockIndex), so d1 == d2
-        out.append(("R0", d1 * d1, "a positive multiple of "))
-    if r >= 1:
-        out.append(("R1", r, "a multiple of |G(H)|="))
-        if n >= 1 and (d1 == 1 or d2 == 1):  # an edge block, whose d is d1 * d2
-            out.append(("R2", d1 * d2 * r, "a multiple of {}*|G(H)|="))
-    if n >= 1:
-        out.append(("R12", d1 * d2, "a multiple of d1*d2="))
-    return out
+
+def divisibility(r: int, n: int, d1: int, d2: int) -> tuple[int, int, int, int]:
+    """The moduli of R0, R1, R2 and R12 on B(n,d1,d2): its dimension must be a
+    multiple of each; one that does not apply is 1.  The ints are not checked."""
+    d = d1 * d2  # level-0 cells are diagonal (BlockIndex), so d1 == d2 there
+    return (1 if n else d,  # R0 at level 0
+            r or 1,  # R1 for r >= 1
+            (d * r or 1) if n and (d1 == 1 or d2 == 1) else 1,  # R2 on edge blocks
+            d if n else 1)  # R12 above level 0
 
 
 def _least_dim(r: int, d1: int, d2: int) -> int:
     """least_dim for positive ints the caller has checked."""
-    return math.lcm(*[m for _, m, _ in divisibility(r, 1, d1, d2)])
+    return math.lcm(*divisibility(r, 1, d1, d2))
 
 
 def least_dim(r: int, d1: int, d2: int) -> int:
@@ -161,18 +160,17 @@ class Support:
     __slots__ = ("rows", "cols", "present", "offdiag")
 
     def __init__(self, levels: int, width: int | None = None, cells=(), symmetric: bool = False):
-        def blank():
-            return _Masks() if width is None else [0] * (width + 1)
-        self.rows = [blank() for _ in range(levels)]
-        self.cols = self.rows if symmetric else [blank() for _ in range(levels)]
-        self.present = [0] * levels
-        self.offdiag = [0] * levels
+        blank = _Masks if width is None else ([0] * (width + 1)).copy
+        self.rows = rows = [blank() for _ in range(levels)]
+        self.cols = cols = rows if symmetric else [blank() for _ in range(levels)]
+        self.present = present = [0] * levels
+        self.offdiag = offdiag = [0] * levels
         for (n, a, b) in cells:
-            self.rows[n][a] |= 1 << b
-            self.cols[n][b] |= 1 << a
-            self.present[n] |= 1 << a
+            rows[n][a] |= 1 << b
+            cols[n][b] |= 1 << a
+            present[n] |= 1 << a
             if a != b:
-                self.offdiag[n] |= 1 << a
+                offdiag[n] |= 1 << a
 
 
 def _bits(mask: int):
@@ -278,39 +276,46 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     _require(flags, ModeFlags, "flags")
     nsp = flags.no_skew_primitives
 
-    # Effective table: stored entries plus the implicit (0,1,1) = r.
-    eff: dict[BlockIndex, int] = dict(s.blocks)
-    stored_011 = s.blocks.get(BlockIndex(0, 1, 1))
+    # Effective table: stored entries plus the implicit (0,1,1) = r, keyed by
+    # int tuples, which sort as BlockIndex does; violations build BlockIndex.
+    dims = {(i.level, i.d1, i.d2): v for i, v in s.blocks.items()}
+    stored_011 = dims.get((0, 1, 1))
     if stored_011 is None and r > 0:
-        eff[BlockIndex(0, 1, 1)] = r
-    n_max = max((idx.level for idx in eff), default=0)
+        dims[0, 1, 1] = r
+    table = sorted(dims.items())
+    n_max = table[-1][0][0] if table else 0
     # The support table keys each d by its rank, d = 1 by 1, so its masks
-    # have one bit per distinct d however large the d are.
-    ds = sorted({1, *(d for idx in eff for d in (idx.d1, idx.d2))})
+    # have one bit per distinct d however large the d are; it is sparse
+    # unless its lists would be small.
+    ds = sorted({1, *(i[1] for i in dims), *(i[2] for i in dims)})
     key = {d: k for k, d in enumerate(ds, 1)}
-    t = Support(n_max + 1, cells=((n, key[d1], key[d2]) for n, d1, d2 in eff))
-    out: dict[str, list[RuleViolation]] = {rid: [] for rid in RULE_ORDER}
+    t = Support(n_max + 1, len(ds) if n_max * len(ds) <= 1024 else None,
+                [(n, key[d1], key[d2]) for n, d1, d2 in dims])
+    out: dict[str, list[RuleViolation]] = {}
 
     def violate(rule, indices, message, missing=None):
-        out[rule].append(RuleViolation(rule, tuple(indices), message, missing))
+        out.setdefault(rule, []).append(
+            RuleViolation(rule, tuple(BlockIndex(*i) for i in indices), message, missing))
 
     # R0: coradical structure.
     if r < 1:
         violate("R0", [], f"group order is {r}; a Hopf-algebra candidate needs at least the unit grouplike")
     if stored_011 is not None and stored_011 != r:
-        violate("R0", [BlockIndex(0, 1, 1)], f"dim B(0,1,1)={stored_011} but group order is {r}")
+        violate("R0", [(0, 1, 1)], f"dim B(0,1,1)={stored_011} but group order is {r}")
 
     # The divisibility rules, R3 and R4 read each entry on its own, so one
     # pass over the sorted table serves them all, and finds the entry above
     # level 0 that first uses each d (R11); violations stay in index order.
-    # Messages are formatted only for the rules that fail.
-    first_use: dict[int, BlockIndex] = {}
-    for idx, v in sorted(eff.items()):
+    # Messages are formatted, and moduli read one by one, only on failure.
+    first_use: dict[int, tuple[int, int, int]] = {}
+    for idx, v in table:
         n, d1, d2 = idx
-        for rule, modulus, words in divisibility(r, n, d1, d2):
-            if v % modulus:
-                violate(rule, [idx],
-                        f"dim {_fmt(idx)}={v} is not {words.format(d1 * d2)}{modulus}")
+        moduli = divisibility(r, n, d1, d2)
+        if v % math.lcm(*moduli):
+            for (rule, words), modulus in zip(_DIVISIBILITY, moduli):
+                if v % modulus:
+                    violate(rule, [idx],
+                            f"dim {_fmt(idx)}={v} is not {words.format(d1 * d2)}{modulus}")
         if n >= 1:
             first_use.setdefault(d1, idx)
             first_use.setdefault(d2, idx)
@@ -318,14 +323,14 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
             # is compared at its first index in the table: the one with
             # d1 < d2, or a mirror whose partner is absent.
             if d1 != d2:
-                mirror = BlockIndex(n, d2, d1)
-                w = eff.get(mirror, 0)
+                mirror = (n, d2, d1)
+                w = dims.get(mirror, 0)
                 if (d1 < d2 or not w) and v != w:
                     big, small = (idx, mirror) if v > w else (mirror, idx)
                     violate("R3", [big, small],
                             f"dim {_fmt(big)}={max(v, w)} but dim {_fmt(small)}={min(v, w)}")
-        # R4: chain condition through every intermediate level.
-        i = chain_gap(t, n, key[d1], key[d2])
+        # R4: chain condition through every intermediate level (none below 2).
+        i = n > 1 and chain_gap(t, n, key[d1], key[d2])
         while i:
             violate("R4", [idx], f"dim {_fmt(idx)}={v} has no chain witness at split {i}+{n - i}",
                     missing=f"no b with B({i},{d1},b) and B({n - i},b,{d2}) nonzero")
@@ -333,24 +338,23 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
 
     # R5: off-diagonal blocks escalate to a strictly higher level in the same row.
     for n, a, b in sorted(stranded(t)):
-        idx = BlockIndex(n, ds[a - 1], ds[b - 1])
-        violate("R5", [idx],
-                f"dim {_fmt(idx)}={eff[idx]} with {idx.d1}!={idx.d2} escalates nowhere",
-                missing=f"no d3 and n2>{n} with B(n2,{idx.d1},d3) nonzero")
+        idx = n, d1, d2 = n, ds[a - 1], ds[b - 1]
+        violate("R5", [idx], f"dim {_fmt(idx)}={dims[idx]} with {d1}!={d2} escalates nowhere",
+                missing=f"no d3 and n2>{n} with B(n2,{d1},d3) nonzero")
 
     # R6: the top pointed block has dimension exactly r.
     l, m = pointed_levels(s)
-    top = eff.get(BlockIndex(m, 1, 1), 0)
+    top = dims.get((m, 1, 1), 0)
     if r >= 1 and top != r:
-        violate("R6", [BlockIndex(m, 1, 1)],
+        violate("R6", [(m, 1, 1)],
                 f"top pointed block must satisfy dim B({m},1,1) = |G(H)| = {r}, got {top}")
 
     if nsp:
         # R7: no skew-primitive level-1 pointed block, and the six necessary
         # blocks exist for a common d > 1.
-        skew = eff.get(BlockIndex(1, 1, 1))
+        skew = dims.get((1, 1, 1))
         if skew is not None:
-            violate("R7", [BlockIndex(1, 1, 1)],
+            violate("R7", [(1, 1, 1)],
                     f"B(1,1,1) must be absent without nontrivial skew-primitives, got dim {skew}")
         if not has_nsp_core(t, n_max):
             violate("R7", [], "no d>1 with B(1,d,1), B(1,1,d), and B(k,d,d) (k>1) all nonzero",
@@ -361,7 +365,7 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
 
         # R8: an intermediate pointed level forces edge blocks higher up.
         if not nsp_forcing_ok(t, l, m, n_max):
-            violate("R8", [BlockIndex(l, 1, 1), BlockIndex(m, 1, 1)],
+            violate("R8", [(l, 1, 1), (m, 1, 1)],
                     f"pointed levels l={l} < m={m} force more structure; none found",
                     missing="l'>l>1 and d1,d2,d3,d4>1 with B(l',d1,1), B(l',1,d2), "
                             "B(l'-1,d1,d3), B(l'-1,d4,d2) nonzero")
@@ -381,5 +385,5 @@ def check(s: BlockSystem, flags: ModeFlags) -> list[RuleViolation]:
     if flags.non_cosemisimple and n_max < 1:
         violate("RNC", [], "cosemisimple: no block above level 0")
 
-    return [v for rid in RULE_ORDER for v in out[rid]]
+    return [v for rid in sorted(out, key=RULE_ORDER.index) for v in out[rid]]
 

@@ -26,39 +26,39 @@ the whole grid was exhausted; the certificate keeps a bounded trace of the
 first _TRACE_CAP refuted cases in the reverse order, largest d first: per
 case, its node count and the close of its level-0 leaf, RNC (_trace_line).
 
-Phase 1 holds its support in one rules.Support keyed by d: per level, a row
-bitmask per d and the masks of the rows present and of those with an
-off-diagonal cell.  Each group places a cell with its mirror, so every level
-is symmetric and its row masks also serve as its column masks.  An include
-step sets its group's bits in place and restores them once its subtree is
-searched.  Each fact a node reads is
-computed once, where it becomes fixed: the R11 verdict of every group once
-per coradical case (the OR of per-d group masks, rules.unbacked), the R4
-verdict of every group within budget once per entry into a level above 1
-(one AND of a row and a column mask per split, up to the first without a
-witness, rules.chain_gap), and the R5 state as a mask of
-open rows, folded one level at a time (rules.escalate).  The verdicts are
-group bitmasks, and so are the groups that fit a slack: the search carries
-its slack in units of r, at most N/r, and looks its fit mask up by it.  An
-include step adds each rule's closes and the groups over budget by popcount
-to the reason's int slot (_REASONS) and visits only the open groups.  Nodes
-are counted in bulk: the exclude run of a level, one node per remaining
-group plus the exclude-all leaf, is one addition, and the count raises
-exactly when it passes the node cap.  Phase 2 counts in units of r, reads
-the free groups off the placement stack and memoizes a reach bitset per set
-of free costs; extraction builds one per free group, doubling runs of
-multiples.  None of this changes which nodes are visited or why each one
-closes, so the stats, witnesses and refutation traces are those of a
-node-by-node count.
+A search pays per call only for what it reads.  Its branching units (a
+cell or a mirror pair, the same at every level) form one flat table of
+per-unit lists indexed by canonical position j, and the placement stack
+holds (level, j) pairs.  Level 0 is searched as coradical cases, each
+carrying down its _case_bound and its R11 mask, the OR of per-d group masks
+over the d it lacks (rules.unbacked).  The positive levels are one
+rules.Support keyed by d, symmetric, so its rows serve as its columns; an
+include step sets its group's bits in place and restores them after its
+subtree.  R4 is decided for every group within budget once per entry into a
+level above 1 (rules.chain_gap), R5 is a mask of open rows folded one level
+at a time (rules.escalate), and the groups that fit a slack, in units of r,
+are looked up by it.  An include step adds each rule's closes and the groups
+over budget by popcount to the reason's int slot (_REASONS) and visits only
+the open groups.  A level's exclude run, one node per remaining group plus
+the exclude-all leaf, is counted in one addition, which raises exactly when
+it passes the node cap.  Phase 2 counts in units of r and memoizes a reach
+bitset per set of free costs; extraction builds one per free group,
+doubling runs of multiples.  None of this changes which nodes are visited
+or why each one closes, so the stats, witnesses and refutation traces are
+those of a node-by-node count.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import or_
 
 from .blocks import (
     FEASIBLE,
     INFEASIBLE,
+    NON_COSEMISIMPLE,
+    NSP,
     PLAIN,
     BlockSystem,
     Certificate,
@@ -69,7 +69,7 @@ from .blocks import (
     total_dim,
 )
 from .rules import (Support, _least_dim, chain_gap, check, escalate, has_nsp_core,
-                    nsp_forcing_ok, unbacked)
+                    nsp_forcing_ok)
 
 LEVEL_CAP = 200
 # Most branching units per positive level.  A grid with max_d = d has
@@ -214,44 +214,13 @@ def _resolve_flags(p: FeasibilityProblem) -> tuple[bool, bool, bool]:
     return nsp, ncss, auto_applied
 
 
-class _Group:
-    """A branching unit of the support search: a single cell or a mirror pair.
-
-    The same unit is placed at every level; the level is where it sits in
-    the support, not a field.
-    """
-
-    __slots__ = ("first", "members", "divisor", "cost", "units", "rows", "offdiag")
-
-    def __init__(self, first: tuple[int, int], members: tuple[tuple[int, int], ...],
-                 divisor: int, r: int):
-        self.first = first            # canonical (d1, d2) of the first index
-        self.members = members        # the grid entries that share the value
-        self.divisor = divisor
-        self.cost = len(members) * divisor  # least total the unit adds
-        self.units = self.cost // r   # the same in units of r, which divides it
-        a, b = first                  # the rows the unit occupies, and its off-diagonal ones
-        self.rows = 1 << a | 1 << b
-        self.offdiag = self.rows if a != b else 0
-
-
-def _level_groups(max_d: int, r: int) -> list[_Group]:
-    """Canonically ordered branching units, each member of its least dimension
-    (rules._least_dim); the diagonal ones past (1, 1) also serve level 0."""
-    return [
-        _Group((d1, d2), ((d1, d2),) if d1 == d2 else ((d1, d2), (d2, d1)),
-               _least_dim(r, d1, d2), r)
-        for d1 in range(1, max_d + 1)
-        for d2 in range(d1, max_d + 1)
-    ]
-
-
-def _case_bound(r: int, groups: list[_Group]) -> tuple:
-    """Lower bound on the sorted entries of the case of (0,1,1) and the level-0 groups (see _stop).
+def _case_bound(r: int, cells) -> tuple:
+    """Lower bound on the sorted entries of the case of (0,1,1) and the level-0 blocks
+    given as (d, least dimension) pairs, d ascending (see _stop).
 
     The sentinel (1,) sorts below every entry above level 0.
     """
-    return ((0, 1, 1, r), *((0, *g.first, g.divisor) for g in groups), (1,))
+    return ((0, 1, 1, r), *((0, d, d, m) for d, m in cells), (1,))
 
 
 def _spread(acc: int, c: int, slack: int) -> int:
@@ -321,27 +290,35 @@ class _Search:
         # and how many were refuted.
         self.trace: list[tuple[tuple[int, ...], int]] = []
         self.refuted = 0
-        self.groups = _level_groups(max_d, r)
-        self.diag_groups = [g for g in self.groups[1:] if g.offdiag == 0 and g.cost <= N - r]
-        self.firsts = [g.first for g in self.groups]
-        # uses[d] has bit j set when group j uses d (rules.unbacked).
-        self.uses: dict[int, int] = {}
-        # fits[s] has bit j set when group j fits a slack of s units of r;
-        # every slack is a whole number of them, at most N/r.
-        self.fits = [0] * (N // r + 1)
-        for j, g in enumerate(self.groups):
-            for d in g.first:
-                self.uses[d] = self.uses.get(d, 0) | 1 << j
-            if g.units < len(self.fits):
-                self.fits[g.units] |= 1 << j
-        for s in range(1, len(self.fits)):
-            self.fits[s] |= self.fits[s - 1]
-        # table holds the placed cells, level 0 always the grouplike cell
-        # (1, 1); stack the placed (level, group) pairs, level by level, each
-        # level in canonical order (increasing first cell); pointed the stack
-        # positions of the (1, 1) groups at positive levels, lowest first.
-        self.table = Support(max_level + 1, max_d, [(0, 1, 1)], symmetric=True)
-        self.stack: list[tuple[int, _Group]] = []
+        # The group table, a list per field indexed by group j in canonical
+        # order (first cell (d1, d2), d1 <= d2, ascending; group 0 is (1, 1)):
+        # first cell, least dimension (rules.least_dim), least total in units
+        # of r, the rows it occupies and its off-diagonal ones.  diag lists
+        # the diagonal groups past (1, 1) within N - r, level 0's; uses[d]
+        # has bit j set when group j uses d, fits[s] when it fits a slack of
+        # s units of r.
+        self.firsts = firsts = [(a, b) for a in range(1, max_d + 1) for b in range(a, max_d + 1)]
+        self.divisors = divisors = [_least_dim(r, a, b) for a, b in firsts]
+        self.units = units = [(m if a == b else 2 * m) // r for (a, b), m in zip(firsts, divisors)]
+        self.row_masks = [1 << a | 1 << b for a, b in firsts]
+        self.off_masks = [0 if a == b else m for (a, b), m in zip(firsts, self.row_masks)]
+        self.diag = [j for j, (a, b) in enumerate(firsts) if a == b > 1 and divisors[j] <= N - r]
+        self.uses = uses = dict.fromkeys(range(1, max_d + 1), 0)
+        fits = [0] * (N // r + 1)
+        bit = 1
+        for (a, b), u in zip(firsts, units):
+            uses[a] |= bit
+            uses[b] |= bit
+            if u < len(fits):
+                fits[u] |= bit
+            bit <<= 1
+        self.fits = list(accumulate(fits, or_))
+        # table holds the placed cells above level 0; stack the placed
+        # (level, j) pairs, the grouplike block first, then level by level in
+        # canonical order; pointed the stack positions of the (1, 1) groups
+        # at positive levels, lowest first.
+        self.table = Support(max_level + 1, max_d, symmetric=True)
+        self.stack: list[tuple[int, int]] = []
         self.pointed: list[int] = []
         # Bit j set when group j is closed by R11, fixed by the coradical case.
         self.unbacked = 0
@@ -362,42 +339,50 @@ class _Search:
     # -- phase 1: support enumeration --------------------------------------
 
     def run(self):
-        self.stack.append((0, _Group((1, 1), ((1, 1),), self.r, self.r)))
-        self._level0_dfs(0, self.N // self.r - 1)
+        # R11 closes in every case the groups using a d no level-0 group has.
+        level0 = {self.firsts[j][0] for j in self.diag}
+        lost = 0
+        for d, cells in self.uses.items():
+            if d > 1 and d not in level0:
+                lost |= cells
+        self.stack.append((0, 0))  # the grouplike block: group 0's cell at level 0
+        self._level0_dfs(0, self.N // self.r - 1, _case_bound(self.r, ()), lost)
 
-    def _level0_dfs(self, i: int, slack: int):
+    def _level0_dfs(self, i: int, slack: int, bound: tuple, lost: int):
         """Search the coradical case on the stack after every case that extends it.
 
         Extensions go by next d ascending, so the cases come in increasing
         _case_bound order, the reverse of a pre-order with the largest d first.
         A refuted case is kept as its d and node count, for _trace_line.
         slack is what is left of N once every placed block has its least
-        value, in units of r, as in _subset_dfs.
+        value, in units of r, as in _subset_dfs.  bound is the case's
+        _case_bound, and lost ORs uses[d] over the d the case and its
+        extensions lack (rules.unbacked), those passed over or with no
+        level-0 group; once they are searched, it holds the d past the
+        case's last too: it is the case's R11 mask.
         """
-        self.nodes += len(self.diag_groups) + 1 - i
+        diag = self.diag
+        self.nodes += len(diag) + 1 - i
         if self.nodes > self.node_cap:
             self._over_cap()
-        table, stack = self.table, self.stack
-        for j in range(i, len(self.diag_groups)):
-            g = self.diag_groups[j]
-            if g.units <= slack:
-                d = g.first[0]
-                table.rows[0][d] = 1 << d
-                table.present[0] |= 1 << d
-                stack.append((0, g))
-                self._level0_dfs(j + 1, slack - g.units)
+        stack, firsts, units, uses = self.stack, self.firsts, self.units, self.uses
+        for k in range(i, len(diag)):
+            j = diag[k]
+            d = firsts[j][0]
+            if units[j] <= slack:
+                stack.append((0, j))
+                self._level0_dfs(k + 1, slack - units[j],
+                                 (*bound[:-1], (0, d, d, self.divisors[j]), bound[-1]), lost)
                 stack.pop()
-                table.rows[0][d] = 0
-                table.present[0] ^= 1 << d
-        self.bound = _case_bound(self.r, [g for _, g in self.stack[1:]])
+            lost |= uses[d]
+        self.bound = bound
+        self.unbacked = lost
         self._case_found = False
         start = self.nodes
-        # The mirror cell uses the same two dimensions, so its group's mask covers it.
-        self.unbacked = unbacked(table, self.uses)
         self._subset_dfs(1, 0, slack, 0, None)
         if not self._case_found:
             self.refuted += 1
-            self.trace.append((tuple(g.first[0] for _, g in stack[1:]), self.nodes - start))
+            self.trace.append((tuple(e[1] for e in bound[1:-1]), self.nodes - start))
             if len(self.trace) > _TRACE_CAP:
                 del self.trace[0]
 
@@ -421,8 +406,8 @@ class _Search:
             # The grid ends here; the support below is a complete candidate.
             self._stop(level - 1, open_rows, slack)
             return
-        groups, table = self.groups, self.table
-        nodes = self.nodes = self.nodes + len(groups) + 1 - gi
+        firsts, table = self.firsts, self.table
+        nodes = self.nodes = self.nodes + len(firsts) + 1 - gi
         if nodes > self.node_cap:
             self._over_cap()
         if table.present[level]:
@@ -439,7 +424,7 @@ class _Search:
         live, r11, r4, r7 = shut
         cand = fit >> gi << gi
         closed = self.closed
-        closed[0] += len(groups) - gi - cand.bit_count()
+        closed[0] += len(firsts) - gi - cand.bit_count()
         closed[1] += (cand & r11).bit_count()
         closed[2] += (cand & r4).bit_count()
         closed[3] += (cand & r7).bit_count()
@@ -450,20 +435,20 @@ class _Search:
         present, offdiag = table.present, table.offdiag
         was_present, was_offdiag = present[level], offdiag[level]
         stack, pointed = self.stack, self.pointed
+        units, row_masks, off_masks = self.units, self.row_masks, self.off_masks
         while tries:
             j = tries.bit_length() - 1
             tries ^= 1 << j
-            g = groups[j]
-            a, b = g.first
+            a, b = firsts[j]
             was = row[a], row[b]
             row[a] |= 1 << b
             row[b] |= 1 << a
-            present[level] = was_present | g.rows
-            offdiag[level] = was_offdiag | g.offdiag
+            present[level] = was_present | row_masks[j]
+            offdiag[level] = was_offdiag | off_masks[j]
             if not j:  # group 0 is the pointed cell (1, 1)
                 pointed.append(len(stack))
-            stack.append((level, g))
-            self._subset_dfs(level, j + 1, slack - g.units, open_rows, shut)
+            stack.append((level, j))
+            self._subset_dfs(level, j + 1, slack - units[j], open_rows, shut)
             stack.pop()
             if not j:
                 pointed.pop()
@@ -534,7 +519,7 @@ class _Search:
             if self.best is None or candidate < self.best:
                 self.best = candidate
 
-    def _free(self, top: int) -> list[tuple[int, _Group]]:
+    def _free(self, top: int) -> list[tuple[int, int]]:
         """The placed (level, group) pairs phase 2 sizes, in stack order.
 
         That is every placed group but the grouplike block and, at a top
@@ -554,9 +539,9 @@ class _Search:
         """
         if slack <= 0:
             return not slack
-        costs = 0
-        for _, g in self._free(top):
-            costs |= 1 << g.units
+        costs, units = 0, self.units
+        for _, j in self._free(top):
+            costs |= 1 << units[j]
         costs &= (2 << slack) - 1
         reach = self.reach.get(costs)
         if reach is None:
@@ -583,12 +568,14 @@ class _Search:
         # in units of r: a reach bitset has at most N/r bits however large r
         # is.  A list, not tuple(generator): that grows its tuple by resizing,
         # which fills the interpreter's per-length tuple free lists each call.
-        ks = _multipliers([g.units for _, g in free], self.N // self.r - len(fixed))
+        ks = _multipliers([self.units[j] for _, j in free], self.N // self.r - len(fixed))
         out = fixed
-        for (level, g), k in zip(free, ks):
-            value = k * g.divisor
-            for (d1, d2) in g.members:
-                out.append((level, d1, d2, value))
+        for (level, j), k in zip(free, ks):
+            value = k * self.divisors[j]
+            a, b = self.firsts[j]
+            out.append((level, a, b, value))
+            if a != b:  # its mirror
+                out.append((level, b, a, value))
         return out
 
 
@@ -659,7 +646,7 @@ def solve(p: FeasibilityProblem, *, node_cap: int | None = None) -> Certificate:
         trace = (*map(_trace_line, reversed(search.trace)), *more)
         return Certificate(INFEASIBLE, stats=stats, refutation_summary=trace)
     witness = BlockSystem(r, {(n, a, b): v for (n, a, b, v) in search.best})
-    eff_flags = ModeFlags(non_cosemisimple=ncss, no_skew_primitives=nsp)
+    eff_flags = NSP if nsp else NON_COSEMISIMPLE if ncss else PLAIN
     if total_dim(witness) != N or check(witness, eff_flags):
         raise AssertionError("internal error: witness failed verification")
     return Certificate(FEASIBLE, witness=witness, stats=stats)

@@ -5,11 +5,13 @@ and run the way perfbench/worker.py runs it, summarized the way it
 summarizes it, and checked by perfbench's own Checker (and, for scan-nsp,
 against the paper's exclusion sets), so a change that breaks the gate fails
 here before any benchmark run.  grid-ncss is covered by the solver/oracle
-grid equivalence in test_oracle.py.  perfbench is imported, not changed.
+grid equivalence in test_oracle.py.  Both solver workloads' summed node and
+close counts are pinned.  perfbench is imported, not changed.
 """
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,15 +57,53 @@ def test_analyzer_workload_passes_the_gate(perfbench, workload):
     assert problems == {}
 
 
+# The solver's counts summed over each solver workload's requests, as
+# `perfbench/run.py --trace 1` reports them; the request order a seed draws
+# does not change them.  A change to the search that keeps its verdicts and
+# witnesses must keep these too: the same nodes, closed for the same reasons.
+SOLVER_COUNTS = {
+    "scan-nsp": {
+        "nodes": 8_076_229, "supports": 8_496, "budget": 7_169_460, "R4": 200_226,
+        "R5": 75_265, "R7": 8_200, "R8": 1_574, "R11": 329_016, "RNC": 1_751,
+        "partition": 2_747,
+    },
+    "grid-ncss": {
+        "nodes": 4_563_057, "supports": 41_764, "budget": 3_591_571, "R4": 207_676,
+        "R5": 72_716, "R7": 0, "R8": 0, "R11": 302_596, "RNC": 776, "partition": 2_750,
+    },
+}
+
+
+def summed_counts(outputs) -> dict:
+    """Nodes, supports checked and closes per reason, summed over solver outputs."""
+    total = Counter()
+    for out in outputs:
+        stats = out["stats"]
+        total.update(stats["closed"], nodes=stats["nodes"], supports=stats["supports_checked"])
+    return dict(total)
+
+
 def test_scan_nsp_workload_passes_the_gate(perfbench):
-    """Verdicts and witnesses as recorded, the paper's exclusion sets, and
-    every witness passing the NSP rule check."""
+    """Verdicts and witnesses as recorded, the paper's exclusion sets, every
+    witness passing the NSP rule check, and the summed solver counts."""
     _, workloads = perfbench
     reqs, outputs, problems = run_through_the_gate(perfbench, "scan-nsp")
     for i, problem in workloads.paper_problems(reqs, outputs).items():
         problems[reqs[i]["id"]] = problem
     assert len(reqs) == 160
     assert problems == {}
+    assert summed_counts(outputs) == SOLVER_COUNTS["scan-nsp"]
+
+
+def test_grid_ncss_workload_keeps_its_solver_counts(perfbench):
+    """Every grid-ncss solve, run as the worker runs it (the oracle
+    comparison is test_oracle.py's), sums to the recorded counts."""
+    worker, workloads = perfbench
+    reqs = workloads.generate("grid-ncss", 1, PERFBENCH.parent)
+    outputs = [worker._request(blocksieve, req)() for req in reqs]
+    assert len(reqs) == 133
+    expected = {k: n for k, n in SOLVER_COUNTS["grid-ncss"].items() if n}
+    assert summed_counts(outputs) == expected
 
 
 def test_perfbench_modules_do_not_outlive_the_fixture():

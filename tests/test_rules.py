@@ -462,6 +462,25 @@ class TestMessagesOnFailure:
             assert [v for v in check(s, PLAIN) if v.rule in ruled] == per_rule_reference(s)
         assert calls
 
+    def test_deep_wide_tables_keep_the_reference_order(self):
+        # d >= 10 and levels >= 10, where indices sorted as strings would
+        # come out of order: check sorts its table as int tuples, the
+        # reference as BlockIndex, and every field of every violation agrees
+        rng = random.Random(41)
+        ruled = {"R1", "R2", "R3", "R4", "R11", "R12"}
+        tables = wide = deep = 0
+        while tables < 300:
+            s = random_system(rng, max_level=12, max_d=12, symmetric=rng.random() < 0.5)
+            expected = per_rule_reference(s)
+            if not expected:  # 300 tables that break a compared rule
+                continue
+            tables += 1
+            for flags in ALL_FLAGS:
+                assert [v for v in check(s, flags) if v.rule in ruled] == expected
+            wide += any(i.d1 >= 10 or i.d2 >= 10 for i in s.blocks)
+            deep += any(i.level >= 10 for i in s.blocks)
+        assert wide >= 100 and deep >= 100
+
 
 class TestLevelBound:
     def test_level_above_the_bound_refused_before_any_violation(self):

@@ -23,7 +23,7 @@ from blocksieve.blocks import (
     total_dim,
 )
 from blocksieve.oracle import oracle_enumerate
-from blocksieve.rules import backed, check, least_dim, unbacked
+from blocksieve.rules import Support, backed, check, least_dim, unbacked
 from blocksieve.solver import (
     GROUP_CAP,
     LEVEL_CAP,
@@ -32,8 +32,6 @@ from blocksieve.solver import (
     SearchCapExceeded,
     _case_bound,
     _grid,
-    _Group,
-    _level_groups,
     _multipliers,
     _Search,
     admissible_group_orders,
@@ -98,21 +96,59 @@ class TestMinimalForm:
 
 
 class TestLevelGroups:
-    def test_each_unit_costs_its_members_least_dimensions(self):
-        for r in range(1, 13):
-            groups = _level_groups(6, r)
-            assert [g.first for g in groups] == [(a, b) for a in range(1, 7) for b in range(a, 7)]
-            for g in groups:
-                a, b = g.first
-                assert g.members == (((a, b),) if a == b else ((a, b), (b, a)))
-                assert g.cost == len(g.members) * least_dim(r, *g.first) == g.units * r
+    def test_flat_table_matches_a_direct_recomputation(self):
+        # every per-group list, read off the statements: the cells in
+        # canonical order, each member of its least dimension, the least
+        # total in units of r, the rows and off-diagonal rows a group
+        # occupies, the groups using each d and the groups fitting each slack
+        for r in range(1, 41):
+            for max_d in range(1, 13):
+                N = r * (2 + (7 * r + max_d) % 37)
+                search = _Search(N, r, False, True, 2, max_d, 1)
+                cells = [(a, b) for a in range(1, max_d + 1) for b in range(a, max_d + 1)]
+                least = [least_dim(r, a, b) for a, b in cells]
+                costs = [m if a == b else 2 * m for (a, b), m in zip(cells, least)]
+                assert search.firsts == cells
+                assert search.divisors == least
+                assert [u * r for u in search.units] == costs
+                assert search.row_masks == [1 << a | 1 << b for a, b in cells]
+                assert search.off_masks == [0 if a == b else 1 << a | 1 << b for a, b in cells]
+                assert search.diag == [j for j, (a, b) in enumerate(cells)
+                                       if a == b > 1 and least[j] <= N - r]
+                assert search.uses == {d: sum(1 << j for j, cell in enumerate(cells) if d in cell)
+                                       for d in range(1, max_d + 1)}
+                assert search.fits == [sum(1 << j for j, c in enumerate(costs) if c <= s * r)
+                                       for s in range(N // r + 1)]
 
     def test_coradical_units_cost_their_least_dimensions(self):
         for r in range(1, 13):
             search = _Search(30 * r, r, False, True, 2, 6, 1)
-            assert [(g.first, g.cost) for g in search.diag_groups] == [
+            assert [(search.firsts[j], search.divisors[j]) for j in search.diag] == [
                 ((d, d), least_dim(r, d, d)) for d in range(2, 7) if least_dim(r, d, d) <= 29 * r
             ]
+
+    @pytest.mark.parametrize("N, r, flags", [(161, 7, NSP), (45, 3, NON_COSEMISIMPLE)])
+    def test_carried_case_state_matches_its_statements(self, monkeypatch, N, r, flags):
+        # the bound and R11 mask each coradical case carries down level 0,
+        # against _case_bound and rules.unbacked on the case's own blocks
+        cases = []
+        enter = _Search._subset_dfs
+
+        def spy(self, level, gi, slack, open_rows, shut):
+            if level == 1 and shut is None:  # a case's first positive level
+                assert all(n == 0 for n, _ in self.stack)
+                ds = [self.firsts[j][0] for _, j in self.stack[1:]]
+                assert [self.firsts[j] for _, j in self.stack] == [(d, d) for d in [1, *ds]]
+                coradical = Support(1, self.firsts[-1][1], [(0, d, d) for d in [1, *ds]])
+                assert self.bound == _case_bound(r, [(d, least_dim(r, d, d)) for d in ds])
+                assert self.unbacked == unbacked(coradical, self.uses)
+                cases.append(tuple(ds))
+            return enter(self, level, gi, slack, open_rows, shut)
+
+        monkeypatch.setattr(_Search, "_subset_dfs", spy)
+        cert = solve(FeasibilityProblem(N, r, flags))
+        assert len(cases) == len(set(cases)) == {161: 10, 45: 5}[N]
+        assert cert.feasible
 
 
 class TestR11Masks:
@@ -125,11 +161,8 @@ class TestR11Masks:
         for _ in range(500):
             max_d = rng.randint(2, 9)
             search = _Search(10_000, 1, False, True, 2, max_d, 1)
-            table = search.table
             coradical = {1} | {d for d in range(2, max_d + 1) if rng.random() < 0.5}
-            for d in coradical - {1}:
-                table.rows[0][d] = 1 << d
-                table.present[0] |= 1 << d
+            table = Support(1, max_d, [(0, d, d) for d in coradical])
             mask = unbacked(table, search.uses)
             for j, (a, b) in enumerate(search.firsts):
                 closed = bool(mask >> j & 1)
@@ -601,8 +634,7 @@ class TestPhase2Skip:
                 systems = sorted(s.entries() for s in oracle_enumerate(n, r, flags))
                 for entries in systems:
                     ds = [d for (level, d, _, _) in entries if level == 0 and d > 1]
-                    bound = _case_bound(r, [_Group((d, d), ((d, d),), least_dim(r, d, d), r)
-                                            for d in ds])
+                    bound = _case_bound(r, [(d, least_dim(r, d, d)) for d in ds])
                     level0 = tuple(e for e in entries if e[0] == 0)
                     assert level0 >= bound[:-1], (n, r, entries)
                     if len(level0) < len(entries):
@@ -626,15 +658,18 @@ class TestPhase2Skip:
             fixed = 2 if top else 1
             budget = rng.randint(0, sum(costs) + 12)
             search = _Search((budget + fixed) * r, r, False, True, 2, 1, 1)
+            # phase 2 reads a group's cost off the table by its index, so
+            # groups 1, 2, ... take the drawn costs, in units of r
+            search.units = [1, *costs]
             # the placement stack as the search leaves it: the grouplike
             # block, then the pinned top pointed block, then the free groups
-            search.stack.append((0, _Group((1, 1), ((1, 1),), r, r)))
+            search.stack.append((0, 0))
             if top:
                 search.pointed.append(len(search.stack))
-                search.stack.append((top, _Group((1, 1), ((1, 1),), r, r)))
-            free = [_Group((d, d), ((d, d),), c * r, r) for d, c in enumerate(costs, start=2)]
-            for k, g in enumerate(free, start=1):
-                search.stack.append((1, g))
+                search.stack.append((top, 0))
+            free = range(1, len(costs) + 1)
+            for k in free:
+                search.stack.append((1, k))
                 expected = _multipliers(costs[:k], budget) is not None
                 slack = budget - sum(costs[:k])
                 assert search._feasible(top, slack) == expected, (r, costs[:k], top, budget)
